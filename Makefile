@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
-	approx-smoke tune-smoke moe-smoke
+	approx-smoke tune-smoke moe-smoke results-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +59,13 @@ moe-smoke:
 
 bench:
 	$(PYTHON) benchmarks/bench_selfperf.py
+
+# Regenerate the paper tables and figures (benchmarks/results/*.txt)
+# and fail if any of them differs from the committed copy.
+results-check:
+	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/e2e \
+		--benchmark-disable -q -p no:cacheprovider
+	git diff --exit-code benchmarks/results
 
 # Full-scale serving benchmark: 100k-request event-vs-epoch timing
 # (byte-identical reports required) plus the million-request sharded

@@ -1,79 +1,77 @@
 #!/usr/bin/env python
 """Softmax recomposition as a compiler pass over a kernel graph.
 
-Shows the library's kernel-graph IR: build the baseline SDA dataflow,
-run the decompose and fuse passes of Section 3 as graph rewrites,
-audit the attention-matrix accesses at each step (the Fig. 6 circles
-and hexagons), and do the same for a block-sparse pipeline and a
-custom JSON-defined model.
+Shows the library's kernel-graph IR: build the baseline SDA dataflow
+of kernel roles, run the decompose and fuse passes of Section 3 as
+graph rewrites, audit the attention-matrix accesses at each step (the
+Fig. 6 circles and hexagons), then show that every plan is one record
+whose rewritten graph both a dense and a block-sparse block turn into
+kernels — and finish with a custom JSON-defined model.
 
 Run:  python examples/graph_recomposition.py
 """
 
 from repro.analysis import render_table
+from repro.common import PlanError
 from repro.core import (
-    build_dense_sda_graph,
-    build_sparse_sda_graph,
+    AttentionPlan,
+    attention_matrix_sweeps,
     decompose_softmax_pass,
     fuse_softmax_pass,
+    plan_graph,
+    sda_graph,
 )
 from repro.gpu import Device
-from repro.sparse import bigbird_layout
+from repro.models import AttentionKind, AttentionSpec, SDABlock
 
 BH, L, D, T = 16, 4096, 64, 64
 
 
-def audit(graph):
-    """Attention-matrix-sized accesses + simulated traffic."""
-    matrix_buffers = [name for name in graph.buffers
-                      if name in ("X", "Y") or name.endswith(".x_prime")]
-    accesses = sum(graph.access_count(name) for name in matrix_buffers)
+def matrix_accesses(graph):
+    """Attention-matrix-sized accesses (the Fig. 6 audit)."""
+    return sum(graph.access_count(name) for name in graph.matrix_buffers())
+
+
+def traffic(plan, kind):
+    """Simulated SDA-block DRAM traffic of ``plan`` on an A100."""
     device = Device("A100")
-    graph.simulate(device)
-    return accesses, device.profile.total_dram_bytes()
+    SDABlock(batch=1, num_heads=BH, seq_len=L, d_head=D,
+             spec=AttentionSpec(kind=kind), plan=plan, t=T).simulate(device)
+    return f"{device.profile.total_dram_bytes() / 1e9:.2f} GB"
 
 
-def demo_dense():
+def demo_passes():
     print("=" * 72)
-    print("1. Dense SDA graph through the recomposition passes")
+    print("1. The baseline SDA graph through the recomposition passes")
+    print("=" * 72)
+    graph = sda_graph()
+    rows = [["baseline", repr(graph), matrix_accesses(graph),
+             traffic("baseline", AttentionKind.DENSE)]]
+    decompose_softmax_pass(graph)
+    rows.append(["decomposed", repr(graph), matrix_accesses(graph),
+                 traffic("sd", AttentionKind.DENSE)])
+    fused = fuse_softmax_pass(graph)
+    rows.append([f"recomposed ({fused} fusions)", repr(graph),
+                 matrix_accesses(graph), traffic("sdf", AttentionKind.DENSE)])
+    print(render_table(["pass", "graph", "matrix accesses (Fig. 6)",
+                        "dense SDA traffic"], rows))
+    print()
+
+
+def demo_plans():
+    print("=" * 72)
+    print("2. Every plan is one record; dense and BigBird share its graph")
     print("=" * 72)
     rows = []
-
-    graph = build_dense_sda_graph(BH, L, D)
-    print("baseline graph: ", graph)
-    rows.append(["baseline", *map_fmt(audit(graph))])
-
-    decompose_softmax_pass(graph, T)
-    print("after decompose:", graph)
-    rows.append(["decomposed", *map_fmt(audit(graph))])
-
-    fused = fuse_softmax_pass(graph)
-    print(f"after fuse ({fused} fusions):", graph)
-    rows.append(["recomposed", *map_fmt(audit(graph))])
-
-    print()
-    print(render_table(["pass", "matrix accesses (Fig. 6)",
-                        "SDA traffic"], rows))
-    print()
-
-
-def map_fmt(pair):
-    accesses, traffic = pair
-    return [accesses, f"{traffic / 1e9:.2f} GB"]
-
-
-def demo_sparse():
-    print("=" * 72)
-    print("2. The same passes on a block-sparse (BigBird) pipeline")
-    print("=" * 72)
-    layout = bigbird_layout(L, 64)
-    graph = build_sparse_sda_graph(layout, BH, D)
-    rows = [["baseline", *map_fmt(audit(graph))]]
-    decompose_softmax_pass(graph, T)
-    fuse_softmax_pass(graph)
-    rows.append(["recomposed", *map_fmt(audit(graph))])
-    print(f"layout: {layout}")
-    print(render_table(["pass", "matrix accesses", "SDA traffic"], rows))
+    for plan in AttentionPlan:
+        try:
+            sparse = traffic(plan, AttentionKind.BIGBIRD)
+        except PlanError:  # no block-sparse kernel for one of its roles
+            sparse = "-"
+        rows.append([plan.value, " -> ".join(plan_graph(plan).roles),
+                     attention_matrix_sweeps(plan), sparse])
+    print(render_table(["plan", "roles", "sweeps", "BigBird SDA traffic"],
+                       rows))
     print()
 
 
@@ -102,6 +100,6 @@ def demo_custom_model():
 
 
 if __name__ == "__main__":
-    demo_dense()
-    demo_sparse()
+    demo_passes()
+    demo_plans()
     demo_custom_model()

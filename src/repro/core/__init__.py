@@ -3,8 +3,11 @@
 - :mod:`repro.core.decomposition` — the pure math of Eq. 2 and a
   high-level :func:`~repro.core.decomposition.decomposed_softmax`;
 - :mod:`repro.core.plan` — the execution plans the evaluation compares
-  (baseline / SD / SDF and the ablation variants) and their
-  attention-matrix sweep counts (Fig. 6);
+  (baseline / SD / SDF and the ablation variants), each a
+  :class:`~repro.core.plan.PlanRecord` of graph rewrites;
+- :mod:`repro.core.recompose` — those rewrites as passes over the
+  :mod:`repro.core.graph` role IR, :func:`plan_graph` and the
+  attention-matrix sweep counts it yields (Fig. 6);
 - :mod:`repro.core.online` — online (single-pass) softmax [21], the
   closest prior software optimisation, for comparison;
 - :mod:`repro.core.backward` — the softmax derivative from outputs
@@ -19,22 +22,25 @@ from repro.core.decomposition import (
 )
 from repro.core.graph import Buffer, KernelGraph, Node
 from repro.core.online import online_softmax
-from repro.core.plan import AttentionPlan, attention_matrix_sweeps
+from repro.core.plan import AttentionPlan, PlanRecord
 from repro.core.plansource import (
     PlanSource,
     PlanSourceKind,
     resolve_plan,
 )
 from repro.core.recompose import (
-    build_dense_sda_graph,
-    build_sparse_sda_graph,
+    attention_matrix_sweeps,
+    build_kernels,
     decompose_softmax_pass,
     fuse_softmax_pass,
+    plan_graph,
     recompose,
+    sda_graph,
 )
 
 __all__ = [
     "AttentionPlan",
+    "PlanRecord",
     "attention_matrix_sweeps",
     "PlanSource",
     "PlanSourceKind",
@@ -49,8 +55,9 @@ __all__ = [
     "KernelGraph",
     "Node",
     "Buffer",
-    "build_dense_sda_graph",
-    "build_sparse_sda_graph",
+    "sda_graph",
+    "plan_graph",
+    "build_kernels",
     "decompose_softmax_pass",
     "fuse_softmax_pass",
     "recompose",

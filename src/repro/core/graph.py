@@ -1,8 +1,11 @@
 """Kernel-graph IR.
 
-A :class:`KernelGraph` is a small dataflow IR over simulated kernels:
-nodes are kernel launches, edges are named DRAM buffers.  The
-recomposition of Section 3 is implemented as two graph passes
+A :class:`KernelGraph` is a small dataflow IR over kernel *roles*:
+nodes are launches named by what they compute (``qk``, ``softmax``,
+``ls``, ``qk_ls``, ...), edges are named DRAM buffers.  The graph holds
+no kernel objects — each shape kind maps roles to kernels with its own
+table — so one rewrite of a plan serves every shape.  The
+recomposition of Section 3 is implemented as graph passes
 (:mod:`repro.core.recompose`): *decompose* replaces a softmax node
 with LS/IR/GS nodes, *fuse* merges LS into its producing MatMul and GS
 into its consuming MatMul.
@@ -19,30 +22,27 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.common.errors import PlanError
-from repro.gpu.device import Device
-from repro.kernels.base import Kernel
 
 
 @dataclass(frozen=True)
 class Buffer:
-    """A DRAM-resident tensor flowing between kernels."""
+    """A DRAM-resident tensor flowing between kernels.
+
+    ``matrix`` marks attention-matrix-sized buffers (the ones the
+    Fig. 6 audit and the footprint model count).
+    """
 
     name: str
-    nbytes: float = 0.0
+    matrix: bool = False
 
 
 @dataclass(frozen=True)
 class Node:
-    """One kernel launch with named inputs and outputs."""
+    """One kernel launch, by role, with named inputs and outputs."""
 
-    kernel: Kernel
+    role: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        """The underlying kernel's name."""
-        return self.kernel.name
 
 
 class KernelGraph:
@@ -50,35 +50,42 @@ class KernelGraph:
 
     Nodes execute in insertion order (the launch stream); the edge
     structure is used by the rewrite passes and the traffic audit.
+    A frozen graph (see :meth:`freeze`) rejects further rewrites.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, Buffer] = {}
         self._nodes: list[Node] = []
+        self._frozen = False
 
     # -- construction ----------------------------------------------------
 
-    def add_buffer(self, name: str, nbytes: float = 0.0) -> Buffer:
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise PlanError("graph is frozen; rewrite a fresh copy")
+
+    def add_buffer(self, name: str, matrix: bool = False) -> Buffer:
         """Declare a buffer (idempotent for identical declarations)."""
         if name in self._buffers:
             existing = self._buffers[name]
-            if nbytes and existing.nbytes and existing.nbytes != nbytes:
+            if matrix and not existing.matrix:
                 raise PlanError(
-                    f"buffer {name!r} redeclared with different size "
-                    f"({existing.nbytes} vs {nbytes})"
+                    f"buffer {name!r} redeclared as attention-matrix-sized"
                 )
             return existing
-        buffer = Buffer(name=name, nbytes=nbytes)
+        self._check_mutable()
+        buffer = Buffer(name=name, matrix=matrix)
         self._buffers[name] = buffer
         return buffer
 
     def add_node(
         self,
-        kernel: Kernel,
+        role: str,
         inputs: Iterable[str],
         outputs: Iterable[str],
     ) -> Node:
         """Append a kernel launch; auto-declares unknown buffers."""
+        self._check_mutable()
         inputs = tuple(inputs)
         outputs = tuple(outputs)
         for name in (*inputs, *outputs):
@@ -86,9 +93,14 @@ class KernelGraph:
         for name in outputs:
             if self.producer(name) is not None:
                 raise PlanError(f"buffer {name!r} already has a producer")
-        node = Node(kernel=kernel, inputs=inputs, outputs=outputs)
+        node = Node(role=role, inputs=inputs, outputs=outputs)
         self._nodes.append(node)
         return node
+
+    def freeze(self) -> "KernelGraph":
+        """Make the graph read-only (shared, memoized graphs)."""
+        self._frozen = True
+        return self
 
     # -- queries ----------------------------------------------------------
 
@@ -98,9 +110,18 @@ class KernelGraph:
         return tuple(self._nodes)
 
     @property
+    def roles(self) -> tuple[str, ...]:
+        """Node roles in launch order."""
+        return tuple(node.role for node in self._nodes)
+
+    @property
     def buffers(self) -> dict[str, Buffer]:
         """Declared buffers by name."""
         return dict(self._buffers)
+
+    def matrix_buffers(self) -> tuple[str, ...]:
+        """Names of the attention-matrix-sized buffers."""
+        return tuple(b.name for b in self._buffers.values() if b.matrix)
 
     def producer(self, buffer: str) -> Optional[Node]:
         """The node writing ``buffer``, or None for graph inputs."""
@@ -140,6 +161,18 @@ class KernelGraph:
             self.consumers(buffer)
         )
 
+    def peak_live(self, buffers: Iterable[str]) -> int:
+        """Most of ``buffers`` resident at once: each is live from its
+        first to its last touching node, inclusive."""
+        spans = []
+        for name in buffers:
+            touched = [i for i, node in enumerate(self._nodes)
+                       if name in node.inputs or name in node.outputs]
+            if touched:
+                spans.append((touched[0], touched[-1]))
+        return max((sum(lo <= i <= hi for lo, hi in spans)
+                    for i in range(len(self._nodes))), default=0)
+
     def validate(self) -> None:
         """Check the graph is executable in its launch order."""
         ready = set(self.inputs())
@@ -147,7 +180,7 @@ class KernelGraph:
             missing = [b for b in node.inputs if b not in ready]
             if missing:
                 raise PlanError(
-                    f"node {node.name!r} reads {missing} before production"
+                    f"node {node.role!r} reads {missing} before production"
                 )
             ready.update(node.outputs)
 
@@ -157,6 +190,7 @@ class KernelGraph:
         self, old: Iterable[Node], new: Iterable[Node]
     ) -> None:
         """Splice ``new`` nodes where the first of ``old`` stood."""
+        self._check_mutable()
         old = list(old)
         new = list(new)
         indices = [self._nodes.index(node) for node in old]
@@ -169,17 +203,8 @@ class KernelGraph:
                 self.add_buffer(name)
         self.validate()
 
-    # -- execution ----------------------------------------------------------
-
-    def simulate(self, device: Device) -> None:
-        """Launch every node on ``device`` in order (cost only)."""
-        self.validate()
-        for node in self._nodes:
-            node.kernel.simulate(device)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
     def __repr__(self) -> str:
-        chain = " -> ".join(node.name for node in self._nodes)
-        return f"KernelGraph({chain})"
+        return f"KernelGraph({' -> '.join(self.roles)})"

@@ -1,352 +1,185 @@
 """Softmax recomposition as kernel-graph rewrite passes.
 
-Two passes implement Section 3 over the :mod:`repro.core.graph` IR:
+Every plan is a rewrite of one baseline graph (:func:`sda_graph`,
+``qk -> softmax -> av``) over kernel roles:
 
-- :func:`decompose_softmax_pass` — replaces each monolithic softmax
-  node with LS -> IR -> GS nodes plus the m'/d'/r' statistic buffers
-  (Section 3.2);
-- :func:`fuse_softmax_pass` — merges each LS node into the MatMul that
-  produces its input and each GS node into the MatMul that consumes
-  its output (Section 3.3), provided the sub-vector size equals the
-  MatMul output tile width.
+- :func:`decompose_softmax_pass` — replaces each row-softmax node with
+  ``ls -> ir -> gs`` plus the m'/d'/r' statistic buffers (Section 3.2);
+- :func:`fuse_ls_pass` / :func:`fuse_gs_pass` — merge LS into the
+  ``qk`` MatMul producing its input (``qk_ls``) and GS into the ``av``
+  MatMul consuming its output (``gs_av``) (Section 3.3);
+- a whole-block plan replaces the graph with one ``fused-mha`` or
+  ``flash`` node.
 
-:func:`recompose` composes the two.  :func:`build_dense_sda_graph`
-constructs the baseline graph the passes start from; the rewritten
-graph is launch-for-launch identical to the hand-built ``RECOMPOSED``
-pipeline of :class:`repro.models.attention.SDABlock` (tested).
+:func:`plan_graph` applies the passes a
+:class:`~repro.core.plan.PlanRecord` selects, once per process.  Each
+shape kind (dense block, block-sparse block, serving step) then maps
+roles to kernels with one table (:func:`build_kernels`); the graph is
+shared by all of them, so dense and block-sparse attention run the
+same rewrites.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import functools
+from typing import Callable, Mapping
 
-from repro.common.dtypes import DType
 from repro.common.errors import PlanError
 from repro.core.graph import KernelGraph, Node
-from repro.kernels.decomposed import (
-    GlobalScaleKernel,
-    INTERMEDIATE_BYTES,
-    InterReductionKernel,
-    LocalSoftmaxKernel,
-)
-from repro.kernels.fused import FusedGSMatMulKernel, FusedMatMulLSKernel
-from repro.kernels.matmul import (
-    MatMulKernel,
-    attention_score_matmul,
-    attention_value_matmul,
-)
-from repro.kernels.softmax import RowSoftmaxKernel
+from repro.core.plan import AttentionPlan, PlanRecord
+
+#: Node role of each monolithic softmax variant.
+SOFTMAX_ROLES = {"row": "softmax", "online": "online_softmax",
+                 "batched": "batched_softmax"}
 
 
-def build_dense_sda_graph(
-    batch_heads: int,
-    seq_len: int,
-    d_head: int,
-    *,
-    dtype: DType = DType.FP16,
-    epilogue: Optional[Callable] = None,
-    epilogue_flops_per_element: float = 2.0,
-) -> KernelGraph:
-    """The baseline dense SDA block as a kernel graph.
+def sda_graph(softmax: str = "row") -> KernelGraph:
+    """The unfused SDA block: ``qk -> <softmax> -> av``.
 
     Buffers: ``Q``/``K_T``/``V`` in, ``X`` (raw attention matrix),
     ``Y`` (softmaxed attention matrix), ``O`` out.
     """
     graph = KernelGraph()
-    matrix_bytes = batch_heads * seq_len * seq_len * dtype.nbytes
-    operand_bytes = batch_heads * seq_len * d_head * dtype.nbytes
-    for name, nbytes in (("Q", operand_bytes), ("K_T", operand_bytes),
-                         ("V", operand_bytes), ("X", matrix_bytes),
-                         ("Y", matrix_bytes), ("O", operand_bytes)):
-        graph.add_buffer(name, nbytes)
-
-    graph.add_node(
-        attention_score_matmul(
-            batch_heads, seq_len, d_head, dtype=dtype, epilogue=epilogue,
-            epilogue_flops_per_element=epilogue_flops_per_element,
-        ),
-        inputs=("Q", "K_T"),
-        outputs=("X",),
-    )
-    graph.add_node(
-        RowSoftmaxKernel(rows=batch_heads * seq_len, length=seq_len,
-                         dtype=dtype),
-        inputs=("X",),
-        outputs=("Y",),
-    )
-    graph.add_node(
-        attention_value_matmul(batch_heads, seq_len, d_head, dtype=dtype),
-        inputs=("Y", "V"),
-        outputs=("O",),
-    )
-    graph.validate()
+    graph.add_buffer("X", matrix=True)
+    graph.add_buffer("Y", matrix=True)
+    graph.add_node("qk", ("Q", "K_T"), ("X",))
+    graph.add_node(SOFTMAX_ROLES[softmax], ("X",), ("Y",))
+    graph.add_node("av", ("Y", "V"), ("O",))
     return graph
 
 
-def build_sparse_sda_graph(
-    layout,
-    batch_heads: int,
-    d_head: int,
-    *,
-    dtype: DType = DType.FP16,
-) -> KernelGraph:
-    """The baseline block-sparse SDA block as a kernel graph."""
-    from repro.sparse.bsmatmul import (
-        BlockSparseMatMulDSD,
-        BlockSparseMatMulSDD,
-    )
-    from repro.sparse.bssoftmax import BlockSparseRowSoftmax
+def decompose_softmax_pass(graph: KernelGraph) -> int:
+    """Replace every row-softmax node with LS -> IR -> GS.
 
-    graph = KernelGraph()
-    block_bytes = batch_heads * layout.nnz_elements() * dtype.nbytes
-    operand = batch_heads * layout.seq_len * d_head * dtype.nbytes
-    for name, nbytes in (("Q", operand), ("K", operand), ("V", operand),
-                         ("X", block_bytes), ("Y", block_bytes),
-                         ("O", operand)):
-        graph.add_buffer(name, nbytes)
-    graph.add_node(BlockSparseMatMulSDD(layout, batch_heads, d_head,
-                                        dtype=dtype),
-                   inputs=("Q", "K"), outputs=("X",))
-    graph.add_node(BlockSparseRowSoftmax(layout, batch_heads, dtype=dtype),
-                   inputs=("X",), outputs=("Y",))
-    graph.add_node(BlockSparseMatMulDSD(layout, batch_heads, d_head,
-                                        dtype=dtype),
-                   inputs=("Y", "V"), outputs=("O",))
-    graph.validate()
-    return graph
-
-
-def _decompose_sparse_node(graph: KernelGraph, node: Node) -> None:
-    from repro.sparse.bssoftmax import (
-        BlockSparseGS,
-        BlockSparseIR,
-        BlockSparseLS,
-    )
-
-    kernel = node.kernel
-    layout, batch = kernel.layout, kernel.batch
-    (x_name,) = node.inputs
-    (y_name,) = node.outputs
-    stats_bytes = (batch * layout.nnz_blocks * layout.block_size
-                   * INTERMEDIATE_BYTES)
-    x_prime = f"{x_name}.x_prime"
-    names = {s: f"{x_name}.{s}" for s in ("m_prime", "d_prime", "r_prime")}
-    graph.add_buffer(x_prime, graph.buffers[x_name].nbytes)
-    for name in names.values():
-        graph.add_buffer(name, stats_bytes)
-    graph.replace_nodes([node], [
-        Node(kernel=BlockSparseLS(layout, batch, dtype=kernel.dtype),
-             inputs=(x_name,),
-             outputs=(x_prime, names["m_prime"], names["d_prime"])),
-        Node(kernel=BlockSparseIR(layout, batch),
-             inputs=(names["m_prime"], names["d_prime"]),
-             outputs=(names["r_prime"],)),
-        Node(kernel=BlockSparseGS(layout, batch, dtype=kernel.dtype),
-             inputs=(x_prime, names["r_prime"]),
-             outputs=(y_name,)),
-    ])
-
-
-def decompose_softmax_pass(graph: KernelGraph, t: int) -> int:
-    """Replace every monolithic softmax node with LS -> IR -> GS.
-
-    Handles both the dense row softmax and the block-sparse softmax
-    (whose sub-vector size is its block width, ignoring ``t``).
     Returns the number of softmax nodes decomposed.  The statistic
     buffers are named after the softmax's input buffer
     (``<X>.m_prime`` etc.) so repeated decompositions stay distinct.
+    Online and batched softmax nodes have different internals and are
+    left alone.
     """
-    from repro.sparse.bssoftmax import BlockSparseRowSoftmax
-
     rewritten = 0
     for node in graph.nodes:
-        kernel = node.kernel
-        if isinstance(kernel, BlockSparseRowSoftmax):
-            _decompose_sparse_node(graph, node)
-            rewritten += 1
+        if node.role != "softmax":
             continue
-        # Exact type match: subclasses (e.g. the online softmax) have
-        # different internals and are not decomposed by this pass.
-        if type(kernel) is not RowSoftmaxKernel:
-            continue
-        if kernel.length % t != 0:
-            raise PlanError(
-                f"softmax row length {kernel.length} not divisible by T={t}"
-            )
         (x_name,) = node.inputs
         (y_name,) = node.outputs
-        rows = kernel.rows
-        n_sv = kernel.length // t
-        stats_bytes = rows * n_sv * INTERMEDIATE_BYTES
-        x_prime = f"{x_name}.x_prime"
-        m_prime = f"{x_name}.m_prime"
-        d_prime = f"{x_name}.d_prime"
-        r_prime = f"{x_name}.r_prime"
-        graph.add_buffer(x_prime, graph.buffers[x_name].nbytes)
-        for name in (m_prime, d_prime, r_prime):
-            graph.add_buffer(name, stats_bytes)
-
-        ls = Node(
-            kernel=LocalSoftmaxKernel(num_subvectors=rows * n_sv, t=t,
-                                      dtype=kernel.dtype),
-            inputs=(x_name,),
-            outputs=(x_prime, m_prime, d_prime),
-        )
-        ir = Node(
-            kernel=InterReductionKernel(rows=rows, mean_subvectors=n_sv),
-            inputs=(m_prime, d_prime),
-            outputs=(r_prime,),
-        )
-        gs = Node(
-            kernel=GlobalScaleKernel(num_subvectors=rows * n_sv, t=t,
-                                     dtype=kernel.dtype),
-            inputs=(x_prime, r_prime),
-            outputs=(y_name,),
-        )
-        graph.replace_nodes([node], [ls, ir, gs])
+        x_prime, m_prime, d_prime, r_prime = (
+            f"{x_name}.{stat}"
+            for stat in ("x_prime", "m_prime", "d_prime", "r_prime"))
+        graph.add_buffer(x_prime, matrix=graph.buffers[x_name].matrix)
+        graph.replace_nodes([node], [
+            Node("ls", (x_name,), (x_prime, m_prime, d_prime)),
+            Node("ir", (m_prime, d_prime), (r_prime,)),
+            Node("gs", (x_prime, r_prime), (y_name,)),
+        ])
         rewritten += 1
     return rewritten
 
 
-def _fuse_sparse_matmul_ls(graph: KernelGraph, node: Node) -> bool:
-    from repro.sparse.bsmatmul import BlockSparseMatMulSDD, FusedBSMatMulLSSDD
-
-    (x_name,) = node.inputs
-    producer = graph.producer(x_name)
-    if producer is None or type(producer.kernel) is not BlockSparseMatMulSDD:
-        return False
-    if len(graph.consumers(x_name)) != 1:
-        return False
-    sdd = producer.kernel
-    fused_kernel = FusedBSMatMulLSSDD(
-        sdd.layout, sdd.batch, sdd.d_head, dtype=sdd.dtype,
-        epilogue=sdd.epilogue,
-        epilogue_flops_per_element=sdd.epilogue_flops_per_element,
-    )
-    graph.replace_nodes(
-        [producer, node],
-        [Node(kernel=fused_kernel, inputs=producer.inputs,
-              outputs=node.outputs)],
-    )
-    return True
-
-
-def _fuse_sparse_gs_matmul(graph: KernelGraph, node: Node) -> bool:
-    from repro.sparse.bsmatmul import BlockSparseMatMulDSD, FusedBSGSMatMulDSD
-
-    (y_name,) = node.outputs
-    consumers = graph.consumers(y_name)
-    if len(consumers) != 1:
-        return False
-    consumer = consumers[0]
-    if type(consumer.kernel) is not BlockSparseMatMulDSD:
-        return False
-    if consumer.inputs[0] != y_name:
-        return False
-    dsd = consumer.kernel
-    fused_kernel = FusedBSGSMatMulDSD(dsd.layout, dsd.batch, dsd.d_head,
-                                      dtype=dsd.dtype)
-    x_prime, r_prime = node.inputs
-    graph.replace_nodes(
-        [node, consumer],
-        [Node(kernel=fused_kernel,
-              inputs=(x_prime, r_prime, *consumer.inputs[1:]),
-              outputs=consumer.outputs)],
-    )
-    return True
-
-
-def _fuse_matmul_ls(graph: KernelGraph) -> int:
-    """Merge MatMul -> LS pairs into fused MatMul+LS nodes."""
-    from repro.sparse.bssoftmax import BlockSparseLS
-
+def fuse_ls_pass(graph: KernelGraph) -> int:
+    """Merge ``qk -> ls`` pairs into ``qk_ls`` nodes."""
     fused = 0
     for node in graph.nodes:
-        if isinstance(node.kernel, BlockSparseLS):
-            fused += _fuse_sparse_matmul_ls(graph, node)
-            continue
-        if not isinstance(node.kernel, LocalSoftmaxKernel):
+        if node.role != "ls":
             continue
         (x_name,) = node.inputs
         producer = graph.producer(x_name)
-        if producer is None or type(producer.kernel) is not MatMulKernel:
+        if producer is None or producer.role != "qk":
             continue
         if len(graph.consumers(x_name)) != 1:
             continue  # X is still needed elsewhere; cannot fuse it away.
-        matmul = producer.kernel
-        ls = node.kernel
-        if matmul.n % ls.t != 0:
-            raise PlanError(
-                f"cannot fuse: T={ls.t} does not divide MatMul n={matmul.n}"
-            )
-        fused_kernel = FusedMatMulLSKernel(
-            batch=matmul.batch, m=matmul.m, n=matmul.n, k=matmul.k,
-            t=ls.t, dtype=matmul.dtype,
-            pre_softmax_epilogue=matmul.epilogue,
-            pre_softmax_flops_per_element=matmul.epilogue_flops_per_element,
-        )
-        graph.replace_nodes(
-            [producer, node],
-            [Node(kernel=fused_kernel, inputs=producer.inputs,
-                  outputs=node.outputs)],
-        )
+        graph.replace_nodes([producer, node],
+                            [Node("qk_ls", producer.inputs, node.outputs)])
         fused += 1
     return fused
 
 
-def _fuse_gs_matmul(graph: KernelGraph) -> int:
-    """Merge GS -> MatMul pairs into fused GS+MatMul nodes."""
-    from repro.sparse.bssoftmax import BlockSparseGS
-
+def fuse_gs_pass(graph: KernelGraph) -> int:
+    """Merge ``gs -> av`` pairs into ``gs_av`` nodes."""
     fused = 0
     for node in graph.nodes:
-        if isinstance(node.kernel, BlockSparseGS):
-            fused += _fuse_sparse_gs_matmul(graph, node)
-            continue
-        if not isinstance(node.kernel, GlobalScaleKernel):
+        if node.role != "gs":
             continue
         (y_name,) = node.outputs
         consumers = graph.consumers(y_name)
-        if len(consumers) != 1:
+        if len(consumers) != 1 or consumers[0].role != "av":
             continue
-        consumer = consumers[0]
-        if type(consumer.kernel) is not MatMulKernel:
-            continue
-        if consumer.inputs[0] != y_name:
+        av = consumers[0]
+        if av.inputs[0] != y_name:
             continue  # GS output must be the LHS of the MatMul.
-        matmul = consumer.kernel
-        gs = node.kernel
-        if matmul.k % gs.t != 0:
-            raise PlanError(
-                f"cannot fuse: T={gs.t} does not divide MatMul k={matmul.k}"
-            )
-        fused_kernel = FusedGSMatMulKernel(
-            batch=matmul.batch, m=matmul.m, n=matmul.n, k=matmul.k,
-            t=gs.t, dtype=matmul.dtype,
-        )
-        x_prime, r_prime = node.inputs
         graph.replace_nodes(
-            [node, consumer],
-            [Node(kernel=fused_kernel,
-                  inputs=(x_prime, r_prime, *consumer.inputs[1:]),
-                  outputs=consumer.outputs)],
-        )
+            [node, av],
+            [Node("gs_av", (*node.inputs, *av.inputs[1:]), av.outputs)])
         fused += 1
     return fused
 
 
 def fuse_softmax_pass(graph: KernelGraph) -> int:
     """Apply both fusions (Section 3.3); returns the number performed."""
-    return _fuse_matmul_ls(graph) + _fuse_gs_matmul(graph)
+    return fuse_ls_pass(graph) + fuse_gs_pass(graph)
 
 
-def recompose(graph: KernelGraph, t: int = 64) -> KernelGraph:
+def recompose(graph: KernelGraph) -> KernelGraph:
     """Full softmax recomposition: decompose, then fuse (in place).
 
     Returns the graph for chaining.
     """
-    decomposed = decompose_softmax_pass(graph, t)
-    if decomposed == 0:
+    if decompose_softmax_pass(graph) == 0:
         raise PlanError("graph contains no softmax node to recompose")
     fuse_softmax_pass(graph)
     return graph
+
+
+@functools.lru_cache(maxsize=None)
+def _rewrite(record: PlanRecord) -> KernelGraph:
+    if record.block is not None:
+        graph = KernelGraph()
+        graph.add_node(record.block, ("Q", "K", "V"), ("O",))
+        return graph.freeze()
+    graph = sda_graph(record.softmax)
+    if record.decompose:
+        decompose_softmax_pass(graph)
+    if record.fuse_ls:
+        fuse_ls_pass(graph)
+    if record.fuse_gs:
+        fuse_gs_pass(graph)
+    return graph.freeze()
+
+
+def plan_graph(plan: "AttentionPlan | PlanRecord | str") -> KernelGraph:
+    """The (frozen, memoized) role graph of ``plan``."""
+    if isinstance(plan, str):
+        plan = AttentionPlan.from_name(plan)
+    return _rewrite(getattr(plan, "record", plan))
+
+
+def attention_matrix_sweeps(plan: "AttentionPlan | PlanRecord | str") -> int:
+    """Off-chip sweeps of the attention matrix across the whole SDA
+    block (write + read each count once) — the Fig. 6 audit.
+
+    Baseline: QK^T writes it, softmax reads + writes, AV reads => 4.
+    SD: QK^T write, LS read/write, GS read/write, AV read => 6.
+    SDF: fused QK^T+LS write, fused GS+AV read => 2.
+    Whole-block kernels: the matrix never leaves the SM => 0.
+    """
+    graph = plan_graph(plan)
+    return sum(graph.access_count(name) for name in graph.matrix_buffers())
+
+
+def build_kernels(
+    plan: AttentionPlan,
+    table: Mapping[str, Callable[[], object]],
+    shape: str = "this shape",
+) -> list:
+    """One kernel per node of ``plan_graph(plan)``, in launch order,
+    from a shape kind's role -> kernel-factory ``table``."""
+    kernels = []
+    for node in plan_graph(plan).nodes:
+        factory = table.get(node.role)
+        if factory is None:
+            raise PlanError(
+                f"the {plan.value!r} plan is not implemented for {shape} "
+                f"(no {node.role!r} kernel)"
+            )
+        kernels.append(factory())
+    return kernels

@@ -1,8 +1,10 @@
 """The scaled dot-product attention (SDA) block under every plan.
 
 :class:`SDABlock` assembles the kernel pipeline for one attention
-layer — dense or block-sparse — according to the chosen
-:class:`~repro.core.plan.AttentionPlan`:
+layer — dense or block-sparse — from the role graph of the chosen
+:class:`~repro.core.plan.AttentionPlan`
+(:func:`~repro.core.recompose.plan_graph`) and one role -> kernel table
+per shape kind:
 
 ========================  ==================================================
 plan                      pipeline
@@ -13,6 +15,7 @@ plan                      pipeline
 ``RECOMPOSED`` (SDF)      MatMul(+scale/mask+LS) -> IR -> (GS+MatMul)
 ``FUSED_LS_ONLY``         MatMul(+scale/mask+LS) -> IR -> GS -> MatMul
 ``FUSED_GS_ONLY``         MatMul(+scale/mask) -> LS -> IR -> (GS+MatMul)
+whole-block plans         one kernel: fused MHA or FlashAttention
 ========================  ==================================================
 
 Scale and mask ride the first MatMul's epilogue in every plan — the
@@ -31,6 +34,7 @@ from repro.common.dtypes import DType
 from repro.common.errors import PlanError, ShapeError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import build_kernels, plan_graph
 from repro.gpu.device import Device
 from repro.kernels.base import Kernel
 from repro.kernels.decomposed import (
@@ -152,24 +156,20 @@ class SDABlock:
                 "self-attention; cross-attention must be dense"
             )
         if key_padding_lengths is not None and (
-            spec.is_sparse
-            or self.plan in (AttentionPlan.FLASH, AttentionPlan.FULLY_FUSED)
+            spec.is_sparse or self.plan.record.block is not None
         ):
             raise PlanError(
                 "key padding masks are supported for the dense epilogue-"
                 "based plans (baseline/sd/sdf/online/turbo)"
             )
         self.layout = spec.layout(seq_len, seed=layout_seed)
+        self._graph = plan_graph(self.plan)
         if self.layout is None:
-            self._kernels = self._build_dense()
+            self._kernels = build_kernels(self.plan, self._dense_table(),
+                                          "dense attention")
         else:
-            if self.plan in (AttentionPlan.ONLINE, AttentionPlan.TURBO,
-                             AttentionPlan.FULLY_FUSED):
-                raise PlanError(
-                    f"the {self.plan.value!r} plan is only implemented for "
-                    f"dense attention"
-                )
-            self._kernels = self._build_sparse()
+            self._kernels = build_kernels(self.plan, self._sparse_table(),
+                                          "block-sparse attention")
 
     # -- pipeline construction ------------------------------------------
 
@@ -220,81 +220,21 @@ class SDABlock:
             return epilogue
         return lambda blocks, layout: blocks * scale
 
-    def _build_dense(self) -> list[Kernel]:
+    def _dense_table(self) -> dict:
+        """Role -> kernel factory for a dense (or cross-attention) block."""
         bh, length, d = self.batch_heads, self.seq_len, self.d_head
-        kv_len = self.kv_seq_len
+        kv_len, t, dtype = self.kv_seq_len, self.t, self.dtype
         rows = bh * length
         epilogue = self._dense_epilogue()
-        plan = self.plan
-
-        def score():
-            return MatMulKernel(
-                batch=bh, m=length, n=kv_len, k=d, dtype=self.dtype,
-                tile_m=128, tile_n=128, tile_k=min(32, d),
-                epilogue=epilogue,
-                epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-                name="sda_qk_matmul", category="matmul",
-            )
-
-        def value():
-            return MatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, dtype=self.dtype,
-                tile_m=128, tile_n=min(128, max(8, d)), tile_k=32,
-                name="sda_av_matmul", category="matmul",
-            )
-
-        def fused_score():
-            return FusedMatMulLSKernel(
-                batch=bh, m=length, n=kv_len, k=d, t=self.t, dtype=self.dtype,
-                pre_softmax_epilogue=epilogue,
-                pre_softmax_flops_per_element=_SCALE_MASK_FLOPS,
-            )
-
-        def fused_value():
-            return FusedGSMatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, t=self.t, dtype=self.dtype
-            )
 
         def n_sv():
-            if kv_len % self.t != 0:
+            if kv_len % t != 0:
                 raise ShapeError(
-                    f"attention row length {kv_len} not divisible by "
-                    f"T={self.t}"
+                    f"attention row length {kv_len} not divisible by T={t}"
                 )
-            return kv_len // self.t
+            return kv_len // t
 
-        def ls():
-            return LocalSoftmaxKernel(num_subvectors=rows * n_sv(), t=self.t,
-                                      dtype=self.dtype)
-
-        def ir():
-            return InterReductionKernel(rows=rows, mean_subvectors=n_sv())
-
-        def gs():
-            return GlobalScaleKernel(num_subvectors=rows * n_sv(), t=self.t,
-                                     dtype=self.dtype)
-
-        if plan is AttentionPlan.BASELINE:
-            softmax = RowSoftmaxKernel(rows=rows, length=kv_len,
-                                       dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.ONLINE:
-            softmax = OnlineRowSoftmaxKernel(rows=rows, length=kv_len,
-                                             dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.TURBO:
-            softmax = BatchedRowSoftmaxKernel(rows=rows, length=kv_len,
-                                              dtype=self.dtype)
-            return [score(), softmax, value()]
-        if plan is AttentionPlan.DECOMPOSED:
-            return [score(), ls(), ir(), gs(), value()]
-        if plan is AttentionPlan.RECOMPOSED:
-            return [fused_score(), ir(), fused_value()]
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            return [fused_score(), ir(), gs(), value()]
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            return [score(), ls(), ir(), fused_value()]
-        if plan is AttentionPlan.FULLY_FUSED:
+        def fully_fused():
             if self.spec.is_causal:
                 raise PlanError(
                     "the FULLY_FUSED plan does not support causal masks"
@@ -305,59 +245,86 @@ class SDABlock:
                 )
             from repro.kernels.mha_fused import FullyFusedMHAKernel
 
-            return [FullyFusedMHAKernel(bh, length, d, dtype=self.dtype,
-                                        scale=self.scale)]
-        if plan is AttentionPlan.FLASH:
+            return FullyFusedMHAKernel(bh, length, d, dtype=dtype,
+                                       scale=self.scale)
+
+        def flash():
             if kv_len != length:
                 raise PlanError(
                     "the FLASH plan does not support cross-attention"
                 )
             from repro.kernels.flash import FlashAttentionKernel
 
-            return [FlashAttentionKernel(
-                bh, length, d, dtype=self.dtype, scale=self.scale,
-                causal=self.spec.is_causal,
-            )]
-        raise PlanError(f"unhandled plan {plan}")
+            return FlashAttentionKernel(bh, length, d, dtype=dtype,
+                                        scale=self.scale,
+                                        causal=self.spec.is_causal)
 
-    def _build_sparse(self) -> list[Kernel]:
-        bh, d, layout = self.batch_heads, self.d_head, self.layout
+        return {
+            "qk": lambda: MatMulKernel(
+                batch=bh, m=length, n=kv_len, k=d, dtype=dtype,
+                tile_m=128, tile_n=128, tile_k=min(32, d),
+                epilogue=epilogue,
+                epilogue_flops_per_element=_SCALE_MASK_FLOPS,
+                name="sda_qk_matmul", category="matmul",
+            ),
+            "softmax": lambda: RowSoftmaxKernel(rows=rows, length=kv_len,
+                                                dtype=dtype),
+            "online_softmax": lambda: OnlineRowSoftmaxKernel(
+                rows=rows, length=kv_len, dtype=dtype),
+            "batched_softmax": lambda: BatchedRowSoftmaxKernel(
+                rows=rows, length=kv_len, dtype=dtype),
+            "av": lambda: MatMulKernel(
+                batch=bh, m=length, n=d, k=kv_len, dtype=dtype,
+                tile_m=128, tile_n=min(128, max(8, d)), tile_k=32,
+                name="sda_av_matmul", category="matmul",
+            ),
+            "ls": lambda: LocalSoftmaxKernel(num_subvectors=rows * n_sv(),
+                                             t=t, dtype=dtype),
+            "ir": lambda: InterReductionKernel(rows=rows,
+                                               mean_subvectors=n_sv()),
+            "gs": lambda: GlobalScaleKernel(num_subvectors=rows * n_sv(),
+                                            t=t, dtype=dtype),
+            "qk_ls": lambda: FusedMatMulLSKernel(
+                batch=bh, m=length, n=kv_len, k=d, t=t, dtype=dtype,
+                pre_softmax_epilogue=epilogue,
+                pre_softmax_flops_per_element=_SCALE_MASK_FLOPS,
+            ),
+            "gs_av": lambda: FusedGSMatMulKernel(
+                batch=bh, m=length, n=d, k=kv_len, t=t, dtype=dtype),
+            "fused-mha": fully_fused,
+            "flash": flash,
+        }
+
+    def _sparse_table(self) -> dict:
+        """Role -> kernel factory for a block-sparse block (the
+        sub-vector is the block width, so ``t`` plays no part)."""
+        bh, d, layout, dtype = (self.batch_heads, self.d_head, self.layout,
+                                self.dtype)
         epilogue = self._sparse_epilogue()
-        plan = self.plan
 
-        score = BlockSparseMatMulSDD(
-            layout, bh, d, dtype=self.dtype,
-            epilogue=epilogue, epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-        )
-        value = BlockSparseMatMulDSD(layout, bh, d, dtype=self.dtype)
-        fused_score = FusedBSMatMulLSSDD(
-            layout, bh, d, dtype=self.dtype,
-            epilogue=epilogue, epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-        )
-        fused_value = FusedBSGSMatMulDSD(layout, bh, d, dtype=self.dtype)
-        ls = BlockSparseLS(layout, bh, dtype=self.dtype)
-        ir = BlockSparseIR(layout, bh)
-        gs = BlockSparseGS(layout, bh, dtype=self.dtype)
-
-        if plan is AttentionPlan.BASELINE:
-            softmax = BlockSparseRowSoftmax(layout, bh, dtype=self.dtype)
-            return [score, softmax, value]
-        if plan is AttentionPlan.DECOMPOSED:
-            return [score, ls, ir, gs, value]
-        if plan is AttentionPlan.RECOMPOSED:
-            return [fused_score, ir, fused_value]
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            return [fused_score, ir, gs, value]
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            return [score, ls, ir, fused_value]
-        if plan is AttentionPlan.FLASH:
+        def flash():
             from repro.sparse.bsflash import BlockSparseFlashAttentionKernel
 
-            return [BlockSparseFlashAttentionKernel(
-                layout, bh, d, dtype=self.dtype, scale=self.scale,
+            return BlockSparseFlashAttentionKernel(
+                layout, bh, d, dtype=dtype, scale=self.scale,
                 causal=self.spec.is_causal,
-            )]
-        raise PlanError(f"unhandled plan {plan}")
+            )
+
+        return {
+            "qk": lambda: BlockSparseMatMulSDD(
+                layout, bh, d, dtype=dtype, epilogue=epilogue,
+                epilogue_flops_per_element=_SCALE_MASK_FLOPS),
+            "softmax": lambda: BlockSparseRowSoftmax(layout, bh, dtype=dtype),
+            "av": lambda: BlockSparseMatMulDSD(layout, bh, d, dtype=dtype),
+            "ls": lambda: BlockSparseLS(layout, bh, dtype=dtype),
+            "ir": lambda: BlockSparseIR(layout, bh),
+            "gs": lambda: BlockSparseGS(layout, bh, dtype=dtype),
+            "qk_ls": lambda: FusedBSMatMulLSSDD(
+                layout, bh, d, dtype=dtype, epilogue=epilogue,
+                epilogue_flops_per_element=_SCALE_MASK_FLOPS),
+            "gs_av": lambda: FusedBSGSMatMulDSD(layout, bh, d, dtype=dtype),
+            "flash": flash,
+        }
 
     # -- execution -------------------------------------------------------
 
@@ -391,70 +358,13 @@ class SDABlock:
                 raise ShapeError(
                     f"SDA {name} shape {array.shape}, expected {expected_kv}"
                 )
-        if self.layout is None:
-            return self._forward_dense(q, k, v, device)
-        return self._forward_sparse(q, k, v, device)
-
-    def _forward_dense(self, q, k, v, device):
-        kernels = self._kernels
-        k_t = np.swapaxes(k, 1, 2)
-        plan = self.plan
-        if plan in (AttentionPlan.FULLY_FUSED, AttentionPlan.FLASH):
-            (fused,) = kernels
-            return fused.run(device, q, k, v)
-        if plan in (AttentionPlan.BASELINE, AttentionPlan.ONLINE,
-                    AttentionPlan.TURBO):
-            score, softmax, value = kernels
-            return value.run(device, softmax.run(device, score.run(device, q, k_t)), v)
-        if plan is AttentionPlan.DECOMPOSED:
-            score, ls, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k_t))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.RECOMPOSED:
-            fused_score, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k_t)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            fused_score, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k_t)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            score, ls, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k_t))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        raise PlanError(f"unhandled plan {plan}")
-
-    def _forward_sparse(self, q, k, v, device):
-        kernels = self._kernels
-        plan = self.plan
-        if plan is AttentionPlan.FLASH:
-            (fused,) = kernels
-            return fused.run(device, q, k, v)
-        if plan is AttentionPlan.BASELINE:
-            score, softmax, value = kernels
-            return value.run(device, softmax.run(device, score.run(device, q, k)), v)
-        if plan is AttentionPlan.DECOMPOSED:
-            score, ls, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.RECOMPOSED:
-            fused_score, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        if plan is AttentionPlan.FUSED_LS_ONLY:
-            fused_score, ir, gs, value = kernels
-            x_prime, m_prime, d_prime = fused_score.run(device, q, k)
-            r_prime = ir.run(device, m_prime, d_prime)
-            return value.run(device, gs.run(device, x_prime, r_prime), v)
-        if plan is AttentionPlan.FUSED_GS_ONLY:
-            score, ls, ir, fused_value = kernels
-            x_prime, m_prime, d_prime = ls.run(device, score.run(device, q, k))
-            r_prime = ir.run(device, m_prime, d_prime)
-            return fused_value.run(device, x_prime, r_prime, v)
-        raise PlanError(f"unhandled plan {plan}")
+        # Dense score kernels take K^T; block-sparse and whole-block
+        # kernels take K as stored.
+        k_t = k if self.layout is not None else np.swapaxes(k, 1, 2)
+        buffers = {"Q": q, "K": k, "K_T": k_t, "V": v}
+        for node, kernel in zip(self._graph.nodes, self._kernels):
+            result = kernel.run(device, *(buffers[b] for b in node.inputs))
+            if len(node.outputs) == 1:
+                result = (result,)
+            buffers.update(zip(node.outputs, result))
+        return buffers["O"]

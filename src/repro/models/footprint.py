@@ -7,7 +7,9 @@ batch at L = 4096 carries a 512 MB attention matrix.  This module
 computes the peak device-memory footprint of an inference
 configuration: weights, resident activations, the attention matrix (or
 its block-sparse storage), and the plan-dependent softmax
-intermediates:
+intermediates.  The attention term is the most attention-matrix-sized
+buffers live at once in the plan's graph
+(:func:`~repro.core.recompose.plan_graph`):
 
 - ``BASELINE`` holds the raw scores ``X`` and the softmax output ``Y``
   (ping-pong: peak is two attention-sized buffers);
@@ -15,7 +17,9 @@ intermediates:
   alongside the statistics — same two matrices plus the 1/T extras;
 - ``RECOMPOSED`` (SDF) materialises only ``X'`` plus the 1/T-sized
   ``m'``/``d'``/``r'`` — *halving* peak attention-matrix memory, a
-  side benefit of the fusion.
+  side benefit of the fusion;
+- whole-block plans (fused MHA, FlashAttention) never write the
+  matrix to DRAM at all.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.common.dtypes import DType
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import plan_graph
 from repro.kernels.decomposed import INTERMEDIATE_BYTES
 from repro.models.config import ModelConfig
 
@@ -86,6 +91,8 @@ def inference_footprint(
     the peak is the heaviest single layer plus persistent state)."""
     plan = AttentionPlan.from_name(plan)
     heads = config.num_heads
+    graph = plan_graph(plan)
+    live_matrices = graph.peak_live(graph.matrix_buffers())
 
     # Persistent: weights + double-buffered hidden states + Q/K/V.
     activations = 5 * batch * seq_len * config.d_model * dtype.nbytes
@@ -94,25 +101,16 @@ def inference_footprint(
     worst_intermediates = 0
     for layer in range(config.num_layers):
         matrix = _attention_matrix_bytes(config, seq_len, batch, dtype, layer)
-        spec = config.layer_attention(layer)
-        layout = spec.layout(seq_len)
+        worst_attention = max(worst_attention, live_matrices * matrix)
+        if not plan.record.decompose:
+            continue
+        layout = config.layer_attention(layer).layout(seq_len)
         if layout is None:
-            n_sv = seq_len // t
-            rows = batch * heads * seq_len
-        else:
-            n_sv = 1  # per-block sub-vectors: one per block row line
-            rows = batch * heads * layout.nnz_blocks * layout.block_size
-        stats = 3 * rows * (n_sv if layout is None else 1) * INTERMEDIATE_BYTES
-
-        if plan is AttentionPlan.RECOMPOSED:
-            attention, intermediates = matrix, stats
-        elif plan.uses_decomposition:
-            # X (or X') and Y coexist during GS, plus the statistics.
-            attention, intermediates = 2 * matrix, stats
-        else:
-            attention, intermediates = 2 * matrix, 0
-        worst_attention = max(worst_attention, attention)
-        worst_intermediates = max(worst_intermediates, intermediates)
+            subvectors = batch * heads * seq_len * (seq_len // t)
+        else:  # per-block sub-vectors: one per block row line
+            subvectors = batch * heads * layout.nnz_blocks * layout.block_size
+        stats = 3 * subvectors * INTERMEDIATE_BYTES
+        worst_intermediates = max(worst_intermediates, stats)
 
     return MemoryFootprint(
         weights=weight_bytes(config, dtype),

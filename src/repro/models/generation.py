@@ -26,6 +26,7 @@ from repro.common.dtypes import DType
 from repro.common.errors import ConfigError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import build_kernels
 from repro.gpu.device import Device
 from repro.gpu.profiler import Profile
 from repro.gpu.specs import GPUSpec, get_gpu
@@ -79,8 +80,10 @@ def attention_step_kernels(
 
     Plan-aware for the rectangular chunked-prefill shapes
     (``m_tokens > 1``): the decomposition plans replace the monolithic
-    softmax with LS/IR/GS (fused per the plan), padding the row length
-    up to a whole number of ``t``-sized sub-vectors.  Decode steps
+    softmax with LS/IR/GS (fused per the plan's graph), padding the row
+    length up to a whole number of ``t``-sized sub-vectors.  Every
+    other plan runs the baseline chain (this library has no
+    rectangular online, batched or whole-block kernels).  Decode steps
     (``m_tokens = 1``) always use the monolithic row softmax — a
     ``1 x kv_len`` row is far too small for recomposition to matter,
     and that honesty is the point of the decode model.  Local-causal
@@ -91,69 +94,49 @@ def attention_step_kernels(
     _check_tp_shards(model, tp_shards)
     heads, d_head = model.num_heads // tp_shards, model.d_head
     spec = model.layer_attention(layer)
-    if spec.kind is AttentionKind.LOCAL_CAUSAL:
-        attend_len = min(kv_len, spec.window + m_tokens - 1)
-        windowed = True
-    else:
-        attend_len = kv_len
-        windowed = False
+    windowed = spec.kind is AttentionKind.LOCAL_CAUSAL
+    attend_len = (min(kv_len, spec.window + m_tokens - 1) if windowed
+                  else kv_len)
     m = m_tokens
     bh = batch * heads
+    rows = bh * m
     tile_m = min(128, max(1, m))
-    decompose = (plan.uses_decomposition and m > 1 and not windowed)
+    # Decode rows, windowed layers and plans without rectangular
+    # kernels all run the baseline chain (see above).
+    if not (plan.record.decompose and m > 1 and not windowed):
+        plan = AttentionPlan.BASELINE
     # A row decomposes into whole sub-vectors; ragged tails are padded.
-    n_attend = ceil_div(attend_len, t) * t if decompose else attend_len
+    n_attend = (ceil_div(attend_len, t) * t if plan.record.decompose
+                else attend_len)
     n_sv = n_attend // t
-
-    def qk():
-        return MatMulKernel(batch=bh, m=m, n=n_attend, k=d_head,
-                            dtype=dtype, tile_m=tile_m, tile_n=128,
-                            tile_k=min(64, d_head),
-                            name=f"{prefix}_qk_matmul",
-                            category=CATEGORY.MATMUL)
-
-    def av():
-        return MatMulKernel(batch=bh, m=m, n=d_head, k=n_attend,
-                            dtype=dtype, tile_m=tile_m, tile_n=64,
-                            tile_k=64, name=f"{prefix}_av_matmul",
-                            category=CATEGORY.MATMUL)
-
-    if not decompose:
-        return [qk(),
-                RowSoftmaxKernel(rows=bh * m, length=n_attend, dtype=dtype,
-                                 name=f"{prefix}_softmax"),
-                av()]
-
-    def fused_qk_ls():
-        return FusedMatMulLSKernel(batch=bh, m=m, n=n_attend, k=d_head,
-                                   t=t, dtype=dtype,
-                                   name=f"{prefix}_qk_ls_fused")
-
-    def ls():
-        return LocalSoftmaxKernel(num_subvectors=bh * m * n_sv, t=t,
-                                  dtype=dtype, name=f"{prefix}_ls")
-
-    def ir():
-        return InterReductionKernel(rows=bh * m, mean_subvectors=n_sv,
-                                    name=f"{prefix}_ir")
-
-    def gs():
-        return GlobalScaleKernel(num_subvectors=bh * m * n_sv, t=t,
-                                 dtype=dtype, name=f"{prefix}_gs")
-
-    def fused_gs_av():
-        return FusedGSMatMulKernel(batch=bh, m=m, n=d_head, k=n_attend,
-                                   t=t, dtype=dtype,
-                                   name=f"{prefix}_gs_av_fused")
-
-    if plan is AttentionPlan.RECOMPOSED:
-        return [fused_qk_ls(), ir(), fused_gs_av()]
-    if plan is AttentionPlan.DECOMPOSED:
-        return [qk(), ls(), ir(), gs(), av()]
-    if plan is AttentionPlan.FUSED_LS_ONLY:
-        return [fused_qk_ls(), ir(), gs(), av()]
-    # FUSED_GS_ONLY
-    return [qk(), ls(), ir(), fused_gs_av()]
+    table = {
+        "qk": lambda: MatMulKernel(
+            batch=bh, m=m, n=n_attend, k=d_head, dtype=dtype,
+            tile_m=tile_m, tile_n=128, tile_k=min(64, d_head),
+            name=f"{prefix}_qk_matmul", category=CATEGORY.MATMUL),
+        "softmax": lambda: RowSoftmaxKernel(
+            rows=rows, length=n_attend, dtype=dtype,
+            name=f"{prefix}_softmax"),
+        "av": lambda: MatMulKernel(
+            batch=bh, m=m, n=d_head, k=n_attend, dtype=dtype,
+            tile_m=tile_m, tile_n=64, tile_k=64,
+            name=f"{prefix}_av_matmul", category=CATEGORY.MATMUL),
+        "ls": lambda: LocalSoftmaxKernel(
+            num_subvectors=rows * n_sv, t=t, dtype=dtype,
+            name=f"{prefix}_ls"),
+        "ir": lambda: InterReductionKernel(
+            rows=rows, mean_subvectors=n_sv, name=f"{prefix}_ir"),
+        "gs": lambda: GlobalScaleKernel(
+            num_subvectors=rows * n_sv, t=t, dtype=dtype,
+            name=f"{prefix}_gs"),
+        "qk_ls": lambda: FusedMatMulLSKernel(
+            batch=bh, m=m, n=n_attend, k=d_head, t=t, dtype=dtype,
+            name=f"{prefix}_qk_ls_fused"),
+        "gs_av": lambda: FusedGSMatMulKernel(
+            batch=bh, m=m, n=d_head, k=n_attend, t=t, dtype=dtype,
+            name=f"{prefix}_gs_av_fused"),
+    }
+    return build_kernels(plan, table, "serving steps")
 
 
 def layer_step_kernels(

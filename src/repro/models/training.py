@@ -11,9 +11,14 @@ input off-chip.  :class:`TrainingSDAStep` makes that concrete:
   the backward needs to reconstruct ``Y = X' * r'``;
 - the **backward** is the standard five-kernel chain
   (``dV = Y^T dO``, ``dA = dO V^T``, softmax backward, ``dQ = dX K``,
-  ``dK = dX^T Q``) and is identical across plans, except that the
-  SDF variants reconstruct ``Y`` from ``X'``/``r'`` in their prologues
-  (one extra multiply per element, no extra traffic beyond ``r'``).
+  ``dK = dX^T Q``) and is identical across plans, except that plans
+  whose forward never writes ``Y`` (SDF and the GS-only ablation)
+  reconstruct it from ``X'``/``r'`` in their prologues (one extra
+  multiply per element, no extra traffic beyond ``r'``).
+
+Only row-softmax plans are modelled: whole-block kernels (fused MHA,
+FlashAttention) never write the attention matrix this backward reads,
+and the online/batched softmaxes are outside the model.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.common.dtypes import DType
 from repro.common.errors import PlanError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
+from repro.core.recompose import plan_graph
 from repro.gpu.device import Device
 from repro.gpu.profiler import Profile
 from repro.gpu.specs import GPUSpec, get_gpu
@@ -72,8 +78,8 @@ class TrainingSDAStep:
     ) -> None:
         require_positive("seq_len", seq_len)
         self.plan = AttentionPlan.from_name(plan)
-        if self.plan in (AttentionPlan.ONLINE, AttentionPlan.TURBO,
-                         AttentionPlan.FULLY_FUSED):
+        record = self.plan.record
+        if record.block is not None or record.softmax != "row":
             raise PlanError(
                 f"training is modelled for the baseline/SD/SDF plans, "
                 f"not {self.plan.value!r}"
@@ -125,10 +131,11 @@ class TrainingSDAStep:
 
     def _dense_backward_kernels(self) -> list[Kernel]:
         bh, length, d = self.batch_heads, self.seq_len, self.d_head
-        recomposed = self.plan is AttentionPlan.RECOMPOSED
-        # Under SDF the stored attention matrix is X'; kernels that
-        # consume Y reconstruct it as X' * r' in their prologue: one
-        # extra CUDA FLOP per LHS element plus the 1/T-sized r' read.
+        # When the forward never writes Y (GS fused into the AV MatMul)
+        # the stored attention matrix is X'; kernels that consume Y
+        # reconstruct it as X' * r' in their prologue: one extra CUDA
+        # FLOP per LHS element plus the 1/T-sized r' read.
+        recomposed = plan_graph(self.plan).producer("Y") is None
         reconstruct_flops = 1.0 if recomposed else 0.0
         r_prime_bytes = (
             bh * length * (length // self.t) * INTERMEDIATE_BYTES

@@ -101,16 +101,14 @@ class ServingSimulator:
             )
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        # Resolved exactly once, here; legacy bare string/enum
-        # spellings keep working (with a DeprecationWarning pointing
-        # at PlanSource).
+        # Resolved exactly once, here, from anything PlanSource.of
+        # accepts.
         from repro.serving.costmodel import SUPPORTED_PLANS
 
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
             candidates=SUPPORTED_PLANS,
-            deprecate=None if plan is None else "ServingSimulator",
         )
         self.t = t
         self.dtype = dtype

@@ -114,14 +114,11 @@ class DatasetBenchmark:
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         # One resolution point for every plan spelling — fixed names,
-        # "auto", or a tuned-plan artifact path.  Legacy bare
-        # string/enum arguments keep working behind a
-        # DeprecationWarning pointing at PlanSource.
+        # "auto", or a tuned-plan artifact path.
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, seq_len=max_seq_len,
             batch=batch, t=t,
-            deprecate=None if plan is None else "DatasetBenchmark",
         )
         self.max_seq_len = max_seq_len
         self.bucket = bucket

@@ -44,6 +44,34 @@ class TestPlans:
         assert attention_matrix_sweeps(AttentionPlan.DECOMPOSED) == 6
         assert attention_matrix_sweeps(AttentionPlan.RECOMPOSED) == 2
 
+    @pytest.mark.parametrize("plan,paper", [
+        ("baseline", 4), ("sd", 6), ("sdf", 2), ("sdf-ls-only", 4),
+        ("sdf-gs-only", 4), ("online", 4), ("turbo", 4), ("fused-mha", 0),
+        ("flash", 0),
+    ])
+    def test_sweep_audit_every_plan(self, plan, paper):
+        """The plan graph's access counts are the Fig. 6 sweeps, and
+        the simulated matrix-sized DRAM traffic agrees: exactly for
+        the monolithic plans, plus at most the 12/T m'/d'/r' overhead
+        for the decomposed ones."""
+        from repro.gpu import Device
+        from repro.models import AttentionKind, AttentionSpec, SDABlock
+
+        assert attention_matrix_sweeps(plan) == paper
+        bh, d, t = 16, 64, 64
+        # Turbo's batched softmax and fused MHA only run short rows.
+        length = 1024 if plan in ("turbo", "fused-mha") else 4096
+        device = Device("A100")
+        SDABlock(batch=1, num_heads=bh, seq_len=length, d_head=d,
+                 spec=AttentionSpec(kind=AttentionKind.DENSE), plan=plan,
+                 t=t).simulate(device)
+        operands = 4 * bh * length * d * 2  # Q, K, V in; O out
+        measured = ((device.profile.total_dram_bytes() - operands)
+                    / (bh * length * length * 2))
+        decomposed = AttentionPlan.from_name(plan).uses_decomposition
+        overhead = 12 / t if decomposed else 0.0
+        assert measured == pytest.approx(paper + overhead)
+
     def test_recomposition_halves_sweeps(self):
         baseline = attention_matrix_sweeps(AttentionPlan.BASELINE)
         sdf = attention_matrix_sweeps(AttentionPlan.RECOMPOSED)

@@ -1,4 +1,5 @@
-"""Tests for the kernel-graph IR and the recomposition passes."""
+"""Tests for the kernel-graph IR, the recomposition passes, and the
+plan graphs every shape kind builds its kernels from."""
 
 import pytest
 
@@ -6,120 +7,129 @@ from repro.common import PlanError
 from repro.core import (
     AttentionPlan,
     KernelGraph,
-    build_dense_sda_graph,
     decompose_softmax_pass,
     fuse_softmax_pass,
+    plan_graph,
     recompose,
+    sda_graph,
 )
 from repro.gpu import Device
 from repro.kernels import (
     FusedGSMatMulKernel,
     FusedMatMulLSKernel,
-    GlobalScaleKernel,
     InterReductionKernel,
-    LocalSoftmaxKernel,
-    MatMulKernel,
 )
-from repro.kernels.softmax import OnlineRowSoftmaxKernel
 from repro.models import AttentionKind, AttentionSpec, SDABlock
 
 BH, L, D, T = 16, 4096, 64, 64
 
 
+def dense_block(plan, seq_len=L):
+    return SDABlock(batch=1, num_heads=BH, seq_len=seq_len, d_head=D,
+                    spec=AttentionSpec(kind=AttentionKind.DENSE),
+                    plan=plan, t=T)
+
+
+def dram_bytes(block):
+    device = Device("A100")
+    block.simulate(device)
+    return device.profile.total_dram_bytes()
+
+
 class TestGraphBasics:
     def test_build_and_query(self):
-        graph = build_dense_sda_graph(BH, L, D)
+        graph = sda_graph()
         assert len(graph) == 3
         assert graph.inputs() == ("Q", "K_T", "V")
         assert graph.outputs() == ("O",)
-        assert graph.producer("X").kernel.name == "sda_qk_matmul"
-        assert [n.kernel.name for n in graph.consumers("X")] == ["softmax"]
+        assert graph.producer("X").role == "qk"
+        assert [n.role for n in graph.consumers("X")] == ["softmax"]
 
     def test_access_count_is_fig6_audit(self):
-        graph = build_dense_sda_graph(BH, L, D)
+        graph = sda_graph()
         # Attention matrix: X written + read, Y written + read = 4.
         assert graph.access_count("X") + graph.access_count("Y") == 4
 
     def test_validate_rejects_use_before_def(self):
         graph = KernelGraph()
-        kernel = MatMulKernel(batch=1, m=8, n=8, k=8)
-        graph.add_node(kernel, inputs=("a", "b"), outputs=("c",))
-        # Manually break the order.
-        graph._nodes.insert(
-            0, graph._nodes.pop()
-        )  # single node, no-op; now add one reading an undefined output
-        graph.add_node(MatMulKernel(batch=1, m=8, n=8, k=8),
-                       inputs=("c", "d"), outputs=("e",))
+        graph.add_node("qk", inputs=("a", "b"), outputs=("c",))
+        graph.add_node("av", inputs=("c", "d"), outputs=("e",))
         graph._nodes.reverse()
         with pytest.raises(PlanError, match="before production"):
             graph.validate()
 
     def test_double_producer_rejected(self):
         graph = KernelGraph()
-        graph.add_node(MatMulKernel(batch=1, m=8, n=8, k=8),
-                       inputs=("a", "b"), outputs=("c",))
+        graph.add_node("qk", inputs=("a", "b"), outputs=("c",))
         with pytest.raises(PlanError, match="already has a producer"):
-            graph.add_node(MatMulKernel(batch=1, m=8, n=8, k=8),
-                           inputs=("a", "b"), outputs=("c",))
+            graph.add_node("qk", inputs=("a", "b"), outputs=("c",))
 
     def test_buffer_size_conflict_rejected(self):
         graph = KernelGraph()
-        graph.add_buffer("x", 100)
-        graph.add_buffer("x", 100)  # idempotent OK
+        graph.add_buffer("x", matrix=True)
+        graph.add_buffer("x", matrix=True)  # idempotent OK
+        graph.add_buffer("y")
         with pytest.raises(PlanError, match="redeclared"):
-            graph.add_buffer("x", 200)
+            graph.add_buffer("y", matrix=True)
 
     def test_simulate_launches_all_nodes(self):
-        graph = build_dense_sda_graph(BH, L, D)
-        device = Device("A100")
-        graph.simulate(device)
-        assert len(device.profile) == 3
+        """Every node of a plan graph becomes exactly one launch."""
+        for plan in ("baseline", "sd", "sdf", "sdf-ls-only", "flash"):
+            device = Device("A100")
+            dense_block(plan, seq_len=512).simulate(device)
+            assert len(device.profile) == len(plan_graph(plan))
+
+    def test_plan_graphs_are_memoized_and_frozen(self):
+        graph = plan_graph(AttentionPlan.RECOMPOSED)
+        assert plan_graph("sdf") is graph
+        with pytest.raises(PlanError, match="frozen"):
+            decompose_softmax_pass(plan_graph("baseline"))
+        assert plan_graph("baseline").roles == ("qk", "softmax", "av")
 
 
 class TestDecomposePass:
     def test_rewrites_softmax_node(self):
-        graph = build_dense_sda_graph(BH, L, D)
-        assert decompose_softmax_pass(graph, T) == 1
-        kinds = [type(node.kernel) for node in graph.nodes]
-        assert kinds == [MatMulKernel, LocalSoftmaxKernel,
-                         InterReductionKernel, GlobalScaleKernel,
-                         MatMulKernel]
+        graph = sda_graph()
+        assert decompose_softmax_pass(graph) == 1
+        assert graph.roles == ("qk", "ls", "ir", "gs", "av")
 
     def test_stat_buffers_created(self):
-        graph = build_dense_sda_graph(BH, L, D)
-        decompose_softmax_pass(graph, T)
+        graph = sda_graph()
+        decompose_softmax_pass(graph)
         for name in ("X.x_prime", "X.m_prime", "X.d_prime", "X.r_prime"):
             assert name in graph.buffers
-        assert graph.buffers["X.m_prime"].nbytes == BH * L * (L // T) * 4
+        # X' is attention-matrix-sized like X; the statistics are not.
+        assert graph.buffers["X.x_prime"].matrix
+        assert not graph.buffers["X.m_prime"].matrix
 
     def test_decomposition_increases_matrix_accesses(self):
         """SD: 4 -> 6 matrix-sized accesses (X, X', Y edges)."""
-        graph = build_dense_sda_graph(BH, L, D)
-        decompose_softmax_pass(graph, T)
+        graph = sda_graph()
+        decompose_softmax_pass(graph)
         accesses = (graph.access_count("X") + graph.access_count("X.x_prime")
                     + graph.access_count("Y"))
         assert accesses == 6
 
     def test_online_softmax_not_decomposed(self):
-        graph = KernelGraph()
-        graph.add_node(
-            OnlineRowSoftmaxKernel(rows=BH * L, length=L),
-            inputs=("X",), outputs=("Y",),
-        )
-        assert decompose_softmax_pass(graph, T) == 0
+        graph = sda_graph("online")
+        assert decompose_softmax_pass(graph) == 0
+        assert graph.roles == ("qk", "online_softmax", "av")
 
     def test_indivisible_t_rejected(self):
-        graph = build_dense_sda_graph(BH, L, D)
-        with pytest.raises(PlanError, match="not divisible"):
-            decompose_softmax_pass(graph, 100)
+        """The role graph is shape-free; the dense kernel table rejects
+        a row length that is not a whole number of sub-vectors."""
+        from repro.common import ShapeError
+
+        with pytest.raises(ShapeError, match="not divisible"):
+            SDABlock(batch=1, num_heads=BH, seq_len=L, d_head=D,
+                     spec=AttentionSpec(kind=AttentionKind.DENSE),
+                     plan="sd", t=100)
 
 
 class TestFusePass:
     def test_full_recomposition_structure(self):
-        graph = recompose(build_dense_sda_graph(BH, L, D), t=T)
-        kinds = [type(node.kernel) for node in graph.nodes]
-        assert kinds == [FusedMatMulLSKernel, InterReductionKernel,
-                         FusedGSMatMulKernel]
+        graph = recompose(sda_graph())
+        assert graph.roles == ("qk_ls", "ir", "gs_av")
         # The raw matrix X and the softmax output Y are fused away:
         # only X' crosses DRAM, written once and read once (Fig. 6).
         assert graph.access_count("X") == 0
@@ -128,70 +138,47 @@ class TestFusePass:
 
     def test_recompose_requires_softmax(self):
         graph = KernelGraph()
-        graph.add_node(MatMulKernel(batch=1, m=64, n=64, k=64),
-                       inputs=("a", "b"), outputs=("c",))
+        graph.add_node("qk", inputs=("a", "b"), outputs=("c",))
         with pytest.raises(PlanError, match="no softmax"):
-            recompose(graph, t=16)
+            recompose(graph)
 
     def test_fusion_skipped_when_x_has_other_consumers(self):
         """If the raw attention matrix is consumed elsewhere (e.g. for
         attention-weight extraction), the MatMul+LS fusion must not
         eliminate it."""
-        graph = build_dense_sda_graph(BH, L, D)
-        # A side consumer of X (an elementwise pass reading it).
-        from repro.kernels.elementwise import ScaleMaskKernel
-
-        graph.add_node(ScaleMaskKernel(BH * L * L, scale=1.0),
-                       inputs=("X",), outputs=("X_copy",))
-        decompose_softmax_pass(graph, T)
+        graph = sda_graph()
+        graph.add_node("scale_mask", inputs=("X",), outputs=("X_copy",))
+        decompose_softmax_pass(graph)
         fused = fuse_softmax_pass(graph)
         # Only the GS-side fusion applies.
         assert fused == 1
         assert graph.access_count("X") >= 2
 
     def test_graph_traffic_matches_sda_block_pipeline(self):
-        """The pass-built graph and the hand-built SDABlock RECOMPOSED
-        pipeline must be launch-for-launch identical in cost."""
-        graph = recompose(build_dense_sda_graph(BH, L, D), t=T)
-        device_graph = Device("A100")
-        graph.simulate(device_graph)
-
-        block = SDABlock(batch=1, num_heads=BH, seq_len=L, d_head=D,
-                         spec=AttentionSpec(kind=AttentionKind.DENSE),
-                         plan=AttentionPlan.RECOMPOSED, t=T)
-        device_block = Device("A100")
-        block.simulate(device_block)
-
-        g = device_graph.profile
-        b = device_block.profile
-        assert len(g) == len(b)
-        # The graph's plain QK MatMul has no scale/mask epilogue flops,
-        # so compare traffic exactly and time approximately.
-        assert g.total_dram_bytes() == pytest.approx(b.total_dram_bytes())
-        assert g.total_time() == pytest.approx(b.total_time(), rel=0.05)
+        """SDABlock builds the RECOMPOSED pipeline from the rewritten
+        graph: one kernel per role, in launch order."""
+        block = dense_block(AttentionPlan.RECOMPOSED)
+        assert plan_graph("sdf").roles == ("qk_ls", "ir", "gs_av")
+        assert [type(k) for k in block.kernels] == [
+            FusedMatMulLSKernel, InterReductionKernel, FusedGSMatMulKernel]
 
     def test_baseline_vs_recomposed_traffic_halved(self):
-        baseline = build_dense_sda_graph(BH, L, D)
-        recomposed = recompose(build_dense_sda_graph(BH, L, D), t=T)
-        d1, d2 = Device("A100"), Device("A100")
-        baseline.simulate(d1)
-        recomposed.simulate(d2)
-        assert d2.profile.total_dram_bytes() < 0.6 * d1.profile.total_dram_bytes()
+        baseline = dram_bytes(dense_block("baseline"))
+        recomposed = dram_bytes(dense_block("sdf"))
+        assert recomposed < 0.6 * baseline
 
 
 class TestSparseGraphRecomposition:
-    """The graph passes handle block-sparse pipelines too."""
+    """The same plan graphs drive block-sparse pipelines too."""
 
-    def make_graph(self):
-        from repro.core import build_sparse_sda_graph
-        from repro.sparse import bigbird_layout
-
-        layout = bigbird_layout(4096, 64)
-        return build_sparse_sda_graph(layout, BH, D), layout
+    def make_block(self, plan):
+        return SDABlock(batch=1, num_heads=BH, seq_len=4096, d_head=D,
+                        spec=AttentionSpec(kind=AttentionKind.BIGBIRD),
+                        plan=plan)
 
     def test_baseline_structure(self):
-        graph, _ = self.make_graph()
-        assert len(graph) == 3
+        assert len(self.make_block("baseline").kernels) == 3
+        graph = plan_graph("baseline")
         assert graph.access_count("X") + graph.access_count("Y") == 4
 
     def test_full_recomposition(self):
@@ -201,38 +188,25 @@ class TestSparseGraphRecomposition:
         )
         from repro.sparse.bssoftmax import BlockSparseIR
 
-        graph, _ = self.make_graph()
-        recompose(graph, t=T)
-        kinds = [type(node.kernel) for node in graph.nodes]
+        kinds = [type(k) for k in self.make_block("sdf").kernels]
         assert kinds == [FusedBSMatMulLSSDD, BlockSparseIR,
                          FusedBSGSMatMulDSD]
-        assert graph.access_count("X.x_prime") == 2
-        assert graph.access_count("X") == 0
 
     def test_matches_sda_block_pipeline(self):
-        graph, layout = self.make_graph()
-        recompose(graph, t=T)
-        device_graph = Device("A100")
-        graph.simulate(device_graph)
-
-        block = SDABlock(
-            batch=1, num_heads=BH, seq_len=4096, d_head=D,
-            spec=AttentionSpec(kind=AttentionKind.BIGBIRD),
-            plan="sdf",
-        )
-        device_block = Device("A100")
-        block.simulate(device_block)
-        # Graph omits the scale/mask epilogue flops; traffic matches.
-        assert device_graph.profile.total_dram_bytes() == pytest.approx(
-            device_block.profile.total_dram_bytes()
-        )
+        """Dense and block-sparse blocks launch one kernel per node of
+        the same plan graph."""
+        for plan in ("baseline", "sd", "sdf", "sdf-ls-only",
+                     "sdf-gs-only", "flash"):
+            assert (len(self.make_block(plan).kernels)
+                    == len(dense_block(plan).kernels)
+                    == len(plan_graph(plan)))
 
     def test_traffic_reduced(self):
-        graph, _ = self.make_graph()
-        baseline, _ = self.make_graph()
-        recompose(graph, t=T)
-        d1, d2 = Device("A100"), Device("A100")
-        baseline.simulate(d1)
-        graph.simulate(d2)
-        assert (d2.profile.total_dram_bytes()
-                < 0.75 * d1.profile.total_dram_bytes())
+        baseline = dram_bytes(self.make_block("baseline"))
+        recomposed = dram_bytes(self.make_block("sdf"))
+        assert recomposed < 0.75 * baseline
+
+    def test_dense_only_plans_rejected(self):
+        for plan in ("online", "turbo", "fused-mha"):
+            with pytest.raises(PlanError, match="block-sparse"):
+                self.make_block(plan)

@@ -34,6 +34,17 @@ class TestAttentionFootprint:
         one_matrix = fp.attention / 2  # baseline holds X and Y
         assert one_matrix == 16 * 4096 * 4096 * 2
 
+    @pytest.mark.parametrize("plan,matrices", [
+        ("baseline", 2), ("sd", 2), ("sdf", 1), ("sdf-ls-only", 2),
+        ("sdf-gs-only", 2), ("online", 2), ("turbo", 2),
+        ("fused-mha", 0), ("flash", 0),
+    ])
+    def test_attention_term_counts_live_matrices(self, plan, matrices):
+        """The attention term is the most matrix-sized buffers live at
+        once in the plan graph: whole-block plans never write one."""
+        fp = inference_footprint(BERT_LARGE, seq_len=512, plan=plan)
+        assert fp.attention == matrices * 16 * 512 * 512 * 2
+
     def test_dense_quadratic_in_length(self):
         f1 = inference_footprint(BERT_LARGE, seq_len=2048).attention
         f2 = inference_footprint(BERT_LARGE, seq_len=4096).attention

@@ -96,6 +96,25 @@ class TestTrainingStep:
         with pytest.raises(PlanError):
             self.make("fused-mha")
 
+    @pytest.mark.parametrize("plan", ["flash", "turbo"])
+    def test_plans_without_a_stored_row_softmax_rejected(self, plan):
+        """FlashAttention never writes the attention matrix the backward
+        reads; turbo's batched softmax is outside the model."""
+        with pytest.raises(PlanError, match="baseline/SD/SDF"):
+            self.make(plan)
+
+    def test_gs_fused_forward_reconstructs_y(self):
+        """Fusing GS into the AV MatMul means Y is never stored, so the
+        backward pays the r' read exactly as under SDF."""
+        base = self.make("baseline").simulate()
+        sdf = self.make("sdf").simulate()
+        gs_only = self.make("sdf-gs-only").simulate()
+        ls_only = self.make("sdf-ls-only").simulate()
+        assert (gs_only.backward.total_dram_bytes()
+                == sdf.backward.total_dram_bytes())
+        assert (ls_only.backward.total_dram_bytes()
+                == base.backward.total_dram_bytes())
+
     def test_kernel_counts(self):
         base = self.make("baseline").simulate()
         assert len(base.forward) == 3

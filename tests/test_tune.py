@@ -11,9 +11,9 @@ Pins the tentpole guarantees of ``repro.tune``:
   recorded winner value exactly; corrupted or version-mismatched
   artifacts raise :class:`~repro.common.errors.ArtifactError`, never a
   bare ``KeyError``;
-- **deprecation path** — legacy bare-plan call signatures keep
-  working, with a :class:`DeprecationWarning` pointing at
-  :class:`~repro.core.plansource.PlanSource`.
+- **one plan spelling** — a bare plan name and
+  :class:`~repro.core.plansource.PlanSource` resolve to the same plan,
+  with no warning.
 """
 
 import dataclasses
@@ -213,36 +213,12 @@ class TestPlanSourceIntegration:
 
 
 class TestDeprecatedPlanArguments:
-    """Legacy bare plan= spellings keep working, with a warning."""
-
-    def test_serving_simulator_warns_on_bare_plan(self):
-        from repro.serving.requests import Request
-        from repro.serving.simulator import ServingSimulator
-
-        requests = [Request(request_id=0, arrival_time=0.0,
-                            prompt_len=128, output_len=2)]
-        with pytest.warns(DeprecationWarning, match="PlanSource") as record:
-            sim = ServingSimulator("bert-large", "A100", plan="sdf",
-                                   requests=requests)
-        # The warning must point at the *caller's* line (this file),
-        # not at plansource.py internals — the stacklevel walks out of
-        # repro.core frames before attributing the warning.
-        assert record[0].filename.endswith("test_tune.py")
-        assert sim.plan.value == "sdf"
-        assert sim.run().finished == 1
-
-    def test_dataset_benchmark_warns_on_bare_plan(self):
-        from repro.workloads.driver import DatasetBenchmark
-        from repro.workloads.triviaqa import SyntheticTriviaQA
-
-        dataset = SyntheticTriviaQA(num_documents=4, seed=0)
-        with pytest.warns(DeprecationWarning, match="PlanSource"):
-            DatasetBenchmark(dataset, "bert-large", plan="sdf",
-                             max_seq_len=512, bucket=512)
+    """Bare plan= spellings and PlanSource are interchangeable."""
 
     def test_plan_source_spelling_does_not_warn(self, recwarn):
         import warnings
 
+        from repro.core.plan import AttentionPlan
         from repro.core.plansource import PlanSource
         from repro.serving.requests import Request
         from repro.serving.simulator import ServingSimulator
@@ -251,9 +227,12 @@ class TestDeprecatedPlanArguments:
                             prompt_len=128, output_len=2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            ServingSimulator("bert-large", "A100",
-                             plan=PlanSource.of("sdf"),
-                             requests=requests)
+            wrapped = ServingSimulator("bert-large", "A100",
+                                       plan=PlanSource.of("sdf"),
+                                       requests=requests)
+            bare = ServingSimulator("bert-large", "A100", plan="sdf",
+                                    requests=requests)
+        assert bare.plan is wrapped.plan is AttentionPlan.RECOMPOSED
 
     def test_infeasible_sentinel_has_no_truth_value(self):
         from repro.core.autotune import INFEASIBLE
