@@ -94,15 +94,18 @@ cluster-smoke:
 	$(PYTHON) -m repro cluster-sim --replicas 2 --tp 2 \
 		--policy least-outstanding --rate 4 --duration 5 --seed 0 --json
 
-# Bursty-arrival control-plane run with one injected replica death:
-# the fleet must recover without losing a request and the conservation
-# identity must hold (see docs/controlplane.md).
+# Bursty-arrival control-plane run with one injected replica death,
+# compared against the committed golden report: the fleet must recover
+# without losing a request and the conservation identity must hold
+# (see docs/controlplane.md).
 controlplane-smoke:
 	$(PYTHON) -m repro controlplane-sim --arrival mmpp --rate 2 \
 		--burst-rate 10 --duration 8 --replicas 2 --death 1.5 \
-		--cold-start 0.1 --seed 0 --json \
-	| $(PYTHON) -c "import json, sys; \
-		doc = json.load(sys.stdin); \
+		--cold-start 0.1 --seed 0 --json > /tmp/controlplane_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/controlplane_smoke.json \
+		tests/golden/controlplane_smoke.json
+	$(PYTHON) -c "import json; \
+		doc = json.load(open('/tmp/controlplane_smoke.json')); \
 		assert doc['kind'] == 'controlplane-report', doc['kind']; \
 		plan = doc['plans']['sdf']; \
 		section = plan['controlplane']; \

@@ -97,11 +97,14 @@ class Replica:
         draft_model: "ModelConfig | str | None" = None,
         draft_len: int = 4,
         accept_rate: float = 1.0,
+        cost: "ShardedStepCostModel | None" = None,
     ) -> None:
         from repro.cluster.costmodel import ShardedStepCostModel
 
         self.replica_id = replica_id
-        self.cost = ShardedStepCostModel(
+        # Step prices are a pure function of shape, so replicas of one
+        # configuration may share a prebuilt model (and its memo).
+        self.cost = cost if cost is not None else ShardedStepCostModel(
             model, gpu, plan=plan, dtype=dtype, t=t, tp=tp, pp=pp, ep=ep,
             interconnect=interconnect, algorithm=algorithm,
         )
@@ -222,12 +225,15 @@ class Replica:
             self.requests.append(request)
         self.engine.submit(request)
 
-    def advance(self, limit_time: "float | None" = None) -> int:
+    def advance(self, limit_time: "float | None" = None,
+                max_new_steps: "int | None" = None) -> int:
         """Advance this replica's engine; returns steps taken (0 =
         nothing runnable).  No step starts at or after ``limit_time``
         — the router passes the next arrival so replica state is final
-        when the policy reads it."""
-        return self.engine.advance(limit_time=limit_time)
+        when the policy reads it — and at most ``max_new_steps`` are
+        taken (the caller's remaining step budget)."""
+        return self.engine.advance(limit_time=limit_time,
+                                   max_new_steps=max_new_steps)
 
     def step(self) -> bool:
         """Advance at least one engine step; False when idle.

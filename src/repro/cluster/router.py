@@ -233,7 +233,8 @@ class ClusterSimulator:
             replica = min(active, key=lambda r: (r.clock, r.replica_id))
             advanced = replica.advance(
                 limit_time=(pending.arrival_time if pending is not None
-                            else None))
+                            else None),
+                max_new_steps=self.max_steps - total_steps + 1)
             if advanced == 0:
                 raise ServingError(
                     f"replica {replica.replica_id} stalled with work "

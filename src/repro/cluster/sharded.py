@@ -104,7 +104,9 @@ def simulate_shard(shard: ReplicaShard):
             replica.submit(pending, pending.arrival_time)
             pending = next(source, None)
         limit = pending.arrival_time if pending is not None else None
-        advanced = replica.advance(limit_time=limit)
+        advanced = replica.advance(
+            limit_time=limit,
+            max_new_steps=shard.max_steps - replica.steps + 1)
         if advanced == 0:
             if pending is not None:
                 # Idle: the next submit fast-forwards the clock.

@@ -1,12 +1,14 @@
 """SLO-driven autoscaling: cold-start model and scaling policy.
 
-The autoscaler closes the loop between the observability layer and the
-replica fleet.  Its inputs are exactly the signals a production
-control plane would scrape from its metrics pipeline — windowed
-per-tier TTFT attainment (from the scheduler's ``first-token``
-instants), backlog per replica (from the replicas'
-``outstanding_tokens`` gauges), and the load shedder's drop counter —
-never the simulator's internal state.
+The autoscaler closes the loop between the replicas' published
+signals and the fleet.  Its inputs are exactly the signals a
+production control plane would scrape from its metrics pipeline —
+windowed per-tier TTFT attainment (from the schedulers' first-token
+observations), backlog per replica (from each replica's published
+outstanding tokens), and the load shedder's drop count — never the
+simulator's internal state.  A traced run mirrors the same signals as
+``first-token`` instants, ``outstanding_tokens`` gauges and the
+``gateway.shed`` counter.
 
 Scale-up is not free: a new replica must stream its weight shard over
 the host interconnect and initialize its KV pool before it can serve.
@@ -136,7 +138,7 @@ class AutoscalerConfig:
 
 
 class Autoscaler:
-    """The scaling policy, fed purely by observability signals.
+    """The scaling policy, fed purely by published signals.
 
     The controller pushes windowed first-token observations in via
     :meth:`observe_first_token` and asks for a verdict once per tick
@@ -156,7 +158,12 @@ class Autoscaler:
 
     def observe_first_token(self, ts: float, tier_index: int,
                             ok: bool) -> None:
-        """Fold one ``first-token`` instant into the sliding window."""
+        """Fold one first-token observation into the sliding window.
+
+        The controller feeds these in the order the schedulers produce
+        them (a traced run's ``first-token`` instant order); the window
+        pops from the left, so that order is part of the signal.
+        """
         self._window.append((ts, tier_index, ok))
 
     def window_attainment(self, now: float) -> "dict[int, tuple[int, int]]":

@@ -18,15 +18,22 @@ no step starts past the event):
 - **controller tick** — the autoscaler reads its signals and may grow
   the fleet (paying the cold-start delay) or drain a replica.
 
-The feedback path is deliberately indirect: every signal the
-controller consumes — windowed first-token attainment, per-replica
-outstanding-token backlog, the shed counter — comes from the
-:mod:`repro.obs` tracer the replicas publish into, never from
-scheduler internals.  Control-plane runs therefore always execute
-under an enabled tracer (the ambient one when installed, a private one
-otherwise), which also pins the engines to the classic per-step path —
-the per-step telemetry *is* the product here, and control scenarios
-are far below the scale where the epoch fast path matters.
+The feedback path is deliberately narrow: every signal the controller
+consumes — windowed first-token attainment, per-replica
+outstanding-token backlog, the shed count — is plain run state the
+replicas and the gateway publish (a first-token list the schedulers
+append to, a load attribute each replica refreshes after every submit
+and advance, a shed tally), never a scan of scheduler internals.  The
+same values also reach the :mod:`repro.obs` tracer as instants, gauges
+and counters, but only when the caller installed one; the controller
+never reads them back.  An untraced run therefore takes the engines'
+epoch fast path through pure-decode stretches, and a traced run takes
+the classic per-step path and produces the same report.
+
+Every replica a run creates — initial, autoscaled and failover — shares
+one :class:`~repro.cluster.costmodel.ShardedStepCostModel`, so a shape
+is priced once per run rather than once per replica (stragglers wrap
+it per replica in :class:`~repro.controlplane.faults.SlowdownCost`).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.interconnect import NVLINK3, InterconnectSpec
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
 from repro.controlplane.autoscaler import (
@@ -78,23 +85,29 @@ class ControlledReplica(Replica):
 
     Adds the lifecycle state machine, a creation clock (a booted
     replica starts at its ready time, not zero), straggler slowdown
-    injection, and — crucially — publication of its load signal into
-    the metrics registry after every submit and advance, so the
-    controller can read backlog without touching scheduler state.
+    injection, and — crucially — publication of its load signal after
+    every submit and advance: :attr:`load` holds the outstanding tokens
+    as of the last publication (the controller's backlog signal), and
+    the same value goes to the tracer's gauge when one is installed.
+    ``first_tokens``, when given, is the list the scheduler appends
+    its first-token observations to.
     """
 
-    def __init__(self, *args, created_at: float = 0.0, **kwargs) -> None:
+    def __init__(self, *args, created_at: float = 0.0,
+                 first_tokens: "list | None" = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.state = ACTIVE
         self.created_at = created_at
         self.slowdown = 1.0
         self.engine.clock = created_at
+        self.scheduler.first_tokens = first_tokens
         self._load_gauge = self.tracer.metrics.gauge(
             f"{self.trace_process}.outstanding_tokens")
         self._publish_load()
 
     def _publish_load(self) -> None:
-        self._load_gauge.set(self.outstanding_tokens)
+        self.load = self.outstanding_tokens
+        self._load_gauge.set(self.load)
 
     def submit(self, request, now: float) -> bool:
         if now > self.engine.clock:
@@ -105,8 +118,10 @@ class ControlledReplica(Replica):
         self._publish_load()
         return accepted
 
-    def advance(self, limit_time: "float | None" = None) -> int:
-        advanced = super().advance(limit_time=limit_time)
+    def advance(self, limit_time: "float | None" = None,
+                max_new_steps: "int | None" = None) -> int:
+        advanced = super().advance(limit_time=limit_time,
+                                   max_new_steps=max_new_steps)
         if advanced:
             self._publish_load()
         return advanced
@@ -232,19 +247,19 @@ class ControlPlaneSimulator:
 
     def run(self) -> ControlPlanePlanReport:
         """Simulate the stream to completion under fleet control."""
-        ambient = current_tracer()
-        # The controller's signals come from obs instants and gauges,
-        # so the run always executes under an enabled tracer; a
-        # private one is used (and discarded) when the caller did not
-        # install their own.
-        tracer = ambient if ambient.enabled else Tracer("controlplane")
-        traced = ambient.enabled
+        from repro.cluster.costmodel import ShardedStepCostModel
+
+        tracer = current_tracer()
         trace_start = tracer.event_count
-        self._tracer = tracer
-        self._scan_from = tracer.event_count
         self._lane = tracer.track(f"{self.plan.value}:controlplane")
-        self._shed_counter = tracer.metrics.counter(
+        shed_counter = tracer.metrics.counter(
             f"{self.plan.value}:gateway.shed")
+        kw = self._replica_kwargs
+        self._cost = ShardedStepCostModel(
+            self.model, self.gpu, plan=self.plan, dtype=kw["dtype"],
+            t=kw["t"], tp=kw["tp"], pp=kw["pp"],
+            interconnect=kw["interconnect"], algorithm=kw["algorithm"],
+        )
 
         arrays = self.workload.request_arrays()
         tier_of = assign_tiers(len(arrays), self.tiers, self.seed)
@@ -252,6 +267,9 @@ class ControlPlaneSimulator:
         policy = make_policy(self._policy_arg)
         scaler = (Autoscaler(self.autoscaler_config, self.tiers)
                   if self.autoscaler_config is not None else None)
+        #: (ts, request_id, ttft_s) per first token, in emission order;
+        #: only collected when an autoscaler will consume it.
+        self._first_tokens = [] if scaler is not None else None
         victim_rng = np.random.default_rng((self.seed, _VICTIM_SALT))
 
         # -- fleet state ------------------------------------------------
@@ -273,7 +291,7 @@ class ControlPlaneSimulator:
         parked: "list" = []
         all_requests: "list" = []
         shed_ids: "set[int]" = set()
-        shed_seen = 0.0
+        shed_seen = 0
 
         # -- replica-seconds integral -----------------------------------
         occupancy = {"t": 0.0, "n": len(fleet), "area": 0.0, "peak":
@@ -296,7 +314,7 @@ class ControlPlaneSimulator:
             lanes = routable()
             if not lanes:
                 return float("inf")
-            return sum(r._load_gauge.last for r in lanes) / len(lanes)
+            return sum(r.load for r in lanes) / len(lanes)
 
         def emit(name: str, ts: float, **args) -> None:
             if tracer.enabled:
@@ -339,7 +357,7 @@ class ControlPlaneSimulator:
                              * (len(self.tiers) - tier_index))
                 if backlog_per_replica() > threshold:
                     shed_ids.add(request.request_id)
-                    self._shed_counter.inc()
+                    shed_counter.inc()
                     emit("shed", now, request_id=request.request_id,
                          tier=self.tiers[tier_index].name)
                     return
@@ -380,7 +398,7 @@ class ControlPlaneSimulator:
                 # Only resident compute remains: drain it.
                 replica = min(working,
                               key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, None)
+                total_steps += self._advance(replica, None, total_steps)
                 self._check_steps(total_steps)
                 continue
 
@@ -389,7 +407,7 @@ class ControlPlaneSimulator:
             if frontier is not None and etime > frontier:
                 replica = min(working,
                               key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, etime)
+                total_steps += self._advance(replica, etime, total_steps)
                 self._check_steps(total_steps)
                 continue
 
@@ -479,7 +497,7 @@ class ControlPlaneSimulator:
                     timeline.append(ScalingEvent(
                         etime, "retire", replica.replica_id,
                         len(routable()), "drained"))
-            shed_now = self._shed_counter.value
+            shed_now = len(shed_ids)
             decision = scaler.decide(
                 etime,
                 active=len(routable()),
@@ -496,13 +514,13 @@ class ControlPlaneSimulator:
                     boot(etime, decision.reason)
                 continue
             # Scale down: drain the emptiest routable replica (by its
-            # published gauge — the same signal the router balances).
+            # published load — the same signal the router balances).
             lanes = routable()
             if len(lanes) <= 1:
                 continue
             target = min(
                 lanes,
-                key=lambda r: (r._load_gauge.last, -r.replica_id))
+                key=lambda r: (r.load, -r.replica_id))
             target.state = DRAINING
             emit("scale-down", etime, replica=target.replica_id,
                  reason=decision.reason)
@@ -521,7 +539,7 @@ class ControlPlaneSimulator:
                 replica.state = RETIRED
 
         return self._build_report(
-            tracer=tracer, traced=traced, trace_start=trace_start,
+            tracer=tracer, trace_start=trace_start,
             all_requests=all_requests, shed_ids=shed_ids,
             timeline=timeline, fault_log=fault_log,
             occupancy=occupancy, cold_starts=cold_starts,
@@ -535,7 +553,8 @@ class ControlPlaneSimulator:
         return ControlledReplica(
             replica_id, self.model, self.gpu, plan=self.plan,
             tracer=tracer, engine="epoch", retain_requests=True,
-            created_at=created_at, **self._replica_kwargs,
+            created_at=created_at, cost=self._cost,
+            first_tokens=self._first_tokens, **self._replica_kwargs,
         )
 
     def _iter_requests(self, arrays, sink: "list"):
@@ -544,8 +563,11 @@ class ControlPlaneSimulator:
             sink.append(request)
             yield request
 
-    def _advance(self, replica, limit_time) -> int:
-        advanced = replica.advance(limit_time=limit_time)
+    def _advance(self, replica, limit_time, total_steps: int) -> int:
+        """Advance ``replica`` within the remaining step budget."""
+        advanced = replica.advance(
+            limit_time=limit_time,
+            max_new_steps=self.max_steps - total_steps + 1)
         if advanced == 0:
             raise ServingError(
                 f"replica {replica.replica_id} stalled with work "
@@ -560,25 +582,21 @@ class ControlPlaneSimulator:
                 f"steps; lower the rate or duration"
             )
 
-    def _consume_first_tokens(self, scaler: "Autoscaler | None") -> None:
-        """Feed new ``first-token`` instants into the scaling window.
+    def _consume_first_tokens(self, scaler: Autoscaler) -> None:
+        """Drain new first-token observations into the scaling window.
 
-        The controller's attainment signal: it reads the tracer's
-        event stream (the published telemetry), not scheduler state.
+        The controller's attainment signal: the schedulers append one
+        ``(ts, request_id, ttft_s)`` per first token, in the order the
+        ``first-token`` instants are emitted, and each tick consumes
+        what accumulated since the last.
         """
-        events = self._tracer.events
-        if scaler is not None:
-            for event in events[self._scan_from:]:
-                if event.ph == "i" and event.name == "first-token":
-                    rid = event.args["request_id"]
-                    tier_index = int(self._tier_of[rid])
-                    tier = self.tiers[tier_index]
-                    scaler.observe_first_token(
-                        event.ts, tier_index,
-                        event.args["ttft_s"] <= tier.ttft_target)
-        self._scan_from = len(events)
+        for ts, rid, ttft in self._first_tokens:
+            tier_index = int(self._tier_of[rid])
+            scaler.observe_first_token(
+                ts, tier_index, ttft <= self.tiers[tier_index].ttft_target)
+        self._first_tokens.clear()
 
-    def _build_report(self, *, tracer, traced, trace_start, all_requests,
+    def _build_report(self, *, tracer, trace_start, all_requests,
                       shed_ids, timeline, fault_log, occupancy,
                       cold_starts, makespan, emit) -> ControlPlanePlanReport:
         tier_of = self._tier_of
@@ -649,7 +667,7 @@ class ControlPlaneSimulator:
         generated = sum(r.generated for r in finished)
         span = makespan if makespan > 0 else 1.0
         trace_summary = None
-        if traced:
+        if tracer.enabled:
             tracer.set_clock(makespan)
             trace_summary = tracer.summary(since=trace_start,
                                            include_metrics=False)
@@ -743,17 +761,27 @@ def verification_oracles():
     request must end exactly one way — finished, shed, or rejected —
     with nothing in flight after the drain, and no re-queued request
     may be lost.  The oracle replays a small MMPP scenario with 1–3
-    deaths and checks the identity the control plane reports.
+    deaths and checks the identity the control plane reports.  It
+    also replays the scenario under a fresh tracer: the classic
+    per-step run must report exactly what the epoch fast path did.
 
     Each run simulates a full (small) control-plane scenario, so the
     oracle gates itself to a deterministic slice of the serving
     family's cases rather than slowing every fuzz invocation down.
     """
+    import json
+
     from repro.common.dtypes import DType as _DType
+    from repro.obs.tracer import Tracer, tracing
     from repro.serving.arrivals import MMPPArrivals
     from repro.verify.contracts import SERVING_COST
     from repro.verify.invariants import Violation
     from repro.verify.registry import OracleSpec
+
+    def _untraced_json(report) -> str:
+        doc = report.to_dict()
+        doc.pop("trace_summary", None)
+        return json.dumps(doc, sort_keys=True)
 
     def run_conservation(case):
         rng = np.random.default_rng(case.params["case_seed"])
@@ -775,7 +803,14 @@ def verification_oracles():
             cold_start_s=float(rng.uniform(0.01, 0.5)),
         )
         report = sim.run()
+        with tracing(Tracer()):
+            traced = sim.run()
         violations = []
+        if _untraced_json(traced) != _untraced_json(report):
+            violations.append(Violation(
+                "traced_equals_untraced",
+                "the traced (classic per-step) run reported differently",
+            ))
         accounted = (report.finished + report.shed + report.rejected
                      + report.in_flight)
         if report.in_flight != 0:
@@ -803,7 +838,8 @@ def verification_oracles():
                    _DType.FP16: SERVING_COST},
         description=(
             "arrived = finished + shed + rejected (+ 0 in flight) "
-            "under random replica-death schedules"
+            "under random replica-death schedules; traced run "
+            "reports identically"
         ),
         applies=lambda case: case.params["case_seed"] % 16 == 0,
     )

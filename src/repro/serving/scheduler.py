@@ -74,6 +74,12 @@ class ContinuousBatchingScheduler:
     trace_process:
         Trace process name the scheduler's events land on; cluster
         replicas pass their own name so lanes never collide.
+
+    ``first_tokens`` is ``None`` by default; a caller that wants
+    first-token observations without a tracer (the control plane's
+    autoscaler) sets it to a list, and :meth:`complete_step` appends
+    ``(ts, request_id, ttft_s)`` to it at the point the ``first-token``
+    instant is emitted, so the list follows instant order.
     """
 
     def __init__(
@@ -101,6 +107,7 @@ class ContinuousBatchingScheduler:
         self.preemption_events = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_process = trace_process
+        self.first_tokens: "list[tuple[float, int, float]] | None" = None
 
     def _sched_event(self, name: str, ts: float, request: Request) -> None:
         """One scheduling decision as an instant on the scheduler lane."""
@@ -250,6 +257,10 @@ class ContinuousBatchingScheduler:
                     request.generated = 1
                     self.tracer.metrics.counter(
                         f"{self.trace_process}.first_tokens").inc()
+                    if self.first_tokens is not None:
+                        self.first_tokens.append(
+                            (now, request.request_id,
+                             now - request.arrival_time))
                     if self.tracer.enabled:
                         pid, tid = self.tracer.track(
                             self.trace_process, "scheduler")

@@ -269,6 +269,27 @@ class TestClusterSimulator:
         assert replica.makespan == pytest.approx(single.makespan)
         assert replica.ttft.p99 == pytest.approx(single.ttft.p99)
 
+    @pytest.mark.parametrize("traced", (False, True),
+                             ids=("untraced", "traced"))
+    def test_step_budget_is_exact(self, engines, traced):
+        from repro.obs import Tracer, tracing
+
+        budget = 100  # falls inside a pure-decode epoch
+        sim = ClusterSimulator(
+            TINY, "t4", plan="sdf", replicas=2, max_steps=budget,
+            workload=ServingWorkload(rate=4, duration=5, seed=0),
+        )
+        with pytest.raises(ServingError, match=f"exceeded {budget} steps"):
+            if traced:
+                with tracing(Tracer()):
+                    sim.run()
+            else:
+                sim.run()
+        # The run stops on the first step past the budget on both
+        # paths; an epoch may not overshoot it.
+        assert sum(e.steps for e in engines) == budget + 1
+        assert (sum(e.epoch_steps for e in engines) > 0) is not traced
+
     def test_workload_prefix_groups(self):
         stream = ServingWorkload(rate=8, duration=5, seed=0,
                                  prefix_groups=3).requests()

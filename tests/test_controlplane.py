@@ -6,7 +6,9 @@ cold-start model, fault schedules and the straggler cost wrapper, the
 autoscaler policy in isolation, and the full control loop: determinism,
 request conservation under failures, attainment monotone in the
 replica budget, shedding behavior, the autoscaler-vs-static headline
-scenario, and the report/CLI schema contract.
+scenario, the epoch fast path against the classic per-step path (an
+untraced run must report exactly what a traced one does), the exact
+step budget, and the report/CLI schema contract.
 """
 
 import json
@@ -14,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import POLICIES
 from repro.common.errors import ServingError
 from repro.controlplane import (
     Autoscaler,
@@ -31,6 +34,7 @@ from repro.controlplane import (
 from repro.gpu.interconnect import NVLINK3, PCIE4
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
+from repro.obs import Tracer, tracing
 from repro.serving import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -468,11 +472,10 @@ class TestControlLoop:
             plan.replica_seconds / plan.makespan)
 
     def test_controller_reads_obs_signals(self):
-        """The autoscaler's attainment window is fed from first-token
-        tracer instants, and replicas publish their backlog gauges —
-        verify the signals exist on the shared ambient tracer."""
-        from repro.obs import Tracer, tracing
-
+        """The controller's signals are plain run state, but a traced
+        run still publishes them: first-token instants, the replicas'
+        backlog gauges and the scheduler counters all reach the ambient
+        tracer."""
         tracer = Tracer()
         arrival = MMPPArrivals(rate=2.0, burst_rate=10.0,
                                base_dwell=4.0, burst_dwell=2.0)
@@ -491,6 +494,130 @@ class TestControlLoop:
         assert any("outstanding_tokens" in k for k in gauges)
         counters = snapshot.get("counters", snapshot)
         assert any("admitted" in k for k in counters)
+
+
+# --------------------------------------------------------------------
+# Epoch fast path against the classic per-step path
+# --------------------------------------------------------------------
+
+_FAULT_KINDS = {
+    "death": FailureSchedule(deaths=(1.5,)),
+    "straggler": FailureSchedule(stragglers=((1.0, 2.5),)),
+    "both": FailureSchedule(deaths=(2.0,), stragglers=((1.0, 2.5),)),
+}
+
+
+def _small_sim(*, autoscale=True, faults="both", shed=False,
+               policy="least-outstanding", max_steps=2_000_000):
+    """A 4 s MMPP burst that scales, sheds and fails over."""
+    workload = ServingWorkload(
+        rate=2.0, duration=4.0, seed=11, prefix_groups=3,
+        arrival=MMPPArrivals(rate=2.0, burst_rate=12.0, base_dwell=2.0,
+                             burst_dwell=1.0))
+    config = (AutoscalerConfig(min_replicas=2, max_replicas=4,
+                               cold_start_s=0.1) if autoscale else None)
+    return ControlPlaneSimulator(
+        "bert-large", "a100", workload=workload, plan="sdf", replicas=2,
+        policy=policy, autoscaler=config, faults=_FAULT_KINDS[faults],
+        shed_backlog_tokens=1500.0 if shed else 0.0, cold_start_s=0.1,
+        max_steps=max_steps)
+
+
+def _report_bytes(report) -> str:
+    doc = report.to_dict()
+    doc.pop("trace_summary", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestFastPathEquivalence:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("shed", (False, True),
+                             ids=("no-shed", "shed"))
+    @pytest.mark.parametrize("faults", sorted(_FAULT_KINDS))
+    @pytest.mark.parametrize("autoscale", (False, True),
+                             ids=("static", "autoscale"))
+    def test_untraced_epoch_run_matches_traced_classic_run(
+            self, engines, autoscale, faults, shed, policy):
+        kwargs = dict(autoscale=autoscale, faults=faults, shed=shed,
+                      policy=policy)
+        untraced = _small_sim(**kwargs).run()
+        untraced_engines = list(engines)
+        engines.clear()
+        with tracing(Tracer()):
+            traced = _small_sim(**kwargs).run()
+        # The untraced run must take the fast path (an always-on
+        # tracer would pin it to the classic loop), and the traced run
+        # must not, so the comparison really spans both paths.
+        assert sum(e.epoch_steps for e in untraced_engines) > 0
+        assert sum(e.epoch_steps for e in engines) == 0
+        assert untraced.trace_summary is None
+        assert traced.trace_summary is not None
+        assert _report_bytes(untraced) == _report_bytes(traced)
+
+    def test_first_token_feed_follows_instant_order(self, monkeypatch):
+        """The autoscaler sees an untraced run's first tokens in the
+        order a traced run emits its ``first-token`` instants (its
+        window pops from the left, so order is part of the signal)."""
+        observed = []
+        observe = Autoscaler.observe_first_token
+
+        def record(self, ts, tier_index, ok):
+            observed.append((ts, tier_index, ok))
+            observe(self, ts, tier_index, ok)
+
+        monkeypatch.setattr(Autoscaler, "observe_first_token", record)
+        sim = _small_sim()
+        sim.run()
+        untraced = list(observed)
+        tier_of = assign_tiers(len(sim.workload.request_arrays()),
+                               sim.tiers, sim.seed)
+        with tracing(Tracer()) as tracer:
+            _small_sim().run()
+        instants = []
+        for event in tracer.events:
+            if event.ph == "i" and event.name == "first-token":
+                tier = int(tier_of[event.args["request_id"]])
+                instants.append((
+                    event.ts, tier,
+                    event.args["ttft_s"] <= sim.tiers[tier].ttft_target))
+        # First tokens after the last controller tick are never
+        # consumed, so the feed is a prefix of the instant stream.
+        assert len(untraced) > 10
+        assert untraced == instants[:len(untraced)]
+
+    def test_one_cost_model_per_run(self, engines):
+        from repro.cluster.costmodel import ShardedStepCostModel
+
+        report = _small_sim().run()
+        assert report.cold_starts >= 1
+        models = []
+        for engine in engines:
+            cost = engine.cost
+            while isinstance(cost, SlowdownCost):
+                cost = cost.inner
+            models.append(cost)
+        assert len(engines) == 2 + report.cold_starts
+        assert all(isinstance(m, ShardedStepCostModel) for m in models)
+        assert len({id(m) for m in models}) == 1
+        # The straggler still slows only its own replica.
+        assert sum(isinstance(e.cost, SlowdownCost) for e in engines) == 1
+
+    @pytest.mark.parametrize("traced", (False, True),
+                             ids=("untraced", "traced"))
+    def test_step_budget_is_exact(self, engines, traced):
+        budget = 100  # falls inside a pure-decode epoch
+        sim = _small_sim(autoscale=False, faults="death",
+                         max_steps=budget)
+        with pytest.raises(ServingError, match=f"exceeded {budget} steps"):
+            if traced:
+                with tracing(Tracer()):
+                    sim.run()
+            else:
+                sim.run()
+        # The run stops on the first step past the budget on both
+        # paths; an epoch may not overshoot it.
+        assert sum(e.steps for e in engines) == budget + 1
+        assert (sum(e.epoch_steps for e in engines) > 0) is not traced
 
 
 # --------------------------------------------------------------------
