@@ -35,15 +35,22 @@ approx-smoke:
 	$(PYTHON) tools/compare_golden.py /tmp/approx_sweep_smoke.json \
 		tests/golden/approx_sweep_smoke.json
 
-# Tiny fixed-seed tuning run compared byte-for-byte (modulo float ulp)
-# against the committed golden artifact — pins both the search's
-# determinism and the repro.tuned_plan/v1 schema (see docs/tuning.md).
+# Tiny fixed-seed tuning runs, serving and cluster mode, compared
+# byte-for-byte (modulo float ulp) against the committed golden
+# artifacts — pins the search's determinism, the repro.tuned_plan/v1
+# schema and the cost models the cluster evaluations share (see
+# docs/tuning.md).  Each golden is the output of the command above it.
 tune-smoke:
 	$(PYTHON) -m repro tune --objective ttft_p99 --budget 8 \
 		--rate 2 --duration 3 --seed 0 \
 		--output /tmp/tune_smoke.json >/dev/null
 	$(PYTHON) tools/compare_golden.py /tmp/tune_smoke.json \
 		tests/golden/tune_smoke.json
+	$(PYTHON) -m repro tune --sim cluster --replicas 2 \
+		--objective ttft_p99 --budget 8 --rate 2 --duration 3 --seed 0 \
+		--output /tmp/tune_cluster_smoke.json >/dev/null
+	$(PYTHON) tools/compare_golden.py /tmp/tune_cluster_smoke.json \
+		tests/golden/tune_cluster_smoke.json
 
 # Fixed-seed MoE + speculative-decoding serving run compared against
 # the committed golden report — pins the expert-parallel cost model

@@ -1,11 +1,14 @@
 """One serving replica: a TP×PP GPU group with its own engine state.
 
-A replica owns the full single-node serving stack — a
-:class:`~repro.cluster.costmodel.ShardedStepCostModel`, a paged
+A replica owns its engine state — a paged
 :class:`~repro.serving.memory.KVBlockManager` sized for the whole GPU
-group (weights shard, per-GPU reserve replicates), and a
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` — all
-driven by one :class:`~repro.serving.engine.EpochEngine`.  The cluster
+group (weights shard, per-GPU reserve replicates) and a
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, driven
+by one :class:`~repro.serving.engine.EpochEngine` — but not its
+prices.  Its :class:`~repro.cluster.costmodel.ShardedStepCostModel`
+(and a speculative run's draft model) come from the run's pool of
+priced models (:func:`~repro.serving.costmodel.shared_cost_model`),
+so every replica of one configuration reads the same memo.  The cluster
 router interleaves replica advances in global time order; each
 replica's clock reads "when this replica is next free", so a request
 submitted to an idle replica starts immediately while one submitted
@@ -97,22 +100,23 @@ class Replica:
         draft_model: "ModelConfig | str | None" = None,
         draft_len: int = 4,
         accept_rate: float = 1.0,
-        cost: "ShardedStepCostModel | None" = None,
+        costs: "dict | None" = None,
     ) -> None:
         from repro.cluster.costmodel import ShardedStepCostModel
+        from repro.serving.costmodel import StepCostModel, shared_cost_model
 
         self.replica_id = replica_id
-        # Step prices are a pure function of shape, so replicas of one
-        # configuration may share a prebuilt model (and its memo).
-        self.cost = cost if cost is not None else ShardedStepCostModel(
-            model, gpu, plan=plan, dtype=dtype, t=t, tp=tp, pp=pp, ep=ep,
-            interconnect=interconnect, algorithm=algorithm,
+        # ``costs`` is the owning run's pool; without one the replica
+        # prices through a private model.
+        self.cost = shared_cost_model(
+            costs, ShardedStepCostModel, model, gpu,
+            plan=AttentionPlan.from_name(plan), dtype=dtype, t=t, tp=tp,
+            pp=pp, ep=ep, interconnect=interconnect, algorithm=algorithm,
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Trace process name; plan-prefixed so several plans can share
         #: one tracer without lane collisions.
-        self.trace_process = (
-            f"{AttentionPlan.from_name(plan).value}:replica{replica_id}")
+        self.trace_process = f"{self.cost.plan.value}:replica{replica_id}"
         self.memory = KVBlockManager.for_model(
             model, gpu, block_tokens=block_tokens, dtype=dtype,
             reserve_fraction=reserve_fraction, n_gpus=tp * pp * ep,
@@ -126,7 +130,6 @@ class Replica:
         spec_runtime = None
         if draft_model is not None:
             from repro.models.config import get_model
-            from repro.serving.costmodel import StepCostModel
             from repro.serving.specdecode import (
                 SpecDecodeConfig,
                 SpecDecodeRuntime,
@@ -139,9 +142,9 @@ class Replica:
                 draft_len=draft_len,
                 accept_rate=accept_rate,
             )
-            spec_runtime = SpecDecodeRuntime(config, StepCostModel(
-                config.draft_model, gpu, plan=self.cost.plan,
-                dtype=dtype, t=t,
+            spec_runtime = SpecDecodeRuntime(config, shared_cost_model(
+                costs, StepCostModel, config.draft_model, gpu,
+                plan=self.cost.plan, dtype=dtype, t=t,
             ))
         self.engine = EpochEngine(
             cost=self.cost, memory=self.memory, scheduler=self.scheduler,

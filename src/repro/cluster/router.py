@@ -58,6 +58,14 @@ class ClusterSimulator:
     request list to keep the stream in numpy arrays until each request
     arrives; with ``jobs > 1`` (round-robin only) replicas simulate in
     parallel worker processes.
+
+    Every replica of one ``run`` prices through one shared
+    :class:`~repro.cluster.costmodel.ShardedStepCostModel` (and one
+    draft model when speculating); no replica owns a private model.
+    ``costs`` extends that sharing across runs: a plain dict (see
+    :func:`~repro.serving.costmodel.shared_cost_model`) that ``run``
+    looks its models up in and adds them to on a miss.  Sharded
+    workers (``jobs > 1``) price in their own processes.
     """
 
     def __init__(
@@ -89,6 +97,7 @@ class ClusterSimulator:
         draft_model: "ModelConfig | str | None" = None,
         draft_len: int = 4,
         accept_rate: float = 1.0,
+        costs: "dict | None" = None,
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
@@ -140,6 +149,7 @@ class ClusterSimulator:
             accept_rate=accept_rate,
         )
         self.num_replicas = replicas
+        self._costs = costs
 
     @property
     def num_requests(self) -> int:
@@ -191,10 +201,12 @@ class ClusterSimulator:
         router_lane = (tracer.track(f"{self.plan.value}:router")
                        if tracer.enabled else (0, 0))
         policy = make_policy(self._policy_arg)
+        costs = {} if self._costs is None else self._costs
         replicas = [
             Replica(i, self.model, self.gpu, plan=self.plan, tracer=tracer,
                     engine=self.engine, max_epoch=self.max_epoch,
-                    retain_requests=retain, **self._replica_kwargs)
+                    retain_requests=retain, costs=costs,
+                    **self._replica_kwargs)
             for i in range(self.num_replicas)
         ]
         source = self._iter_requests()

@@ -31,9 +31,11 @@ epoch fast path through pure-decode stretches, and a traced run takes
 the classic per-step path and produces the same report.
 
 Every replica a run creates — initial, autoscaled and failover — shares
-one :class:`~repro.cluster.costmodel.ShardedStepCostModel`, so a shape
-is priced once per run rather than once per replica (stragglers wrap
-it per replica in :class:`~repro.controlplane.faults.SlowdownCost`).
+one :class:`~repro.cluster.costmodel.ShardedStepCostModel` from the
+run's pool of priced models
+(:func:`~repro.serving.costmodel.shared_cost_model`), so a shape is
+priced once per run rather than once per replica (stragglers wrap it
+per replica in :class:`~repro.controlplane.faults.SlowdownCost`).
 """
 
 from __future__ import annotations
@@ -247,19 +249,12 @@ class ControlPlaneSimulator:
 
     def run(self) -> ControlPlanePlanReport:
         """Simulate the stream to completion under fleet control."""
-        from repro.cluster.costmodel import ShardedStepCostModel
-
         tracer = current_tracer()
         trace_start = tracer.event_count
         self._lane = tracer.track(f"{self.plan.value}:controlplane")
         shed_counter = tracer.metrics.counter(
             f"{self.plan.value}:gateway.shed")
-        kw = self._replica_kwargs
-        self._cost = ShardedStepCostModel(
-            self.model, self.gpu, plan=self.plan, dtype=kw["dtype"],
-            t=kw["t"], tp=kw["tp"], pp=kw["pp"],
-            interconnect=kw["interconnect"], algorithm=kw["algorithm"],
-        )
+        self._costs = {}
 
         arrays = self.workload.request_arrays()
         tier_of = assign_tiers(len(arrays), self.tiers, self.seed)
@@ -553,7 +548,7 @@ class ControlPlaneSimulator:
         return ControlledReplica(
             replica_id, self.model, self.gpu, plan=self.plan,
             tracer=tracer, engine="epoch", retain_requests=True,
-            created_at=created_at, cost=self._cost,
+            created_at=created_at, costs=self._costs,
             first_tokens=self._first_tokens, **self._replica_kwargs,
         )
 

@@ -383,6 +383,18 @@ class GenerationSession:
                 f"prompt_len {prompt_len} not divisible by prefill_chunk "
                 f"{prefill_chunk}"
             )
+        if prefill_chunk:
+            # Chunks price through the serving step table, which has no
+            # rectangular kernels for the other plans' roles; refuse
+            # rather than label a baseline-chain result with them.
+            from repro.serving.costmodel import SUPPORTED_PLANS
+
+            if self.plan not in SUPPORTED_PLANS:
+                supported = ", ".join(p.value for p in SUPPORTED_PLANS)
+                raise ConfigError(
+                    f"chunked prefill supports plans {supported}; got "
+                    f"{self.plan.value!r} (use prefill_chunk=0)"
+                )
         self.prefill_chunk = prefill_chunk
         resident = (weight_bytes(self.model, dtype)
                     + kv_cache_bytes_for(self.model,

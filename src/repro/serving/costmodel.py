@@ -19,6 +19,8 @@ granularity, so the padded length is what the kernel actually streams.
 
 from __future__ import annotations
 
+import inspect
+
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
@@ -203,6 +205,34 @@ class StepCostModel:
     def cache_sizes(self) -> tuple[int, int]:
         """(mlp entries, attention entries) — for diagnostics."""
         return len(self._mlp_cache), len(self._attn_cache)
+
+
+def shared_cost_model(costs: "dict | None", cls, model, gpu, **fields):
+    """``cls(model, gpu, **fields)``, built once per pricing key.
+
+    Step prices are a pure function of the constructor arguments, so
+    every consumer of one key — the replicas of a cluster run, a
+    speculative run's draft, a tuner's evaluations — shares one model
+    and its memo.  The key is ``cls`` plus every constructor argument,
+    defaults filled in from the signature, so a new pricing field
+    joins the key by itself.  Engine knobs (chunk size, batch cap,
+    routing policy) are not constructor arguments and never split it.
+
+    ``costs`` is a plain dict owned by one run or one tuner call; a
+    miss builds the model and adds it, and ``None`` builds a private
+    one.  There is deliberately no process-global pool: a traced run
+    emits one ``kernel`` span per pricing call, so its trace would
+    depend on what else ran earlier in the process.
+    """
+    if costs is None:
+        return cls(model, gpu, **fields)
+    bound = inspect.signature(cls).bind(model, gpu, **fields)
+    bound.apply_defaults()
+    key = (cls, *bound.arguments.items())
+    cost = costs.get(key)
+    if cost is None:
+        cost = costs[key] = cls(model, gpu, **fields)
+    return cost
 
 
 def verification_oracles():

@@ -33,7 +33,7 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
-from repro.serving.costmodel import StepCostModel
+from repro.serving.costmodel import StepCostModel, shared_cost_model
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import (
@@ -90,6 +90,7 @@ class ServingSimulator:
         draft_model: "ModelConfig | str | None" = None,
         draft_len: int = 4,
         accept_rate: float = 1.0,
+        costs: "dict | None" = None,
     ) -> None:
         if (requests is None) == (workload is None):
             raise ServingError(
@@ -127,8 +128,11 @@ class ServingSimulator:
         else:
             self._requests = None
             self._workload = workload
-        self.cost = StepCostModel(self.model, self.gpu, plan=self.plan,
-                                  dtype=self.dtype, t=self.t)
+        # ``costs`` lets a caller (the tuner) share priced models across
+        # simulators; see :func:`~repro.serving.costmodel.shared_cost_model`.
+        self.cost = shared_cost_model(costs, StepCostModel, self.model,
+                                      self.gpu, plan=self.plan,
+                                      dtype=self.dtype, t=self.t)
         # Speculative decoding: the draft model gets its own cost model
         # on the same GPU/plan/dtype so its γ decode steps per round are
         # priced through the identical kernel stack.
@@ -146,9 +150,9 @@ class ServingSimulator:
                 draft_len=draft_len,
                 accept_rate=accept_rate,
             )
-            draft_cost = StepCostModel(config.draft_model, self.gpu,
-                                       plan=self.plan, dtype=self.dtype,
-                                       t=self.t)
+            draft_cost = shared_cost_model(
+                costs, StepCostModel, config.draft_model, self.gpu,
+                plan=self.plan, dtype=self.dtype, t=self.t)
             self._spec_runtime = SpecDecodeRuntime(config, draft_cost)
 
     @property

@@ -17,11 +17,15 @@ final decisions are taken at fidelity ``1.0``.
 
 Every evaluation is memoized on ``(config, fidelity)`` — the search
 re-visits configurations freely and only fresh simulations count
-against the budget.  Deeper down, :mod:`repro.gpu.simcache` memoizes
-the kernel-level simulations shared between candidates, so evaluations
-that differ only in engine knobs are cheap.  Infeasible candidates
-(any :class:`~repro.common.errors.ReproError` from construction or
-execution) score ``inf`` instead of aborting the search.
+against the budget.  One evaluator also owns a pool of priced step-cost
+models (:func:`repro.serving.costmodel.shared_cost_model`) that every
+serving and cluster evaluation looks its models up in, so candidates
+that differ only in engine knobs or routing policy never re-price a
+step shape; deeper down, :mod:`repro.gpu.simcache` memoizes the
+kernel-level simulations shared between the remaining models.
+Infeasible candidates (any :class:`~repro.common.errors.ReproError`
+from construction or execution) score ``inf`` instead of aborting the
+search.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ class ScenarioEvaluator:
         #: Fresh (non-memoized) evaluations performed so far.
         self.evaluations = 0
         self._memo: "dict[tuple, float]" = {}
+        #: Priced step-cost models, one per pricing key, shared by every
+        #: evaluation of this tuner call.
+        self._costs: dict = {}
         self._workloads: "dict[float, object]" = {}
         self._requests = None
         self._requests_loaded = False
@@ -232,7 +239,7 @@ class ScenarioEvaluator:
             max_batch=int(config["max_batch"]),
             block_tokens=spec.workload.block_tokens,
             t=int(config["t"]), engine=spec.workload.engine,
-            **self._spec_decode_kwargs(config),
+            costs=self._costs, **self._spec_decode_kwargs(config),
         ).run()
 
     def _evaluate_cluster(self, config, fidelity: float):
@@ -255,7 +262,7 @@ class ScenarioEvaluator:
             max_batch=int(config["max_batch"]),
             block_tokens=spec.workload.block_tokens,
             t=int(config["t"]), engine=spec.workload.engine,
-            jobs=spec.sharding.jobs,
+            jobs=spec.sharding.jobs, costs=self._costs,
             **self._spec_decode_kwargs(config),
         ).run()
 

@@ -1,19 +1,33 @@
 """Shared pytest fixtures."""
 
+import functools
+
 import pytest
 
 
 @pytest.fixture
-def engines(monkeypatch):
+def built(monkeypatch):
+    """``built(cls)`` -> a list of every ``cls`` instance created from
+    then on (subclass instances included)."""
+
+    def track(cls):
+        instances = []
+        init = cls.__init__
+
+        @functools.wraps(init)
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            instances.append(self)
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+        return instances
+
+    return track
+
+
+@pytest.fixture
+def engines(built):
     """Every :class:`~repro.serving.engine.EpochEngine` the test builds."""
     from repro.serving.engine import EpochEngine
 
-    built = []
-    init = EpochEngine.__init__
-
-    def tracked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(EpochEngine, "__init__", tracked)
-    return built
+    return built(EpochEngine)

@@ -311,3 +311,125 @@ class TestClusterSimulator:
         assert plan["kind"] == "cluster-plan"
         for replica in plan["per_replica"]:
             assert replica["kind"] == "cluster-replica"
+
+
+class TestSharedCostModels:
+    """Every consumer of one pricing key shares one step-cost model."""
+
+    DRAFT = ModelConfig(
+        "tiny-draft", num_layers=1, d_model=64, num_heads=2, d_ff=128,
+        attention=(AttentionSpec(AttentionKind.DENSE_CAUSAL),),
+    )
+
+    @staticmethod
+    def _sim(**overrides):
+        kwargs = dict(plan="sdf", replicas=3, tp=2,
+                      workload=ServingWorkload(rate=6, duration=4, seed=2,
+                                               prefix_groups=3))
+        kwargs.update(overrides)
+        return ClusterSimulator(TINY, "t4", **kwargs)
+
+    @staticmethod
+    def _doc(report):
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("speculate", (False, True),
+                             ids=("plain", "speculative"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shared_model_matches_one_model_per_replica(
+            self, monkeypatch, engines, policy, speculate):
+        import repro.cluster.router as router
+
+        spec = dict(draft_model=self.DRAFT, accept_rate=0.5) \
+            if speculate else {}
+        shared = self._doc(self._sim(policy=policy, **spec).run())
+        assert len({id(e.cost) for e in engines}) == 1
+        del engines[:]
+        monkeypatch.setattr(
+            router, "Replica",
+            lambda *args, costs, **kwargs: Replica(*args, **kwargs))
+        private = self._doc(self._sim(policy=policy, **spec).run())
+        assert len({id(e.cost) for e in engines}) == 3
+        assert shared == private
+
+    def test_warm_pool_reports_what_a_cold_one_did(self, built):
+        cold = self._doc(self._sim().run())
+        costs = {}
+        sim = self._sim(costs=costs)
+        first = self._doc(sim.run())
+        models = built(StepCostModel)
+        warm = self._doc(sim.run())
+        assert models == []
+        assert len(costs) == 1
+        assert cold == first == warm
+
+    def test_one_model_per_run(self, built, engines):
+        sharded = built(ShardedStepCostModel)
+        plain = built(StepCostModel)
+        self._sim().run()
+        assert len(sharded) == 1
+        assert all(e.cost is sharded[0] for e in engines)
+        assert len(engines) == 3
+        self._sim(draft_model=self.DRAFT).run()
+        assert len(sharded) == 2
+        drafts = [m for m in plain if type(m) is StepCostModel]
+        assert len(drafts) == 1
+        assert all(e.spec_decode.draft_cost is drafts[0]
+                   for e in engines[3:])
+
+    def test_engine_knobs_reuse_the_model(self):
+        costs = {}
+        for overrides in ({}, {"chunk_tokens": 256}, {"max_batch": 4},
+                          {"policy": "least-outstanding"},
+                          {"policy": "prefix-affinity"}):
+            self._sim(costs=costs, **overrides).run()
+        assert len(costs) == 1
+        self._sim(costs=costs, plan="sd").run()
+        assert len(costs) == 2
+
+    def test_pricing_key_covers_every_constructor_field(self):
+        """Changing any one constructor argument prices through a
+        distinct model.  The field list comes from the signature, so a
+        new pricing field without an entry here fails the test."""
+        import inspect
+
+        from repro.common.dtypes import DType
+        from repro.core.plan import AttentionPlan
+        from repro.models.moe import MoEConfig
+        from repro.serving.costmodel import shared_cost_model
+
+        moe = MoEConfig.from_dense(TINY, n_experts=4, top_k=2)
+        base = dict(model=moe, gpu=get_gpu("t4"),
+                    plan=AttentionPlan.DECOMPOSED, dtype=DType.FP16, t=64,
+                    kv_bucket=64, tp=1, pp=1, ep=1, interconnect=NVLINK3,
+                    algorithm="ring")
+        changed = dict(model=MoEConfig.from_dense(TINY, n_experts=4,
+                                                  top_k=1),
+                       gpu=get_gpu("a100"),
+                       plan=AttentionPlan.RECOMPOSED, dtype=DType.FP32,
+                       t=32, kv_bucket=128, tp=2, pp=2, ep=2,
+                       interconnect=PCIE4, algorithm="tree")
+        fields = inspect.signature(ShardedStepCostModel).parameters
+        assert set(changed) == set(base) == set(fields)
+
+        def build(costs, **args):
+            args = dict(args)
+            return shared_cost_model(costs, ShardedStepCostModel,
+                                     args.pop("model"), args.pop("gpu"),
+                                     **args)
+
+        costs = {}
+        reference = build(costs, **base)
+        assert build(costs, **base) is reference
+        for name, value in changed.items():
+            model = build(costs, **{**base, name: value})
+            assert model is not reference, name
+            assert getattr(model, name) == value, name
+        assert len(costs) == 1 + len(changed)
+        # Defaults are part of the key: spelling one out shares.
+        assert shared_cost_model(costs, ShardedStepCostModel, moe,
+                                 get_gpu("t4"),
+                                 plan=AttentionPlan.DECOMPOSED) \
+            is reference
+        # Without a pool every call builds a private model.
+        assert build(None, **base) is not build(None, **base)

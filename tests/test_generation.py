@@ -91,6 +91,35 @@ class TestChunkedPrefill:
             GenerationSession(GPT_NEO_1_3B, prompt_len=1000,
                               prefill_chunk=512)
 
+    @pytest.mark.parametrize("plan", ["online", "turbo", "fused-mha",
+                                      "flash"])
+    def test_chunked_prefill_rejects_plans_it_cannot_price(self, plan):
+        with pytest.raises(ConfigError, match="chunked prefill supports"):
+            GenerationSession(GPT_NEO_1_3B, plan=plan, prompt_len=2048,
+                              prefill_chunk=512)
+
+    # fused-mha is absent: InferenceSession itself refuses it for causal
+    # masks, with a PlanError.
+    @pytest.mark.parametrize("plan", ["online", "turbo", "flash"])
+    def test_whole_prompt_prefill_accepts_other_plans(self, plan):
+        from repro.models.config import (
+            AttentionKind,
+            AttentionSpec,
+            ModelConfig,
+        )
+
+        # A dense causal model: the whole-prompt path prices every plan
+        # (GPT-Neo's local layers have no kernels for some of them).
+        dense = ModelConfig(
+            "dense-causal", num_layers=2, d_model=256, num_heads=4,
+            d_ff=1024,
+            attention=(AttentionSpec(AttentionKind.DENSE_CAUSAL),),
+        )
+        result = GenerationSession(dense, plan=plan, prompt_len=512,
+                                   generated_tokens=1).simulate()
+        assert result.plan.value == plan
+        assert result.prefill_time > 0
+
     def test_chunked_prefill_runs(self):
         result = GenerationSession(GPT_NEO_1_3B, prompt_len=2048,
                                    generated_tokens=2,

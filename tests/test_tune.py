@@ -88,6 +88,41 @@ class TestDeterminism:
         assert len(result.evaluations) == result.spent
 
 
+class TestSharedCostModels:
+    """One tuner call prices each step shape once per pricing key."""
+
+    @pytest.mark.parametrize("sim", ("serving", "cluster"))
+    def test_shared_pool_matches_fresh_models(self, monkeypatch, sim):
+        from repro.tune.evaluate import ScenarioEvaluator
+
+        shared = tune(FAST, objective="ttft_p99", budget=8, seed=0,
+                      sim=sim)
+        evaluate = ScenarioEvaluator._evaluate
+
+        def fresh(self, config, fidelity):
+            self._costs.clear()
+            return evaluate(self, config, fidelity)
+
+        monkeypatch.setattr(ScenarioEvaluator, "_evaluate", fresh)
+        private = tune(FAST, objective="ttft_p99", budget=8, seed=0,
+                       sim=sim)
+        assert json.dumps(shared.to_dict(), sort_keys=True) \
+            == json.dumps(private.to_dict(), sort_keys=True)
+
+    def test_at_most_one_model_per_pricing_key(self, built):
+        from repro.cluster.costmodel import ShardedStepCostModel
+
+        models = built(ShardedStepCostModel)
+        result = tune(FAST, objective="ttft_p99", budget=12, seed=0,
+                      sim="cluster")
+        keys = {(m.model, m.gpu, m.plan, m.dtype, m.t, m.kv_bucket, m.tp,
+                 m.pp, m.ep, m.interconnect, m.algorithm)
+                for m in models}
+        assert len(models) == len(keys)
+        # Engine knobs and routing policy vary without re-pricing.
+        assert len(models) < result.spent
+
+
 class TestNeverWorse:
     """The regression guarantee, over a model x device smoke grid."""
 
