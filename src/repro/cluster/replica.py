@@ -8,11 +8,12 @@ by one :class:`~repro.serving.engine.EpochEngine` — but not its
 prices.  Its :class:`~repro.cluster.costmodel.ShardedStepCostModel`
 (and a speculative run's draft model) come from the run's pool of
 priced models (:func:`~repro.serving.costmodel.shared_cost_model`),
-so every replica of one configuration reads the same memo.  The cluster
-router interleaves replica advances in global time order; each
-replica's clock reads "when this replica is next free", so a request
-submitted to an idle replica starts immediately while one submitted
-mid-step queues until the step completes.
+so every replica of one configuration reads the same memo.  The event
+loop (:mod:`repro.serving.loop`) interleaves replica advances in
+global time order; each replica's clock reads "when this replica is
+next free", so a request submitted to an idle replica starts
+immediately while one submitted mid-step queues until the step
+completes.
 
 Replicas stream their aggregates through the engine's O(1) latency
 accumulators; the routed-request list is retained only while
@@ -174,26 +175,6 @@ class Replica:
         """Global time this replica is next free."""
         return self.engine.clock
 
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self.engine.clock = value
-
-    @property
-    def busy(self) -> float:
-        return self.engine.busy
-
-    @property
-    def comm_time(self) -> float:
-        return self.engine.comm_time
-
-    @property
-    def steps(self) -> int:
-        return self.engine.steps
-
-    @property
-    def prefill_tokens(self) -> int:
-        return self.engine.prefill_tokens
-
     @property
     def has_work(self) -> bool:
         """Whether any routed request is still unfinished on-device."""
@@ -220,31 +201,19 @@ class Replica:
 
     def submit(self, request: Request, now: float) -> None:
         """Route ``request`` here; it arrives at global time ``now``."""
-        # An idle replica fast-forwards to the arrival; a busy one
-        # keeps its in-flight step's completion time.
-        if now > self.engine.clock:
-            self.engine.clock = now
         if self.retain_requests:
             self.requests.append(request)
-        self.engine.submit(request)
+        self.engine.submit(request, now)
 
     def advance(self, limit_time: "float | None" = None,
                 max_new_steps: "int | None" = None) -> int:
         """Advance this replica's engine; returns steps taken (0 =
         nothing runnable).  No step starts at or after ``limit_time``
-        — the router passes the next arrival so replica state is final
-        when the policy reads it — and at most ``max_new_steps`` are
-        taken (the caller's remaining step budget)."""
+        — the event loop passes its next event, so replica state is
+        final when a handler reads it — and at most ``max_new_steps``
+        are taken (the loop's remaining step budget)."""
         return self.engine.advance(limit_time=limit_time,
                                    max_new_steps=max_new_steps)
-
-    def step(self) -> bool:
-        """Advance at least one engine step; False when idle.
-
-        Kept as the coarse-grained compatibility entry point; the
-        router's loop calls :meth:`advance` with an arrival horizon.
-        """
-        return self.engine.advance() > 0
 
     def _trace_step(self, step, *, ts, dur, comm) -> None:
         pid, tid = self.tracer.track(self.trace_process, "steps")

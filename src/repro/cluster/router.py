@@ -1,29 +1,16 @@
-"""Cluster-level event loop: route a request stream across replicas.
+"""Cluster-level simulation: route a request stream across replicas.
 
 The cluster simulator runs N independent replica engines against one
 arrival stream.  Global ordering is the only subtlety: a routing
 policy must see each replica's state *as of the request's arrival
-time*, so the loop interleaves two event kinds in time order —
+time*.  The shared event loop (:mod:`repro.serving.loop`) guarantees
+that — the replicas are its lanes and each arrival an event — so this
+module keeps only the policy choice and the route instants.
 
-- **arrival** — when the next arrival time is no later than every
-  active replica's clock, the router dispatches it (every replica's
-  visible state is final as of that instant);
-- **replica advance** — otherwise the replica with the earliest clock
-  advances, because no earlier event can change what it would do.  An
-  advance covers one classic step or one epoch-batched stretch of
-  pure-decode steps, bounded so no step *starts* at or after the next
-  arrival — exactly the steps the one-step-at-a-time loop would have
-  run before dispatching it.
-
-Ties break toward dispatching arrivals, then toward the lowest replica
-id, so a fixed (stream, policy) pair always yields a byte-identical
-report — the same determinism contract the single-node simulator
-keeps.
-
-Under round-robin routing with ``jobs > 1`` the loop is bypassed
-entirely: the stream shards per replica and each shard simulates in
-its own worker process (:mod:`repro.cluster.sharded`), producing the
-same report.  Above the exact-percentile cutover the replicas stream
+Under round-robin routing with ``jobs > 1`` the stream shards per
+replica instead and each shard runs the loop with one lane in its own
+worker process (:mod:`repro.cluster.sharded`), producing the same
+report.  Above the exact-percentile cutover the replicas stream
 their aggregates instead of retaining per-request state, so a
 million-request cluster run holds O(batch) requests per replica and
 O(1) memory per metric.
@@ -45,7 +32,8 @@ from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
 from repro.serving.engine import DEFAULT_MAX_EPOCH
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
-from repro.serving.requests import Request, ServingWorkload
+from repro.serving.loop import arrival_events, run_loop
+from repro.serving.requests import Request, ServingWorkload, arrivals
 from repro.serving.simulator import ENGINE_MODES
 
 
@@ -133,13 +121,11 @@ class ClusterSimulator:
                 f"policy {self.policy_name!r} reads cross-replica state at "
                 f"every arrival and cannot run sharded; use jobs=1"
             )
-        if requests is not None:
-            self._requests = sorted(
-                requests, key=lambda r: (r.arrival_time, r.request_id))
-            self._workload = None
-        else:
-            self._requests = None
-            self._workload = workload
+        #: What ``run`` replays: the time-sorted request templates, or
+        #: the workload's arrays (materialized one arrival at a time).
+        self._stream = (workload.request_arrays() if requests is None
+                        else sorted(requests, key=lambda r: (
+                            r.arrival_time, r.request_id)))
         self._replica_kwargs = dict(
             dtype=dtype, tp=tp, pp=pp, ep=ep,
             interconnect=interconnect, algorithm=algorithm,
@@ -154,23 +140,7 @@ class ClusterSimulator:
     @property
     def num_requests(self) -> int:
         """Size of the stream ``run`` will replay."""
-        if self._requests is not None:
-            return len(self._requests)
-        return len(self._workload.request_arrays())
-
-    def _iter_requests(self):
-        """Fresh request copies in arrival order, materialized lazily."""
-        if self._requests is not None:
-            for r in self._requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            arrays = self._workload.request_arrays()
-            for index in range(len(arrays)):
-                yield arrays.materialize(index)
+        return len(self._stream)
 
     def run(self) -> ClusterPlanReport:
         """Simulate the stream to completion and aggregate metrics."""
@@ -190,9 +160,7 @@ class ClusterSimulator:
                 num_replicas=self.num_replicas,
                 engine=self.engine, max_epoch=self.max_epoch,
                 retain=retain, max_steps=self.max_steps, jobs=self.jobs,
-                requests=self._requests,
-                arrays=(self._workload.request_arrays()
-                        if self._requests is None else None),
+                stream=self._stream,
             )
             return ClusterPlanReport.from_outcomes(
                 self.plan.value, self.policy_name, outcomes)
@@ -209,55 +177,29 @@ class ClusterSimulator:
                     **self._replica_kwargs)
             for i in range(self.num_replicas)
         ]
-        source = self._iter_requests()
-        pending = next(source, None)
-        total_steps = 0
 
-        while True:
-            active = [r for r in replicas if r.has_work]
-            if pending is not None:
-                # Dispatch once no active replica can still change
-                # state before the arrival instant.
-                frontier = min((r.clock for r in active), default=None)
-                if frontier is None or pending.arrival_time <= frontier:
-                    index = policy.choose(pending, replicas)
-                    if not 0 <= index < len(replicas):
-                        raise ServingError(
-                            f"policy {self.policy_name!r} chose replica "
-                            f"{index} of {len(replicas)}"
-                        )
-                    if tracer.enabled:
-                        tracer.instant(
-                            "route", "routing", ts=pending.arrival_time,
-                            pid=router_lane[0], tid=router_lane[1],
-                            args={"request_id": pending.request_id,
-                                  "replica": index,
-                                  "policy": self.policy_name},
-                        )
-                        tracer.metrics.counter(
-                            f"{self.plan.value}:router.to_replica{index}"
-                        ).inc()
-                    replicas[index].submit(pending, pending.arrival_time)
-                    pending = next(source, None)
-                    continue
-            if not active:
-                break
-            replica = min(active, key=lambda r: (r.clock, r.replica_id))
-            advanced = replica.advance(
-                limit_time=(pending.arrival_time if pending is not None
-                            else None),
-                max_new_steps=self.max_steps - total_steps + 1)
-            if advanced == 0:
+        def route(request) -> None:
+            index = policy.choose(request, replicas)
+            if not 0 <= index < len(replicas):
                 raise ServingError(
-                    f"replica {replica.replica_id} stalled with work "
-                    f"outstanding"
+                    f"policy {self.policy_name!r} chose replica "
+                    f"{index} of {len(replicas)}"
                 )
-            total_steps += advanced
-            if total_steps > self.max_steps:
-                raise ServingError(
-                    f"cluster simulation exceeded {self.max_steps} steps; "
-                    f"lower the rate or duration"
+            if tracer.enabled:
+                tracer.instant(
+                    "route", "routing", ts=request.arrival_time,
+                    pid=router_lane[0], tid=router_lane[1],
+                    args={"request_id": request.request_id,
+                          "replica": index,
+                          "policy": self.policy_name},
                 )
+                tracer.metrics.counter(
+                    f"{self.plan.value}:router.to_replica{index}").inc()
+            replicas[index].submit(request, request.arrival_time)
+
+        source = arrivals(self._stream)
+        run_loop(replicas, arrival_events(source, route),
+                 max_steps=self.max_steps, what="cluster simulation")
 
         trace_summary = None
         if tracer.enabled:

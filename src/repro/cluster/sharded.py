@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.serving.engine import DEFAULT_MAX_EPOCH
-from repro.serving.requests import Request, RequestArrays
+from repro.serving.loop import arrival_events, run_loop
+from repro.serving.requests import Request, RequestArrays, arrivals
 from repro.workloads.sweep import fanout
 
 __all__ = ["ReplicaShard", "simulate_shard", "run_sharded"]
@@ -46,11 +46,10 @@ class ReplicaShard:
     """One replica's share of a round-robin-routed cluster run.
 
     Frozen and picklable — the unit of work :func:`fanout` ships to a
-    worker process.  The substream arrives either as materialized
-    request templates (``requests``) or as the full stream's columnar
-    arrays (``arrays``) that the worker strides lazily — at fleet
-    scale the arrays pickle as a few numpy buffers instead of a
-    million dataclasses.
+    worker process.  ``stream`` is either this replica's request
+    templates or the full stream's columnar arrays, which the worker
+    strides lazily — at fleet scale the arrays pickle as a few numpy
+    buffers instead of a million dataclasses.
     """
 
     replica_id: int
@@ -63,22 +62,7 @@ class ReplicaShard:
     max_epoch: int
     retain: bool
     max_steps: int
-    requests: "tuple[Request, ...] | None" = None
-    arrays: "RequestArrays | None" = None
-
-    def stream(self):
-        """This replica's arrivals, oldest first, as fresh requests."""
-        if self.requests is not None:
-            for r in self.requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            for index in range(self.replica_id, len(self.arrays),
-                               self.num_replicas):
-                yield self.arrays.materialize(index)
+    stream: "tuple[Request, ...] | RequestArrays"
 
 
 def simulate_shard(shard: ReplicaShard):
@@ -96,34 +80,15 @@ def simulate_shard(shard: ReplicaShard):
         engine=shard.engine, max_epoch=shard.max_epoch,
         retain_requests=shard.retain, **shard.replica_kwargs,
     )
-    source = shard.stream()
-    pending = next(source, None)
-    while True:
-        while (pending is not None
-               and pending.arrival_time <= replica.clock):
-            replica.submit(pending, pending.arrival_time)
-            pending = next(source, None)
-        limit = pending.arrival_time if pending is not None else None
-        advanced = replica.advance(
-            limit_time=limit,
-            max_new_steps=shard.max_steps - replica.steps + 1)
-        if advanced == 0:
-            if pending is not None:
-                # Idle: the next submit fast-forwards the clock.
-                replica.submit(pending, pending.arrival_time)
-                pending = next(source, None)
-                continue
-            if replica.has_work:
-                raise ServingError(
-                    f"replica {shard.replica_id} stalled with work "
-                    f"outstanding"
-                )
-            break
-        if replica.steps > shard.max_steps:
-            raise ServingError(
-                f"replica {shard.replica_id} exceeded {shard.max_steps} "
-                f"steps; lower the rate or duration"
-            )
+    if isinstance(shard.stream, RequestArrays):
+        source = arrivals(shard.stream, start=shard.replica_id,
+                          step=shard.num_replicas)
+    else:
+        source = arrivals(shard.stream)
+    run_loop([replica],
+             arrival_events(source, lambda r: replica.submit(
+                 r, r.arrival_time)),
+             max_steps=shard.max_steps, what=f"replica {shard.replica_id}")
     return replica.outcome()
 
 
@@ -139,20 +104,15 @@ def run_sharded(
     retain: bool = True,
     max_steps: int = 2_000_000,
     jobs: int = 1,
-    requests: "list[Request] | None" = None,
-    arrays: "RequestArrays | None" = None,
+    stream: "list[Request] | RequestArrays",
 ) -> "list":
-    """Partition the stream round-robin and simulate every replica.
+    """Partition ``stream`` round-robin and simulate every replica.
 
-    Returns the per-replica outcomes in replica-id order.  Exactly one
-    of ``requests`` (time-sorted) or ``arrays`` must be provided.
+    ``stream`` is the time-sorted request list or the stream's arrays.
+    Returns the per-replica outcomes in replica-id order.
     """
-    if (requests is None) == (arrays is None):
-        raise ServingError("provide exactly one of `requests` or `arrays`")
     shards = []
     for replica_id in range(num_replicas):
-        sub = (tuple(requests[replica_id::num_replicas])
-               if requests is not None else None)
         shards.append(ReplicaShard(
             replica_id=replica_id,
             num_replicas=num_replicas,
@@ -164,7 +124,7 @@ def run_sharded(
             max_epoch=max_epoch,
             retain=retain,
             max_steps=max_steps,
-            requests=sub,
-            arrays=arrays if requests is None else None,
+            stream=(stream if isinstance(stream, RequestArrays)
+                    else tuple(stream[replica_id::num_replicas])),
         ))
     return fanout(simulate_shard, shards, jobs=jobs)

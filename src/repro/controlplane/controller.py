@@ -1,11 +1,10 @@
-"""The control-plane event loop: gateway, autoscaler, fault injector.
+"""The control plane: gateway, autoscaler, fault injector.
 
 :class:`ControlPlaneSimulator` wraps the cluster's replica engines in
 a discrete-time control loop.  Four event kinds interleave with
-replica compute in global time order, with the same frontier rule the
-cluster router uses (an event is processed once no working replica's
-clock is earlier, otherwise the earliest replica advances, bounded so
-no step starts past the event):
+replica compute in global time order on the shared event loop
+(:mod:`repro.serving.loop`); simultaneous events go boot, fault, tick,
+arrival:
 
 - **arrival** — the gateway assigns the request's SLO tier, applies
   priority load shedding, and routes it through the configured policy
@@ -67,7 +66,8 @@ from repro.controlplane.report import (
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
 from repro.serving.metrics import LatencyStats
-from repro.serving.requests import RequestStatus, ServingWorkload
+from repro.serving.loop import run_loop
+from repro.serving.requests import RequestStatus, ServingWorkload, arrivals
 
 __all__ = ["ControlledReplica", "ControlPlaneSimulator",
            "simulate_controlplane"]
@@ -111,14 +111,9 @@ class ControlledReplica(Replica):
         self.load = self.outstanding_tokens
         self._load_gauge.set(self.load)
 
-    def submit(self, request, now: float) -> bool:
-        if now > self.engine.clock:
-            self.engine.clock = now
-        if self.retain_requests:
-            self.requests.append(request)
-        accepted = self.engine.submit(request)
+    def submit(self, request, now: float) -> None:
+        super().submit(request, now)
         self._publish_load()
-        return accepted
 
     def advance(self, limit_time: "float | None" = None,
                 max_new_steps: "int | None" = None) -> int:
@@ -268,6 +263,8 @@ class ControlPlaneSimulator:
         victim_rng = np.random.default_rng((self.seed, _VICTIM_SALT))
 
         # -- fleet state ------------------------------------------------
+        #: The serving (active or draining) replicas, in replica-id
+        #: order: the event loop's lanes.
         fleet: "list[ControlledReplica]" = [
             self._new_replica(i, tracer, 0.0)
             for i in range(self.num_replicas)
@@ -301,9 +298,6 @@ class ControlPlaneSimulator:
 
         def routable() -> "list[ControlledReplica]":
             return [r for r in fleet if r.state == ACTIVE]
-
-        def serving() -> "list[ControlledReplica]":
-            return [r for r in fleet if r.state in (ACTIVE, DRAINING)]
 
         def backlog_per_replica() -> float:
             lanes = routable()
@@ -367,119 +361,80 @@ class ControlPlaneSimulator:
                     if self.autoscaler_config is not None else None)
         next_tick = interval if interval is not None else None
 
-        source = self._iter_requests(arrays, all_requests)
+        source = arrivals(arrays)
         pending = next(source, None)
-        total_steps = 0
         last_event_time = 0.0
 
-        while True:
-            working = [r for r in serving() if r.has_work]
-            if (pending is None and not parked and not working
-                    and not boots):
-                break
+        def arrive(now: float) -> None:
+            nonlocal pending
+            all_requests.append(pending)
+            dispatch(pending, now)
+            pending = next(source, None)
 
-            candidates: "list[tuple[float, int, str]]" = []
-            if boots:
-                candidates.append((boots[0][0], 0, "boot"))
-            if fault_idx < len(fault_events):
-                candidates.append(
-                    (fault_events[fault_idx][0], 1, "fault"))
-            if next_tick is not None:
-                candidates.append((next_tick, 2, "tick"))
-            if pending is not None:
-                candidates.append((pending.arrival_time, 3, "arrival"))
+        def complete_boot(now: float) -> None:
+            ready, rid, reason = boots.pop(0)
+            replica = self._new_replica(rid, tracer, ready)
+            fleet.append(replica)
+            occupy(ready, +1)
+            emit("boot-complete", ready, replica=rid, reason=reason)
+            timeline.append(ScalingEvent(
+                ready, "boot-complete", rid, len(routable()), reason))
+            for record in fault_log:
+                if record.get("replacement_id") == rid:
+                    record["replacement_ready"] = ready
+            if parked:
+                flush, parked[:] = list(parked), []
+                for request in flush:
+                    route(request, ready)
 
-            if not candidates:
-                # Only resident compute remains: drain it.
-                replica = min(working,
-                              key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, None, total_steps)
-                self._check_steps(total_steps)
-                continue
-
-            etime, _, kind = min(candidates)
-            frontier = min((r.clock for r in working), default=None)
-            if frontier is not None and etime > frontier:
-                replica = min(working,
-                              key=lambda r: (r.clock, r.replica_id))
-                total_steps += self._advance(replica, etime, total_steps)
-                self._check_steps(total_steps)
-                continue
-
-            last_event_time = max(last_event_time, etime)
-            if kind == "arrival":
-                dispatch(pending, pending.arrival_time)
-                pending = next(source, None)
-                continue
-
-            if kind == "boot":
-                ready, rid, reason = boots.pop(0)
-                replica = self._new_replica(rid, tracer, ready)
-                fleet.append(replica)
-                occupy(ready, +1)
-                emit("boot-complete", ready, replica=rid, reason=reason)
-                timeline.append(ScalingEvent(
-                    ready, "boot-complete", rid, len(routable()),
-                    reason))
-                for record in fault_log:
-                    if record.get("replacement_id") == rid:
-                        record["replacement_ready"] = ready
-                if parked:
-                    flush, parked[:] = list(parked), []
-                    for request in flush:
-                        route(request, ready)
-                continue
-
-            if kind == "fault":
-                ftime, fkind, slowdown = fault_events[fault_idx]
-                fault_idx += 1
-                lanes = serving()
-                if not lanes:
-                    fault_log.append({"kind": fkind, "time": ftime,
-                                      "replica_id": -1,
-                                      "residents": []})
-                    continue
-                victim = lanes[int(victim_rng.integers(len(lanes)))]
-                if fkind == "straggler":
-                    victim.apply_slowdown(slowdown)
-                    emit("straggler", ftime,
-                         replica=victim.replica_id, slowdown=slowdown)
-                    tracer.metrics.counter(
-                        f"{self.plan.value}:controlplane.stragglers"
-                    ).inc()
-                    timeline.append(ScalingEvent(
-                        ftime, "straggler", victim.replica_id,
-                        len(routable()), f"slowdown={slowdown:.2f}"))
-                    fault_log.append({"kind": fkind, "time": ftime,
-                                      "replica_id": victim.replica_id,
-                                      "slowdown": slowdown,
-                                      "residents": []})
-                    continue
-                residents = victim.evacuate()
-                fleet.remove(victim)
-                dead.append(victim)
-                occupy(ftime, -1)
-                emit("replica-fail", ftime, replica=victim.replica_id,
-                     requeued=len(residents))
+        def fault(now: float) -> None:
+            nonlocal fault_idx
+            ftime, fkind, slowdown = fault_events[fault_idx]
+            fault_idx += 1
+            if not fleet:
+                fault_log.append({"kind": fkind, "time": ftime,
+                                  "replica_id": -1, "residents": []})
+                return
+            victim = fleet[int(victim_rng.integers(len(fleet)))]
+            if fkind == "straggler":
+                victim.apply_slowdown(slowdown)
+                emit("straggler", ftime,
+                     replica=victim.replica_id, slowdown=slowdown)
                 tracer.metrics.counter(
-                    f"{self.plan.value}:controlplane.failures").inc()
-                tracer.metrics.counter(
-                    f"{self.plan.value}:controlplane.requeued").inc(
-                        len(residents))
+                    f"{self.plan.value}:controlplane.stragglers").inc()
                 timeline.append(ScalingEvent(
-                    ftime, "fail", victim.replica_id, len(routable()),
-                    f"requeued={len(residents)}"))
-                record = {"kind": fkind, "time": ftime,
-                          "replica_id": victim.replica_id,
-                          "residents": residents}
-                fault_log.append(record)
-                if len(routable()) + len(boots) < floor:
-                    record["replacement_id"] = boot(ftime, "failover")
-                for request in residents:
-                    route(request, ftime)
-                continue
+                    ftime, "straggler", victim.replica_id,
+                    len(routable()), f"slowdown={slowdown:.2f}"))
+                fault_log.append({"kind": fkind, "time": ftime,
+                                  "replica_id": victim.replica_id,
+                                  "slowdown": slowdown,
+                                  "residents": []})
+                return
+            residents = victim.evacuate()
+            fleet.remove(victim)
+            dead.append(victim)
+            occupy(ftime, -1)
+            emit("replica-fail", ftime, replica=victim.replica_id,
+                 requeued=len(residents))
+            tracer.metrics.counter(
+                f"{self.plan.value}:controlplane.failures").inc()
+            tracer.metrics.counter(
+                f"{self.plan.value}:controlplane.requeued").inc(
+                    len(residents))
+            timeline.append(ScalingEvent(
+                ftime, "fail", victim.replica_id, len(routable()),
+                f"requeued={len(residents)}"))
+            record = {"kind": fkind, "time": ftime,
+                      "replica_id": victim.replica_id,
+                      "residents": residents}
+            fault_log.append(record)
+            if len(routable()) + len(boots) < floor:
+                record["replacement_id"] = boot(ftime, "failover")
+            for request in residents:
+                route(request, ftime)
 
-            # -- controller tick ----------------------------------------
+        def tick(now: float) -> None:
+            nonlocal next_tick, shed_seen
             next_tick += interval
             self._consume_first_tokens(scaler)
             for replica in list(fleet):
@@ -487,14 +442,14 @@ class ControlPlaneSimulator:
                     replica.state = RETIRED
                     fleet.remove(replica)
                     dead.append(replica)
-                    occupy(etime, -1)
-                    emit("retire", etime, replica=replica.replica_id)
+                    occupy(now, -1)
+                    emit("retire", now, replica=replica.replica_id)
                     timeline.append(ScalingEvent(
-                        etime, "retire", replica.replica_id,
+                        now, "retire", replica.replica_id,
                         len(routable()), "drained"))
             shed_now = len(shed_ids)
             decision = scaler.decide(
-                etime,
+                now,
                 active=len(routable()),
                 booting=len(boots),
                 backlog_per_replica=(
@@ -503,35 +458,63 @@ class ControlPlaneSimulator:
             )
             shed_seen = shed_now
             if decision is None:
-                continue
+                return
             if decision.delta > 0:
                 for _ in range(decision.delta):
-                    boot(etime, decision.reason)
-                continue
+                    boot(now, decision.reason)
+                return
             # Scale down: drain the emptiest routable replica (by its
             # published load — the same signal the router balances).
             lanes = routable()
             if len(lanes) <= 1:
-                continue
+                return
             target = min(
                 lanes,
                 key=lambda r: (r.load, -r.replica_id))
             target.state = DRAINING
-            emit("scale-down", etime, replica=target.replica_id,
+            emit("scale-down", now, replica=target.replica_id,
                  reason=decision.reason)
             tracer.metrics.counter(
                 f"{self.plan.value}:controlplane.scale_downs").inc()
             timeline.append(ScalingEvent(
-                etime, "scale-down", target.replica_id,
+                now, "scale-down", target.replica_id,
                 len(routable()), decision.reason))
+
+        def next_event():
+            """The earliest of the four event kinds; simultaneous ones
+            go boot, fault, tick, arrival.  Ticks and faults alone do
+            not keep the run going once every replica is idle."""
+            if (pending is None and not parked and not boots
+                    and not any(r.has_work for r in fleet)):
+                return None
+            candidates = []
+            if boots:
+                candidates.append((boots[0][0], 0, complete_boot))
+            if fault_idx < len(fault_events):
+                candidates.append((fault_events[fault_idx][0], 1, fault))
+            if next_tick is not None:
+                candidates.append((next_tick, 2, tick))
+            if pending is not None:
+                candidates.append((pending.arrival_time, 3, arrive))
+            if not candidates:
+                return None
+            etime, _, handle = min(candidates)
+
+            def fire() -> None:
+                nonlocal last_event_time
+                last_event_time = max(last_event_time, etime)
+                handle(etime)
+            return etime, fire
+
+        run_loop(fleet, next_event, max_steps=self.max_steps,
+                 what="control-plane simulation")
 
         # -- drain accounting -------------------------------------------
         clocks = [r.clock for r in fleet] + [r.clock for r in dead]
         makespan = max([last_event_time] + clocks) if clocks else 0.0
         occupy(makespan, 0)
         for replica in fleet:
-            if replica.state in (ACTIVE, DRAINING):
-                replica.state = RETIRED
+            replica.state = RETIRED
 
         return self._build_report(
             tracer=tracer, trace_start=trace_start,
@@ -551,31 +534,6 @@ class ControlPlaneSimulator:
             created_at=created_at, costs=self._costs,
             first_tokens=self._first_tokens, **self._replica_kwargs,
         )
-
-    def _iter_requests(self, arrays, sink: "list"):
-        for index in range(len(arrays)):
-            request = arrays.materialize(index)
-            sink.append(request)
-            yield request
-
-    def _advance(self, replica, limit_time, total_steps: int) -> int:
-        """Advance ``replica`` within the remaining step budget."""
-        advanced = replica.advance(
-            limit_time=limit_time,
-            max_new_steps=self.max_steps - total_steps + 1)
-        if advanced == 0:
-            raise ServingError(
-                f"replica {replica.replica_id} stalled with work "
-                f"outstanding"
-            )
-        return advanced
-
-    def _check_steps(self, total_steps: int) -> None:
-        if total_steps > self.max_steps:
-            raise ServingError(
-                f"control-plane simulation exceeded {self.max_steps} "
-                f"steps; lower the rate or duration"
-            )
 
     def _consume_first_tokens(self, scaler: Autoscaler) -> None:
         """Drain new first-token observations into the scaling window.

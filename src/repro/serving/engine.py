@@ -187,8 +187,20 @@ class EpochEngine:
 
     # -- intake ---------------------------------------------------------
 
-    def submit(self, request) -> bool:
-        """Submit an arrival to the scheduler, tracking rejections."""
+    @property
+    def has_work(self) -> bool:
+        """Whether any submitted request is still unfinished."""
+        return self.scheduler.has_work
+
+    def submit(self, request, now: float) -> bool:
+        """Submit an arrival at global time ``now``, tracking rejections.
+
+        An idle engine fast-forwards its clock to the arrival; a busy
+        one keeps its in-flight step's completion time, so the request
+        queues until that step completes.
+        """
+        if now > self.clock:
+            self.clock = now
         accepted = self.scheduler.submit(request)
         if not accepted:
             self.rejected += 1
@@ -205,8 +217,8 @@ class EpochEngine:
         Takes one epoch (>= 1 steps) when the batch is in pure decode
         and the fast path applies, otherwise exactly one classic step;
         0 means the scheduler produced an empty step (idle).  No epoch
-        step starts at or after ``limit_time`` (the caller's next
-        pending arrival), and at most ``max_new_steps`` are taken on
+        step starts at or after ``limit_time`` (the event loop's next
+        event), and at most ``max_new_steps`` are taken on
         the fast path.
         """
         if self.epoch and not self.tracer.enabled and self.spec_decode is None:

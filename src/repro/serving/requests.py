@@ -17,6 +17,7 @@ the kernels actually run (exactly the bucketed-serving argument of
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -165,6 +166,28 @@ class RequestArrays:
     def requests(self) -> "list[Request]":
         """The whole stream as a list (small-workload convenience)."""
         return [self.materialize(index) for index in range(len(self))]
+
+
+def arrivals(stream, *, start: int = 0, step: int = 1):
+    """Fresh requests of ``stream`` in arrival order, made one at a time.
+
+    ``stream`` is a :class:`RequestArrays` — rows materialize lazily,
+    so a streaming run never holds the whole stream — or a time-sorted
+    sequence of request templates, each yielded as a copy: schedulers
+    mutate request state, and a simulator's ``run()`` must stay
+    repeatable.  ``start`` and ``step`` stride the stream (a
+    round-robin shard's share).
+    """
+    if isinstance(stream, RequestArrays):
+        for index in range(start, len(stream), step):
+            yield stream.materialize(index)
+        return
+    for r in itertools.islice(stream, start, None, step):
+        yield Request(
+            request_id=r.request_id, arrival_time=r.arrival_time,
+            prompt_len=r.prompt_len, output_len=r.output_len,
+            prefix_group=r.prefix_group,
+        )
 
 
 class ServingWorkload:

@@ -8,15 +8,17 @@ step's effects (tokens emitted, requests finished) land at the step's
 completion time.  When no request is resident the clock fast-forwards
 to the next arrival — idle time costs nothing to simulate.
 
-Stepping is delegated to :class:`~repro.serving.engine.EpochEngine`:
-by default pure-decode stretches advance in vectorized epochs that are
-bit-identical to the classic per-step loop, and ``engine="event"``
-pins the run to the classic loop (equivalence tests and benchmarking
-diff the two).  Above :data:`~repro.serving.metrics
-.EXACT_PERCENTILE_CUTOVER` finished requests the simulator stops
-retaining per-request state and reports stream through O(1)-memory
-accumulators instead (``approx_percentiles`` in the output); below it
-reports stay byte-identical to earlier releases.
+The simulator is a one-lane caller of the shared event loop
+(:func:`~repro.serving.loop.run_loop`); stepping is delegated to
+:class:`~repro.serving.engine.EpochEngine`: by default pure-decode
+stretches advance in vectorized epochs that are bit-identical to the
+classic per-step loop, and ``engine="event"`` pins the run to the
+classic loop (equivalence tests and benchmarking diff the two).
+Above :data:`~repro.serving.metrics.EXACT_PERCENTILE_CUTOVER`
+finished requests the simulator stops retaining per-request state
+and reports stream through O(1)-memory accumulators instead
+(``approx_percentiles`` in the output); below it reports stay
+byte-identical to earlier releases.
 
 Determinism: the only randomness is in the workload generator, which
 is seeded; the event loop itself is pure, so a fixed (model, gpu,
@@ -35,13 +37,14 @@ from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
 from repro.serving.costmodel import StepCostModel, shared_cost_model
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
+from repro.serving.loop import arrival_events, run_loop
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import (
     EXACT_PERCENTILE_CUTOVER,
     PlanReport,
     ServingReport,
 )
-from repro.serving.requests import Request, ServingWorkload
+from repro.serving.requests import Request, ServingWorkload, arrivals
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
 #: Execution modes: ``epoch`` (vectorized fast path, the default) and
@@ -121,13 +124,14 @@ class ServingSimulator:
         self.engine = engine
         self.max_epoch = max_epoch
         self.latency_cutover = latency_cutover
-        if requests is not None:
-            self._requests = sorted(
-                requests, key=lambda r: (r.arrival_time, r.request_id))
-            self._workload = None
-        else:
-            self._requests = None
-            self._workload = workload
+        #: The last ``run``'s own request copies with their final
+        #: state, in arrival order; empty when that run streamed.
+        self.retained: "list[Request]" = []
+        #: What ``run`` replays: the time-sorted request templates, or
+        #: the workload's arrays (materialized one arrival at a time).
+        self._stream = (workload.request_arrays() if requests is None
+                        else sorted(requests, key=lambda r: (
+                            r.arrival_time, r.request_id)))
         # ``costs`` lets a caller (the tuner) share priced models across
         # simulators; see :func:`~repro.serving.costmodel.shared_cost_model`.
         self.cost = shared_cost_model(costs, StepCostModel, self.model,
@@ -158,28 +162,7 @@ class ServingSimulator:
     @property
     def num_requests(self) -> int:
         """Size of the stream ``run`` will replay."""
-        if self._requests is not None:
-            return len(self._requests)
-        return len(self._workload.request_arrays())
-
-    def _iter_requests(self):
-        """Fresh request copies in arrival order, materialized lazily.
-
-        The scheduler mutates request state, and ``run()`` must be
-        repeatable — so every run gets its own objects, created one at
-        a time so streaming runs never hold the whole stream.
-        """
-        if self._requests is not None:
-            for r in self._requests:
-                yield Request(
-                    request_id=r.request_id, arrival_time=r.arrival_time,
-                    prompt_len=r.prompt_len, output_len=r.output_len,
-                    prefix_group=r.prefix_group,
-                )
-        else:
-            arrays = self._workload.request_arrays()
-            for index in range(len(arrays)):
-                yield arrays.materialize(index)
+        return len(self._stream)
 
     def run(self) -> PlanReport:
         """Simulate the stream to completion and aggregate metrics."""
@@ -211,39 +194,16 @@ class ServingSimulator:
         # it, finished requests are dropped and the engine's streaming
         # accumulators carry the metrics in O(1) memory.
         retain = tracer.enabled or self.num_requests <= self.latency_cutover
-        stream: "list[Request]" = []
-        source = self._iter_requests()
-        pending = next(source, None)
+        stream = self.retained = []
 
-        while True:
-            while (pending is not None
-                   and pending.arrival_time <= engine.clock):
-                if retain:
-                    stream.append(pending)
-                engine.submit(pending)
-                pending = next(source, None)
+        def submit(request: Request) -> None:
+            if retain:
+                stream.append(request)
+            engine.submit(request, request.arrival_time)
 
-            limit = pending.arrival_time if pending is not None else None
-            advanced = engine.advance(
-                limit_time=limit,
-                max_new_steps=self.max_steps - engine.steps + 1,
-            )
-            if advanced == 0:
-                if pending is not None:
-                    # Idle: fast-forward to the next arrival.
-                    engine.clock = max(engine.clock, pending.arrival_time)
-                    continue
-                if scheduler.has_work:
-                    raise ServingError(
-                        "scheduler stalled with work outstanding"
-                    )
-                break
-            if engine.steps > self.max_steps:
-                raise ServingError(
-                    f"simulation exceeded {self.max_steps} steps "
-                    f"(clock {engine.clock:.1f}s); lower the rate or "
-                    f"duration"
-                )
+        source = arrivals(self._stream)
+        run_loop([engine], arrival_events(source, submit),
+                 max_steps=self.max_steps, what="simulation")
 
         trace_summary = None
         if tracer.enabled:

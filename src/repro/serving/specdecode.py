@@ -143,25 +143,18 @@ def verification_oracles():
         ]
         draft_len = int(rng.integers(1, 9))
 
-        class CapturingSim(ServingSimulator):
-            def _iter_requests(self):
-                self.captured = []
-                for request in super()._iter_requests():
-                    self.captured.append(request)
-                    yield request
-
         def outcome(**spec_kwargs):
-            sim = CapturingSim(
+            sim = ServingSimulator(
                 tiny, "A100", plan=PlanSource.of("baseline"),
                 requests=requests,
                 chunk_tokens=256, max_batch=4, engine="event",
                 **spec_kwargs,
             )
             sim.run()
-            finished = {r.request_id for r in sim.captured
+            finished = {r.request_id for r in sim.retained
                         if r.finish_time is not None}
             generated = {r.request_id: r.generated
-                         for r in sim.captured}
+                         for r in sim.retained}
             return generated, finished
 
         plain_counts, plain_done = outcome()

@@ -290,6 +290,27 @@ class TestClusterSimulator:
         assert sum(e.steps for e in engines) == budget + 1
         assert (sum(e.epoch_steps for e in engines) > 0) is not traced
 
+    def test_sharded_step_budget_is_per_replica(self, engines):
+        from repro.cluster.sharded import ReplicaShard, simulate_shard
+
+        budget = 100
+        workload = ServingWorkload(rate=4, duration=5, seed=0)
+        sim = ClusterSimulator(TINY, "t4", plan="sdf", replicas=2, jobs=2,
+                               max_steps=budget, workload=workload)
+        with pytest.raises(ServingError,
+                           match=rf"replica 0 exceeded {budget} steps"):
+            sim.run()
+        # In-process, one shard stops on its first step past the budget.
+        shard = ReplicaShard(
+            replica_id=1, num_replicas=2, model=TINY,
+            gpu=get_gpu("t4"), plan=sim.plan, replica_kwargs={},
+            engine="epoch", max_epoch=4096, retain=True, max_steps=budget,
+            stream=workload.request_arrays())
+        with pytest.raises(ServingError,
+                           match=rf"replica 1 exceeded {budget} steps"):
+            simulate_shard(shard)
+        assert [e.steps for e in engines] == [budget + 1]
+
     def test_workload_prefix_groups(self):
         stream = ServingWorkload(rate=8, duration=5, seed=0,
                                  prefix_groups=3).requests()

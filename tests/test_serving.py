@@ -320,6 +320,30 @@ class TestSimulator:
         with pytest.raises(ServingError, match="exactly one"):
             ServingSimulator("bert-large", "a100")
 
+    @pytest.mark.parametrize("engine", ("epoch", "event"))
+    @pytest.mark.parametrize("traced", (False, True),
+                             ids=("untraced", "traced"))
+    def test_step_budget_is_exact(self, engines, engine, traced):
+        from repro.obs import Tracer, tracing
+
+        budget = 100  # falls inside a pure-decode epoch
+        sim = ServingSimulator(
+            "bert-large", "a100", plan="sdf", max_steps=budget,
+            engine=engine,
+            workload=ServingWorkload(rate=4, duration=5, seed=0),
+        )
+        with pytest.raises(ServingError, match=f"exceeded {budget} steps"):
+            if traced:
+                with tracing(Tracer()):
+                    sim.run()
+            else:
+                sim.run()
+        # The run stops on the first step past the budget on every
+        # path; an epoch may not overshoot it.
+        assert sum(e.steps for e in engines) == budget + 1
+        epochs = sum(e.epoch_steps for e in engines) > 0
+        assert epochs is (engine == "epoch" and not traced)
+
 
 class TestHBMSpec:
     def test_all_gpus_have_hbm(self):
