@@ -96,10 +96,14 @@ verify-fuzz:
 	$(PYTHON) -m repro verify fuzz --cases 200 --seed 0 \
 		--artifact-dir verify-artifacts
 
-# Two-replica, TP=2 cluster simulation (see docs/cluster.md).
+# Two-replica, TP=2 cluster simulation compared against the committed
+# golden report (see docs/cluster.md).
 cluster-smoke:
 	$(PYTHON) -m repro cluster-sim --replicas 2 --tp 2 \
-		--policy least-outstanding --rate 4 --duration 5 --seed 0 --json
+		--policy least-outstanding --rate 4 --duration 5 --seed 0 \
+		--json > /tmp/cluster_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/cluster_smoke.json \
+		tests/golden/cluster_smoke.json
 
 # Bursty-arrival control-plane run with one injected replica death,
 # compared against the committed golden report: the fleet must recover

@@ -330,6 +330,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
 
 
 def cmd_parallel(args: argparse.Namespace) -> str:
+    from repro.common.errors import ReproError
     from repro.models.parallel import TensorParallelSession
 
     model = _resolve_model(args)
@@ -345,7 +346,7 @@ def cmd_parallel(args: argparse.Namespace) -> str:
                 seq_len=args.seq_len, batch=args.batch,
                 algorithm=args.algorithm,
             ).simulate()
-        except Exception as error:
+        except ReproError as error:
             rows.append([n, f"({error})", "-", "-"])
             scaling.append({"n_gpus": n, "error": str(error)})
             continue

@@ -3,26 +3,31 @@
 Every replica produces the full single-node
 :class:`~repro.serving.metrics.PlanReport` plus the sharding numbers
 (GPU count, collective time, per-GPU weight bytes).  The cluster
-aggregate recomputes the latency percentiles over the *union* of
-finished requests — percentiles do not compose across shards, so
-averaging per-replica p99s would understate the tail — and sums the
-throughput counters over the cluster makespan.
+aggregate sums the replicas' counters over the cluster makespan and
+takes its latency summaries from
+:func:`~repro.serving.metrics.latency_summaries` over the *union* of
+the replicas' runs — percentiles do not compose across shards, so
+averaging per-replica p99s would understate the tail.  Like a single
+run's report, it is exact when every replica retained its requests and
+sketch-based (flagged ``approx_percentiles``) when they all streamed.
 
 Aggregation consumes :class:`~repro.cluster.replica.ReplicaOutcome`
 records, the same shape whether the replicas ran in one process (the
 serial router loop) or one per worker (the sharded mode), and always
 in replica-id order — so a sharded run's report is byte-identical to
-the serial run's regardless of worker count.  Outcomes that retained
-their request lists aggregate exactly; streaming outcomes (fleet-scale
-runs above the exact-percentile cutover) aggregate through merged
-latency accumulators and flag the report ``approx_percentiles``.
+the serial run's regardless of worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serving.metrics import LatencyAccumulator, LatencyStats, PlanReport
+from repro.serving.metrics import (
+    LatencyStats,
+    PlanReport,
+    ServingReport,
+    latency_summaries,
+)
 
 
 @dataclass(frozen=True)
@@ -102,118 +107,51 @@ class ClusterPlanReport:
                       ) -> "ClusterPlanReport":
         """Aggregate per-replica outcome records, in replica-id order.
 
-        Every outcome must either retain its request list (exact
-        percentiles over the cluster-wide union) or stream (merged
-        accumulators, ``approx_percentiles``); mixing would silently
-        bias the union, so it is rejected.
+        Each replica gets its own :meth:`PlanReport.from_run`; the
+        cluster's latency summaries come from
+        :func:`~repro.serving.metrics.latency_summaries` over every
+        replica's run, and its counters are the replicas' sums.
         """
         outcomes = sorted(outcomes, key=lambda o: o.replica_id)
-        retained = [o.requests is not None for o in outcomes]
-        if any(retained) and not all(retained):
-            from repro.common.errors import ServingError
-
-            raise ServingError(
-                "cannot aggregate a mix of retained and streaming "
-                "replica outcomes"
-            )
-        exact = all(retained)
-
-        reports = []
-        for o in outcomes:
-            if exact:
-                single = PlanReport.from_run(
-                    plan=plan,
-                    requests=o.requests,
-                    memory=o.memory,
-                    hbm_bytes=o.hbm_bytes,
-                    makespan=o.clock,
-                    busy_time=o.busy,
-                    steps=o.steps,
-                    prefill_tokens=o.prefill_tokens,
-                    preemption_events=o.preemption_events,
-                )
-            else:
-                single = PlanReport.from_aggregates(
-                    plan=plan,
-                    num_requests=o.finished + o.rejected,
-                    finished=o.finished,
-                    rejected=o.rejected,
-                    preemption_events=o.preemption_events,
-                    preempted_requests=o.preempted_requests,
-                    generated_tokens=o.generated_tokens,
-                    ttft=o.ttft,
-                    tpot=o.tpot,
-                    e2e=o.e2e,
-                    memory=o.memory,
-                    hbm_bytes=o.hbm_bytes,
-                    makespan=o.clock,
-                    busy_time=o.busy,
-                    steps=o.steps,
-                    prefill_tokens=o.prefill_tokens,
-                )
-            reports.append(ReplicaReport(
+        runs = [o.run for o in outcomes]
+        ttft, tpot, e2e, approx = latency_summaries(runs)
+        per_replica = tuple(
+            ReplicaReport(
                 replica_id=o.replica_id,
                 n_gpus=o.n_gpus,
-                report=single,
-                comm_time_s=o.comm_time,
+                report=PlanReport.from_run(plan, o.run),
+                comm_time_s=o.run.comm_time,
                 weight_bytes_per_gpu=o.weight_bytes_per_gpu,
-            ))
-
-        makespan = max((o.clock for o in outcomes), default=0.0)
+            )
+            for o in outcomes
+        )
+        reports = [r.report for r in per_replica]
+        finished = sum(r.finished for r in reports)
+        generated = sum(r.generated_tokens for r in reports)
+        busy = sum(r.busy_time for r in reports)
+        comm = sum(r.comm_time_s for r in per_replica)
+        makespan = max((r.makespan for r in reports), default=0.0)
         span = makespan if makespan > 0 else 1.0
-        busy = sum(o.busy for o in outcomes)
-        comm = sum(o.comm_time for o in outcomes)
-        shared = dict(
+        return cls(
             plan=plan,
             policy=policy,
-            makespan=makespan,
-            steps=sum(o.steps for o in outcomes),
-            prefill_tokens=sum(o.prefill_tokens for o in outcomes),
-            comm_time_s=comm,
-            comm_fraction=comm / busy if busy else 0.0,
-            per_replica=tuple(reports),
-            trace_summary=trace_summary,
-        )
-        if exact:
-            done = [r for o in outcomes for r in o.requests
-                    if r.finish_time is not None]
-            num_requests = sum(len(o.requests) for o in outcomes)
-            generated = sum(r.generated for r in done)
-            return cls(
-                num_requests=num_requests,
-                finished=len(done),
-                rejected=num_requests - len(done),
-                generated_tokens=generated,
-                ttft=LatencyStats.from_values([r.ttft for r in done]),
-                tpot=LatencyStats.from_values([r.tpot for r in done]),
-                e2e=LatencyStats.from_values([r.e2e_latency for r in done]),
-                throughput_tokens_per_s=generated / span,
-                throughput_requests_per_s=len(done) / span,
-                **shared,
-            )
-        # Streaming: percentiles do not compose, but the sketches
-        # merge; fold them in replica-id order so worker count never
-        # changes the result.
-        ttft, tpot, e2e = (LatencyAccumulator() for _ in range(3))
-        for o in outcomes:
-            ttft.merge(o.ttft)
-            tpot.merge(o.tpot)
-            e2e.merge(o.e2e)
-        finished = sum(o.finished for o in outcomes)
-        rejected = sum(o.rejected for o in outcomes)
-        generated = sum(o.generated_tokens for o in outcomes)
-        return cls(
-            num_requests=finished + rejected,
+            num_requests=sum(r.num_requests for r in reports),
             finished=finished,
-            rejected=rejected,
+            rejected=sum(r.rejected for r in reports),
+            makespan=makespan,
+            steps=sum(r.steps for r in reports),
             generated_tokens=generated,
-            ttft=ttft.stats(),
-            tpot=tpot.stats(),
-            e2e=e2e.stats(),
+            prefill_tokens=sum(r.prefill_tokens for r in reports),
+            ttft=ttft,
+            tpot=tpot,
+            e2e=e2e,
             throughput_tokens_per_s=generated / span,
             throughput_requests_per_s=finished / span,
-            approx_percentiles=True,
-            **shared,
+            comm_time_s=comm,
+            comm_fraction=comm / busy if busy else 0.0,
+            per_replica=per_replica,
+            trace_summary=trace_summary,
+            approx_percentiles=approx,
         )
 
     def to_dict(self) -> "dict[str, object]":
@@ -299,11 +237,6 @@ class ClusterReport:
             **extra,
         )
 
-    def speedup(self, baseline: str = "baseline",
-                candidate: str = "sdf") -> float:
-        """Sustained-throughput ratio of ``candidate`` over ``baseline``."""
-        base = self.plans[baseline].throughput_tokens_per_s
-        cand = self.plans[candidate].throughput_tokens_per_s
-        if base == 0:
-            return 0.0
-        return cand / base
+    #: Sustained-throughput ratio of ``candidate`` over ``baseline``,
+    #: defined once for serving and cluster reports alike.
+    speedup = ServingReport.speedup

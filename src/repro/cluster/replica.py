@@ -19,7 +19,9 @@ Replicas stream their aggregates through the engine's O(1) latency
 accumulators; the routed-request list is retained only while
 ``retain_requests`` is set (the default, and what exact small-run
 reports need), so a million-request shard holds per-request state only
-for the requests currently resident.
+for the requests currently resident.  A finished replica reports
+through :meth:`Replica.outcome`: its engine's
+:class:`~repro.serving.metrics.RunOutcome` plus the sharding numbers.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
-from repro.serving.memory import KVBlockManager, MemoryStats
-from repro.serving.metrics import LatencyAccumulator
+from repro.serving.memory import KVBlockManager
+from repro.serving.metrics import RunOutcome
 from repro.serving.requests import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
@@ -44,33 +46,18 @@ from repro.serving.scheduler import ContinuousBatchingScheduler
 class ReplicaOutcome:
     """Everything a finished replica contributes to a cluster report.
 
-    A plain, picklable record: the sharded cluster mode ships one per
-    worker process back to the parent, and the serial loop produces
-    the same shape, so both aggregate through one code path
+    The replica's identity and sharding numbers around its engine's
+    :class:`~repro.serving.metrics.RunOutcome`.  A plain, picklable
+    record: the sharded cluster mode ships one per worker process back
+    to the parent, and the serial loop produces the same shape, so
+    both aggregate through one code path
     (:meth:`repro.cluster.metrics.ClusterPlanReport.from_outcomes`).
-    ``requests`` is ``None`` when the replica ran in streaming mode.
     """
 
     replica_id: int
     n_gpus: int
     weight_bytes_per_gpu: float
-    #: Total HBM across the replica's GPU group, for peak fractions.
-    hbm_bytes: int
-    memory: MemoryStats
-    clock: float
-    busy: float
-    comm_time: float
-    steps: int
-    prefill_tokens: int
-    preemption_events: int
-    finished: int
-    rejected: int
-    preempted_requests: int
-    generated_tokens: int
-    ttft: LatencyAccumulator
-    tpot: LatencyAccumulator
-    e2e: LatencyAccumulator
-    requests: "list[Request] | None"
+    run: RunOutcome
 
 
 class Replica:
@@ -235,25 +222,11 @@ class Replica:
 
     def outcome(self) -> ReplicaOutcome:
         """Snapshot this replica's contribution to the cluster report."""
-        engine = self.engine
         return ReplicaOutcome(
             replica_id=self.replica_id,
             n_gpus=self.n_gpus,
             weight_bytes_per_gpu=self.weight_bytes_per_gpu,
-            hbm_bytes=self.n_gpus * self.cost.gpu.hbm_bytes,
-            memory=self.memory.stats(),
-            clock=engine.clock,
-            busy=engine.busy,
-            comm_time=engine.comm_time,
-            steps=engine.steps,
-            prefill_tokens=engine.prefill_tokens,
-            preemption_events=self.scheduler.preemption_events,
-            finished=engine.finished,
-            rejected=engine.rejected,
-            preempted_requests=engine.preempted_requests,
-            generated_tokens=engine.generated_tokens,
-            ttft=engine.ttft,
-            tpot=engine.tpot,
-            e2e=engine.e2e,
-            requests=self.requests if self.retain_requests else None,
+            run=self.engine.outcome(
+                self.n_gpus * self.cost.gpu.hbm_bytes,
+                self.requests if self.retain_requests else None),
         )

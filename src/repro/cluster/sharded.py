@@ -71,7 +71,8 @@ def simulate_shard(shard: ReplicaShard):
     Module-level so it pickles to pool workers; the serial ``jobs=1``
     path calls it in-process, which is what makes the output identical
     across worker counts.  Returns the replica's
-    :class:`~repro.cluster.replica.ReplicaOutcome`.
+    :class:`~repro.cluster.replica.ReplicaOutcome`; its run keeps the
+    request list only when ``shard.retain`` is set.
     """
     from repro.cluster.replica import Replica
 

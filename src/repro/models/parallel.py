@@ -28,6 +28,7 @@ from repro.gpu.interconnect import (
 from repro.gpu.profiler import KernelRecord, Profile
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
+from repro.models.generation import _check_tp_shards
 from repro.models.runtime import InferenceResult
 
 #: Profiler category for collective communication.
@@ -105,16 +106,7 @@ class TensorParallelSession:
     ) -> None:
         require_positive("n_gpus", n_gpus)
         self.model = get_model(model) if isinstance(model, str) else model
-        if self.model.num_heads % n_gpus != 0:
-            raise ConfigError(
-                f"{self.model.name}: {self.model.num_heads} heads do not "
-                f"shard across {n_gpus} GPUs"
-            )
-        if self.model.d_ff % n_gpus != 0:
-            raise ConfigError(
-                f"{self.model.name}: d_ff={self.model.d_ff} does not shard "
-                f"across {n_gpus} GPUs"
-            )
+        _check_tp_shards(self.model, n_gpus)
         self.n_gpus = n_gpus
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.interconnect = interconnect

@@ -52,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER
-from repro.serving.metrics import LatencyAccumulator
+from repro.serving.metrics import LatencyAccumulator, RunOutcome
 from repro.serving.requests import RequestStatus
 
 __all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "sequential_sum"]
@@ -429,6 +429,28 @@ class EpochEngine:
         return n
 
     # -- accounting -----------------------------------------------------
+
+    def outcome(self, hbm_bytes: int, requests) -> RunOutcome:
+        """Snapshot this run for a report; ``requests`` is the retained
+        request list, or ``None`` when the run streamed."""
+        return RunOutcome(
+            hbm_bytes=hbm_bytes,
+            memory=self.memory.stats(),
+            clock=self.clock,
+            busy=self.busy,
+            comm_time=self.comm_time,
+            steps=self.steps,
+            prefill_tokens=self.prefill_tokens,
+            preemption_events=self.scheduler.preemption_events,
+            finished=self.finished,
+            rejected=self.rejected,
+            preempted_requests=self.preempted_requests,
+            generated_tokens=self.generated_tokens,
+            ttft=self.ttft,
+            tpot=self.tpot,
+            e2e=self.e2e,
+            requests=requests,
+        )
 
     def _record_finish(self, request) -> None:
         self.finished += 1

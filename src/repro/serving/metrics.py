@@ -20,7 +20,9 @@ percentiles are exact (computed from the retained per-request values,
 byte-identical to every earlier release); above it the simulator stops
 retaining per-request latencies and the same summaries come from the
 streaming :class:`~repro.serving.sketch.QuantileSketch`, flagged
-``approx_percentiles`` in the serialized envelope.
+``approx_percentiles`` in the serialized envelope.  That choice is
+made in one place, :func:`latency_summaries`, for a single run's
+:class:`RunOutcome` and for the union of a cluster's runs alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import MetricsError
+from repro.common.errors import MetricsError, ServingError
 from repro.serving.memory import MemoryStats
 from repro.serving.requests import Request
 from repro.serving.sketch import QuantileSketch
@@ -90,15 +92,6 @@ class LatencyStats:
                          np.percentile(array, SUMMARY_RANKS))
         return cls(mean=float(np.mean(array)), p50=p50, p95=p95, p99=p99)
 
-    @classmethod
-    def from_accumulator(cls, acc: "LatencyAccumulator") -> "LatencyStats":
-        """Summarize a streamed metric; percentiles come from the
-        sketch (mean stays exact up to summation order)."""
-        if acc.count == 0:
-            return cls(mean=0.0, p50=0.0, p95=0.0, p99=0.0)
-        p50, p95, p99 = acc.sketch.quantiles(SUMMARY_RANKS)
-        return cls(mean=acc.total / acc.count, p50=p50, p95=p95, p99=p99)
-
     def to_json(self) -> "dict[str, float]":
         """JSON-ready mapping."""
         return {"mean": self.mean, "p50": self.p50,
@@ -134,14 +127,86 @@ class LatencyAccumulator:
         self.sketch.add(value)
 
     def merge(self, other: "LatencyAccumulator") -> None:
-        """Fold ``other``'s summary in (order-sensitive; see class doc)."""
+        """Fold ``other``'s summary in (order-sensitive; see class doc).
+
+        ``other``'s sketch is flushed first, so the result does not
+        depend on whether ``other`` was queried before the merge.
+        """
+        other.sketch.flush()
         self.count += other.count
         self.total += other.total
         self.sketch.merge(other.sketch)
 
     def stats(self) -> LatencyStats:
-        """The sketch-backed summary of everything streamed so far."""
-        return LatencyStats.from_accumulator(self)
+        """The summary of everything streamed so far: percentiles come
+        from the sketch, the mean stays exact up to summation order."""
+        if self.count == 0:
+            return LatencyStats(mean=0.0, p50=0.0, p95=0.0, p99=0.0)
+        p50, p95, p99 = self.sketch.quantiles(SUMMARY_RANKS)
+        return LatencyStats(mean=self.total / self.count,
+                            p50=p50, p95=p95, p99=p99)
+
+
+@dataclass
+class RunOutcome:
+    """Everything one finished engine run contributes to a report.
+
+    Built by :meth:`repro.serving.engine.EpochEngine.outcome`.  The
+    counters and latency accumulators are kept in every mode;
+    ``requests`` is the run's request list when it retained one and
+    ``None`` when it streamed.  A plain, picklable record, so sharded
+    cluster workers ship it back to the parent.
+    """
+
+    #: Total HBM across the GPUs the run's KV pool spans.
+    hbm_bytes: int
+    memory: MemoryStats
+    clock: float
+    busy: float
+    comm_time: float
+    steps: int
+    prefill_tokens: int
+    preemption_events: int
+    finished: int
+    rejected: int
+    preempted_requests: int
+    generated_tokens: int
+    ttft: LatencyAccumulator
+    tpot: LatencyAccumulator
+    e2e: LatencyAccumulator
+    requests: "list[Request] | None"
+
+
+def latency_summaries(
+    runs: "list[RunOutcome]",
+) -> "tuple[LatencyStats, LatencyStats, LatencyStats, bool]":
+    """``(ttft, tpot, e2e, approx)`` over the union of ``runs``.
+
+    The one place a report chooses between exact and sketch
+    percentiles.  When every run retained its requests, the summaries
+    are exact over the union of finished requests, in list order; when
+    none did, the runs' accumulators merge in list order (percentiles
+    do not compose, sketches do) and ``approx`` is True.  Mixing the
+    two would silently bias the union, so it raises
+    :class:`~repro.common.errors.ServingError`.
+    """
+    retained = [run.requests is not None for run in runs]
+    if all(retained):
+        done = [r for run in runs for r in run.requests
+                if r.finish_time is not None]
+        return (LatencyStats.from_values([r.ttft for r in done]),
+                LatencyStats.from_values([r.tpot for r in done]),
+                LatencyStats.from_values([r.e2e_latency for r in done]),
+                False)
+    if any(retained):
+        raise ServingError(
+            "cannot aggregate a mix of retained and streaming run outcomes")
+    ttft, tpot, e2e = (LatencyAccumulator() for _ in range(3))
+    for run in runs:
+        ttft.merge(run.ttft)
+        tpot.merge(run.tpot)
+        e2e.merge(run.e2e)
+    return ttft.stats(), tpot.stats(), e2e.stats(), True
 
 
 @dataclass(frozen=True)
@@ -180,107 +245,57 @@ class PlanReport:
     approx_percentiles: bool = False
 
     @classmethod
-    def from_run(
-        cls,
-        *,
-        plan: str,
-        requests: "list[Request]",
-        memory: MemoryStats,
-        hbm_bytes: int,
-        makespan: float,
-        busy_time: float,
-        steps: int,
-        prefill_tokens: int,
-        preemption_events: int,
-        trace_summary: "dict | None" = None,
-    ) -> "PlanReport":
-        """Aggregate per-request records into a report."""
-        done = [r for r in requests if r.finish_time is not None]
-        rejected = sum(1 for r in requests if r.finish_time is None)
-        generated = sum(r.generated for r in done)
-        span = makespan if makespan > 0 else 1.0
-        return cls(
-            plan=plan,
-            num_requests=len(requests),
-            finished=len(done),
-            rejected=rejected,
-            preemption_events=preemption_events,
-            preempted_requests=sum(1 for r in done if r.preemptions),
-            makespan=makespan,
-            busy_time=busy_time,
-            steps=steps,
-            generated_tokens=generated,
-            prefill_tokens=prefill_tokens,
-            ttft=LatencyStats.from_values([r.ttft for r in done]),
-            tpot=LatencyStats.from_values([r.tpot for r in done]),
-            e2e=LatencyStats.from_values([r.e2e_latency for r in done]),
-            throughput_tokens_per_s=generated / span,
-            throughput_requests_per_s=len(done) / span,
-            mean_step_tokens=(
-                (prefill_tokens + generated) / steps if steps else 0.0),
-            kv_peak_blocks=memory.peak_blocks,
-            kv_total_blocks=memory.total_blocks,
-            kv_peak_bytes=memory.peak_bytes,
-            kv_peak_fraction=memory.peak_bytes / hbm_bytes,
-            trace_summary=trace_summary,
-        )
+    def from_run(cls, plan: str, outcome: RunOutcome, *,
+                 trace_summary: "dict | None" = None) -> "PlanReport":
+        """The report of one finished run: exact percentiles when it
+        retained its requests, sketch percentiles when it streamed."""
+        return cls.from_aggregates(plan, outcome,
+                                   *latency_summaries([outcome]),
+                                   trace_summary=trace_summary)
 
     @classmethod
     def from_aggregates(
         cls,
-        *,
         plan: str,
-        num_requests: int,
-        finished: int,
-        rejected: int,
-        preemption_events: int,
-        preempted_requests: int,
-        generated_tokens: int,
-        ttft: LatencyAccumulator,
-        tpot: LatencyAccumulator,
-        e2e: LatencyAccumulator,
-        memory: MemoryStats,
-        hbm_bytes: int,
-        makespan: float,
-        busy_time: float,
-        steps: int,
-        prefill_tokens: int,
+        outcome: RunOutcome,
+        ttft: LatencyStats,
+        tpot: LatencyStats,
+        e2e: LatencyStats,
+        approx: bool,
+        *,
         trace_summary: "dict | None" = None,
     ) -> "PlanReport":
-        """Build a report from streamed counters and accumulators.
-
-        The O(1)-memory path for runs above the exact-percentile
-        cutover: no per-request list exists, so the latency summaries
-        come from the sketches and the report is flagged
-        ``approx_percentiles``.
-        """
-        span = makespan if makespan > 0 else 1.0
+        """Build a report from ``outcome``'s counters and the given
+        latency summaries (see :func:`latency_summaries`)."""
+        generated = outcome.generated_tokens
+        steps = outcome.steps
+        span = outcome.clock if outcome.clock > 0 else 1.0
         return cls(
             plan=plan,
-            num_requests=num_requests,
-            finished=finished,
-            rejected=rejected,
-            preemption_events=preemption_events,
-            preempted_requests=preempted_requests,
-            makespan=makespan,
-            busy_time=busy_time,
+            num_requests=outcome.finished + outcome.rejected,
+            finished=outcome.finished,
+            rejected=outcome.rejected,
+            preemption_events=outcome.preemption_events,
+            preempted_requests=outcome.preempted_requests,
+            makespan=outcome.clock,
+            busy_time=outcome.busy,
             steps=steps,
-            generated_tokens=generated_tokens,
-            prefill_tokens=prefill_tokens,
-            ttft=ttft.stats(),
-            tpot=tpot.stats(),
-            e2e=e2e.stats(),
-            throughput_tokens_per_s=generated_tokens / span,
-            throughput_requests_per_s=finished / span,
+            generated_tokens=generated,
+            prefill_tokens=outcome.prefill_tokens,
+            ttft=ttft,
+            tpot=tpot,
+            e2e=e2e,
+            throughput_tokens_per_s=generated / span,
+            throughput_requests_per_s=outcome.finished / span,
             mean_step_tokens=(
-                (prefill_tokens + generated_tokens) / steps if steps
+                (outcome.prefill_tokens + generated) / steps if steps
                 else 0.0),
-            kv_peak_blocks=memory.peak_blocks,
-            kv_total_blocks=memory.total_blocks,
-            kv_peak_bytes=memory.peak_bytes,
-            kv_peak_fraction=memory.peak_bytes / hbm_bytes,
+            kv_peak_blocks=outcome.memory.peak_blocks,
+            kv_total_blocks=outcome.memory.total_blocks,
+            kv_peak_bytes=outcome.memory.peak_bytes,
+            kv_peak_fraction=outcome.memory.peak_bytes / outcome.hbm_bytes,
             trace_summary=trace_summary,
-            approx_percentiles=True,
+            approx_percentiles=approx,
         )
 
     def to_json(self) -> "dict[str, object]":

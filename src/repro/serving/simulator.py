@@ -212,38 +212,10 @@ class ServingSimulator:
                 tracer, stream, process=f"{self.plan.value}:requests")
             trace_summary = tracer.summary(since=trace_start,
                                            include_metrics=False)
-        if retain:
-            return PlanReport.from_run(
-                plan=self.plan.value,
-                requests=stream,
-                memory=memory.stats(),
-                hbm_bytes=self.gpu.hbm_bytes,
-                makespan=engine.clock,
-                busy_time=engine.busy,
-                steps=engine.steps,
-                prefill_tokens=engine.prefill_tokens,
-                preemption_events=scheduler.preemption_events,
-                trace_summary=trace_summary,
-            )
-        return PlanReport.from_aggregates(
-            plan=self.plan.value,
-            num_requests=self.num_requests,
-            finished=engine.finished,
-            rejected=engine.rejected,
-            preemption_events=scheduler.preemption_events,
-            preempted_requests=engine.preempted_requests,
-            generated_tokens=engine.generated_tokens,
-            ttft=engine.ttft,
-            tpot=engine.tpot,
-            e2e=engine.e2e,
-            memory=memory.stats(),
-            hbm_bytes=self.gpu.hbm_bytes,
-            makespan=engine.clock,
-            busy_time=engine.busy,
-            steps=engine.steps,
-            prefill_tokens=engine.prefill_tokens,
-            trace_summary=trace_summary,
-        )
+        return PlanReport.from_run(
+            self.plan.value,
+            engine.outcome(self.gpu.hbm_bytes, stream if retain else None),
+            trace_summary=trace_summary)
 
     def _trace_step(self, tracer, lane, step, scheduler, memory,
                     *, ts, dur):

@@ -84,7 +84,7 @@ class QuantileSketch:
             self._max = value
         self._buffer.append(value)
         if len(self._buffer) >= self.buffer_size:
-            self._flush()
+            self.flush()
 
     def extend(self, values) -> None:
         """Fold an iterable of observations, in order."""
@@ -104,7 +104,7 @@ class QuantileSketch:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         if len(other._means):
-            self._flush()
+            self.flush()
             self.count += other.count - len(other._buffer)
             means = np.concatenate([self._means, other._means])
             weights = np.concatenate([self._weights, other._weights])
@@ -124,7 +124,9 @@ class QuantileSketch:
         return (self.compression / (2.0 * math.pi)) * np.arcsin(
             np.clip(2.0 * q - 1.0, -1.0, 1.0))
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Bin the buffered values into centroids (queries do this
+        implicitly)."""
         if not self._buffer:
             return
         fresh = np.asarray(self._buffer, dtype=np.float64)
@@ -161,7 +163,7 @@ class QuantileSketch:
     @property
     def centroid_count(self) -> int:
         """Centroids currently held (diagnostic; bounded by ~δ/2)."""
-        self._flush()
+        self.flush()
         return len(self._means)
 
     @property
@@ -187,7 +189,7 @@ class QuantileSketch:
                 f"percentile rank must be in [0, 100], got {q!r}")
         if self.count == 0:
             return 0.0
-        self._flush()
+        self.flush()
         means, weights = self._means, self._weights
         if len(means) == 1:
             return float(means[0])

@@ -112,6 +112,38 @@ class TestCLI:
         assert "GPUs" in out and "comm share" in out
         assert "8" in out
 
+    def test_parallel_reports_unshardable_gpu_count(self, capsys, tmp_path):
+        import dataclasses
+
+        from repro.models import BERT_LARGE
+        from repro.models.serialization import config_to_json
+
+        twelve_heads = dataclasses.replace(
+            BERT_LARGE, name="bert-12h", d_model=768, num_heads=12,
+            d_ff=3072)
+        path = tmp_path / "model.json"
+        path.write_text(config_to_json(twelve_heads))
+        out = run_cli(capsys, "parallel", "--model-json", str(path),
+                      "--seq-len", "512", "--json")
+        scaling = {row["n_gpus"]: row for row in json.loads(out)["scaling"]}
+        assert "error" not in scaling[4]
+        assert scaling[8]["error"] == (
+            "bert-12h: 12 heads do not shard across 8 GPUs")
+
+    def test_parallel_propagates_programming_errors(self, capsys,
+                                                    monkeypatch):
+        # Only a model that cannot shard becomes an error row; a bug
+        # in the TP path must surface, not exit 0.
+        from repro.models import parallel
+
+        def broken(self):
+            raise TypeError("bug in the TP path")
+
+        monkeypatch.setattr(parallel.TensorParallelSession, "simulate",
+                            broken)
+        with pytest.raises(TypeError, match="bug in the TP path"):
+            main(["parallel", "--model", "bert-large", "--seq-len", "512"])
+
     def test_serve_sim_json(self, capsys):
         out = run_cli(capsys, "serve-sim", "--model", "bert-large",
                       "--gpu", "a100", "--rate", "4", "--duration", "4",

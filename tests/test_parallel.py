@@ -71,6 +71,21 @@ class TestTensorParallel:
         with pytest.raises(ConfigError, match="heads"):
             TensorParallelSession(BERT_LARGE, n_gpus=3)
 
+    def test_shard_errors_match_generation_messages(self):
+        import dataclasses
+
+        from repro.models.generation import _check_tp_shards
+
+        odd_ffn = dataclasses.replace(BERT_LARGE, d_ff=4098)
+        for model, n_gpus in ((BERT_LARGE, 3), (odd_ffn, 4)):
+            with pytest.raises(ConfigError) as session_error:
+                TensorParallelSession(model, n_gpus=n_gpus)
+            with pytest.raises(ConfigError) as check_error:
+                _check_tp_shards(model, n_gpus)
+            assert str(session_error.value) == str(check_error.value)
+        with pytest.raises(ConfigError, match="n_gpus"):
+            TensorParallelSession(BERT_LARGE, n_gpus=0)
+
     def test_two_allreduces_per_layer(self):
         tp = TensorParallelSession(BERT_LARGE, n_gpus=2).simulate()
         comm_records = [r for r in tp.result.profile

@@ -207,8 +207,8 @@ class TestDeterminismAndMerge:
         left.merge(right)
 
         assert left.count == streamed.count
-        left._flush()
-        streamed._flush()
+        left.flush()
+        streamed.flush()
         assert np.array_equal(left._means, streamed._means)
         assert np.array_equal(left._weights, streamed._weights)
 
