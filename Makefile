@@ -35,7 +35,8 @@ approx-smoke:
 	$(PYTHON) tools/compare_golden.py /tmp/approx_sweep_smoke.json \
 		tests/golden/approx_sweep_smoke.json
 
-# Tiny fixed-seed tuning runs, serving and cluster mode, compared
+# Tiny fixed-seed tuning runs, serving and cluster mode plus a MoE +
+# speculative scenario that searches top_k and draft_len, compared
 # byte-for-byte (modulo float ulp) against the committed golden
 # artifacts — pins the search's determinism, the repro.tuned_plan/v1
 # schema and the cost models the cluster evaluations share (see
@@ -51,6 +52,12 @@ tune-smoke:
 		--output /tmp/tune_cluster_smoke.json >/dev/null
 	$(PYTHON) tools/compare_golden.py /tmp/tune_cluster_smoke.json \
 		tests/golden/tune_cluster_smoke.json
+	$(PYTHON) -m repro tune --model gpt-neo-1.3b --n-experts 4 --top-k 2 \
+		--draft-model bert-large --objective tpot_p99 --budget 8 \
+		--rate 1 --duration 3 --seed 0 \
+		--output /tmp/tune_moe_spec_smoke.json >/dev/null
+	$(PYTHON) tools/compare_golden.py /tmp/tune_moe_spec_smoke.json \
+		tests/golden/tune_moe_spec_smoke.json
 
 # Fixed-seed MoE + speculative-decoding serving run compared against
 # the committed golden report — pins the expert-parallel cost model

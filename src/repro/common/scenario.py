@@ -23,6 +23,13 @@ by shared parent parsers (:func:`add_workload_args`,
 :func:`add_sharding_args`); ``repro tune`` emits artifacts whose
 ``scenario`` section *is* ``spec.to_dict()``, so tuner output and
 simulator input are the same object.
+
+A tuned configuration has one meaning, too: :data:`TUNABLE_AXES` maps
+each tunable knob to its spec section.  Search-space defaults are read
+through it (:func:`read_config`); the tuner's evaluator and
+``plan_file`` replays both run :func:`apply_config` of a configuration
+through :meth:`ScenarioSpec.simulator_kwargs`, so a replay reports
+exactly what the tuner scored.
 """
 
 from __future__ import annotations
@@ -341,15 +348,55 @@ class ScenarioSpec:
         """The spec with any ``plan_file`` artifact applied.
 
         The artifact is authoritative for the plan and every knob it
-        tuned (tile width, chunk size, batch cap, TP×PP, policy):
-        consuming a tuned plan means running the configuration that
-        won, not a hybrid.  Returns ``self`` when no artifact is set.
+        tuned (see :data:`TUNABLE_AXES`): consuming a tuned plan means
+        running the configuration that won, not a hybrid.  Returns
+        ``self`` when no artifact is set.
         """
         if self.plan_file is None:
             return self
         from repro.tune.artifact import load_tuned_plan
 
         return apply_tuned_plan(self, load_tuned_plan(self.plan_file))
+
+    def synthetic_workload(self):
+        """The synthetic request stream this scenario samples."""
+        from repro.serving.requests import ServingWorkload
+
+        return ServingWorkload(
+            rate=self.workload.rate, duration=self.workload.duration,
+            seed=self.workload.seed,
+            block_tokens=self.workload.block_tokens,
+            prefix_groups=self.workload.prefix_groups,
+            arrival=self.make_arrival(),
+        )
+
+    def simulator_kwargs(self, sim: str) -> "dict[str, object]":
+        """This scenario's keywords for the ``sim`` simulator.
+
+        The one scenario -> simulator mapping (``sim`` is ``serving``,
+        ``cluster`` or ``controlplane``), shared by the ``run_*`` entry
+        points and the tuner's evaluator, so a tuned configuration
+        means the same thing when it is scored and when it is replayed.
+        """
+        workload, sharding = self.workload, self.sharding
+        kwargs = {
+            "chunk_tokens": workload.chunk_tokens,
+            "max_batch": workload.max_batch,
+            "block_tokens": workload.block_tokens, "t": workload.t,
+        }
+        if sim != "serving":
+            kwargs.update(replicas=sharding.replicas, tp=sharding.tp,
+                          pp=sharding.pp, policy=sharding.policy)
+        if sim != "controlplane":
+            kwargs.update(engine=workload.engine,
+                          draft_model=workload.draft_model,
+                          draft_len=workload.draft_len,
+                          accept_rate=workload.accept_rate)
+        if sim == "cluster":
+            kwargs.update(ep=sharding.ep, algorithm=sharding.algorithm,
+                          interconnect=self.interconnect_spec(),
+                          jobs=sharding.jobs)
+        return kwargs
 
     # -- simulator entry points -----------------------------------------
 
@@ -363,14 +410,7 @@ class ScenarioSpec:
             rate=spec.workload.rate, duration=spec.workload.duration,
             seed=spec.workload.seed, plans=spec.plans,
             requests=spec.load_requests(), arrival=spec.make_arrival(),
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
-            engine=spec.workload.engine,
-            draft_model=spec.workload.draft_model,
-            draft_len=spec.workload.draft_len,
-            accept_rate=spec.workload.accept_rate,
+            **spec.simulator_kwargs("serving"),
         )
 
     def run_cluster(self):
@@ -382,22 +422,10 @@ class ScenarioSpec:
             spec.resolve_model(), spec.gpu,
             rate=spec.workload.rate, duration=spec.workload.duration,
             seed=spec.workload.seed, plans=spec.plans,
-            replicas=spec.sharding.replicas, tp=spec.sharding.tp,
-            pp=spec.sharding.pp, ep=spec.sharding.ep,
-            policy=spec.sharding.policy,
-            algorithm=spec.sharding.algorithm,
-            interconnect=spec.interconnect_spec(),
             requests=spec.load_requests(),
             prefix_groups=spec.workload.prefix_groups,
             arrival=spec.make_arrival(),
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
-            engine=spec.workload.engine, jobs=spec.sharding.jobs,
-            draft_model=spec.workload.draft_model,
-            draft_len=spec.workload.draft_len,
-            accept_rate=spec.workload.accept_rate,
+            **spec.simulator_kwargs("cluster"),
         )
 
     def run_controlplane(self, *, tiers=None, autoscaler=None, faults=None,
@@ -405,59 +433,87 @@ class ScenarioSpec:
                          cold_start_s: "float | None" = None):
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
-        — it describes the controller, not the scenario."""
+        — it describes the controller, not the scenario.  The control
+        plane has no engine choice, speculative decoding or trace
+        replay: asking for one raises ``ScenarioError`` naming the flag.
+        """
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
 
         spec = self.resolved()
+        for flag, given in (
+                ("--engine", spec.workload.engine != "epoch"),
+                ("--draft-model", spec.workload.draft_model is not None),
+                ("--trace-file", spec.workload.trace_file is not None)):
+            if given:
+                raise ScenarioError(
+                    f"the control plane does not support {flag}")
         return simulate_controlplane(
             spec.resolve_model(), spec.gpu,
             rate=spec.workload.rate, duration=spec.workload.duration,
             seed=spec.workload.seed, plans=spec.plans,
             arrival=spec.make_arrival(),
             tiers=tiers if tiers is not None else DEFAULT_TIERS,
-            replicas=spec.sharding.replicas, autoscaler=autoscaler,
-            faults=faults, policy=spec.sharding.policy,
+            autoscaler=autoscaler, faults=faults,
             shed_backlog_tokens=shed_backlog_tokens,
             cold_start_s=cold_start_s,
-            tp=spec.sharding.tp, pp=spec.sharding.pp,
-            chunk_tokens=spec.workload.chunk_tokens,
-            max_batch=spec.workload.max_batch,
-            block_tokens=spec.workload.block_tokens,
-            t=spec.workload.t,
+            **spec.simulator_kwargs("controlplane"),
         )
 
 
-def apply_tuned_plan(spec: ScenarioSpec, artifact) -> ScenarioSpec:
-    """``spec`` with a tuned-plan artifact's winner applied.
+#: Where each tunable knob lives in a :class:`ScenarioSpec`, by
+#: section.  The one table a tuned configuration is read and written
+#: through: a new tunable knob is added here and nowhere else.
+TUNABLE_AXES = {
+    "t": "workload",
+    "chunk_tokens": "workload",
+    "max_batch": "workload",
+    "draft_len": "workload",
+    "top_k": "moe",
+    "tp": "sharding",
+    "pp": "sharding",
+    "policy": "sharding",
+    "plan": "plans",
+}
 
-    Pins ``plans`` to the winning plan and overwrites exactly the
-    knobs the winner config carries; everything else (model, device,
-    workload shape, arrival process) stays the scenario's own.
+
+def read_config(spec: ScenarioSpec, axes) -> "dict[str, object]":
+    """The configuration ``spec`` runs, for the given ``axes``.
+
+    The plan is the incumbent: the last entry of ``plans`` (the CLI
+    convention puts the optimised plan last, e.g. ``baseline,sdf``).
     """
-    config = artifact.winner_config
-    workload_updates = {
-        key: config[key]
-        for key in ("t", "chunk_tokens", "max_batch", "draft_len")
-        if key in config
+    return {
+        axis: (spec.plans[-1] if TUNABLE_AXES[axis] == "plans"
+               else getattr(getattr(spec, TUNABLE_AXES[axis]), axis))
+        for axis in axes
     }
-    sharding_updates = {
-        key: config[key]
-        for key in ("tp", "pp", "policy")
-        if key in config
-    }
-    moe_updates = {
-        key: config[key]
-        for key in ("top_k",)
-        if key in config
-    }
-    return replace(
-        spec,
-        plans=(str(config["plan"]),),
-        plan_file=None,
-        workload=replace(spec.workload, **workload_updates),
-        sharding=replace(spec.sharding, **sharding_updates),
-        moe=replace(spec.moe, **moe_updates),
-    )
+
+
+def apply_config(spec: ScenarioSpec, config) -> ScenarioSpec:
+    """``spec`` running ``config``: the inverse of :func:`read_config`.
+
+    Pins ``plans`` to the configured plan and overwrites exactly the
+    knobs ``config`` carries; everything else (model, device, workload
+    shape, arrival process) stays the scenario's own.  The result has
+    no ``plan_file``, since the configuration is now authoritative.
+    """
+    unknown = sorted(set(config) - set(TUNABLE_AXES))
+    if unknown:
+        raise ScenarioError(f"unknown tunable knobs {unknown}; choose "
+                            f"from {', '.join(TUNABLE_AXES)}")
+    sections: "dict[str, dict]" = {}
+    for axis, value in config.items():
+        sections.setdefault(TUNABLE_AXES[axis], {})[axis] = value
+    updates = {name: replace(getattr(spec, name), **values)
+               for name, values in sections.items() if name != "plans"}
+    if "plans" in sections:
+        updates["plans"] = (str(config["plan"]),)
+    return replace(spec, plan_file=None, **updates)
+
+
+def apply_tuned_plan(spec: ScenarioSpec, artifact) -> ScenarioSpec:
+    """``spec`` with a tuned-plan artifact's winner applied."""
+    return apply_config(spec, artifact.winner_config)
 
 
 # -- shared argparse parents -----------------------------------------------

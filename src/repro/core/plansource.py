@@ -4,18 +4,17 @@ Historically every layer re-parsed its own ``plan=`` argument: the
 inference session special-cased the string ``"auto"``, the dataset
 driver and the serving/cluster simulators each called
 :meth:`~repro.core.plan.AttentionPlan.from_name` on whatever they were
-handed, and a tuned-plan artifact had no way in at all.  This module
-is the one place that plumbing now lives:
+handed.  This module is the one place that plumbing now lives:
 
-- ``PlanSource.of("sdf")``        — a fixed plan by name or enum;
-- ``PlanSource.of("auto")``       — measured selection via
-  :func:`repro.core.autotune.select_plan` at resolve time;
-- ``PlanSource.of("plan.json")``  — the winner recorded in a
-  ``repro.tuned_plan/v1`` artifact (any argument that looks like a
-  path: contains a separator or ends in ``.json``).
+- ``PlanSource.of("sdf")``   — a fixed plan by name or enum;
+- ``PlanSource.of("auto")``  — measured selection via
+  :func:`repro.core.autotune.select_plan` at resolve time.
 
 Simulators accept a :class:`PlanSource` (or anything ``of`` accepts)
-and call :meth:`PlanSource.resolve` exactly once.
+and call :meth:`PlanSource.resolve` exactly once.  A tuned-plan
+artifact is not a plan: it pins the plan *and* the knobs it tuned, so
+it enters a run only as a scenario's ``plan_file``
+(:func:`repro.common.scenario.apply_tuned_plan`).
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ class PlanSourceKind(enum.Enum):
     FIXED = "fixed"
     #: Measured selection among candidates at resolve time.
     AUTO = "auto"
-    #: The winner of a ``repro.tuned_plan/v1`` artifact.
-    ARTIFACT = "artifact"
-
-
-def _looks_like_path(name: str) -> bool:
-    return "/" in name or "\\" in name or name.endswith(".json")
 
 
 @dataclass(frozen=True)
@@ -55,8 +48,6 @@ class PlanSource:
     kind: PlanSourceKind
     #: The fixed plan (``FIXED`` only).
     plan: "AttentionPlan | None" = None
-    #: The artifact path (``ARTIFACT`` only).
-    path: "str | None" = None
 
     @classmethod
     def of(cls, value: "PlanSource | AttentionPlan | str") -> "PlanSource":
@@ -68,12 +59,10 @@ class PlanSource:
         if not isinstance(value, str):
             raise PlanError(
                 f"cannot build a PlanSource from {value!r}; pass a plan "
-                f"name, 'auto', an artifact path, or an AttentionPlan"
+                f"name, 'auto', or an AttentionPlan"
             )
         if value.lower() == "auto":
             return cls(kind=PlanSourceKind.AUTO)
-        if _looks_like_path(value):
-            return cls(kind=PlanSourceKind.ARTIFACT, path=value)
         return cls(kind=PlanSourceKind.FIXED,
                    plan=AttentionPlan.from_name(value))
 
@@ -92,36 +81,19 @@ class PlanSource:
         ``FIXED`` ignores the context.  ``AUTO`` simulates the
         ``candidates`` (default: the paper's plans) at the given shape
         and picks the fastest feasible one — it needs ``model``.
-        ``ARTIFACT`` loads the tuned-plan document and returns its
-        winner; corrupted or version-mismatched files raise
-        :class:`~repro.common.errors.ArtifactError`.
         """
         if self.kind is PlanSourceKind.FIXED:
             return self.plan
-        if self.kind is PlanSourceKind.AUTO:
-            if model is None:
-                raise PlanError(
-                    "plan='auto' needs a model/shape context to resolve"
-                )
-            from repro.core.autotune import PAPER_CANDIDATES, select_plan
+        if model is None:
+            raise PlanError(
+                "plan='auto' needs a model/shape context to resolve"
+            )
+        from repro.core.autotune import PAPER_CANDIDATES, select_plan
 
-            return select_plan(
-                model, gpu=gpu, seq_len=seq_len, batch=batch, t=t,
-                candidates=candidates or PAPER_CANDIDATES,
-            ).plan
-        # ARTIFACT
-        from repro.tune.artifact import load_tuned_plan
-
-        return AttentionPlan.from_name(
-            load_tuned_plan(self.path).winner_config["plan"])
-
-    def describe(self) -> str:
-        """Short provenance string for reports."""
-        if self.kind is PlanSourceKind.FIXED:
-            return self.plan.value
-        if self.kind is PlanSourceKind.AUTO:
-            return "auto"
-        return f"artifact:{self.path}"
+        return select_plan(
+            model, gpu=gpu, seq_len=seq_len, batch=batch, t=t,
+            candidates=candidates or PAPER_CANDIDATES,
+        ).plan
 
 
 def resolve_plan(

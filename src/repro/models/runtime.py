@@ -172,8 +172,8 @@ class InferenceSession:
                 f"mixture-of-experts FFNs; run MoE scenarios through the "
                 f"serving simulators (serve-sim / cluster-sim)"
             )
-        # PlanSource is the one resolution point: fixed names/enums,
-        # "auto" (measured selection), or a tuned-plan artifact path.
+        # PlanSource is the one resolution point: fixed names/enums or
+        # "auto" (measured selection).
         self.plan = resolve_plan(plan, model=self.model, gpu=self.gpu,
                                  seq_len=seq_len, batch=batch, t=t)
         if seq_len < 1:

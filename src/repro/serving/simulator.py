@@ -273,8 +273,8 @@ def simulate_serving(
 
     Extra keyword arguments are forwarded to :class:`ServingSimulator`
     (``chunk_tokens``, ``max_batch``, ``block_tokens``, ``engine``,
-    ...).  ``plans`` entries may be plan names, enums, ``"auto"``, a
-    tuned-plan artifact path, or :class:`PlanSource` objects — this is
+    ...).  ``plans`` entries may be plan names, enums, ``"auto"``, or
+    :class:`PlanSource` objects — this is
     the scenario-level API, so every spelling is accepted without
     ceremony.  Pass ``requests`` to replay a trace instead of the
     synthetic workload; otherwise the synthetic stream is sampled once

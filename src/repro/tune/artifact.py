@@ -3,14 +3,17 @@
 A tuned-plan artifact is the durable output of ``repro tune``: the
 search space, seed, budget, every fresh evaluation, the untuned
 default's score, the winner, and provenance.  The same file feeds
-back into every simulator (``--plan-file``) and into
-:class:`repro.core.plansource.PlanSource`, so a tuning run and the
-runs that consume it share one source of truth.
+back into every simulator as a scenario's ``plan_file``
+(``--plan-file``), which applies the winner's plan and knobs together,
+so a tuning run and the runs that consume it share one source of
+truth.
 
 Loading is strict and typed: a corrupted file, a foreign schema tag,
-or a missing field raises :class:`~repro.common.errors.ArtifactError`
-— never a bare ``KeyError``/``JSONDecodeError`` — so consumers can
-distinguish "bad artifact" from their own bugs.
+a missing field, or a winner knob outside
+:data:`~repro.common.scenario.TUNABLE_AXES` raises
+:class:`~repro.common.errors.ArtifactError` — never a bare
+``KeyError``/``JSONDecodeError`` — so consumers can distinguish "bad
+artifact" from their own bugs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 from repro.common.errors import ArtifactError, ScenarioError
 from repro.common.results import TUNED_PLAN_SCHEMA
+from repro.common.scenario import TUNABLE_AXES, ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,6 @@ class TunedPlan:
     def scenario_spec(self):
         """The recorded scenario as a
         :class:`~repro.common.scenario.ScenarioSpec`."""
-        from repro.common.scenario import ScenarioSpec
-
         try:
             return ScenarioSpec.from_dict(self.scenario)
         except ScenarioError as exc:
@@ -135,6 +137,11 @@ class TunedPlan:
                 or "plan" not in plan.winner_config:
             raise ArtifactError(
                 "tuned-plan winner config must carry a 'plan' entry")
+        unknown = sorted(set(plan.winner_config) - set(TUNABLE_AXES))
+        if unknown:
+            raise ArtifactError(
+                f"tuned-plan winner config carries unknown knobs "
+                f"{unknown}; a replay would run a hybrid")
         plan.scenario_spec()
         return plan
 

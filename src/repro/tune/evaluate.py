@@ -10,6 +10,14 @@ the existing simulation layers — it never re-implements a cost model:
 - ``mode="cluster"``   — :class:`repro.cluster.ClusterSimulator` with
   the candidate's TP x PP and routing policy.
 
+A candidate is scored as a scenario:
+:func:`~repro.common.scenario.apply_config` writes it into the
+evaluator's :class:`~repro.common.scenario.ScenarioSpec`, and the
+simulator is built from that spec through the same
+:meth:`~repro.common.scenario.ScenarioSpec.simulator_kwargs` mapping
+``--plan-file`` replays use, so a replayed winner reports exactly the
+value it was scored at.
+
 Fidelity is the successive-halving lever: a fidelity of ``0.25``
 replays the first quarter of the arrival window, which ranks
 configurations well enough to discard the bottom half cheaply.  All
@@ -31,8 +39,10 @@ search.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from repro.common.errors import ReproError, TuneError
+from repro.common.scenario import apply_config
 from repro.obs.tracer import current_tracer
 
 #: Tuning objectives.  All are minimized internally; ``throughput`` is
@@ -134,27 +144,31 @@ class ScenarioEvaluator:
     # -- backends -------------------------------------------------------
 
     def _evaluate(self, config, fidelity: float) -> float:
+        spec = apply_config(self.spec, config)
         if self.mode == "inference":
-            return self._evaluate_inference(config)
-        report = (self._evaluate_serving(config, fidelity)
-                  if self.mode == "serving"
-                  else self._evaluate_cluster(config, fidelity))
+            from repro.models.runtime import InferenceSession
+
+            return InferenceSession(
+                spec.resolve_model(), gpu=spec.gpu, plan=spec.plans[0],
+                seq_len=spec.workload.seq_len, batch=spec.workload.batch,
+                t=spec.workload.t,
+            ).simulate().total_time
+        from repro.cluster.router import ClusterSimulator
+        from repro.serving.simulator import ServingSimulator
+
+        simulator = (ServingSimulator if self.mode == "serving"
+                     else ClusterSimulator)
+        requests, workload = self._stream(fidelity)
+        report = simulator(
+            spec.resolve_model(), spec.gpu, plan=spec.plans[0],
+            requests=requests, workload=workload, costs=self._costs,
+            **spec.simulator_kwargs(self.mode),
+        ).run()
         if self.objective == "ttft_p99":
             return report.ttft.p99
         if self.objective == "tpot_p99":
             return report.tpot.p99
         return report.throughput_tokens_per_s
-
-    def _evaluate_inference(self, config) -> float:
-        from repro.models.runtime import InferenceSession
-
-        spec = self.spec
-        session = InferenceSession(
-            spec.resolve_model(), gpu=spec.gpu, plan=str(config["plan"]),
-            seq_len=spec.workload.seq_len, batch=spec.workload.batch,
-            t=int(config["t"]),
-        )
-        return session.simulate().total_time
 
     def _stream(self, fidelity: float):
         """The request stream at a fidelity: ``(requests, workload)``.
@@ -170,101 +184,10 @@ class ScenarioEvaluator:
         if self._requests is not None:
             return self._requests, None
         if fidelity not in self._workloads:
-            from repro.serving.requests import ServingWorkload
-
-            spec = self.spec
-            duration = spec.workload.duration * fidelity
-            arrival = None
-            if spec.arrival.kind is not None:
-                from repro.serving import make_arrival
-
-                arrival = make_arrival(
-                    spec.arrival.kind, rate=spec.workload.rate,
-                    burst_rate=spec.arrival.burst_rate,
-                    base_dwell=spec.arrival.base_dwell,
-                    burst_dwell=spec.arrival.burst_dwell,
-                    period=spec.arrival.period, duration=duration,
-                )
-            self._workloads[fidelity] = ServingWorkload(
-                rate=spec.workload.rate, duration=duration,
-                seed=spec.workload.seed,
-                block_tokens=spec.workload.block_tokens,
-                prefix_groups=spec.workload.prefix_groups,
-                arrival=arrival,
-            )
+            duration = self.spec.workload.duration * fidelity
+            self._workloads[fidelity] = replace(self.spec, workload=replace(
+                self.spec.workload, duration=duration)).synthetic_workload()
         return None, self._workloads[fidelity]
-
-    def _resolve_model(self, config):
-        """The scenario's model with any searched MoE fan-out applied.
-
-        ``resolve_model`` already applies the scenario's own overlay;
-        a ``top_k`` axis value re-overlays on top of it (the overlay is
-        idempotent for everything but the searched knob).
-        """
-        model = self.spec.resolve_model()
-        if "top_k" in config:
-            from repro.models.config import get_model
-            from repro.models.moe import moe_overrides
-
-            moe = self.spec.moe
-            model = moe_overrides(
-                get_model(model) if isinstance(model, str) else model,
-                n_experts=moe.n_experts, top_k=int(config["top_k"]),
-                capacity_factor=moe.capacity_factor,
-            )
-        return model
-
-    def _spec_decode_kwargs(self, config):
-        """Speculative-decoding knobs, with any searched draft depth."""
-        workload = self.spec.workload
-        if workload.draft_model is None:
-            return {}
-        return {
-            "draft_model": workload.draft_model,
-            "draft_len": int(config.get("draft_len", workload.draft_len)),
-            "accept_rate": workload.accept_rate,
-        }
-
-    def _evaluate_serving(self, config, fidelity: float):
-        from repro.core.plansource import PlanSource
-        from repro.serving.simulator import ServingSimulator
-
-        spec = self.spec
-        requests, workload = self._stream(fidelity)
-        return ServingSimulator(
-            self._resolve_model(config), spec.gpu,
-            plan=PlanSource.of(str(config["plan"])),
-            requests=requests, workload=workload,
-            chunk_tokens=int(config["chunk_tokens"]),
-            max_batch=int(config["max_batch"]),
-            block_tokens=spec.workload.block_tokens,
-            t=int(config["t"]), engine=spec.workload.engine,
-            costs=self._costs, **self._spec_decode_kwargs(config),
-        ).run()
-
-    def _evaluate_cluster(self, config, fidelity: float):
-        from repro.cluster.router import ClusterSimulator
-        from repro.core.plansource import PlanSource
-
-        spec = self.spec
-        requests, workload = self._stream(fidelity)
-        return ClusterSimulator(
-            self._resolve_model(config), spec.gpu,
-            plan=PlanSource.of(str(config["plan"])),
-            requests=requests, workload=workload,
-            replicas=spec.sharding.replicas,
-            tp=int(config["tp"]), pp=int(config["pp"]),
-            ep=spec.sharding.ep,
-            policy=str(config["policy"]),
-            algorithm=spec.sharding.algorithm,
-            interconnect=spec.interconnect_spec(),
-            chunk_tokens=int(config["chunk_tokens"]),
-            max_batch=int(config["max_batch"]),
-            block_tokens=spec.workload.block_tokens,
-            t=int(config["t"]), engine=spec.workload.engine,
-            jobs=spec.sharding.jobs, costs=self._costs,
-            **self._spec_decode_kwargs(config),
-        ).run()
 
 
 def score_config(spec, config: "dict[str, object]", *, objective: str,

@@ -39,7 +39,6 @@ from repro.common.errors import TuneError
 from repro.obs.tracer import current_tracer
 from repro.tune.artifact import TunedPlan
 from repro.tune.evaluate import (
-    OBJECTIVES,
     ScenarioEvaluator,
     canonical_score,
     default_mode,
@@ -139,9 +138,7 @@ def tune(spec, *, objective: str = "ttft_p99", budget: int = 64,
     ``sim`` picks the backend for the serving objectives; the
     ``latency`` objective always scores single-inference runs.
     """
-    if objective not in OBJECTIVES:
-        raise TuneError(f"unknown objective {objective!r}; choose from "
-                        f"{', '.join(OBJECTIVES)}")
+    mode = default_mode(objective, sim)
     if budget < 2:
         raise TuneError(f"budget must be >= 2 (the default plus at "
                         f"least one challenger), got {budget}")
@@ -149,7 +146,6 @@ def tune(spec, *, objective: str = "ttft_p99", budget: int = 64,
         raise TuneError("the scenario already pins a tuned-plan "
                         "artifact (--plan-file); tune produces those, "
                         "it does not consume them")
-    mode = default_mode(objective, sim)
     space = build_space(spec, mode)
     evaluator = ScenarioEvaluator(spec, objective, mode)
     tracer = current_tracer()

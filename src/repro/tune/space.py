@@ -4,7 +4,10 @@ A :class:`SearchSpace` is an ordered set of axes (name -> candidate
 values) plus the *default* configuration — the one the scenario would
 run without tuning.  The default anchors the never-worse guarantee:
 :func:`repro.tune.search.tune` always scores it at full fidelity and
-only ever moves away from it on a strict improvement.
+only ever moves away from it on a strict improvement.  Every axis is
+a knob of :data:`repro.common.scenario.TUNABLE_AXES`, and the default
+is read through that table (:func:`~repro.common.scenario.read_config`),
+the same one a configuration is applied back through.
 
 Three builders cover the three evaluation backends:
 
@@ -27,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.common.errors import TuneError
+from repro.common.scenario import read_config
 
 #: Plans the serving-path cost model supports (kept in sync with
 #: :data:`repro.serving.costmodel.SUPPORTED_PLANS` by a unit test).
@@ -85,14 +89,15 @@ class SearchSpace:
         }
 
 
-def _default_plan(spec) -> str:
-    """The scenario's incumbent plan: the last entry of ``plans`` (the
-    CLI convention puts the optimised plan last, e.g. ``baseline,sdf``)."""
-    return spec.plans[-1]
+def _space(spec, axes) -> SearchSpace:
+    """``axes`` with the scenario's own configuration as the default."""
+    return SearchSpace(
+        axes=axes, default=read_config(spec, [name for name, _ in axes]))
 
 
-def _conditional_axes(spec):
-    """Axes that exist only when the scenario enables their subsystem.
+def _serving_axes(spec):
+    """Plan x tile x engine knobs, plus the axes that exist only when
+    the scenario enables their subsystem.
 
     MoE scenarios search the routing fan-out (``top_k``: candidate
     values capped at the expert count, always including the scenario's
@@ -100,73 +105,46 @@ def _conditional_axes(spec):
     Dense, non-speculative scenarios get neither axis, so their grids
     — and tuned-plan artifacts — are unchanged.
     """
-    axes = ()
-    default = {}
-    moe = getattr(spec, "moe", None)
-    if moe is not None and moe.n_experts > 1:
-        top_k = tuple(sorted({k for k in (1, 2, 4) if k <= moe.n_experts}
-                             | {moe.top_k}))
+    axes = (
+        ("plan", SERVING_PLAN_NAMES),
+        ("t", TILE_WIDTHS),
+        ("chunk_tokens", (256, 512, 1024)),
+        ("max_batch", (8, 16, 32, 64)),
+    )
+    if spec.moe.n_experts > 1:
+        top_k = tuple(sorted({k for k in (1, 2, 4)
+                              if k <= spec.moe.n_experts}
+                             | {spec.moe.top_k}))
         axes += (("top_k", top_k),)
-        default["top_k"] = moe.top_k
     if spec.workload.draft_model is not None:
         draft_len = tuple(sorted({1, 2, 4, 8}
                                  | {spec.workload.draft_len}))
         axes += (("draft_len", draft_len),)
-        default["draft_len"] = spec.workload.draft_len
-    return axes, default
+    return axes
 
 
 def inference_space(spec) -> SearchSpace:
     """Plan x tile width, scored by single-inference latency."""
-    return SearchSpace(
-        axes=(
-            ("plan", INFERENCE_PLAN_NAMES),
-            ("t", TILE_WIDTHS),
-        ),
-        default={"plan": _default_plan(spec), "t": spec.workload.t},
-    )
+    return _space(spec, (("plan", INFERENCE_PLAN_NAMES),
+                         ("t", TILE_WIDTHS)))
 
 
 def serving_space(spec) -> SearchSpace:
     """Plan x tile x engine knobs, scored through the serving simulator.
 
     MoE scenarios additionally search ``top_k``; speculative scenarios
-    search ``draft_len`` (see :func:`_conditional_axes`)."""
-    extra_axes, extra_default = _conditional_axes(spec)
-    return SearchSpace(
-        axes=(
-            ("plan", SERVING_PLAN_NAMES),
-            ("t", TILE_WIDTHS),
-            ("chunk_tokens", (256, 512, 1024)),
-            ("max_batch", (8, 16, 32, 64)),
-        ) + extra_axes,
-        default={
-            "plan": _default_plan(spec),
-            "t": spec.workload.t,
-            "chunk_tokens": spec.workload.chunk_tokens,
-            "max_batch": spec.workload.max_batch,
-            **extra_default,
-        },
-    )
+    search ``draft_len`` (see :func:`_serving_axes`)."""
+    return _space(spec, _serving_axes(spec))
 
 
 def cluster_space(spec) -> SearchSpace:
     """The serving axes plus fleet shape and routing policy."""
-    serving = serving_space(spec)
-    return SearchSpace(
-        axes=serving.axes + (
-            ("tp", (1, 2, 4)),
-            ("pp", (1, 2)),
-            ("policy", ("round-robin", "least-outstanding",
-                        "prefix-affinity")),
-        ),
-        default={
-            **serving.default,
-            "tp": spec.sharding.tp,
-            "pp": spec.sharding.pp,
-            "policy": spec.sharding.policy,
-        },
-    )
+    return _space(spec, _serving_axes(spec) + (
+        ("tp", (1, 2, 4)),
+        ("pp", (1, 2)),
+        ("policy", ("round-robin", "least-outstanding",
+                    "prefix-affinity")),
+    ))
 
 
 def build_space(spec, mode: str) -> SearchSpace:

@@ -113,8 +113,8 @@ class DatasetBenchmark:
         self.dataset = dataset
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        # One resolution point for every plan spelling — fixed names,
-        # "auto", or a tuned-plan artifact path.
+        # One resolution point for every plan spelling — fixed names
+        # or "auto".
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, seq_len=max_seq_len,

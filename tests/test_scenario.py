@@ -177,3 +177,23 @@ class TestTunedPlanApplication:
     def test_resolved_without_plan_file_is_identity(self):
         spec = ScenarioSpec()
         assert spec.resolved() is spec
+
+
+class TestControlPlaneFlags:
+    """``controlplane-sim`` shares the workload flags but has no engine
+    choice, speculative decoding or trace replay: asking for one is an
+    error naming the flag, not a run that silently ignores it."""
+
+    @pytest.mark.parametrize("flag",
+                             ["--engine", "--draft-model", "--trace-file"])
+    def test_unsupported_flag_raises(self, tmp_path, flag):
+        from repro.cli import main
+
+        trace = tmp_path / "requests.jsonl"
+        trace.write_text('{"arrival_time": 0.0, "prompt_len": 128, '
+                         '"output_len": 4}\n')
+        value = {"--engine": "event", "--draft-model": "bert-large",
+                 "--trace-file": str(trace)}[flag]
+        with pytest.raises(ScenarioError, match=flag):
+            main(["controlplane-sim", "--rate", "2", "--duration", "3",
+                  "--seed", "0", "--json", flag, value])

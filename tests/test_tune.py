@@ -13,7 +13,10 @@ Pins the tentpole guarantees of ``repro.tune``:
   bare ``KeyError``;
 - **one plan spelling** — a bare plan name and
   :class:`~repro.core.plansource.PlanSource` resolve to the same plan,
-  with no warning.
+  with no warning; a tuned-plan artifact is not a plan spelling;
+- **one meaning for a tuned configuration** — search-space defaults
+  and ``--plan-file`` replays go through one knob table, and a
+  replayed winner reports exactly its recorded value.
 """
 
 import dataclasses
@@ -23,7 +26,16 @@ import math
 import pytest
 
 from repro.common.errors import ArtifactError, PlanError, TuneError
-from repro.common.scenario import ScenarioSpec, WorkloadSpec
+from repro.common.scenario import (
+    TUNABLE_AXES,
+    MoESpec,
+    ScenarioSpec,
+    ShardingSpec,
+    WorkloadSpec,
+    apply_config,
+    apply_tuned_plan,
+    read_config,
+)
 from repro.tune import (
     OBJECTIVES,
     TunedPlan,
@@ -212,6 +224,14 @@ class TestArtifactRoundTrip:
         with pytest.raises(ArtifactError, match="kind"):
             load_tuned_plan(path)
 
+    def test_unknown_winner_knob_raises_artifact_error(self, tmp_path):
+        result, path = self.run_and_save(tmp_path)
+        document = json.loads(path.read_text())
+        document["winner"]["config"]["warp_size"] = 16
+        path.write_text(json.dumps(document))
+        with pytest.raises(ArtifactError, match="warp_size"):
+            load_tuned_plan(path)
+
     def test_infeasible_values_serialize_as_null(self):
         result = tune(FAST, objective="ttft_p99", budget=4, seed=0)
         plan = dataclasses.replace(
@@ -221,16 +241,28 @@ class TestArtifactRoundTrip:
 
 
 class TestPlanSourceIntegration:
-    def test_plan_source_resolves_artifact_winner(self, tmp_path):
-        from repro.core.plan import AttentionPlan
+    def test_artifact_enters_only_as_plan_file(self, tmp_path):
+        """An artifact pins a plan *and* knobs, so it is not a plan
+        spelling; as a scenario's ``plan_file`` it applies both."""
+        from repro.cli import main
         from repro.core.plansource import PlanSource
 
         result = tune(FAST, objective="ttft_p99", budget=6, seed=0)
-        path = tmp_path / "plan.json"
-        save_tuned_plan(result.to_tuned_plan(), path)
-        source = PlanSource.of(str(path))
-        assert source.resolve() \
-            == AttentionPlan.from_name(result.winner_config["plan"])
+        artifact = dataclasses.replace(
+            result.to_tuned_plan(), winner_config={
+                "plan": "sd", "t": 32, "chunk_tokens": 256,
+                "max_batch": 8})
+        path = tmp_path / "tuned.json"
+        save_tuned_plan(artifact, path)
+        with pytest.raises(PlanError, match="unknown plan"):
+            PlanSource.of(str(path))
+        with pytest.raises(PlanError, match="unknown plan"):
+            main(["serve-sim", "--rate", "2", "--duration", "3",
+                  "--plans", str(path), "--json"])
+        resolved = dataclasses.replace(FAST, plan_file=str(path)).resolved()
+        assert resolved == apply_config(FAST, artifact.winner_config)
+        assert read_config(resolved, artifact.winner_config) \
+            == artifact.winner_config
 
     def test_tune_refuses_plan_file_scenarios(self, tmp_path):
         spec = dataclasses.replace(FAST, plan_file="whatever.json")
@@ -245,6 +277,72 @@ class TestPlanSourceIntegration:
         assert "p50" not in OBJECTIVES
         with pytest.raises(TuneError, match="objective"):
             tune(FAST, objective="ttft_p50", budget=4)
+
+
+def _objective(report, objective):
+    """The tuner's objective read off one plan's serving report."""
+    if objective == "ttft_p99":
+        return report.ttft.p99
+    if objective == "tpot_p99":
+        return report.tpot.p99
+    return report.throughput_tokens_per_s
+
+
+class TestReplayEqualsScore:
+    """A replayed tuned plan reports exactly the value it was scored at:
+    the tuner and ``--plan-file`` run the same scenario."""
+
+    @pytest.mark.parametrize("spec,kwargs,moved", [
+        (FAST, {"budget": 8}, None),
+        (fast_spec(sharding=ShardingSpec(replicas=2,
+                                         policy="least-outstanding")),
+         {"budget": 8, "sim": "cluster"}, None),
+        (fast_spec(moe=MoESpec(n_experts=4, top_k=2)),
+         {"budget": 8}, "top_k"),
+        (fast_spec(model="gpt-neo-1.3b", workload={
+            "rate": 1.0, "draft_model": "bert-large"}),
+         {"budget": 8, "seed": 2}, "draft_len"),
+    ], ids=["dense", "cluster", "moe", "speculative"])
+    def test_replay_reports_winner_value(self, spec, kwargs, moved):
+        result = tune(spec, objective="ttft_p99", **kwargs)
+        artifact = result.to_tuned_plan()
+        if moved is not None:
+            assert artifact.winner_config[moved] \
+                != artifact.default_config[moved]
+        replay = apply_tuned_plan(artifact.scenario_spec(), artifact)
+        run = (replay.run_cluster if artifact.mode == "cluster"
+               else replay.run_serving)
+        (report,) = run().plans.values()
+        assert _objective(report, artifact.objective) \
+            == artifact.winner_value
+
+
+class TestTunableAxesTable:
+    """One table says where every tunable knob lives."""
+
+    SCENARIOS = {
+        "dense": FAST,
+        "moe": fast_spec(moe=MoESpec(n_experts=4, top_k=2)),
+        "speculative": fast_spec(workload={"draft_model": "bert-large",
+                                           "draft_len": 3}),
+    }
+
+    @pytest.mark.parametrize("mode", ["inference", "serving", "cluster"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_table_round_trips(self, name, mode):
+        spec = self.SCENARIOS[name]
+        space = build_space(spec, mode)
+        axes = [axis for axis, _ in space.axes]
+        assert set(axes) <= set(TUNABLE_AXES)
+        assert space.default == read_config(spec, axes)
+        for config in space.configs():
+            assert read_config(apply_config(spec, config), axes) == config
+
+    def test_apply_config_rejects_unknown_knobs(self):
+        from repro.common.errors import ScenarioError
+
+        with pytest.raises(ScenarioError, match="warp_size"):
+            apply_config(FAST, {"plan": "sdf", "warp_size": 16})
 
 
 class TestDeprecatedPlanArguments:
