@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
-	approx-smoke tune-smoke moe-smoke results-check
+	approx-smoke tune-smoke moe-smoke parallel-smoke results-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +70,19 @@ moe-smoke:
 		--json > /tmp/moe_smoke.json
 	$(PYTHON) tools/compare_golden.py /tmp/moe_smoke.json \
 		tests/golden/moe_smoke.json
+
+# Tensor-parallel scaling runs compared against the committed golden
+# reports — pins the sharded layer table and the shared collective
+# terms behind `repro parallel` (see docs/cluster.md).
+parallel-smoke:
+	$(PYTHON) -m repro parallel --model bigbird-large --plan sdf \
+		--seq-len 2048 --json > /tmp/parallel_bigbird_sdf.json
+	$(PYTHON) tools/compare_golden.py /tmp/parallel_bigbird_sdf.json \
+		tests/golden/parallel_bigbird_sdf.json
+	$(PYTHON) -m repro parallel --model longformer-large --plan sd \
+		--algorithm tree --json > /tmp/parallel_longformer_tree.json
+	$(PYTHON) tools/compare_golden.py /tmp/parallel_longformer_tree.json \
+		tests/golden/parallel_longformer_tree.json
 
 bench:
 	$(PYTHON) benchmarks/bench_selfperf.py

@@ -205,13 +205,9 @@ def simulate_library(
     )
     device = Device(spec)
     full_profile = Profile()
-    layer_of_spec = {
-        config.layer_attention(layer): layer
-        for layer in range(config.num_layers)
-    }
-    for attn_spec, count in config.unique_layer_specs():
+    for layer, _, count in config.layer_groups():
         kernels = _profiled_layer_kernels(
-            profile, config, layer_of_spec[attn_spec],
+            profile, config, layer,
             batch=batch, seq_len=seq_len, dtype=dtype,
         )
         for kernel in kernels:

@@ -117,6 +117,11 @@ def _resolve_model(args: argparse.Namespace):
     return args.model
 
 
+def _model_label(model) -> str:
+    """A payload's model label: the name as given, or a config's name."""
+    return model if isinstance(model, str) else model.name
+
+
 def cmd_simulate(args: argparse.Namespace) -> str:
     result = InferenceSession(
         _resolve_model(args), gpu=args.gpu, plan=args.plan,
@@ -190,15 +195,16 @@ def cmd_breakdown(args: argparse.Namespace) -> str:
 def cmd_libraries(args: argparse.Namespace) -> str:
     from repro.baselines import all_libraries, simulate_library
 
+    model = _resolve_model(args)
     rows = []
     latencies = {}
     for lib in all_libraries():
-        result = simulate_library(lib, args.model, gpu=args.gpu,
+        result = simulate_library(lib, model, gpu=args.gpu,
                                   seq_len=args.seq_len, batch=args.batch)
         latencies[lib.name] = result.total_time
         rows.append([lib.name, f"{result.total_time * 1e3:.2f} ms"])
     payload = result_dict(
-        "libraries", model=args.model, gpu=args.gpu,
+        "libraries", model=_model_label(model), gpu=args.gpu,
         seq_len=args.seq_len, batch=args.batch, latencies_s=latencies,
     )
     return emit(payload, render_table(["library", "latency"], rows), args)
@@ -207,6 +213,7 @@ def cmd_libraries(args: argparse.Namespace) -> str:
 def cmd_sweep(args: argparse.Namespace) -> str:
     from repro.workloads.sweep import SweepPoint, SweepRunner
 
+    model = _resolve_model(args)
     values = [int(v) for v in args.values.split(",")]
     points = []
     for value in values:
@@ -214,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         kwargs["seq_len" if args.axis == "seq-len" else "batch"] = value
         for plan in ("baseline", "sdf"):
             points.append(SweepPoint.make(
-                _resolve_model(args), gpu=args.gpu, plan=plan, **kwargs,
+                model, gpu=args.gpu, plan=plan, **kwargs,
             ))
     results = SweepRunner(jobs=args.jobs).run(points)
     rows = []
@@ -230,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         })
     text = render_table([args.axis, "baseline latency", "SDF speedup"], rows)
     payload = result_dict(
-        "sweep", model=args.model, gpu=args.gpu, axis=args.axis,
+        "sweep", model=_model_label(model), gpu=args.gpu, axis=args.axis,
         points=point_docs,
     )
     return emit(payload, text, args)
@@ -240,7 +247,7 @@ def cmd_generate(args: argparse.Namespace) -> str:
     from repro.models.generation import GenerationSession
 
     result = GenerationSession(
-        args.model, gpu=args.gpu, plan=args.plan,
+        _resolve_model(args), gpu=args.gpu, plan=args.plan,
         prompt_len=args.seq_len, generated_tokens=args.tokens,
         batch=args.batch, prefill_chunk=args.prefill_chunk,
     ).simulate()

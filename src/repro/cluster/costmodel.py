@@ -8,13 +8,13 @@ and the collective traffic it implies:
 - **compute** — the step kernels are built with ``tp_shards=tp``:
   column/row-parallel projections and FF slices carry ``1/tp`` of the
   work, attention runs over ``H/tp`` heads, and LayerNorm/residual
-  replicate (exactly the shapes
-  :class:`~repro.models.parallel.TensorParallelSession` simulates);
+  replicate.  ``repro parallel`` shards its layers the same way, but
+  its kernels differ: step GEMMs tile K by 64 and append to the KV cache;
 - **communication** — every layer all-reduces the step's hidden states
-  twice (post-attention and post-FF), priced by
-  :func:`repro.gpu.interconnect.allreduce_time` under the configured
-  ring/tree algorithm; each of the ``pp - 1`` pipeline boundaries
-  ships the hidden states once point to point.
+  twice (post-attention and post-FF) under the configured ring/tree
+  algorithm; each of the ``pp - 1`` pipeline boundaries ships them once
+  point to point.  :mod:`repro.models.parallel` prices both for
+  ``repro parallel`` and here alike.
 
 Pipeline stages run the same step back to back for a single request
 stream (inference, no microbatch overlap across requests in one engine
@@ -33,10 +33,10 @@ from repro.gpu.interconnect import (
     NVLINK3,
     allreduce_time,
     alltoall_time,
-    point_to_point_time,
 )
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
+from repro.models.parallel import layer_allreduce_time, stage_transfer_time
 from repro.serving.costmodel import StepCostModel
 
 
@@ -95,12 +95,12 @@ class ShardedStepCostModel(StepCostModel):
             return 0.0
         cached = self._comm_cache.get(total_tokens)
         if cached is None:
-            hidden = total_tokens * self.model.d_model * self.dtype.nbytes
-            cached = self.model.num_layers * 2 * allreduce_time(
-                self.interconnect, hidden, self.tp,
-                algorithm=self.algorithm,
-            ) + (self.pp - 1) * point_to_point_time(self.interconnect,
-                                                    hidden)
+            cached = self.model.num_layers * 2 * layer_allreduce_time(
+                self.model, total_tokens, self.dtype, tp=self.tp,
+                interconnect=self.interconnect, algorithm=self.algorithm,
+            ) + (self.pp - 1) * stage_transfer_time(
+                self.model, total_tokens, self.dtype,
+                interconnect=self.interconnect)
             if self.ep > 1:
                 from repro.models.moe import routed_bytes
 

@@ -91,7 +91,8 @@ class Replica:
         costs: "dict | None" = None,
     ) -> None:
         from repro.cluster.costmodel import ShardedStepCostModel
-        from repro.serving.costmodel import StepCostModel, shared_cost_model
+        from repro.serving.costmodel import shared_cost_model
+        from repro.serving.specdecode import spec_decode_runtime
 
         self.replica_id = replica_id
         # ``costs`` is the owning run's pool; without one the replica
@@ -113,32 +114,14 @@ class Replica:
             self.memory, chunk_tokens=chunk_tokens, max_batch=max_batch,
             tracer=self.tracer, trace_process=self.trace_process,
         )
-        # The draft model is small and replicates across the group, so
-        # its per-round cost is priced unsharded on one GPU.
-        spec_runtime = None
-        if draft_model is not None:
-            from repro.models.config import get_model
-            from repro.serving.specdecode import (
-                SpecDecodeConfig,
-                SpecDecodeRuntime,
-            )
-
-            config = SpecDecodeConfig(
-                draft_model=(get_model(draft_model)
-                             if isinstance(draft_model, str)
-                             else draft_model),
-                draft_len=draft_len,
-                accept_rate=accept_rate,
-            )
-            spec_runtime = SpecDecodeRuntime(config, shared_cost_model(
-                costs, StepCostModel, config.draft_model, gpu,
-                plan=self.cost.plan, dtype=dtype, t=t,
-            ))
         self.engine = EpochEngine(
             cost=self.cost, memory=self.memory, scheduler=self.scheduler,
             tracer=self.tracer, epoch=engine == "epoch",
             max_epoch=max_epoch, on_step=self._trace_step,
-            spec_decode=spec_runtime,
+            spec_decode=spec_decode_runtime(
+                draft_model, gpu, draft_len=draft_len,
+                accept_rate=accept_rate, plan=self.cost.plan, dtype=dtype,
+                t=t, costs=costs),
         )
         self.retain_requests = retain_requests
         #: Every request ever routed here, in submission order; empty

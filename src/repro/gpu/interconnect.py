@@ -17,10 +17,11 @@ NVLink/NVSwitch or PCIe:
 - **point-to-point** — one activation transfer across a pipeline
   stage boundary.
 
-Used by :mod:`repro.models.parallel` and by the cluster serving
-simulator's :class:`~repro.cluster.costmodel.ShardedStepCostModel`,
-so the single-inference ``repro parallel`` numbers and the per-step
-charges of ``repro cluster-sim`` come from the same functions.
+The hidden-state collectives of a sharded layer are priced through
+:func:`repro.models.parallel.layer_allreduce_time` and
+:func:`~repro.models.parallel.stage_transfer_time`, which both
+``repro parallel`` and ``repro cluster-sim``'s
+:class:`~repro.cluster.costmodel.ShardedStepCostModel` call.
 """
 
 from __future__ import annotations

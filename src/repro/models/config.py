@@ -155,6 +155,14 @@ class ModelConfig:
             counts[spec] = counts.get(spec, 0) + 1
         return list(counts.items())
 
+    def layer_groups(self) -> list[tuple[int, AttentionSpec, int]]:
+        """``(layer, spec, count)`` per distinct layer spec: ``layer`` is
+        one index with that spec, standing for all ``count`` of them."""
+        layer_of_spec = {self.layer_attention(layer): layer
+                         for layer in range(self.num_layers)}
+        return [(layer_of_spec[spec], spec, count)
+                for spec, count in self.unique_layer_specs()]
+
 
 BERT_LARGE = ModelConfig(
     name="BERT-large",
@@ -220,6 +228,21 @@ _REGISTRY = {
     "longformer": LONGFORMER_LARGE,
     "longformer-large": LONGFORMER_LARGE,
 }
+
+
+def _check_tp_shards(model: ModelConfig, tp_shards: int) -> None:
+    """Validate that ``model`` shards across ``tp_shards`` GPUs."""
+    require_positive("tp_shards", tp_shards)
+    if model.num_heads % tp_shards != 0:
+        raise ConfigError(
+            f"{model.name}: {model.num_heads} heads do not shard "
+            f"across {tp_shards} GPUs"
+        )
+    if model.d_ff % tp_shards != 0:
+        raise ConfigError(
+            f"{model.name}: d_ff={model.d_ff} does not shard across "
+            f"{tp_shards} GPUs"
+        )
 
 
 def get_model(name: str) -> ModelConfig:

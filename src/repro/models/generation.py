@@ -41,7 +41,12 @@ from repro.kernels.elementwise import AddBiasGeluKernel, LayerNormKernel, \
 from repro.kernels.fused import FusedGSMatMulKernel, FusedMatMulLSKernel
 from repro.kernels.matmul import MatMulKernel
 from repro.kernels.softmax import RowSoftmaxKernel
-from repro.models.config import AttentionKind, ModelConfig, get_model
+from repro.models.config import (
+    AttentionKind,
+    ModelConfig,
+    _check_tp_shards,
+    get_model,
+)
 from repro.models.footprint import weight_bytes
 from repro.models.runtime import InferenceResult, InferenceSession
 
@@ -174,21 +179,6 @@ def layer_step_kernels(
                                 tp_shards=tp_shards),
         *post,
     ]
-
-
-def _check_tp_shards(model: ModelConfig, tp_shards: int) -> None:
-    """Validate that ``model`` shards across ``tp_shards`` GPUs."""
-    require_positive("tp_shards", tp_shards)
-    if model.num_heads % tp_shards != 0:
-        raise ConfigError(
-            f"{model.name}: {model.num_heads} heads do not shard "
-            f"across {tp_shards} GPUs"
-        )
-    if model.d_ff % tp_shards != 0:
-        raise ConfigError(
-            f"{model.name}: d_ff={model.d_ff} does not shard across "
-            f"{tp_shards} GPUs"
-        )
 
 
 def mlp_step_kernels(

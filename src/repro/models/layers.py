@@ -4,6 +4,11 @@ Kernel categories follow the paper's breakdown (Fig. 2 / Fig. 8):
 the four MHA projections are ``fc``; the SDA MatMuls are ``matmul``;
 softmax kernels are ``softmax``; the FF block is ``feedforward``;
 LayerNorm and residuals are ``other``.
+
+``tp_shards = n`` builds one GPU's share of a Megatron tensor-parallel
+layer: Q/K/V and FC1 are column-parallel (``d -> d/n``), out-proj and
+FC2 row-parallel (``d/n -> d``), attention runs over ``H/n`` heads, and
+LayerNorm/residual replicate.  A shard is cost-only (no ``forward``).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.dtypes import DType
+from repro.common.errors import ConfigError
 from repro.core.plan import AttentionPlan
 from repro.gpu.device import Device
 from repro.kernels.base import CATEGORY, Kernel
@@ -23,8 +29,23 @@ from repro.kernels.elementwise import (
 )
 from repro.kernels.matmul import MatMulKernel
 from repro.models.attention import SDABlock
-from repro.models.config import ModelConfig
+from repro.models.config import ModelConfig, _check_tp_shards
 from repro.models.weights import LayerWeights
+
+
+def _check_unsharded(tp_shards: int) -> None:
+    if tp_shards > 1:
+        raise ConfigError(f"a {tp_shards}-way tensor-parallel shard is "
+                          f"cost-only; numeric forward needs tp_shards=1")
+
+
+class _Block:
+    """A block whose cost is its ``kernels`` launched in order."""
+
+    def simulate(self, device: Device) -> None:
+        """Launch the block's kernels without numerics."""
+        for kernel in self.kernels:
+            kernel.simulate(device)
 
 
 def _fc_kernel(batch: int, seq_len: int, n: int, k: int, dtype: DType,
@@ -35,7 +56,7 @@ def _fc_kernel(batch: int, seq_len: int, n: int, k: int, dtype: DType,
     )
 
 
-class MHABlock:
+class MHABlock(_Block):
     """Multi-head self-attention: Q/K/V projections, SDA, output FC."""
 
     def __init__(
@@ -49,20 +70,23 @@ class MHABlock:
         dtype: DType = DType.FP16,
         t: int = 64,
         layout_seed: int = 0,
+        tp_shards: int = 1,
     ) -> None:
+        _check_tp_shards(config, tp_shards)
         self.config = config
         self.batch = batch
         self.seq_len = seq_len
         self.dtype = dtype
-        d = config.d_model
-        self.q_proj = _fc_kernel(batch, seq_len, d, d, dtype, "q_proj", CATEGORY.FC)
-        self.k_proj = _fc_kernel(batch, seq_len, d, d, dtype, "k_proj", CATEGORY.FC)
-        self.v_proj = _fc_kernel(batch, seq_len, d, d, dtype, "v_proj", CATEGORY.FC)
-        self.out_proj = _fc_kernel(batch, seq_len, d, d, dtype, "out_proj",
+        self.tp_shards = tp_shards
+        d, ds = config.d_model, config.d_model // tp_shards
+        self.q_proj = _fc_kernel(batch, seq_len, ds, d, dtype, "q_proj", CATEGORY.FC)
+        self.k_proj = _fc_kernel(batch, seq_len, ds, d, dtype, "k_proj", CATEGORY.FC)
+        self.v_proj = _fc_kernel(batch, seq_len, ds, d, dtype, "v_proj", CATEGORY.FC)
+        self.out_proj = _fc_kernel(batch, seq_len, d, ds, dtype, "out_proj",
                                    CATEGORY.FC)
         self.sda = SDABlock(
             batch=batch,
-            num_heads=config.num_heads,
+            num_heads=config.num_heads // tp_shards,
             seq_len=seq_len,
             d_head=config.d_head,
             spec=config.layer_attention(layer),
@@ -77,11 +101,6 @@ class MHABlock:
         """All kernels of the block in launch order."""
         return (self.q_proj, self.k_proj, self.v_proj,
                 *self.sda.kernels, self.out_proj)
-
-    def simulate(self, device: Device) -> None:
-        """Launch the block's kernels without numerics."""
-        for kernel in self.kernels:
-            kernel.simulate(device)
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(batch, L, D) -> (batch*heads, L, d_head)."""
@@ -104,6 +123,7 @@ class MHABlock:
         device: Optional[Device] = None,
     ) -> np.ndarray:
         """Numeric MHA over ``(batch, L, D)`` hidden states."""
+        _check_unsharded(self.tp_shards)
         q = self._split_heads(self.q_proj.run(device, hidden, weights.wq))
         k = self._split_heads(self.k_proj.run(device, hidden, weights.wk))
         v = self._split_heads(self.v_proj.run(device, hidden, weights.wv))
@@ -111,7 +131,7 @@ class MHABlock:
         return self.out_proj.run(device, context, weights.wo)
 
 
-class FFBlock:
+class FFBlock(_Block):
     """FeedForward block: FC -> bias+GeLU -> FC."""
 
     def __init__(
@@ -121,24 +141,22 @@ class FFBlock:
         batch: int,
         seq_len: int,
         dtype: DType = DType.FP16,
+        tp_shards: int = 1,
     ) -> None:
+        _check_tp_shards(config, tp_shards)
         self.config = config
-        d, dff = config.d_model, config.d_ff
-        self.fc1 = _fc_kernel(batch, seq_len, dff, d, dtype, "ff_fc1",
+        self.tp_shards = tp_shards
+        d, dffs = config.d_model, config.d_ff // tp_shards
+        self.fc1 = _fc_kernel(batch, seq_len, dffs, d, dtype, "ff_fc1",
                               CATEGORY.FEEDFORWARD)
-        self.act = AddBiasGeluKernel(batch * seq_len * dff, dtype=dtype)
-        self.fc2 = _fc_kernel(batch, seq_len, d, dff, dtype, "ff_fc2",
+        self.act = AddBiasGeluKernel(batch * seq_len * dffs, dtype=dtype)
+        self.fc2 = _fc_kernel(batch, seq_len, d, dffs, dtype, "ff_fc2",
                               CATEGORY.FEEDFORWARD)
 
     @property
     def kernels(self) -> tuple[Kernel, ...]:
         """All kernels of the block in launch order."""
         return (self.fc1, self.act, self.fc2)
-
-    def simulate(self, device: Device) -> None:
-        """Launch the block's kernels without numerics."""
-        for kernel in self.kernels:
-            kernel.simulate(device)
 
     def forward(
         self,
@@ -147,12 +165,13 @@ class FFBlock:
         device: Optional[Device] = None,
     ) -> np.ndarray:
         """Numeric FF over ``(batch, L, D)`` hidden states."""
+        _check_unsharded(self.tp_shards)
         h = self.fc1.run(device, hidden, weights.w_ff1)
         h = self.act.run(device, h, weights.b_ff1)
         return self.fc2.run(device, h, weights.w_ff2)
 
 
-class TransformerLayer:
+class TransformerLayer(_Block):
     """One encoder/decoder layer: MHA + FF with residuals and LayerNorm
     (post-LN, as in BERT)."""
 
@@ -167,13 +186,15 @@ class TransformerLayer:
         dtype: DType = DType.FP16,
         t: int = 64,
         layout_seed: int = 0,
+        tp_shards: int = 1,
     ) -> None:
         self.config = config
         self.mha = MHABlock(
             config, layer, batch=batch, seq_len=seq_len, plan=plan,
-            dtype=dtype, t=t, layout_seed=layout_seed,
+            dtype=dtype, t=t, layout_seed=layout_seed, tp_shards=tp_shards,
         )
-        self.ff = FFBlock(config, batch=batch, seq_len=seq_len, dtype=dtype)
+        self.ff = FFBlock(config, batch=batch, seq_len=seq_len, dtype=dtype,
+                          tp_shards=tp_shards)
         elements = batch * seq_len * config.d_model
         rows = batch * seq_len
         self.residual1 = ResidualAddKernel(elements, dtype=dtype)
@@ -188,11 +209,6 @@ class TransformerLayer:
             *self.mha.kernels, self.residual1, self.ln1,
             *self.ff.kernels, self.residual2, self.ln2,
         )
-
-    def simulate(self, device: Device) -> None:
-        """Launch the layer's kernels without numerics."""
-        for kernel in self.kernels:
-            kernel.simulate(device)
 
     def forward(
         self,

@@ -8,6 +8,10 @@ attention output projection and after FC2).  Softmax recomposition
 applies unchanged within each GPU's shard — every GPU runs the same
 SDA pipeline over ``H/n`` heads — so the speedup survives tensor
 parallelism, diluted only by the communication share.
+
+The shard is the standard layer built with ``tp_shards=n``; the
+collectives are priced by :func:`layer_allreduce_time` and
+:func:`stage_transfer_time`, which the cluster's cost model shares.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from repro.common.dtypes import DType
 from repro.common.errors import ConfigError
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
-from repro.gpu.device import Device
 from repro.gpu.interconnect import (
     InterconnectSpec,
     NVLINK3,
@@ -28,11 +31,31 @@ from repro.gpu.interconnect import (
 from repro.gpu.profiler import KernelRecord, Profile
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
-from repro.models.generation import _check_tp_shards
-from repro.models.runtime import InferenceResult
+from repro.models.runtime import InferenceResult, InferenceSession
 
 #: Profiler category for collective communication.
 COMM_CATEGORY = "comm"
+
+
+def _hidden_bytes(model: ModelConfig, tokens: int, dtype: DType) -> int:
+    return tokens * model.d_model * dtype.nbytes
+
+
+def layer_allreduce_time(model: ModelConfig, tokens: int, dtype: DType, *,
+                         tp: int, interconnect: InterconnectSpec,
+                         algorithm: str) -> float:
+    """One of a layer's two hidden-state all-reduces (post-attention
+    and post-FF) over ``tokens`` rows across a ``tp``-GPU group."""
+    return allreduce_time(interconnect, _hidden_bytes(model, tokens, dtype),
+                          tp, algorithm=algorithm)
+
+
+def stage_transfer_time(model: ModelConfig, tokens: int, dtype: DType, *,
+                        interconnect: InterconnectSpec) -> float:
+    """One pipeline-boundary transfer of ``tokens`` rows of hidden
+    states, point to point."""
+    return point_to_point_time(interconnect,
+                               _hidden_bytes(model, tokens, dtype))
 
 
 @dataclass(frozen=True)
@@ -80,14 +103,14 @@ class TensorParallelResult:
         )
 
 
-class TensorParallelSession:
+class TensorParallelSession(InferenceSession):
     """Simulate one model sharded across ``n_gpus`` identical devices.
 
-    Megatron sharding: Q/K/V and FC1 are column-parallel (full
-    ``d_model`` in, ``1/n`` slice out), the attention runs over
-    ``H/n`` heads per GPU, out-proj and FC2 are row-parallel, and the
-    two per-layer hidden-state all-reduces are charged to the
-    interconnect.  LayerNorm/residual work replicates on every GPU.
+    Every GPU runs the same shard (``tp_shards = n_gpus``) of each
+    layer, and the two per-layer hidden-state all-reduces are charged
+    to the interconnect.  Inputs are checked as
+    :class:`InferenceSession` checks them; the plan must be a fixed
+    one (``"auto"`` measures unsharded layers, so it is rejected).
     """
 
     def __init__(
@@ -105,81 +128,22 @@ class TensorParallelSession:
         algorithm: str = "ring",
     ) -> None:
         require_positive("n_gpus", n_gpus)
-        self.model = get_model(model) if isinstance(model, str) else model
-        _check_tp_shards(self.model, n_gpus)
-        self.n_gpus = n_gpus
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.n_gpus = self.tp_shards = n_gpus
         self.interconnect = interconnect
-        self.plan = AttentionPlan.from_name(plan)
-        self.seq_len = seq_len
-        self.batch = batch
-        self.dtype = dtype
-        self.t = t
         self.algorithm = algorithm
-
-    def _layer_kernels(self, layer: int):
-        """One layer's per-GPU kernels with the Megatron shapes.
-
-        Column-parallel Q/K/V and FC1 consume the full ``d_model``
-        input and produce a ``1/n`` slice; row-parallel out-proj and
-        FC2 consume the slice and produce the full ``d_model`` (summed
-        by the all-reduce).  LayerNorm/residual replicate.
-        """
-        from repro.kernels.base import CATEGORY
-        from repro.kernels.elementwise import (
-            AddBiasGeluKernel,
-            LayerNormKernel,
-            ResidualAddKernel,
-        )
-        from repro.kernels.matmul import MatMulKernel
-        from repro.models.attention import SDABlock
-
-        config, n = self.model, self.n_gpus
-        batch, length = self.batch, self.seq_len
-        d, dff = config.d_model, config.d_ff
-
-        def fc(n_dim, k_dim, name, category):
-            return MatMulKernel(batch=batch, m=length, n=n_dim, k=k_dim,
-                                dtype=self.dtype, b_shared=True, name=name,
-                                category=category)
-
-        sda = SDABlock(
-            batch=batch, num_heads=config.num_heads // n, seq_len=length,
-            d_head=config.d_head, spec=config.layer_attention(layer),
-            plan=self.plan, dtype=self.dtype, t=self.t,
-        )
-        return [
-            fc(d // n, d, "tp_q_proj", CATEGORY.FC),
-            fc(d // n, d, "tp_k_proj", CATEGORY.FC),
-            fc(d // n, d, "tp_v_proj", CATEGORY.FC),
-            *sda.kernels,
-            fc(d, d // n, "tp_out_proj", CATEGORY.FC),
-            ResidualAddKernel(batch * length * d, dtype=self.dtype),
-            LayerNormKernel(batch * length, d, dtype=self.dtype),
-            fc(dff // n, d, "tp_ff1", CATEGORY.FEEDFORWARD),
-            AddBiasGeluKernel(batch * length * dff // n, dtype=self.dtype),
-            fc(d, dff // n, "tp_ff2", CATEGORY.FEEDFORWARD),
-            ResidualAddKernel(batch * length * d, dtype=self.dtype),
-            LayerNormKernel(batch * length, d, dtype=self.dtype),
-        ]
+        super().__init__(model, gpu=gpu, plan=AttentionPlan.from_name(plan),
+                         seq_len=seq_len, batch=batch, dtype=dtype, t=t)
 
     def simulate(self) -> TensorParallelResult:
-        """Cost-only tensor-parallel inference."""
-        device = Device(self.gpu)
+        """Cost-only tensor-parallel inference (not memoized)."""
+        result = self._simulate_uncached()
+        tokens = self.batch * self.seq_len
+        hidden_bytes = _hidden_bytes(self.model, tokens, self.dtype)
+        comm = layer_allreduce_time(
+            self.model, tokens, self.dtype, tp=self.n_gpus,
+            interconnect=self.interconnect, algorithm=self.algorithm)
         profile = Profile()
-        hidden_bytes = (self.batch * self.seq_len * self.model.d_model
-                        * self.dtype.nbytes)
-        comm = allreduce_time(self.interconnect, hidden_bytes, self.n_gpus,
-                              algorithm=self.algorithm)
-
-        layer_of_spec = {
-            self.model.layer_attention(layer): layer
-            for layer in range(self.model.num_layers)
-        }
-        for spec, count in self.model.unique_layer_specs():
-            for kernel in self._layer_kernels(layer_of_spec[spec]):
-                kernel.simulate(device)
-            layer_profile = device.take_profile()
+        for _, count, layer_profile in result.layer_groups:
             # Two all-reduces per layer: post-attention and post-FF.
             for index in range(2):
                 layer_profile.add(KernelRecord(
@@ -194,16 +158,8 @@ class TensorParallelSession:
                     bound="memory",
                 ))
             profile.extend(layer_profile.scaled(count))
-
         return TensorParallelResult(
-            result=InferenceResult(
-                model=self.model,
-                gpu=self.gpu,
-                plan=self.plan,
-                seq_len=self.seq_len,
-                batch=self.batch,
-                profile=profile,
-            ),
+            result=self._result(profile, result.layer_groups),
             n_gpus=self.n_gpus,
             interconnect=self.interconnect,
             algorithm=self.algorithm,
@@ -308,20 +264,16 @@ class PipelineParallelSession:
 
     def simulate(self) -> PipelineParallelResult:
         """Cost-only pipeline-parallel inference of one batch."""
-        from repro.models.runtime import InferenceSession
-
         micro = self.batch // self.microbatches
         one_microbatch = InferenceSession(
             self.model, gpu=self.gpu, plan=self.plan,
             seq_len=self.seq_len, batch=micro, dtype=self.dtype, t=self.t,
         ).simulate()
-        stage_time = one_microbatch.total_time / self.n_stages
-        activation_bytes = (micro * self.seq_len * self.model.d_model
-                            * self.dtype.nbytes)
-        comm = point_to_point_time(self.interconnect, activation_bytes)
         return PipelineParallelResult(
-            stage_time=stage_time,
+            stage_time=one_microbatch.total_time / self.n_stages,
             n_stages=self.n_stages,
             microbatches=self.microbatches,
-            comm_per_boundary=comm,
+            comm_per_boundary=stage_transfer_time(
+                self.model, micro * self.seq_len, self.dtype,
+                interconnect=self.interconnect),
         )

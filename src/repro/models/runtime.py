@@ -25,7 +25,7 @@ from repro.gpu.profiler import Profile
 from repro.gpu.simcache import MISSING, caching_enabled, simulate_cache
 from repro.obs.tracer import current_tracer
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.models.config import ModelConfig, get_model
+from repro.models.config import ModelConfig, _check_tp_shards, get_model
 from repro.models.layers import TransformerLayer
 from repro.models.weights import ModelWeights
 
@@ -150,6 +150,9 @@ class InferenceSession:
     True
     """
 
+    #: Tensor-parallel GPUs per layer (``TensorParallelSession`` sets it).
+    tp_shards = 1
+
     def __init__(
         self,
         model: "ModelConfig | str",
@@ -165,6 +168,7 @@ class InferenceSession:
     ) -> None:
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        _check_tp_shards(self.model, self.tp_shards)
         if getattr(self.model, "is_moe", False):
             raise ConfigError(
                 f"{self.model.name}: the single-pass inference session "
@@ -197,6 +201,7 @@ class InferenceSession:
             dtype=self.dtype,
             t=self.t,
             layout_seed=self.layout_seed,
+            tp_shards=self.tp_shards,
         )
 
     def _simulate_key(self):
@@ -258,17 +263,16 @@ class InferenceSession:
         device = Device(self.gpu)
         profile = Profile()
         layer_groups = []
-        layer_of_spec = {
-            spec: layer
-            for layer in range(self.model.num_layers)
-            for spec in [self.model.layer_attention(layer)]
-        }
-        for spec, count in self.model.unique_layer_specs():
-            layer = self._make_layer(layer_of_spec[spec])
-            layer.simulate(device)
+        for layer, spec, count in self.model.layer_groups():
+            self._make_layer(layer).simulate(device)
             layer_profile = device.take_profile()
             layer_groups.append((spec.kind.value, count, layer_profile))
             profile.extend(layer_profile.scaled(count))
+        return self._result(profile, tuple(layer_groups))
+
+    def _result(self, profile: Profile,
+                layer_groups: tuple = ()) -> InferenceResult:
+        """This session's configuration around ``profile``."""
         return InferenceResult(
             model=self.model,
             gpu=self.gpu,
@@ -276,7 +280,7 @@ class InferenceSession:
             seq_len=self.seq_len,
             batch=self.batch,
             profile=profile,
-            layer_groups=tuple(layer_groups),
+            layer_groups=layer_groups,
         )
 
     def forward(
@@ -299,13 +303,5 @@ class InferenceSession:
                 hidden, self.weights.layer(layer), device
             )
         if with_device:
-            result = InferenceResult(
-                model=self.model,
-                gpu=self.gpu,
-                plan=self.plan,
-                seq_len=self.seq_len,
-                batch=self.batch,
-                profile=device.take_profile(),
-            )
-            return hidden, result
+            return hidden, self._result(device.take_profile())
         return hidden

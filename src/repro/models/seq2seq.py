@@ -30,7 +30,7 @@ from repro.kernels.base import CATEGORY, Kernel
 from repro.kernels.elementwise import LayerNormKernel, ResidualAddKernel
 from repro.models.attention import SDABlock
 from repro.models.config import AttentionKind, AttentionSpec, ModelConfig
-from repro.models.layers import FFBlock, MHABlock, _fc_kernel
+from repro.models.layers import FFBlock, MHABlock, _Block, _fc_kernel
 from repro.models.runtime import InferenceResult
 from repro.models.weights import LayerWeights, make_layer_weights
 
@@ -132,7 +132,7 @@ def make_decoder_weights(config: Seq2SeqConfig, layer: int,
     )
 
 
-class CrossMHABlock:
+class CrossMHABlock(_Block):
     """Cross-attention: queries from the decoder, keys/values from the
     encoder memory (the second MHA input case of Section 2.1)."""
 
@@ -178,11 +178,6 @@ class CrossMHABlock:
         return (self.q_proj, self.k_proj, self.v_proj,
                 *self.sda.kernels, self.out_proj)
 
-    def simulate(self, device: Device) -> None:
-        """Launch the block's kernels without numerics."""
-        for kernel in self.kernels:
-            kernel.simulate(device)
-
     def _split(self, x: np.ndarray, length: int) -> np.ndarray:
         heads, d_head = self.config.num_heads, self.config.d_head
         x = x.reshape(self.batch, length, heads, d_head)
@@ -205,7 +200,7 @@ class CrossMHABlock:
         return self.out_proj.run(device, context, weights.cross_wo)
 
 
-class DecoderLayer:
+class DecoderLayer(_Block):
     """Causal self-attention + cross-attention + FF (post-LN)."""
 
     def __init__(
@@ -245,11 +240,6 @@ class DecoderLayer:
             *self.cross_attn.kernels, self.residuals[1], self.norms[1],
             *self.ff.kernels, self.residuals[2], self.norms[2],
         )
-
-    def simulate(self, device: Device) -> None:
-        """Launch the layer's kernels without numerics."""
-        for kernel in self.kernels:
-            kernel.simulate(device)
 
     def forward(self, hidden, memory, weights: DecoderLayerWeights,
                 device=None) -> np.ndarray:

@@ -26,12 +26,8 @@ from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
 from repro.gpu.device import Device
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.models.config import ModelConfig, get_model
-from repro.models.generation import (
-    _check_tp_shards,
-    attention_step_kernels,
-    mlp_step_kernels,
-)
+from repro.models.config import ModelConfig, _check_tp_shards, get_model
+from repro.models.generation import attention_step_kernels, mlp_step_kernels
 
 #: Plans the serving simulator supports: the paper's headline
 #: comparison.  The related-work plans (online/turbo/flash/fused-mha)
@@ -91,14 +87,8 @@ class StepCostModel:
         self.ep_shards = ep_shards
         self._device = Device(self.gpu)
         # One representative layer index per distinct attention spec.
-        layer_of_spec = {
-            self.model.layer_attention(layer): layer
-            for layer in range(self.model.num_layers)
-        }
-        self._groups = [
-            (layer_of_spec[spec], count)
-            for spec, count in self.model.unique_layer_specs()
-        ]
+        self._groups = [(layer, count)
+                        for layer, _, count in self.model.layer_groups()]
         self._mlp_cache: dict[int, float] = {}
         self._attn_cache: dict[tuple[int, int, int], float] = {}
 
@@ -280,10 +270,6 @@ def verification_oracles():
         pre, post = mlp_kernels(model, m_tokens=total_tokens,
                                 dtype=cost.dtype, prefix="step")
         time = model.num_layers * simulate(pre + post)
-        layer_of_spec = {
-            model.layer_attention(layer): layer
-            for layer in range(model.num_layers)
-        }
 
         def attention(layer, m_tokens, kv_len):
             return simulate(attn_kernels(
@@ -291,8 +277,7 @@ def verification_oracles():
                 dtype=cost.dtype, plan=cost.plan, t=cost.t, prefix="step",
             ))
 
-        for spec, count in model.unique_layer_specs():
-            layer = layer_of_spec[spec]
+        for layer, _, count in model.layer_groups():
             for m_tokens, kv_len in prefill:
                 time += count * attention(layer, m_tokens, kv_len)
             for kv_len in decode_kv:

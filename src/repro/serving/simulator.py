@@ -46,6 +46,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.requests import Request, ServingWorkload, arrivals
 from repro.serving.scheduler import ContinuousBatchingScheduler
+from repro.serving.specdecode import spec_decode_runtime
 
 #: Execution modes: ``epoch`` (vectorized fast path, the default) and
 #: ``event`` (the classic one-step-per-iteration loop).
@@ -137,27 +138,10 @@ class ServingSimulator:
         self.cost = shared_cost_model(costs, StepCostModel, self.model,
                                       self.gpu, plan=self.plan,
                                       dtype=self.dtype, t=self.t)
-        # Speculative decoding: the draft model gets its own cost model
-        # on the same GPU/plan/dtype so its γ decode steps per round are
-        # priced through the identical kernel stack.
-        self._spec_runtime = None
-        if draft_model is not None:
-            from repro.serving.specdecode import (
-                SpecDecodeConfig,
-                SpecDecodeRuntime,
-            )
-
-            config = SpecDecodeConfig(
-                draft_model=(get_model(draft_model)
-                             if isinstance(draft_model, str)
-                             else draft_model),
-                draft_len=draft_len,
-                accept_rate=accept_rate,
-            )
-            draft_cost = shared_cost_model(
-                costs, StepCostModel, config.draft_model, self.gpu,
-                plan=self.plan, dtype=self.dtype, t=self.t)
-            self._spec_runtime = SpecDecodeRuntime(config, draft_cost)
+        self._spec_runtime = spec_decode_runtime(
+            draft_model, self.gpu, draft_len=draft_len,
+            accept_rate=accept_rate, plan=self.plan, dtype=self.dtype,
+            t=self.t, costs=costs)
 
     @property
     def num_requests(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.common.errors import ServingError
 from repro.common.validation import require_positive
 
-__all__ = ["SpecDecodeConfig", "SpecDecodeRuntime"]
+__all__ = ["SpecDecodeConfig", "SpecDecodeRuntime", "spec_decode_runtime"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,33 @@ class SpecDecodeRuntime:
         if not draft_kv:
             return 0.0
         return self.draft_len * self.draft_cost.decode_step_time(draft_kv)
+
+
+def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
+                        accept_rate: float, plan, dtype, t: int,
+                        costs: "dict | None" = None):
+    """The :class:`SpecDecodeRuntime` a simulator's engine runs, or
+    ``None`` without a ``draft_model``.
+
+    The draft gets its own step-cost model on the target's GPU, plan
+    and dtype, so its γ decode steps per round are priced through the
+    identical kernel stack.  It is small and replicates across a
+    sharded replica's group, so it is priced unsharded on one GPU.
+    """
+    if draft_model is None:
+        return None
+    from repro.models.config import get_model
+    from repro.serving.costmodel import StepCostModel, shared_cost_model
+
+    config = SpecDecodeConfig(
+        draft_model=(get_model(draft_model) if isinstance(draft_model, str)
+                     else draft_model),
+        draft_len=draft_len,
+        accept_rate=accept_rate,
+    )
+    return SpecDecodeRuntime(config, shared_cost_model(
+        costs, StepCostModel, config.draft_model, gpu, plan=plan,
+        dtype=dtype, t=t))
 
 
 def verification_oracles():

@@ -106,6 +106,48 @@ class TestCLI:
                       "--seq-len", "2048")
         assert "BigBird-large" in out
 
+    def _small_model_json(self, tmp_path, base):
+        import dataclasses
+
+        from repro.models.serialization import config_to_json
+
+        small = dataclasses.replace(base, name="small-json", num_layers=2)
+        path = tmp_path / "small.json"
+        path.write_text(config_to_json(small))
+        return str(path)
+
+    def test_generate_reads_model_json(self, capsys, tmp_path):
+        from repro.models import GPT_NEO_1_3B
+
+        path = self._small_model_json(tmp_path, GPT_NEO_1_3B)
+        out = run_cli(capsys, "generate", "--model-json", path,
+                      "--seq-len", "256", "--tokens", "4", "--json")
+        assert json.loads(out)["model"] == "small-json"
+        with pytest.raises(FileNotFoundError):
+            main(["generate", "--model-json", str(tmp_path / "no.json")])
+
+    def test_libraries_reads_model_json(self, capsys, tmp_path):
+        from repro.models import BERT_LARGE
+
+        path = self._small_model_json(tmp_path, BERT_LARGE)
+        doc = json.loads(run_cli(capsys, "libraries", "--model-json", path,
+                                 "--seq-len", "512", "--json"))
+        full = json.loads(run_cli(capsys, "libraries", "--seq-len", "512",
+                                  "--json"))
+        assert (doc["model"], full["model"]) == ("small-json", "bert-large")
+        for name, latency in doc["latencies_s"].items():
+            assert latency < full["latencies_s"][name]
+        with pytest.raises(FileNotFoundError):
+            main(["libraries", "--model-json", str(tmp_path / "no.json")])
+
+    def test_sweep_labels_model_json(self, capsys, tmp_path):
+        from repro.models import BERT_LARGE
+
+        path = self._small_model_json(tmp_path, BERT_LARGE)
+        doc = json.loads(run_cli(capsys, "sweep", "--model-json", path,
+                                 "--values", "512", "--json"))
+        assert doc["model"] == "small-json"
+
     def test_parallel(self, capsys):
         out = run_cli(capsys, "parallel", "--model", "bert-large",
                       "--seq-len", "2048")

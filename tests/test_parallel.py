@@ -93,6 +93,98 @@ class TestTensorParallel:
         assert len(comm_records) == 2 * BERT_LARGE.num_layers
 
 
+class TestOneShardedLayer:
+    """``repro parallel`` prices the standard layer, sharded, with the
+    collectives the cluster cost model charges."""
+
+    @pytest.mark.parametrize("model", ["bert-large", "gpt-neo-1.3b",
+                                       "bigbird-large", "longformer-large"])
+    @pytest.mark.parametrize("plan", ["baseline", "sd", "sdf", "flash"])
+    def test_one_gpu_equals_inference_session(self, model, plan):
+        single = InferenceSession(model, plan=plan, seq_len=1024,
+                                  batch=2).simulate()
+        tp1 = TensorParallelSession(model, n_gpus=1, plan=plan,
+                                    seq_len=1024, batch=2).simulate()
+        compute = [r for r in tp1.result.profile if r.category != "comm"]
+        assert compute == list(single.profile)
+        assert tp1.comm_time == 0.0
+
+    @pytest.mark.parametrize("n_gpus", [2, 4, 8])
+    @pytest.mark.parametrize("interconnect", [NVLINK3, PCIE4])
+    @pytest.mark.parametrize("algorithm", ["ring", "tree"])
+    def test_comm_time_equals_cluster_cost_model(self, n_gpus, interconnect,
+                                                 algorithm):
+        from repro.cluster.costmodel import ShardedStepCostModel
+
+        tp = TensorParallelSession(
+            BERT_LARGE, n_gpus=n_gpus, interconnect=interconnect,
+            algorithm=algorithm, seq_len=512, batch=2).simulate()
+        step = ShardedStepCostModel(
+            BERT_LARGE, "A100", tp=n_gpus, interconnect=interconnect,
+            algorithm=algorithm)
+        assert tp.comm_time == pytest.approx(step.comm_time(2 * 512),
+                                             rel=1e-12)
+
+    def test_stage_transfer_equals_cluster_cost_model(self):
+        from repro.cluster.costmodel import ShardedStepCostModel
+        from repro.models.parallel import PipelineParallelSession
+
+        piped = PipelineParallelSession(
+            BERT_LARGE, n_stages=2, microbatches=2, batch=4,
+            seq_len=512, interconnect=PCIE4).simulate()
+        step = ShardedStepCostModel(BERT_LARGE, "A100", pp=2,
+                                    interconnect=PCIE4)
+        assert piped.comm_per_boundary == step.comm_time(2 * 512)
+
+    def test_auto_plan_rejected(self):
+        from repro.common.errors import PlanError
+
+        with pytest.raises(PlanError, match="auto"):
+            TensorParallelSession(BERT_LARGE, n_gpus=2, plan="auto")
+
+    def test_moe_model_rejected(self):
+        from repro.models.moe import MoEConfig
+
+        moe = MoEConfig.from_dense(BERT_LARGE, n_experts=4, top_k=2)
+        with pytest.raises(ConfigError, match="mixture-of-experts"):
+            TensorParallelSession(moe, n_gpus=2, seq_len=512).simulate()
+
+    def test_inference_session_checks_inherited(self):
+        with pytest.raises(ConfigError, match="seq_len"):
+            TensorParallelSession(BERT_LARGE, n_gpus=2, seq_len=0)
+        with pytest.raises(ConfigError, match="batch"):
+            TensorParallelSession(BERT_LARGE, n_gpus=2, batch=0)
+
+    def test_forward_on_a_shard_rejected(self):
+        import numpy as np
+
+        from repro.models.layers import FFBlock, MHABlock, TransformerLayer
+        from repro.models.weights import ModelWeights
+
+        hidden = np.zeros((1, 8, BERT_LARGE.d_model), dtype=np.float32)
+        weights = ModelWeights(BERT_LARGE).layer(0)
+        shape = dict(batch=1, seq_len=8, tp_shards=2)
+        for block in (MHABlock(BERT_LARGE, 0, **shape),
+                      FFBlock(BERT_LARGE, **shape),
+                      TransformerLayer(BERT_LARGE, 0, **shape)):
+            with pytest.raises(ConfigError, match="tensor-parallel shard"):
+                block.forward(hidden, weights)
+        session = TensorParallelSession(BERT_LARGE, n_gpus=2, seq_len=8)
+        with pytest.raises(ConfigError, match="tensor-parallel shard"):
+            session.forward(hidden)
+
+    def test_shard_shapes(self):
+        from repro.models.layers import TransformerLayer
+
+        layer = TransformerLayer(BERT_LARGE, 0, batch=1, seq_len=64,
+                                 tp_shards=4)
+        d, dff = BERT_LARGE.d_model, BERT_LARGE.d_ff
+        assert (layer.mha.q_proj.n, layer.mha.q_proj.k) == (d // 4, d)
+        assert (layer.mha.out_proj.n, layer.mha.out_proj.k) == (d, d // 4)
+        assert (layer.ff.fc1.n, layer.ff.fc2.k) == (dff // 4, dff // 4)
+        assert layer.mha.sda.num_heads == BERT_LARGE.num_heads // 4
+
+
 class TestPipelineParallel:
     from repro.models.parallel import PipelineParallelSession
 
