@@ -3,7 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
-	approx-smoke tune-smoke moe-smoke parallel-smoke results-check
+	approx-smoke tune-smoke moe-smoke parallel-smoke scenario-smoke \
+	results-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +71,31 @@ moe-smoke:
 		--json > /tmp/moe_smoke.json
 	$(PYTHON) tools/compare_golden.py /tmp/moe_smoke.json \
 		tests/golden/moe_smoke.json
+
+# Fixed-seed runs through the scenario flags compared against the
+# committed golden reports — pins the flag -> ScenarioSpec -> simulator
+# path (see docs/api.md): plain serving with MMPP arrivals, three plans
+# and engine knobs; a TP x PP prefix-affinity cluster with diurnal
+# arrivals, tree all-reduce and PCIe; and controlplane-sim's own
+# defaults.
+scenario-smoke:
+	$(PYTHON) -m repro serve-sim --rate 3 --duration 4 --seed 1 \
+		--arrival mmpp --burst-rate 9 --base-dwell 2 --burst-dwell 1 \
+		--chunk-tokens 256 --max-batch 16 --plans baseline,sd,sdf \
+		--json > /tmp/scenario_serve_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/scenario_serve_smoke.json \
+		tests/golden/scenario_serve_smoke.json
+	$(PYTHON) -m repro cluster-sim --replicas 3 --tp 2 --pp 2 \
+		--policy prefix-affinity --prefix-groups 4 --algorithm tree \
+		--interconnect pcie4 --arrival diurnal --rate 4 --duration 4 \
+		--seed 2 --json > /tmp/scenario_cluster_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/scenario_cluster_smoke.json \
+		tests/golden/scenario_cluster_smoke.json
+	$(PYTHON) -m repro controlplane-sim --duration 6 \
+		--json > /tmp/scenario_controlplane_smoke.json
+	$(PYTHON) tools/compare_golden.py \
+		/tmp/scenario_controlplane_smoke.json \
+		tests/golden/scenario_controlplane_smoke.json
 
 # Tensor-parallel scaling runs compared against the committed golden
 # reports — pins the sharded layer table and the shared collective

@@ -62,9 +62,9 @@ from repro.analysis import (
 )
 from repro.common.results import result_dict
 from repro.common.scenario import (
+    ScenarioSpec,
     add_sharding_args,
     add_workload_args,
-    scenario_from_args,
 )
 from repro.models import InferenceSession, all_models
 
@@ -110,11 +110,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_model(args: argparse.Namespace):
-    if getattr(args, "model_json", None):
-        from repro.models.serialization import load_config
-
-        return load_config(args.model_json)
-    return args.model
+    return ScenarioSpec.from_args(args).resolve_model()
 
 
 def _model_label(model) -> str:
@@ -276,7 +272,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
     # commands happened to evaluate in this process.
     simcache.invalidate()
     tracer = Tracer()
-    spec = scenario_from_args(args)
+    spec = ScenarioSpec.from_args(args)
 
     if args.sim == "inference":
         from repro.gpu.trace import summarize
@@ -284,7 +280,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
         with tracing(tracer):
             result = InferenceSession(
                 spec.resolve_model(), gpu=spec.gpu, plan=args.plan,
-                seq_len=args.seq_len, batch=args.batch,
+                seq_len=spec.workload.seq_len, batch=spec.workload.batch,
             ).simulate()
         tracer.set_clock(result.total_time)
         headline = (f"trace of {len(result.profile)} kernel slices\n\n"
@@ -330,7 +326,8 @@ def cmd_trace(args: argparse.Namespace) -> str:
     summary = tracer.summary()
     # The payload is a valid Chrome trace (chrome://tracing ignores the
     # envelope keys), so --output yields a directly loadable file.
-    payload = trace_dict("chrome-trace", sim=args.sim, seed=args.seed,
+    payload = trace_dict("chrome-trace", sim=args.sim,
+                         seed=spec.workload.seed,
                          summary=summary, **chrome_trace_dict(tracer))
     text = headline + "\n\n" + render_trace_summary(summary)
     return emit(payload, text, args)
@@ -485,19 +482,19 @@ def cmd_seq2seq(args: argparse.Namespace) -> str:
 def cmd_serve_sim(args: argparse.Namespace) -> str:
     from repro.analysis.serving import render_serving_comparison
 
-    report = scenario_from_args(args).run_serving()
+    report = ScenarioSpec.from_args(args).run_serving()
     return emit(report.to_dict(), render_serving_comparison(report), args)
 
 
 def cmd_cluster_sim(args: argparse.Namespace) -> str:
     from repro.analysis.cluster import render_cluster_comparison
 
-    report = scenario_from_args(args).run_cluster()
+    report = ScenarioSpec.from_args(args).run_cluster()
     return emit(report.to_dict(), render_cluster_comparison(report), args)
 
 
-def _make_controlplane_config(args: argparse.Namespace):
-    """Tiers, autoscaler, and fault schedule from CLI flags."""
+def _make_controlplane_config(args: argparse.Namespace, spec):
+    """Tiers, autoscaler, and fault schedule from CLI flags and ``spec``."""
     from repro.controlplane import (
         DEFAULT_TIERS, AutoscalerConfig, FailureSchedule, parse_tiers)
 
@@ -517,7 +514,7 @@ def _make_controlplane_config(args: argparse.Namespace):
                 deaths=tuple(sorted(args.death)))
         else:
             faults = FailureSchedule.random(
-                duration=args.duration, seed=args.seed,
+                duration=spec.workload.duration, seed=spec.workload.seed,
                 deaths=args.deaths, stragglers=args.stragglers)
     return tiers, autoscaler, faults
 
@@ -525,8 +522,9 @@ def _make_controlplane_config(args: argparse.Namespace):
 def cmd_controlplane_sim(args: argparse.Namespace) -> str:
     from repro.analysis.controlplane import render_controlplane_comparison
 
-    tiers, autoscaler, faults = _make_controlplane_config(args)
-    report = scenario_from_args(args).run_controlplane(
+    spec = ScenarioSpec.from_args(args)
+    tiers, autoscaler, faults = _make_controlplane_config(args, spec)
+    report = spec.run_controlplane(
         tiers=tiers, autoscaler=autoscaler, faults=faults,
         shed_backlog_tokens=args.shed_tokens,
         cold_start_s=args.cold_start,
@@ -539,10 +537,9 @@ def cmd_tune(args: argparse.Namespace) -> str:
     from repro.analysis.tune import render_tune_report
     from repro.tune import tune
 
-    result = tune(
-        scenario_from_args(args), objective=args.objective,
-        budget=args.budget, seed=args.seed, sim=args.sim,
-    )
+    spec = ScenarioSpec.from_args(args)
+    result = tune(spec, objective=args.objective, budget=args.budget,
+                  seed=spec.workload.seed, sim=args.sim)
     payload = result.to_dict()
     return emit(payload, render_tune_report(payload), args)
 
@@ -748,11 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workload_args(p_ctl)
     p_ctl.set_defaults(plans="sdf", rate=4.0, duration=30.0)
-    p_ctl.add_argument("--replicas", type=int, default=2,
+    p_ctl.add_argument("--replicas", type=int,
                        help="initial model replicas")
-    p_ctl.add_argument("--tp", type=int, default=1,
+    p_ctl.add_argument("--tp", type=int,
                        help="tensor-parallel GPUs per replica")
-    p_ctl.add_argument("--pp", type=int, default=1,
+    p_ctl.add_argument("--pp", type=int,
                        help="pipeline-parallel stages per replica")
     p_ctl.add_argument("--policy", default="least-outstanding",
                        choices=("round-robin", "least-outstanding",
@@ -874,9 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which simulator to run under the tracer")
     add_workload_args(p_trc)
     add_sharding_args(p_trc)
-    p_trc.add_argument("--seq-len", type=int, default=4096,
+    p_trc.add_argument("--seq-len", type=int,
                        help="sequence length (inference mode)")
-    p_trc.add_argument("--batch", type=int, default=1,
+    p_trc.add_argument("--batch", type=int,
                        help="batch size (inference mode)")
     p_trc.add_argument("--plan", default="baseline",
                        help="attention plan (inference mode; serving and "
@@ -913,10 +910,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "objectives (cluster adds TP x PP and "
                             "routing-policy axes); the latency "
                             "objective always scores single inferences")
-    p_tun.add_argument("--seq-len", type=int, default=4096,
+    p_tun.add_argument("--seq-len", type=int,
                        help="single-inference sequence length "
                             "(latency objective)")
-    p_tun.add_argument("--batch", type=int, default=1,
+    p_tun.add_argument("--batch", type=int,
                        help="single-inference batch size "
                             "(latency objective)")
     _add_output(p_tun)

@@ -96,11 +96,13 @@ class Replica:
 
         self.replica_id = replica_id
         # ``costs`` is the owning run's pool; without one the replica
-        # prices through a private model.
+        # prices through a private model.  Decode KV lengths are priced
+        # at the KV block granularity.
         self.cost = shared_cost_model(
             costs, ShardedStepCostModel, model, gpu,
-            plan=AttentionPlan.from_name(plan), dtype=dtype, t=t, tp=tp,
-            pp=pp, ep=ep, interconnect=interconnect, algorithm=algorithm,
+            plan=AttentionPlan.from_name(plan), dtype=dtype, t=t,
+            kv_bucket=block_tokens, tp=tp, pp=pp, ep=ep,
+            interconnect=interconnect, algorithm=algorithm,
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Trace process name; plan-prefixed so several plans can share
@@ -121,7 +123,7 @@ class Replica:
             spec_decode=spec_decode_runtime(
                 draft_model, gpu, draft_len=draft_len,
                 accept_rate=accept_rate, plan=self.cost.plan, dtype=dtype,
-                t=t, costs=costs),
+                t=t, kv_bucket=block_tokens, costs=costs),
         )
         self.retain_requests = retain_requests
         #: Every request ever routed here, in submission order; empty

@@ -18,9 +18,12 @@ frozen, JSON-round-trippable description of *what* to simulate —
 - **plan source** — the plans to compare, or a tuned-plan artifact
   (``plan_file``) that pins both the plan and the knobs it tuned.
 
-The CLI builds specs through one :func:`scenario_from_args` helper fed
-by shared parent parsers (:func:`add_workload_args`,
-:func:`add_sharding_args`); ``repro tune`` emits artifacts whose
+The four sections are the one table of scenario fields:
+:data:`SECTIONS` drives :meth:`ScenarioSpec.from_args`,
+:meth:`~ScenarioSpec.from_dict` and :meth:`~ScenarioSpec.to_dict`, and
+the shared parent parsers (:func:`add_workload_args`,
+:func:`add_sharding_args`) declare no defaults, so a field's dataclass
+default is its flag's default.  ``repro tune`` emits artifacts whose
 ``scenario`` section *is* ``spec.to_dict()``, so tuner output and
 simulator input are the same object.
 
@@ -34,7 +37,7 @@ exactly what the tuner scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from repro.common.errors import ScenarioError
@@ -82,9 +85,6 @@ class WorkloadSpec:
     draft_len: int = 4
     accept_rate: float = 1.0
 
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -96,9 +96,6 @@ class ArrivalSpec:
     base_dwell: float = 20.0
     burst_dwell: float = 5.0
     period: float = 0.0
-
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -114,9 +111,6 @@ class MoESpec:
     n_experts: int = 1
     top_k: int = 1
     capacity_factor: float = 1.25
-
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -134,8 +128,20 @@ class ShardingSpec:
     interconnect: str = "nvlink3"
     jobs: int = 1
 
-    def to_dict(self) -> "dict[str, object]":
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+#: The scenario's sections, by field name: the one table of section
+#: fields that :meth:`ScenarioSpec.from_args`, ``from_dict`` and
+#: ``to_dict`` read, so a new scenario knob is one dataclass field.
+SECTIONS = {
+    "workload": WorkloadSpec,
+    "arrival": ArrivalSpec,
+    "sharding": ShardingSpec,
+    "moe": MoESpec,
+}
+
+#: Section fields whose flag is named otherwise: ``--arrival`` picks
+#: ``arrival.kind``.  Every other field's flag is its name.
+_FLAG_NAMES = {"arrival": {"kind": "arrival"}}
 
 
 @dataclass(frozen=True)
@@ -160,68 +166,30 @@ class ScenarioSpec:
     def from_args(cls, args) -> "ScenarioSpec":
         """Build a spec from an argparse namespace.
 
-        Reads only the attributes the namespace actually carries, so
-        one helper serves ``serve-sim`` (no sharding flags),
-        ``cluster-sim``/``controlplane-sim`` (their own sharding
-        defaults), and ``tune``.
+        Each field takes the namespace attribute of its flag's name
+        when the namespace carries one that is not ``None``, and keeps
+        its dataclass default otherwise.  So the flags declare no
+        defaults of their own, and one reader serves ``serve-sim`` (no
+        sharding flags), ``cluster-sim``/``controlplane-sim`` and
+        ``tune``; a command that needs another default sets it on its
+        own parser.
         """
-        def get(name, default):
-            value = getattr(args, name, None)
-            return default if value is None else value
+        def given(spec_cls, flags):
+            return {f.name: value for f in fields(spec_cls)
+                    if (value := getattr(args, flags.get(f.name, f.name),
+                                         None)) is not None}
 
-        plans = getattr(args, "plans", None)
+        kwargs = {key: value for key, value in given(cls, {}).items()
+                  if key not in SECTIONS}
+        kwargs.update(
+            (key, section(**given(section, _FLAG_NAMES.get(key, {}))))
+            for key, section in SECTIONS.items())
+        plans = kwargs.pop("plans", None)
         if isinstance(plans, str):
             plans = tuple(p.strip() for p in plans.split(","))
-        workload = WorkloadSpec(
-            rate=get("rate", 8.0),
-            duration=get("duration", 60.0),
-            seed=get("seed", 0),
-            trace_file=getattr(args, "trace_file", None),
-            chunk_tokens=get("chunk_tokens", 512),
-            max_batch=get("max_batch", 32),
-            block_tokens=get("block_tokens", 64),
-            t=get("t", 64),
-            engine=get("engine", "epoch"),
-            prefix_groups=get("prefix_groups", 0),
-            seq_len=get("seq_len", 4096),
-            batch=get("batch", 1),
-            draft_model=getattr(args, "draft_model", None),
-            draft_len=get("draft_len", 4),
-            accept_rate=get("accept_rate", 1.0),
-        )
-        arrival = ArrivalSpec(
-            kind=getattr(args, "arrival", None),
-            burst_rate=get("burst_rate", 0.0),
-            base_dwell=get("base_dwell", 20.0),
-            burst_dwell=get("burst_dwell", 5.0),
-            period=get("period", 0.0),
-        )
-        sharding = ShardingSpec(
-            replicas=get("replicas", 2),
-            tp=get("tp", 1),
-            pp=get("pp", 1),
-            ep=get("ep", 1),
-            policy=get("policy", "round-robin"),
-            algorithm=get("algorithm", "ring"),
-            interconnect=get("interconnect", "nvlink3"),
-            jobs=get("jobs", 1),
-        )
-        moe = MoESpec(
-            n_experts=get("n_experts", 1),
-            top_k=get("top_k", 1),
-            capacity_factor=get("capacity_factor", 1.25),
-        )
-        return cls(
-            model=get("model", "bert-large"),
-            model_json=getattr(args, "model_json", None),
-            gpu=get("gpu", "A100"),
-            workload=workload,
-            arrival=arrival,
-            sharding=sharding,
-            moe=moe,
-            plans=plans if plans else ("baseline", "sdf"),
-            plan_file=getattr(args, "plan_file", None),
-        )
+        if plans:
+            kwargs["plans"] = tuple(plans)
+        return cls(**kwargs)
 
     @classmethod
     def from_dict(cls, document: "dict[str, object]") -> "ScenarioSpec":
@@ -241,16 +209,10 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"scenario schema mismatch: expected {SCENARIO_SCHEMA!r}, "
                 f"got {schema!r}")
-        nested = {
-            "workload": WorkloadSpec,
-            "arrival": ArrivalSpec,
-            "sharding": ShardingSpec,
-            "moe": MoESpec,
-        }
         kwargs: "dict[str, object]" = {}
         for key, value in document.items():
-            if key in nested:
-                kwargs[key] = _from_mapping(nested[key], value,
+            if key in SECTIONS:
+                kwargs[key] = _from_mapping(SECTIONS[key], value,
                                             where=f"scenario.{key}")
             elif key == "plans":
                 kwargs[key] = tuple(value)
@@ -262,18 +224,8 @@ class ScenarioSpec:
 
     def to_dict(self) -> "dict[str, object]":
         """JSON-ready mapping; ``from_dict`` inverts it exactly."""
-        return {
-            "schema": SCENARIO_SCHEMA,
-            "model": self.model,
-            "model_json": self.model_json,
-            "gpu": self.gpu,
-            "workload": self.workload.to_dict(),
-            "arrival": self.arrival.to_dict(),
-            "sharding": self.sharding.to_dict(),
-            "moe": self.moe.to_dict(),
-            "plans": list(self.plans),
-            "plan_file": self.plan_file,
-        }
+        return {"schema": SCENARIO_SCHEMA,
+                **asdict(self), "plans": list(self.plans)}
 
     # -- resolution helpers ---------------------------------------------
 
@@ -400,33 +352,34 @@ class ScenarioSpec:
 
     # -- simulator entry points -----------------------------------------
 
+    def _run(self, sim: str, simulate, own):
+        """``simulate`` over the resolved scenario: the body every
+        ``run_*`` entry point shares.  ``own(spec)`` returns the
+        ``sim`` simulator's own arguments for the resolved spec."""
+        spec = self.resolved()
+        kwargs = own(spec)
+        return simulate(
+            spec.resolve_model(), spec.gpu,
+            rate=spec.workload.rate, duration=spec.workload.duration,
+            seed=spec.workload.seed, plans=spec.plans,
+            arrival=spec.make_arrival(),
+            **kwargs, **spec.simulator_kwargs(sim),
+        )
+
     def run_serving(self):
         """Single-node serving comparison over this scenario."""
         from repro.serving import simulate_serving
 
-        spec = self.resolved()
-        return simulate_serving(
-            spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            requests=spec.load_requests(), arrival=spec.make_arrival(),
-            **spec.simulator_kwargs("serving"),
-        )
+        return self._run("serving", simulate_serving, lambda spec: dict(
+            requests=spec.load_requests()))
 
     def run_cluster(self):
         """Sharded multi-replica comparison over this scenario."""
         from repro.cluster import simulate_cluster
 
-        spec = self.resolved()
-        return simulate_cluster(
-            spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
+        return self._run("cluster", simulate_cluster, lambda spec: dict(
             requests=spec.load_requests(),
-            prefix_groups=spec.workload.prefix_groups,
-            arrival=spec.make_arrival(),
-            **spec.simulator_kwargs("cluster"),
-        )
+            prefix_groups=spec.workload.prefix_groups))
 
     def run_controlplane(self, *, tiers=None, autoscaler=None, faults=None,
                          shed_backlog_tokens: float = 0.0,
@@ -434,30 +387,28 @@ class ScenarioSpec:
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
         — it describes the controller, not the scenario.  The control
-        plane has no engine choice, speculative decoding or trace
-        replay: asking for one raises ``ScenarioError`` naming the flag.
+        plane has no engine choice, speculative decoding, trace replay
+        or shared-prefix groups: asking for one raises
+        ``ScenarioError`` naming the flag.
         """
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
 
-        spec = self.resolved()
-        for flag, given in (
-                ("--engine", spec.workload.engine != "epoch"),
-                ("--draft-model", spec.workload.draft_model is not None),
-                ("--trace-file", spec.workload.trace_file is not None)):
-            if given:
-                raise ScenarioError(
-                    f"the control plane does not support {flag}")
-        return simulate_controlplane(
-            spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            arrival=spec.make_arrival(),
-            tiers=tiers if tiers is not None else DEFAULT_TIERS,
-            autoscaler=autoscaler, faults=faults,
-            shed_backlog_tokens=shed_backlog_tokens,
-            cold_start_s=cold_start_s,
-            **spec.simulator_kwargs("controlplane"),
-        )
+        def own(spec):
+            for flag, given in (
+                    ("--engine", spec.workload.engine != "epoch"),
+                    ("--draft-model", spec.workload.draft_model is not None),
+                    ("--trace-file", spec.workload.trace_file is not None),
+                    ("--prefix-groups", spec.workload.prefix_groups != 0)):
+                if given:
+                    raise ScenarioError(
+                        f"the control plane does not support {flag}")
+            return dict(
+                tiers=tiers if tiers is not None else DEFAULT_TIERS,
+                autoscaler=autoscaler, faults=faults,
+                shed_backlog_tokens=shed_backlog_tokens,
+                cold_start_s=cold_start_s)
+
+        return self._run("controlplane", simulate_controlplane, own)
 
 
 #: Where each tunable knob lives in a :class:`ScenarioSpec`, by
@@ -522,72 +473,76 @@ def apply_tuned_plan(spec: ScenarioSpec, artifact) -> ScenarioSpec:
 def add_workload_args(parser) -> None:
     """The model/device/workload/arrival flag set every serving-style
     subcommand shares (``serve-sim``, ``cluster-sim``,
-    ``controlplane-sim``, ``trace``, ``tune``)."""
-    parser.add_argument("--model", default="bert-large",
+    ``controlplane-sim``, ``trace``, ``tune``).
+
+    No flag here or in :func:`add_sharding_args` declares a default:
+    an omitted flag keeps its field's dataclass default
+    (:meth:`ScenarioSpec.from_args`).
+    """
+    parser.add_argument("--model",
                         help="bert-large | gpt-neo-1.3b | bigbird-large | "
                              "longformer-large")
-    parser.add_argument("--model-json", default=None,
+    parser.add_argument("--model-json",
                         help="path to a custom ModelConfig JSON file "
                              "(overrides --model)")
-    parser.add_argument("--gpu", default="A100",
+    parser.add_argument("--gpu",
                         help="A100 | RTX 3090 | T4 | V100 | H100")
-    parser.add_argument("--rate", type=float, default=8.0,
+    parser.add_argument("--rate", type=float,
                         help="Poisson arrival rate, requests/second")
-    parser.add_argument("--duration", type=float, default=60.0,
+    parser.add_argument("--duration", type=float,
                         help="arrival-window length, seconds (the run "
                              "continues until every request drains)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--arrival", default=None,
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--arrival",
                         choices=("poisson", "mmpp", "diurnal"),
                         help="arrival process; default keeps the legacy "
                              "Poisson stream (mmpp: bursty two-state; "
                              "diurnal: day-curve thinning)")
-    parser.add_argument("--burst-rate", type=float, default=0.0,
+    parser.add_argument("--burst-rate", type=float,
                         help="mmpp burst-state rate, req/s (default "
                              "4x --rate)")
-    parser.add_argument("--base-dwell", type=float, default=20.0,
+    parser.add_argument("--base-dwell", type=float,
                         help="mmpp mean base-state dwell, seconds")
-    parser.add_argument("--burst-dwell", type=float, default=5.0,
+    parser.add_argument("--burst-dwell", type=float,
                         help="mmpp mean burst-state dwell, seconds")
-    parser.add_argument("--period", type=float, default=0.0,
+    parser.add_argument("--period", type=float,
                         help="diurnal day-curve period, seconds "
                              "(default: --duration, i.e. one compressed "
                              "day per run)")
-    parser.add_argument("--plans", default="baseline,sdf",
+    parser.add_argument("--plans",
                         help="comma-separated plans to compare "
                              "(baseline, sd, sdf)")
-    parser.add_argument("--plan-file", default=None,
+    parser.add_argument("--plan-file",
                         help="tuned-plan artifact (repro.tuned_plan/v1, "
                              "from `repro tune`); pins the plan and the "
                              "knobs it tuned, overriding --plans")
-    parser.add_argument("--trace-file", default=None,
+    parser.add_argument("--trace-file",
                         help="JSONL request trace to replay instead of "
                              "the synthetic Poisson workload")
-    parser.add_argument("--chunk-tokens", type=int, default=512,
+    parser.add_argument("--chunk-tokens", type=int,
                         help="prefill chunk size / per-step prefill budget")
-    parser.add_argument("--max-batch", type=int, default=32,
+    parser.add_argument("--max-batch", type=int,
                         help="max concurrently running requests")
-    parser.add_argument("--block-tokens", type=int, default=64,
+    parser.add_argument("--block-tokens", type=int,
                         help="KV-cache block size, tokens")
     parser.add_argument("--engine", choices=("epoch", "event"),
-                        default="epoch",
                         help="stepping mode: epoch-batched fast path "
                              "(default) or the classic per-step event loop "
                              "(identical output, slower)")
-    parser.add_argument("--n-experts", type=int, default=1,
+    parser.add_argument("--n-experts", type=int,
                         help="mixture-of-experts expert count applied to "
                              "the model's FFN (1 = dense, the default)")
-    parser.add_argument("--top-k", type=int, default=1,
+    parser.add_argument("--top-k", type=int,
                         help="experts each token routes to (MoE only)")
-    parser.add_argument("--capacity-factor", type=float, default=1.25,
+    parser.add_argument("--capacity-factor", type=float,
                         help="per-expert capacity slack over the balanced "
                              "load (MoE only)")
-    parser.add_argument("--draft-model", default=None,
+    parser.add_argument("--draft-model",
                         help="draft model enabling speculative decoding "
                              "(default: disabled)")
-    parser.add_argument("--draft-len", type=int, default=4,
+    parser.add_argument("--draft-len", type=int,
                         help="speculation depth: draft tokens per round")
-    parser.add_argument("--accept-rate", type=float, default=1.0,
+    parser.add_argument("--accept-rate", type=float,
                         help="modeled per-round draft acceptance rate "
                              "in [0, 1]")
 
@@ -595,34 +550,28 @@ def add_workload_args(parser) -> None:
 def add_sharding_args(parser) -> None:
     """The fleet-shape flag set (``cluster-sim``, ``trace --sim
     cluster``, ``tune --sim cluster``)."""
-    parser.add_argument("--replicas", type=int, default=2,
+    parser.add_argument("--replicas", type=int,
                         help="model replicas behind the router")
-    parser.add_argument("--tp", type=int, default=1,
+    parser.add_argument("--tp", type=int,
                         help="tensor-parallel GPUs per replica")
-    parser.add_argument("--pp", type=int, default=1,
+    parser.add_argument("--pp", type=int,
                         help="pipeline-parallel stages per replica")
-    parser.add_argument("--ep", type=int, default=1,
+    parser.add_argument("--ep", type=int,
                         help="expert-parallel shards per replica (MoE "
                              "models; must divide --n-experts)")
-    parser.add_argument("--policy", default="round-robin",
+    parser.add_argument("--policy",
                         choices=("round-robin", "least-outstanding",
                                  "prefix-affinity"),
                         help="request-routing policy")
     parser.add_argument("--algorithm", choices=("ring", "tree"),
-                        default="ring",
                         help="all-reduce algorithm inside each replica")
     parser.add_argument("--interconnect", choices=("nvlink3", "pcie4"),
-                        default="nvlink3",
                         help="intra-replica GPU interconnect")
-    parser.add_argument("--prefix-groups", type=int, default=0,
+    parser.add_argument("--prefix-groups", type=int,
                         help="synthetic shared-prefix groups in the "
                              "workload (0 = none)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=int,
                         help="worker processes for sharded replica "
                              "simulation (round-robin policy only; "
                              "results are identical either way)")
 
-
-def scenario_from_args(args) -> ScenarioSpec:
-    """The one CLI-namespace -> :class:`ScenarioSpec` helper."""
-    return ScenarioSpec.from_args(args)

@@ -530,7 +530,7 @@ class ControlPlaneSimulator:
                      created_at: float) -> ControlledReplica:
         return ControlledReplica(
             replica_id, self.model, self.gpu, plan=self.plan,
-            tracer=tracer, engine="epoch", retain_requests=True,
+            tracer=tracer, engine="epoch", retain_requests=False,
             created_at=created_at, costs=self._costs,
             first_tokens=self._first_tokens, **self._replica_kwargs,
         )

@@ -126,17 +126,6 @@ class StepCostModel:
     def _bucketed(self, kv_len: int) -> int:
         return -(-kv_len // self.kv_bucket) * self.kv_bucket
 
-    @property
-    def layer_groups(self) -> "list[tuple[int, int]]":
-        """``(representative layer, layer count)`` per distinct
-        attention spec, in the summation order :meth:`step_time` uses.
-
-        The epoch-batched engine tabulates decode attention per group
-        from this list so its vectorized accumulation reproduces the
-        scalar loop's float operations in the same order.
-        """
-        return list(self._groups)
-
     def step_time(
         self,
         *,
@@ -175,7 +164,9 @@ class StepCostModel:
         instead of paying two function calls per term.  The epoch-
         batched serving engine prices every decode segment through
         here, so the per-term constant is what bounds simulation
-        throughput.
+        throughput.  That is why this loop is not shared with
+        :meth:`step_time`: routing both through one loop gives the same
+        floats but measurably slows the decode-heavy serving benchmark.
         """
         m = len(decode_kv)
         if m == 0:

@@ -137,11 +137,12 @@ class ServingSimulator:
         # simulators; see :func:`~repro.serving.costmodel.shared_cost_model`.
         self.cost = shared_cost_model(costs, StepCostModel, self.model,
                                       self.gpu, plan=self.plan,
-                                      dtype=self.dtype, t=self.t)
+                                      dtype=self.dtype, t=self.t,
+                                      kv_bucket=block_tokens)
         self._spec_runtime = spec_decode_runtime(
             draft_model, self.gpu, draft_len=draft_len,
             accept_rate=accept_rate, plan=self.plan, dtype=self.dtype,
-            t=self.t, costs=costs)
+            t=self.t, kv_bucket=block_tokens, costs=costs)
 
     @property
     def num_requests(self) -> int:

@@ -90,14 +90,15 @@ class SpecDecodeRuntime:
 
 def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
                         accept_rate: float, plan, dtype, t: int,
-                        costs: "dict | None" = None):
+                        kv_bucket: int, costs: "dict | None" = None):
     """The :class:`SpecDecodeRuntime` a simulator's engine runs, or
     ``None`` without a ``draft_model``.
 
-    The draft gets its own step-cost model on the target's GPU, plan
-    and dtype, so its γ decode steps per round are priced through the
-    identical kernel stack.  It is small and replicates across a
-    sharded replica's group, so it is priced unsharded on one GPU.
+    The draft gets its own step-cost model on the target's GPU, plan,
+    dtype and KV block size (``kv_bucket``), so its γ decode steps per
+    round are priced through the identical kernel stack.  It is small
+    and replicates across a sharded replica's group, so it is priced
+    unsharded on one GPU.
     """
     if draft_model is None:
         return None
@@ -112,7 +113,7 @@ def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
     )
     return SpecDecodeRuntime(config, shared_cost_model(
         costs, StepCostModel, config.draft_model, gpu, plan=plan,
-        dtype=dtype, t=t))
+        dtype=dtype, t=t, kv_bucket=kv_bucket))
 
 
 def verification_oracles():

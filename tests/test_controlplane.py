@@ -373,6 +373,17 @@ class TestControlLoop:
         b = _run(seed=5, duration=12.0, autoscale=True, faults=faults)
         assert a.to_dict() == b.to_dict()
 
+    def test_replicas_retain_no_requests(self, built):
+        """The controller reports from its own request list, so its
+        replicas (initial and failover alike) keep none."""
+        from repro.controlplane.controller import ControlledReplica
+
+        replicas = built(ControlledReplica)
+        plan = _run(seed=23, duration=6.0, replicas=2,
+                    faults=FailureSchedule(deaths=(3.0,)))
+        assert plan.finished > 0 and len(replicas) == 3
+        assert [r.requests for r in replicas] == [[], [], []]
+
     def test_conservation_without_faults(self):
         plan = _run(seed=3, duration=10.0)
         assert plan.conservation_ok

@@ -15,13 +15,13 @@ import pytest
 from repro.common.errors import ScenarioError
 from repro.common.scenario import (
     SCENARIO_SCHEMA,
+    SECTIONS,
     ArrivalSpec,
     ScenarioSpec,
     ShardingSpec,
     WorkloadSpec,
     add_sharding_args,
     add_workload_args,
-    scenario_from_args,
 )
 
 
@@ -33,13 +33,62 @@ def parse(argv, *, sharding=False):
     return parser.parse_args(argv)
 
 
+#: A non-default value for every section field that has a flag
+#: (``workload.t`` has none; tuned plans set it).
+FLAG_VALUES = {
+    ("workload", "rate"): 2.5,
+    ("workload", "duration"): 7.0,
+    ("workload", "seed"): 3,
+    ("workload", "trace_file"): "requests.jsonl",
+    ("workload", "chunk_tokens"): 256,
+    ("workload", "max_batch"): 8,
+    ("workload", "block_tokens"): 32,
+    ("workload", "engine"): "event",
+    ("workload", "prefix_groups"): 4,
+    ("workload", "seq_len"): 1024,
+    ("workload", "batch"): 2,
+    ("workload", "draft_model"): "bert-large",
+    ("workload", "draft_len"): 3,
+    ("workload", "accept_rate"): 0.5,
+    ("arrival", "kind"): "mmpp",
+    ("arrival", "burst_rate"): 9.0,
+    ("arrival", "base_dwell"): 2.0,
+    ("arrival", "burst_dwell"): 1.0,
+    ("arrival", "period"): 5.0,
+    ("sharding", "replicas"): 3,
+    ("sharding", "tp"): 2,
+    ("sharding", "pp"): 2,
+    ("sharding", "ep"): 2,
+    ("sharding", "policy"): "least-outstanding",
+    ("sharding", "algorithm"): "tree",
+    ("sharding", "interconnect"): "pcie4",
+    ("sharding", "jobs"): 2,
+    ("moe", "n_experts"): 4,
+    ("moe", "top_k"): 2,
+    ("moe", "capacity_factor"): 1.5,
+}
+
+#: What ``repro tune`` runs without flags: its one override is
+#: ``--plans sdf``.
+TUNE_DEFAULT = ScenarioSpec(plans=("sdf",))
+
+
+def tune_spec(*argv):
+    """The spec ``repro tune`` builds from ``argv`` (its parser carries
+    every scenario flag, ``--seq-len``/``--batch`` included)."""
+    from repro.cli import build_parser
+
+    return ScenarioSpec.from_args(build_parser().parse_args(
+        ["tune", *argv]))
+
+
 class TestConstruction:
     def test_defaults_match_cli_defaults(self):
-        spec = scenario_from_args(parse([], sharding=True))
+        spec = ScenarioSpec.from_args(parse([], sharding=True))
         assert spec == ScenarioSpec()
 
     def test_from_args_reads_flags(self):
-        spec = scenario_from_args(parse(
+        spec = ScenarioSpec.from_args(parse(
             ["--model", "gpt-neo-1.3b", "--gpu", "T4", "--rate", "2",
              "--duration", "5", "--seed", "3", "--arrival", "mmpp",
              "--plans", "baseline, sd ,sdf", "--chunk-tokens", "256",
@@ -59,8 +108,36 @@ class TestConstruction:
     def test_from_args_tolerates_missing_attrs(self):
         """serve-sim namespaces carry no sharding flags; the spec falls
         back to the sharding defaults."""
-        spec = scenario_from_args(parse([]))
+        spec = ScenarioSpec.from_args(parse([]))
         assert spec.sharding == ShardingSpec()
+
+    def test_tune_without_flags_is_the_dataclass_defaults(self):
+        """The flags declare no defaults; ``tune`` overrides only
+        ``--plans``."""
+        assert tune_spec() == TUNE_DEFAULT
+
+    def test_flag_table_covers_every_flagged_field(self):
+        every = {(name, f.name) for name, section in SECTIONS.items()
+                 for f in dataclasses.fields(section)}
+        assert set(FLAG_VALUES) == every - {("workload", "t")}
+
+    @pytest.mark.parametrize("section,name", sorted(FLAG_VALUES))
+    def test_flag_sets_exactly_its_field(self, section, name):
+        value = FLAG_VALUES[section, name]
+        default = getattr(getattr(TUNE_DEFAULT, section), name)
+        assert value != default
+        flag = ("--arrival" if (section, name) == ("arrival", "kind")
+                else "--" + name.replace("_", "-"))
+        expected = dataclasses.replace(TUNE_DEFAULT, **{
+            section: dataclasses.replace(getattr(TUNE_DEFAULT, section),
+                                         **{name: value})})
+        assert tune_spec(flag, str(value)) == expected
+
+    @pytest.mark.parametrize("section,name", sorted(FLAG_VALUES))
+    def test_none_attribute_keeps_the_default(self, section, name):
+        attr = "arrival" if (section, name) == ("arrival", "kind") else name
+        namespace = argparse.Namespace(**{attr: None})
+        assert ScenarioSpec.from_args(namespace) == ScenarioSpec()
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -181,8 +258,9 @@ class TestTunedPlanApplication:
 
 class TestControlPlaneFlags:
     """``controlplane-sim`` shares the workload flags but has no engine
-    choice, speculative decoding or trace replay: asking for one is an
-    error naming the flag, not a run that silently ignores it."""
+    choice, speculative decoding, trace replay or shared-prefix groups:
+    asking for one is an error naming the flag, not a run that silently
+    ignores it."""
 
     @pytest.mark.parametrize("flag",
                              ["--engine", "--draft-model", "--trace-file"])
@@ -197,3 +275,12 @@ class TestControlPlaneFlags:
         with pytest.raises(ScenarioError, match=flag):
             main(["controlplane-sim", "--rate", "2", "--duration", "3",
                   "--seed", "0", "--json", flag, value])
+
+    def test_prefix_groups_raise(self):
+        """``controlplane-sim`` has no ``--prefix-groups`` flag, but a
+        spec can carry groups the control plane would drop."""
+        spec = ScenarioSpec(
+            workload=WorkloadSpec(rate=2.0, duration=3.0, prefix_groups=4),
+            plans=("sdf",))
+        with pytest.raises(ScenarioError, match="--prefix-groups"):
+            spec.run_controlplane()

@@ -257,6 +257,21 @@ class TestStepCostModel:
         chunk = base.step_time(prefill=[(512, 4096)])
         assert sdf.step_time(prefill=[(512, 4096)]) < chunk
 
+    @pytest.mark.parametrize("block_tokens", [16, 128])
+    def test_kv_bucket_is_the_kv_block_size(self, block_tokens):
+        """Decode KV lengths are priced at the KV block granularity:
+        the serving, replica and draft cost models all bucket to it."""
+        from repro.cluster.replica import Replica
+
+        draft = dict(draft_model="gpt-neo-1.3b",
+                     block_tokens=block_tokens)
+        sim = ServingSimulator("bert-large", "a100", requests=[], **draft)
+        replica = Replica(0, get_model("bert-large"), get_gpu("a100"),
+                          **draft)
+        models = [sim.cost, sim._spec_runtime.draft_cost, replica.cost,
+                  replica.engine.spec_decode.draft_cost]
+        assert [m.kv_bucket for m in models] == [block_tokens] * 4
+
     def test_decode_is_plan_invariant(self):
         # m=1 attention has no softmax recomposition opportunity.
         base = StepCostModel("bert-large", "a100", plan="baseline")
