@@ -76,8 +76,10 @@ moe-smoke:
 # committed golden reports — pins the flag -> ScenarioSpec -> simulator
 # path (see docs/api.md): plain serving with MMPP arrivals, three plans
 # and engine knobs; a TP x PP prefix-affinity cluster with diurnal
-# arrivals, tree all-reduce and PCIe; and controlplane-sim's own
-# defaults.
+# arrivals, tree all-reduce and PCIe; controlplane-sim's own defaults;
+# and a committed 40-request trace replayed by serve-sim, a
+# least-outstanding cluster and the tuner.
+TRACE_REQUESTS := tests/golden/trace_requests.jsonl
 scenario-smoke:
 	$(PYTHON) -m repro serve-sim --rate 3 --duration 4 --seed 1 \
 		--arrival mmpp --burst-rate 9 --base-dwell 2 --burst-dwell 1 \
@@ -96,6 +98,23 @@ scenario-smoke:
 	$(PYTHON) tools/compare_golden.py \
 		/tmp/scenario_controlplane_smoke.json \
 		tests/golden/scenario_controlplane_smoke.json
+	$(PYTHON) -m repro serve-sim --trace-file $(TRACE_REQUESTS) \
+		--rate 10 --duration 4 --seed 0 \
+		--json > /tmp/scenario_trace_serve_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/scenario_trace_serve_smoke.json \
+		tests/golden/scenario_trace_serve_smoke.json
+	$(PYTHON) -m repro cluster-sim --trace-file $(TRACE_REQUESTS) \
+		--rate 10 --duration 4 --seed 0 --replicas 3 \
+		--policy least-outstanding \
+		--json > /tmp/scenario_trace_cluster_smoke.json
+	$(PYTHON) tools/compare_golden.py \
+		/tmp/scenario_trace_cluster_smoke.json \
+		tests/golden/scenario_trace_cluster_smoke.json
+	$(PYTHON) -m repro tune --trace-file $(TRACE_REQUESTS) \
+		--rate 10 --duration 4 --budget 6 --seed 0 \
+		--output /tmp/scenario_trace_tune_smoke.json >/dev/null
+	$(PYTHON) tools/compare_golden.py /tmp/scenario_trace_tune_smoke.json \
+		tests/golden/scenario_trace_tune_smoke.json
 
 # Tensor-parallel scaling runs compared against the committed golden
 # reports — pins the sharded layer table and the shared collective

@@ -33,7 +33,12 @@ from repro.cluster.replica import Replica
 from repro.serving.engine import DEFAULT_MAX_EPOCH
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
 from repro.serving.loop import arrival_events, run_loop
-from repro.serving.requests import Request, ServingWorkload, arrivals
+from repro.serving.requests import (
+    Request,
+    ServingWorkload,
+    arrivals,
+    replay_stream,
+)
 from repro.serving.simulator import ENGINE_MODES
 
 
@@ -89,10 +94,6 @@ class ClusterSimulator:
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
-        if (requests is None) == (workload is None):
-            raise ServingError(
-                "provide exactly one of `requests` or `workload`"
-            )
         if engine not in ENGINE_MODES:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
@@ -123,9 +124,8 @@ class ClusterSimulator:
             )
         #: What ``run`` replays: the time-sorted request templates, or
         #: the workload's arrays (materialized one arrival at a time).
-        self._stream = (workload.request_arrays() if requests is None
-                        else sorted(requests, key=lambda r: (
-                            r.arrival_time, r.request_id)))
+        self._stream = replay_stream(requests, workload,
+                                     block_tokens=block_tokens)
         self._replica_kwargs = dict(
             dtype=dtype, tp=tp, pp=pp, ep=ep,
             interconnect=interconnect, algorithm=algorithm,
@@ -220,10 +220,8 @@ class ClusterSimulator:
 def simulate_cluster(
     model: "ModelConfig | str",
     gpu: "GPUSpec | str",
+    workload: ServingWorkload,
     *,
-    rate: float = 8.0,
-    duration: float = 30.0,
-    seed: int = 0,
     plans: "tuple[PlanSource | AttentionPlan | str, ...]" = ("baseline",
                                                              "sdf"),
     replicas: int = 2,
@@ -232,44 +230,23 @@ def simulate_cluster(
     policy: str = "round-robin",
     algorithm: str = "ring",
     interconnect: InterconnectSpec = NVLINK3,
-    requests: "list[Request] | None" = None,
-    prefix_groups: int = 0,
-    arrival=None,
     **engine_kwargs,
 ) -> ClusterReport:
-    """Run one workload through the cluster under several plans.
+    """Replay ``workload`` through the cluster under several plans.
 
     Each plan replays the *same* request stream with a fresh policy
     instance and fresh replicas, so plan comparisons differ only in
     the attention plan.  Extra keyword arguments reach
     :class:`ClusterSimulator` (``chunk_tokens``, ``max_batch``,
-    ``engine``, ``jobs``, ...).  Without an explicit request list the
-    synthetic stream is sampled once into shared arrays and every plan
-    replays the same values; an ``arrival`` process
-    (:mod:`repro.serving.arrivals`) replaces the stationary Poisson
-    stream and is echoed into the report.
+    ``engine``, ``jobs``, ...).  The report header (rate, duration,
+    seed, arrival, request count) comes from the workload.
     """
     model = get_model(model) if isinstance(model, str) else model
     gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    workload = None
-    if requests is None:
-        block_tokens = engine_kwargs.get("block_tokens", 64)
-        workload = ServingWorkload(
-            rate=rate, duration=duration, seed=seed,
-            block_tokens=block_tokens, prefix_groups=prefix_groups,
-            arrival=arrival,
-        )
     reports = {}
-    # Counted from the stream itself so trace-driven runs (and empty
-    # ``plans`` tuples) report the actual loaded request count.
-    if requests is not None:
-        num_requests = len(requests)
-    else:
-        num_requests = len(workload.request_arrays())
     for plan in plans:
         sim = ClusterSimulator(
-            model, gpu, plan=PlanSource.of(plan), requests=requests,
-            workload=workload,
+            model, gpu, plan=PlanSource.of(plan), workload=workload,
             replicas=replicas, tp=tp, pp=pp, policy=policy,
             interconnect=interconnect, algorithm=algorithm, **engine_kwargs,
         )
@@ -278,17 +255,13 @@ def simulate_cluster(
     return ClusterReport(
         model=model.name,
         gpu=gpu.name,
-        rate=rate,
-        duration=duration,
-        seed=seed,
         replicas=replicas,
         tp=tp,
         pp=pp,
         policy=policy if isinstance(policy, str) else policy.name,
         algorithm=algorithm,
         interconnect=interconnect.name,
-        num_requests=num_requests,
         plans=reports,
         trace_summary=tracer.summary() if tracer.enabled else None,
-        arrival=arrival.describe() if arrival is not None else None,
+        **workload.report_header(),
     )

@@ -275,15 +275,6 @@ class ScenarioSpec:
             period=self.arrival.period, duration=self.workload.duration,
         )
 
-    def load_requests(self):
-        """The replayed trace, or ``None`` for the synthetic stream."""
-        if not self.workload.trace_file:
-            return None
-        from repro.serving import load_trace
-
-        return load_trace(self.workload.trace_file,
-                          block_tokens=self.workload.block_tokens)
-
     def interconnect_spec(self):
         """The named intra-replica interconnect."""
         from repro.gpu.interconnect import NVLINK3, PCIE4
@@ -310,16 +301,26 @@ class ScenarioSpec:
 
         return apply_tuned_plan(self, load_tuned_plan(self.plan_file))
 
-    def synthetic_workload(self):
-        """The synthetic request stream this scenario samples."""
-        from repro.serving.requests import ServingWorkload
+    def make_workload(self):
+        """The request stream this scenario replays.
 
+        The one scenario-level
+        :class:`~repro.serving.requests.ServingWorkload`: it replays
+        ``trace_file`` when one is set and samples the synthetic stream
+        otherwise.  Either way it carries the rate, duration, seed and
+        arrival process the report header echoes.
+        """
+        from repro.serving.requests import ServingWorkload, load_trace
+
+        workload = self.workload
+        trace = (load_trace(workload.trace_file,
+                            block_tokens=workload.block_tokens)
+                 if workload.trace_file else None)
         return ServingWorkload(
-            rate=self.workload.rate, duration=self.workload.duration,
-            seed=self.workload.seed,
-            block_tokens=self.workload.block_tokens,
-            prefix_groups=self.workload.prefix_groups,
-            arrival=self.make_arrival(),
+            rate=workload.rate, duration=workload.duration,
+            seed=workload.seed, block_tokens=workload.block_tokens,
+            prefix_groups=workload.prefix_groups,
+            arrival=self.make_arrival(), trace=trace,
         )
 
     def simulator_kwargs(self, sim: str) -> "dict[str, object]":
@@ -352,34 +353,27 @@ class ScenarioSpec:
 
     # -- simulator entry points -----------------------------------------
 
-    def _run(self, sim: str, simulate, own):
-        """``simulate`` over the resolved scenario: the body every
-        ``run_*`` entry point shares.  ``own(spec)`` returns the
-        ``sim`` simulator's own arguments for the resolved spec."""
+    def _run(self, sim: str, simulate, **own):
+        """``simulate`` over the resolved scenario's workload: the body
+        every ``run_*`` entry point shares.  ``own`` holds the ``sim``
+        simulator's own arguments."""
         spec = self.resolved()
-        kwargs = own(spec)
         return simulate(
-            spec.resolve_model(), spec.gpu,
-            rate=spec.workload.rate, duration=spec.workload.duration,
-            seed=spec.workload.seed, plans=spec.plans,
-            arrival=spec.make_arrival(),
-            **kwargs, **spec.simulator_kwargs(sim),
+            spec.resolve_model(), spec.gpu, spec.make_workload(),
+            plans=spec.plans, **own, **spec.simulator_kwargs(sim),
         )
 
     def run_serving(self):
         """Single-node serving comparison over this scenario."""
         from repro.serving import simulate_serving
 
-        return self._run("serving", simulate_serving, lambda spec: dict(
-            requests=spec.load_requests()))
+        return self._run("serving", simulate_serving)
 
     def run_cluster(self):
         """Sharded multi-replica comparison over this scenario."""
         from repro.cluster import simulate_cluster
 
-        return self._run("cluster", simulate_cluster, lambda spec: dict(
-            requests=spec.load_requests(),
-            prefix_groups=spec.workload.prefix_groups))
+        return self._run("cluster", simulate_cluster)
 
     def run_controlplane(self, *, tiers=None, autoscaler=None, faults=None,
                          shed_backlog_tokens: float = 0.0,
@@ -387,28 +381,23 @@ class ScenarioSpec:
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
         — it describes the controller, not the scenario.  The control
-        plane has no engine choice, speculative decoding, trace replay
-        or shared-prefix groups: asking for one raises
-        ``ScenarioError`` naming the flag.
+        plane has no engine choice or speculative decoding: asking for
+        one raises ``ScenarioError`` naming the flag.
         """
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
 
-        def own(spec):
-            for flag, given in (
-                    ("--engine", spec.workload.engine != "epoch"),
-                    ("--draft-model", spec.workload.draft_model is not None),
-                    ("--trace-file", spec.workload.trace_file is not None),
-                    ("--prefix-groups", spec.workload.prefix_groups != 0)):
-                if given:
-                    raise ScenarioError(
-                        f"the control plane does not support {flag}")
-            return dict(
-                tiers=tiers if tiers is not None else DEFAULT_TIERS,
-                autoscaler=autoscaler, faults=faults,
-                shed_backlog_tokens=shed_backlog_tokens,
-                cold_start_s=cold_start_s)
-
-        return self._run("controlplane", simulate_controlplane, own)
+        for flag, given in (
+                ("--engine", self.workload.engine != "epoch"),
+                ("--draft-model", self.workload.draft_model is not None)):
+            if given:
+                raise ScenarioError(
+                    f"the control plane does not support {flag}")
+        return self._run(
+            "controlplane", simulate_controlplane,
+            tiers=tiers if tiers is not None else DEFAULT_TIERS,
+            autoscaler=autoscaler, faults=faults,
+            shed_backlog_tokens=shed_backlog_tokens,
+            cold_start_s=cold_start_s)
 
 
 #: Where each tunable knob lives in a :class:`ScenarioSpec`, by

@@ -12,14 +12,15 @@ from repro.common.errors import ConfigError, ShapeError
 
 
 def require_positive(name: str, value: float) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is strictly positive."""
-    if value <= 0:
+    """Raise :class:`ConfigError` unless ``value`` is strictly positive
+    (NaN is not)."""
+    if not value > 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
 
 
 def require_non_negative(name: str, value: float) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise :class:`ConfigError` unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
 

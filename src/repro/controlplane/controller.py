@@ -67,7 +67,12 @@ from repro.controlplane.report import (
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
 from repro.serving.metrics import LatencyStats
 from repro.serving.loop import run_loop
-from repro.serving.requests import RequestStatus, ServingWorkload, arrivals
+from repro.serving.requests import (
+    RequestStatus,
+    ServingWorkload,
+    arrivals,
+    replay_stream,
+)
 
 __all__ = ["ControlledReplica", "ControlPlaneSimulator",
            "simulate_controlplane"]
@@ -217,6 +222,9 @@ class ControlPlaneSimulator:
             candidates=SUPPORTED_PLANS,
         )
         self.workload = workload
+        #: The workload's arrays, replayed by every ``run``.
+        self._arrays = replay_stream(None, workload,
+                                     block_tokens=block_tokens)
         self.tiers = tuple(tiers)
         self.num_replicas = replicas
         self.autoscaler_config = autoscaler
@@ -251,7 +259,7 @@ class ControlPlaneSimulator:
             f"{self.plan.value}:gateway.shed")
         self._costs = {}
 
-        arrays = self.workload.request_arrays()
+        arrays = self._arrays
         tier_of = assign_tiers(len(arrays), self.tiers, self.seed)
         self._tier_of = tier_of
         policy = make_policy(self._policy_arg)
@@ -656,12 +664,9 @@ class ControlPlaneSimulator:
 def simulate_controlplane(
     model: "ModelConfig | str",
     gpu: "GPUSpec | str",
+    workload: ServingWorkload,
     *,
-    rate: float = 4.0,
-    duration: float = 30.0,
-    seed: int = 0,
     plans: "tuple[PlanSource | AttentionPlan | str, ...]" = ("sdf",),
-    arrival=None,
     tiers: "tuple[SLOTier, ...]" = DEFAULT_TIERS,
     replicas: int = 2,
     autoscaler: "AutoscalerConfig | None" = None,
@@ -669,7 +674,7 @@ def simulate_controlplane(
     policy: str = "least-outstanding",
     **kwargs,
 ) -> ControlPlaneReport:
-    """Run one workload through the control plane under several plans.
+    """Replay ``workload`` through the control plane under several plans.
 
     Every plan replays the same request stream, tier assignment, and
     failure schedule, so comparisons isolate the attention plan.
@@ -678,11 +683,6 @@ def simulate_controlplane(
     """
     model = get_model(model) if isinstance(model, str) else model
     gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    block_tokens = kwargs.get("block_tokens", 64)
-    workload = ServingWorkload(
-        rate=rate, duration=duration, seed=seed,
-        block_tokens=block_tokens, arrival=arrival,
-    )
     reports = {}
     for plan in plans:
         sim = ControlPlaneSimulator(
@@ -696,8 +696,8 @@ def simulate_controlplane(
     return ControlPlaneReport(
         model=model.name,
         gpu=gpu.name,
-        seed=seed,
-        duration=duration,
+        seed=workload.seed,
+        duration=workload.duration,
         arrival=workload.arrival.describe(),
         replicas=replicas,
         policy=policy if isinstance(policy, str) else policy.name,

@@ -30,10 +30,12 @@ Design points:
 Install a tracer with the :func:`tracing` context manager::
 
     from repro.obs import Tracer, tracing
+    from repro.serving import ServingWorkload, simulate_serving
 
     tracer = Tracer()
     with tracing(tracer):
-        simulate_serving("bert-large", "a100", rate=4.0, duration=10.0)
+        simulate_serving("bert-large", "a100",
+                         ServingWorkload(rate=4.0, duration=10.0))
     print(tracer.summary())
 
 Export with :mod:`repro.obs.export` (Chrome trace-event JSON, loadable

@@ -11,13 +11,17 @@ Reports carry the standard SLO metrics — TTFT, TPOT, sustained
 throughput, p50/p95/p99 — per attention plan, so ``baseline`` and the
 recomposed ``sdf`` plan can be compared where it matters.
 
-Quickstart::
+Quickstart — one workload (Poisson arrivals, or
+``ServingWorkload(..., trace=load_trace(path))`` for a JSONL trace)
+replayed under each plan:
 
-    from repro.serving import simulate_serving
-
-    report = simulate_serving("bert-large", "a100",
-                              rate=8.0, duration=60.0, seed=0)
-    print(report.speedup())   # sdf throughput over baseline
+>>> from repro.serving import ServingWorkload, simulate_serving
+>>> workload = ServingWorkload(rate=2.0, duration=3.0, seed=0)
+>>> report = simulate_serving("bert-large", "a100", workload)
+>>> report.num_requests, report.plans["sdf"].finished
+(7, 7)
+>>> report.speedup() > 1.0   # sdf throughput over baseline
+True
 
 See ``docs/serving.md`` for the design and its limits.
 """

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,8 @@ class Request:
         return self.finish_time - self.arrival_time
 
 
-def _round_up(value: int, multiple: int) -> int:
+def _round_up(value, multiple: int):
+    """``value`` (an int or an integer array) rounded up to ``multiple``."""
     return -(-value // multiple) * multiple
 
 
@@ -191,7 +193,7 @@ def arrivals(stream, *, start: int = 0, step: int = 1):
 
 
 class ServingWorkload:
-    """Deterministic synthetic request stream.
+    """Deterministic request stream: synthetic, or a replayed trace.
 
     Arrivals are Poisson with ``rate`` requests/second over
     ``duration`` seconds unless an explicit ``arrival`` process is
@@ -201,6 +203,11 @@ class ServingWorkload:
     ``block_tokens``); output lengths are geometric with mean
     ``mean_output``, the heavy-one-sided spread of production decode
     lengths.
+
+    With ``trace`` (the :class:`RequestArrays` of :func:`load_trace`,
+    loaded with the same ``block_tokens``) the workload replays those
+    arrays instead of sampling; ``rate``, ``duration``, ``seed`` and
+    ``arrival`` are then only echoed into the report header.
 
     >>> stream = ServingWorkload(rate=4.0, duration=10.0, seed=0)
     >>> reqs = stream.requests()
@@ -220,9 +227,12 @@ class ServingWorkload:
         block_tokens: int = 64,
         prefix_groups: int = 0,
         arrival: "ArrivalProcess | None" = None,
+        trace: "RequestArrays | None" = None,
     ) -> None:
-        require_positive("rate", rate)
-        require_positive("duration", duration)
+        for name, value in (("rate", rate), ("duration", duration)):
+            if not 0 < value < math.inf:
+                raise ServingError(
+                    f"{name} must be positive and finite, got {value!r}")
         require_positive("max_prompt", max_prompt)
         require_positive("mean_output", mean_output)
         require_positive("block_tokens", block_tokens)
@@ -243,12 +253,15 @@ class ServingWorkload:
         #: to pre-arrival-process releases.
         self.arrival: ArrivalProcess = (
             arrival if arrival is not None else PoissonArrivals(rate=rate))
+        #: Whether ``arrival`` was given: reports echo only an explicit
+        #: process, so default-Poisson output stays byte-identical.
+        self.arrival_given = arrival is not None
         self.max_prompt = max_prompt
         self.mean_output = mean_output
         self.max_output = max_output or 4 * mean_output
         self.block_tokens = block_tokens
         self.prefix_groups = prefix_groups
-        self._arrays: "RequestArrays | None" = None
+        self._arrays = trace
 
     def request_arrays(self) -> RequestArrays:
         """The request stream as shared, memoized numpy arrays.
@@ -257,7 +270,8 @@ class ServingWorkload:
         instance; every caller (and every plan replaying the same
         stream) sees the same arrays.  Values are identical to what
         :meth:`requests` has always produced — the arrays are the
-        source the :class:`Request` objects are built from.
+        source the :class:`Request` objects are built from.  A trace
+        workload returns its trace.
         """
         if self._arrays is not None:
             return self._arrays
@@ -278,10 +292,10 @@ class ServingWorkload:
                 0, self.prefix_groups, size=len(arrivals))
         else:
             groups = None
-        block = self.block_tokens
         self._arrays = RequestArrays(
             arrival_time=arrivals,
-            prompt_len=-(-prompts.astype(np.int64) // block) * block,
+            prompt_len=_round_up(prompts.astype(np.int64),
+                                 self.block_tokens),
             output_len=outputs.astype(np.int64),
             prefix_group=groups,
         )
@@ -291,14 +305,41 @@ class ServingWorkload:
         """The request stream, sorted by arrival time."""
         return self.request_arrays().requests()
 
+    def report_header(self) -> "dict[str, object]":
+        """The stream fields a serving or cluster report echoes."""
+        arrival = self.arrival.describe() if self.arrival_given else None
+        return dict(rate=self.rate, duration=self.duration, seed=self.seed,
+                    num_requests=len(self.request_arrays()), arrival=arrival)
 
-def load_trace(path: str, *, block_tokens: int = 64) -> list[Request]:
+
+def replay_stream(requests: "list[Request] | None",
+                  workload: "ServingWorkload | None", *,
+                  block_tokens: int):
+    """What a simulator replays: exactly one of a hand-built request
+    list (as time-sorted templates) or ``workload``'s arrays, whose
+    prompts must be rounded to the simulator's KV block size."""
+    if (requests is None) == (workload is None):
+        raise ServingError("provide exactly one of `requests` or `workload`")
+    if workload is None:
+        return sorted(requests,
+                      key=lambda r: (r.arrival_time, r.request_id))
+    if workload.block_tokens != block_tokens:
+        raise ServingError(
+            f"workload block size {workload.block_tokens} != simulator "
+            f"block_tokens {block_tokens}"
+        )
+    return workload.request_arrays()
+
+
+def load_trace(path: str, *, block_tokens: int = 64) -> RequestArrays:
     """Load a request stream from a JSONL trace file.
 
-    Each line is an object with ``arrival_time`` (seconds),
-    ``prompt_len`` and ``output_len`` (tokens).  Prompt lengths are
-    rounded up to ``block_tokens``; requests are sorted by arrival
-    (ties broken by prompt then output length, as a tuple sort would).
+    Each line is an object with ``arrival_time`` (seconds, finite and
+    >= 0), ``prompt_len`` and ``output_len`` (tokens, >= 1).  Prompt
+    lengths are rounded up to ``block_tokens``; requests are sorted by
+    arrival (ties broken by prompt then output length, as a tuple sort
+    would), and request ``i`` is stream position ``i``.  Replay the
+    arrays as ``ServingWorkload(..., trace=load_trace(path))``.
     """
     arrivals: "list[float]" = []
     prompts: "list[int]" = []
@@ -310,22 +351,26 @@ def load_trace(path: str, *, block_tokens: int = 64) -> list[Request]:
                 continue
             try:
                 record = json.loads(line)
-                arrivals.append(float(record["arrival_time"]))
-                prompts.append(int(record["prompt_len"]))
-                outputs.append(int(record["output_len"]))
-            except (KeyError, ValueError, TypeError) as error:
+                arrival = float(record["arrival_time"])
+                prompt = int(record["prompt_len"])
+                output = int(record["output_len"])
+                if not (0 <= arrival < math.inf and prompt > 0
+                        and output > 0):
+                    raise ValueError("need a finite arrival_time >= 0 "
+                                     "and lengths >= 1")
+            except (KeyError, ValueError, TypeError, OverflowError) as error:
                 raise ServingError(
                     f"{path}:{lineno + 1}: bad trace record: {error}"
                 ) from None
+            arrivals.append(arrival)
+            prompts.append(prompt)
+            outputs.append(output)
     # One pass over sort keys (lexsort's last key is primary) instead
     # of sorting materialized tuples and walking the list again.
     order = np.lexsort((outputs, prompts, arrivals))
-    return [
-        Request(
-            request_id=i,
-            arrival_time=arrivals[j],
-            prompt_len=_round_up(prompts[j], block_tokens),
-            output_len=outputs[j],
-        )
-        for i, j in enumerate(order)
-    ]
+    return RequestArrays(
+        arrival_time=np.asarray(arrivals, dtype=np.float64)[order],
+        prompt_len=_round_up(np.asarray(prompts, dtype=np.int64)[order],
+                             block_tokens),
+        output_len=np.asarray(outputs, dtype=np.int64)[order],
+    )

@@ -44,7 +44,12 @@ from repro.serving.metrics import (
     PlanReport,
     ServingReport,
 )
-from repro.serving.requests import Request, ServingWorkload, arrivals
+from repro.serving.requests import (
+    Request,
+    ServingWorkload,
+    arrivals,
+    replay_stream,
+)
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.specdecode import spec_decode_runtime
 
@@ -96,10 +101,6 @@ class ServingSimulator:
         accept_rate: float = 1.0,
         costs: "dict | None" = None,
     ) -> None:
-        if (requests is None) == (workload is None):
-            raise ServingError(
-                "provide exactly one of `requests` or `workload`"
-            )
         if engine not in ENGINE_MODES:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
@@ -130,9 +131,8 @@ class ServingSimulator:
         self.retained: "list[Request]" = []
         #: What ``run`` replays: the time-sorted request templates, or
         #: the workload's arrays (materialized one arrival at a time).
-        self._stream = (workload.request_arrays() if requests is None
-                        else sorted(requests, key=lambda r: (
-                            r.arrival_time, r.request_id)))
+        self._stream = replay_stream(requests, workload,
+                                     block_tokens=block_tokens)
         # ``costs`` lets a caller (the tuner) share priced models across
         # simulators; see :func:`~repro.serving.costmodel.shared_cost_model`.
         self.cost = shared_cost_model(costs, StepCostModel, self.model,
@@ -244,60 +244,34 @@ class ServingSimulator:
 def simulate_serving(
     model: "ModelConfig | str",
     gpu: "GPUSpec | str",
+    workload: ServingWorkload,
     *,
-    rate: float,
-    duration: float,
-    seed: int = 0,
     plans: "tuple[PlanSource | AttentionPlan | str, ...]" = ("baseline",
                                                              "sdf"),
-    requests: "list[Request] | None" = None,
-    arrival=None,
     **kwargs,
 ) -> ServingReport:
-    """Run one workload under several plans and bundle the reports.
+    """Replay ``workload`` under several plans and bundle the reports.
 
     Extra keyword arguments are forwarded to :class:`ServingSimulator`
     (``chunk_tokens``, ``max_batch``, ``block_tokens``, ``engine``,
     ...).  ``plans`` entries may be plan names, enums, ``"auto"``, or
-    :class:`PlanSource` objects — this is
-    the scenario-level API, so every spelling is accepted without
-    ceremony.  Pass ``requests`` to replay a trace instead of the
-    synthetic workload; otherwise the synthetic stream is sampled once
-    into shared arrays and every plan replays the same values.  An
-    ``arrival`` process (:mod:`repro.serving.arrivals`) replaces the
-    stationary Poisson stream and is echoed into the report.
+    :class:`PlanSource` objects — this is the scenario-level API, so
+    every spelling is accepted without ceremony.  Every plan replays
+    the workload's shared arrays, and the report header (rate,
+    duration, seed, arrival, request count) comes from the workload.
     """
     model = get_model(model) if isinstance(model, str) else model
     gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-    workload = None
-    if requests is None:
-        block_tokens = kwargs.get("block_tokens", 64)
-        workload = ServingWorkload(
-            rate=rate, duration=duration, seed=seed,
-            block_tokens=block_tokens, arrival=arrival,
-        )
     reports = {}
-    # Counted up front from the stream itself, not inside the plan
-    # loop: a trace-driven run (or an empty ``plans`` tuple) must still
-    # report how many requests were actually loaded.
-    if requests is not None:
-        num_requests = len(requests)
-    else:
-        num_requests = len(workload.request_arrays())
     for plan in plans:
         sim = ServingSimulator(model, gpu, plan=PlanSource.of(plan),
-                               requests=requests, workload=workload,
-                               **kwargs)
+                               workload=workload, **kwargs)
         reports[sim.plan.value] = sim.run()
     tracer = current_tracer()
     return ServingReport(
         model=model.name,
         gpu=gpu.name,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-        num_requests=num_requests,
         plans=reports,
         trace_summary=tracer.summary() if tracer.enabled else None,
-        arrival=arrival.describe() if arrival is not None else None,
+        **workload.report_header(),
     )

@@ -105,8 +105,6 @@ class ScenarioEvaluator:
         #: evaluation of this tuner call.
         self._costs: dict = {}
         self._workloads: "dict[float, object]" = {}
-        self._requests = None
-        self._requests_loaded = False
 
     # -- memo bookkeeping -----------------------------------------------
 
@@ -158,10 +156,9 @@ class ScenarioEvaluator:
 
         simulator = (ServingSimulator if self.mode == "serving"
                      else ClusterSimulator)
-        requests, workload = self._stream(fidelity)
         report = simulator(
             spec.resolve_model(), spec.gpu, plan=spec.plans[0],
-            requests=requests, workload=workload, costs=self._costs,
+            workload=self._workload(fidelity), costs=self._costs,
             **spec.simulator_kwargs(self.mode),
         ).run()
         if self.objective == "ttft_p99":
@@ -170,24 +167,22 @@ class ScenarioEvaluator:
             return report.tpot.p99
         return report.throughput_tokens_per_s
 
-    def _stream(self, fidelity: float):
-        """The request stream at a fidelity: ``(requests, workload)``.
+    def _workload(self, fidelity: float):
+        """The request stream at a fidelity, built once per level.
 
-        A replayed trace is used whole at every fidelity (its length is
-        fixed); the synthetic stream scales its arrival window by
-        ``fidelity`` and is built once per fidelity level, so every
-        candidate at one level replays the identical stream.
+        The synthetic stream scales its arrival window by ``fidelity``,
+        so every candidate at one level replays the identical stream.
+        A replayed trace has a fixed length and is pinned to fidelity
+        1.0: it is loaded once and used whole at every level.
         """
-        if not self._requests_loaded:
-            self._requests = self.spec.load_requests()
-            self._requests_loaded = True
-        if self._requests is not None:
-            return self._requests, None
+        workload = self.spec.workload
+        if workload.trace_file:
+            fidelity = 1.0
         if fidelity not in self._workloads:
-            duration = self.spec.workload.duration * fidelity
             self._workloads[fidelity] = replace(self.spec, workload=replace(
-                self.spec.workload, duration=duration)).synthetic_workload()
-        return None, self._workloads[fidelity]
+                workload, duration=workload.duration * fidelity),
+            ).make_workload()
+        return self._workloads[fidelity]
 
 
 def score_config(spec, config: "dict[str, object]", *, objective: str,

@@ -220,16 +220,17 @@ class TestClusterSimulator:
         docs = []
         for _ in range(2):
             report = simulate_cluster(
-                TINY, "t4", rate=4, duration=5, seed=3, replicas=2, tp=2,
-                policy="least-outstanding", prefix_groups=4,
+                TINY, "t4",
+                ServingWorkload(rate=4, duration=5, seed=3, prefix_groups=4),
+                replicas=2, tp=2, policy="least-outstanding",
             )
             docs.append(json.dumps(report.to_dict(), sort_keys=True))
         assert docs[0] == docs[1]
 
     def test_aggregate_matches_union_of_replicas(self):
         report = simulate_cluster(
-            TINY, "t4", rate=4, duration=5, seed=0, replicas=2,
-            plans=("sdf",),
+            TINY, "t4", ServingWorkload(rate=4, duration=5, seed=0),
+            replicas=2, plans=("sdf",),
         ).plans["sdf"]
         assert report.finished == sum(r.report.finished
                                       for r in report.per_replica)
@@ -240,8 +241,8 @@ class TestClusterSimulator:
 
     def test_tp_communication_visible_in_report(self):
         report = simulate_cluster(
-            TINY, "t4", rate=4, duration=5, seed=0, replicas=2, tp=2,
-            plans=("sdf",),
+            TINY, "t4", ServingWorkload(rate=4, duration=5, seed=0),
+            replicas=2, tp=2, plans=("sdf",),
         ).plans["sdf"]
         assert report.comm_time_s > 0
         assert 0 < report.comm_fraction < 1
@@ -252,16 +253,15 @@ class TestClusterSimulator:
                     TINY, "t4").dtype) / 2)
 
     def test_single_replica_matches_serving_simulator_shape(self):
-        from repro.serving import simulate_serving
+        from repro.serving import ServingSimulator
 
         requests = tiny_requests(n=4)
         cluster = ClusterSimulator(
             TINY, "t4", plan="sdf", requests=requests, replicas=1,
         ).run()
-        single = simulate_serving(
-            TINY, "t4", rate=1.0, duration=1.0, plans=("sdf",),
-            requests=requests,
-        ).plans["sdf"]
+        single = ServingSimulator(
+            TINY, "t4", plan="sdf", requests=requests,
+        ).run()
         # One unsharded replica is exactly the single-node simulator.
         replica = cluster.per_replica[0].report
         assert replica.finished == single.finished
@@ -323,8 +323,9 @@ class TestClusterSimulator:
             (r.arrival_time, r.prompt_len, r.output_len) for r in plain]
 
     def test_report_schema(self):
-        report = simulate_cluster(TINY, "t4", rate=4, duration=3, seed=0,
-                                  replicas=2, plans=("sdf",))
+        report = simulate_cluster(
+            TINY, "t4", ServingWorkload(rate=4, duration=3, seed=0),
+            replicas=2, plans=("sdf",))
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["schema"] == "repro.result/v1"
         assert doc["kind"] == "cluster-report"

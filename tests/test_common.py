@@ -59,6 +59,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             require_non_negative("x", -1)
 
+    def test_nan_is_neither_positive_nor_non_negative(self):
+        with pytest.raises(ConfigError, match="x must be positive"):
+            require_positive("x", float("nan"))
+        with pytest.raises(ConfigError, match="x must be non-negative"):
+            require_non_negative("x", float("nan"))
+
     def test_require_divisible_accepts(self):
         require_divisible("L", 4096, 64)
 

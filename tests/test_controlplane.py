@@ -179,12 +179,14 @@ class TestArrivalProcesses:
 
         arr = MMPPArrivals(rate=2.0, burst_rate=6.0)
         report = simulate_serving(
-            "bert-large", "a100", rate=2.0, duration=3.0, seed=0,
-            plans=("sdf",), arrival=arr)
+            "bert-large", "a100",
+            ServingWorkload(rate=2.0, duration=3.0, seed=0, arrival=arr),
+            plans=("sdf",))
         doc = report.to_json()
         assert doc["arrival"]["kind"] == "mmpp"
         plain = simulate_serving(
-            "bert-large", "a100", rate=2.0, duration=3.0, seed=0,
+            "bert-large", "a100",
+            ServingWorkload(rate=2.0, duration=3.0, seed=0),
             plans=("sdf",))
         assert "arrival" not in plain.to_json()
 
@@ -359,8 +361,10 @@ def _run(seed=23, *, replicas=2, autoscale=False, faults=None,
             min_replicas=replicas, max_replicas=max_replicas,
             control_interval=0.25, cold_start_s=cold)
     report = simulate_controlplane(
-        "bert-large", "a100", rate=rate, duration=duration, seed=seed,
-        plans=("sdf",), replicas=replicas, arrival=arrival,
+        "bert-large", "a100",
+        ServingWorkload(rate=rate, duration=duration, seed=seed,
+                        arrival=arrival),
+        plans=("sdf",), replicas=replicas,
         autoscaler=config, faults=faults, tiers=tiers,
         shed_backlog_tokens=shed, cold_start_s=cold)
     return report.plans["sdf"]
@@ -492,8 +496,10 @@ class TestControlLoop:
                                base_dwell=4.0, burst_dwell=2.0)
         with tracing(tracer):
             simulate_controlplane(
-                "bert-large", "a100", rate=2.0, duration=6.0, seed=4,
-                plans=("sdf",), replicas=2, arrival=arrival,
+                "bert-large", "a100",
+                ServingWorkload(rate=2.0, duration=6.0, seed=4,
+                                arrival=arrival),
+                plans=("sdf",), replicas=2,
                 autoscaler=AutoscalerConfig(min_replicas=2,
                                             max_replicas=4,
                                             cold_start_s=0.1),
@@ -652,9 +658,10 @@ class TestReportContract:
     def test_full_report_envelope(self):
         arrival = MMPPArrivals(rate=2.0, burst_rate=6.0)
         report = simulate_controlplane(
-            "bert-large", "a100", rate=2.0, duration=4.0, seed=1,
-            plans=("sdf",), replicas=2, arrival=arrival,
-            cold_start_s=0.1)
+            "bert-large", "a100",
+            ServingWorkload(rate=2.0, duration=4.0, seed=1,
+                            arrival=arrival),
+            plans=("sdf",), replicas=2, cold_start_s=0.1)
         doc = report.to_dict()
         assert doc["kind"] == "controlplane-report"
         assert doc["seed"] == 1

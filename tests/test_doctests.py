@@ -14,6 +14,7 @@ import repro.gpu.specs
 import repro.models.generation
 import repro.models.runtime
 import repro.models.seq2seq
+import repro.serving
 import repro.workloads.triviaqa
 
 MODULES = [
@@ -24,6 +25,7 @@ MODULES = [
     repro.models.runtime,
     repro.models.generation,
     repro.models.seq2seq,
+    repro.serving,
 ]
 
 

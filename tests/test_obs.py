@@ -18,6 +18,7 @@ from repro.obs import (
     validate_nesting,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.serving.requests import ServingWorkload
 from repro.serving.simulator import simulate_serving
 
 
@@ -35,7 +36,8 @@ def _traced_serving(**overrides):
     simcache.invalidate()
     tracer = Tracer()
     with tracing(tracer):
-        report = simulate_serving("bert-large", "a100", **kwargs)
+        report = simulate_serving("bert-large", "a100",
+                                  ServingWorkload(**kwargs))
     return tracer, report
 
 
@@ -255,8 +257,9 @@ class TestTracedServing:
         """Tracing off => serialized reports match a traced run's
         numbers and carry no trace fields."""
         simcache.invalidate()
-        untraced = simulate_serving("bert-large", "a100",
-                                    rate=3.0, duration=2.0, seed=0)
+        untraced = simulate_serving(
+            "bert-large", "a100",
+            ServingWorkload(rate=3.0, duration=2.0, seed=0))
         _, traced = _traced_serving()
         assert untraced.trace_summary is None
         untraced_doc = untraced.to_dict()
@@ -275,8 +278,8 @@ class TestTracedServing:
             strip(traced.to_dict()), sort_keys=True)
 
     def test_untraced_run_records_nothing(self):
-        simulate_serving("bert-large", "a100", rate=3.0, duration=2.0,
-                         seed=0)
+        simulate_serving("bert-large", "a100",
+                         ServingWorkload(rate=3.0, duration=2.0, seed=0))
         assert current_tracer() is NULL_TRACER
         assert NULL_TRACER.events == ()
 
@@ -288,8 +291,10 @@ class TestTracedCluster:
         simcache.invalidate()
         tracer = Tracer()
         with tracing(tracer):
-            report = simulate_cluster("bert-large", "a100", rate=4.0,
-                                      duration=2.0, seed=0, replicas=2)
+            report = simulate_cluster(
+                "bert-large", "a100",
+                ServingWorkload(rate=4.0, duration=2.0, seed=0),
+                replicas=2)
         assert validate_nesting(chrome_events(tracer)) == []
         for plan, plan_report in report.plans.items():
             assert plan_report.trace_summary["spans"] > 0

@@ -90,11 +90,12 @@ def serving_digest(build) -> str:
     return _sha(build().run().to_json())
 
 
-def cluster_digest(**kwargs) -> str:
-    defaults = dict(rate=6.0, duration=3.0, seed=3, replicas=3,
-                    plans=("baseline", "sdf"))
+def cluster_digest(*, duration=3.0, **kwargs) -> str:
+    defaults = dict(replicas=3, plans=("baseline", "sdf"))
     defaults.update(kwargs)
-    return _sha(simulate_cluster("bert-large", "a100", **defaults).to_dict())
+    workload = ServingWorkload(rate=6.0, duration=duration, seed=3)
+    return _sha(simulate_cluster("bert-large", "a100", workload,
+                                 **defaults).to_dict())
 
 
 def traced(digest_fn, *args, **kwargs) -> str:

@@ -9,6 +9,7 @@ equivalence to the direct simulator calls it replaced.
 
 import argparse
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -23,6 +24,10 @@ from repro.common.scenario import (
     add_sharding_args,
     add_workload_args,
 )
+
+
+#: A committed 40-request JSONL trace (unsorted, one arrival tie).
+TRACE_FILE = pathlib.Path(__file__).parent / "golden" / "trace_requests.jsonl"
 
 
 def parse(argv, *, sharding=False):
@@ -206,23 +211,26 @@ class TestResolution:
             spec.interconnect_spec()
 
     def test_run_serving_matches_direct_call(self):
-        from repro.serving import simulate_serving
+        from repro.serving import ServingWorkload, simulate_serving
 
         spec = ScenarioSpec(workload=WorkloadSpec(rate=2.0, duration=3.0))
         via_spec = spec.run_serving()
-        direct = simulate_serving("bert-large", "A100", rate=2.0,
-                                  duration=3.0, seed=0,
-                                  plans=("baseline", "sdf"))
+        direct = simulate_serving(
+            "bert-large", "A100",
+            ServingWorkload(rate=2.0, duration=3.0, seed=0),
+            plans=("baseline", "sdf"))
         assert via_spec.to_dict() == direct.to_dict()
 
     def test_run_cluster_matches_direct_call(self):
         from repro.cluster import simulate_cluster
+        from repro.serving import ServingWorkload
 
         spec = ScenarioSpec(workload=WorkloadSpec(rate=2.0, duration=3.0))
         via_spec = spec.run_cluster()
-        direct = simulate_cluster("bert-large", "A100", rate=2.0,
-                                  duration=3.0, seed=0,
-                                  plans=("baseline", "sdf"))
+        direct = simulate_cluster(
+            "bert-large", "A100",
+            ServingWorkload(rate=2.0, duration=3.0, seed=0),
+            plans=("baseline", "sdf"))
         assert via_spec.to_dict() == direct.to_dict()
 
 
@@ -258,29 +266,45 @@ class TestTunedPlanApplication:
 
 class TestControlPlaneFlags:
     """``controlplane-sim`` shares the workload flags but has no engine
-    choice, speculative decoding, trace replay or shared-prefix groups:
-    asking for one is an error naming the flag, not a run that silently
-    ignores it."""
+    choice or speculative decoding: asking for one is an error naming
+    the flag, not a run that silently ignores it.  Trace replay and
+    shared-prefix groups reach it through the scenario's workload."""
 
-    @pytest.mark.parametrize("flag",
-                             ["--engine", "--draft-model", "--trace-file"])
-    def test_unsupported_flag_raises(self, tmp_path, flag):
+    @pytest.mark.parametrize("flag", ["--engine", "--draft-model"])
+    def test_unsupported_flag_raises(self, flag):
         from repro.cli import main
 
-        trace = tmp_path / "requests.jsonl"
-        trace.write_text('{"arrival_time": 0.0, "prompt_len": 128, '
-                         '"output_len": 4}\n')
-        value = {"--engine": "event", "--draft-model": "bert-large",
-                 "--trace-file": str(trace)}[flag]
+        value = {"--engine": "event", "--draft-model": "bert-large"}[flag]
         with pytest.raises(ScenarioError, match=flag):
             main(["controlplane-sim", "--rate", "2", "--duration", "3",
                   "--seed", "0", "--json", flag, value])
 
-    def test_prefix_groups_raise(self):
-        """``controlplane-sim`` has no ``--prefix-groups`` flag, but a
-        spec can carry groups the control plane would drop."""
+    def test_trace_file_replays(self):
+        """The committed 40-request trace runs through the control
+        plane: every request arrives and the conservation identity
+        holds."""
         spec = ScenarioSpec(
-            workload=WorkloadSpec(rate=2.0, duration=3.0, prefix_groups=4),
+            workload=WorkloadSpec(rate=2.0, duration=3.0,
+                                  trace_file=str(TRACE_FILE)),
             plans=("sdf",))
-        with pytest.raises(ScenarioError, match="--prefix-groups"):
-            spec.run_controlplane()
+        report = spec.run_controlplane()
+        plan = report.plans["sdf"]
+        assert plan.arrived == 40
+        assert plan.conservation_ok
+        assert plan.finished + plan.shed + plan.rejected == 40
+
+    def test_prefix_groups_reach_prefix_affinity(self):
+        """Shared-prefix groups change where prefix-affinity routes, so
+        the report differs from the ungrouped stream's."""
+        def run(groups):
+            spec = ScenarioSpec(
+                workload=WorkloadSpec(rate=4.0, duration=3.0,
+                                      prefix_groups=groups),
+                sharding=ShardingSpec(replicas=2, policy="prefix-affinity"),
+                plans=("sdf",))
+            return spec.run_controlplane().plans["sdf"]
+
+        grouped, plain = run(4), run(0)
+        assert grouped.conservation_ok and plain.conservation_ok
+        assert grouped.arrived == plain.arrived
+        assert grouped.to_dict() != plain.to_dict()

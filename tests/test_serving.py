@@ -9,6 +9,7 @@ guarantee of the memory manager.
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -71,7 +72,7 @@ class TestWorkload:
             '{"arrival_time": 0.5, "prompt_len": 100, "output_len": 4}\n'
             '{"arrival_time": 0.1, "prompt_len": 64, "output_len": 2}\n'
         )
-        requests = load_trace(str(path))
+        requests = load_trace(str(path)).requests()
         assert [r.arrival_time for r in requests] == [0.1, 0.5]
         assert requests[1].prompt_len == 128  # rounded up to blocks
 
@@ -86,14 +87,12 @@ class TestWorkload:
         path.write_text("".join(
             '{"arrival_time": %.1f, "prompt_len": 64, "output_len": 2}\n'
             % (0.1 * i) for i in range(3)))
-        requests = load_trace(str(path))
-        report = simulate_serving("bert-large", "a100", rate=1.0,
-                                  duration=1.0, plans=("sdf",),
-                                  requests=requests)
+        workload = ServingWorkload(rate=1.0, duration=1.0,
+                                   trace=load_trace(str(path)))
+        report = simulate_serving("bert-large", "a100", workload,
+                                  plans=("sdf",))
         assert report.num_requests == 3
-        empty = simulate_serving("bert-large", "a100", rate=1.0,
-                                 duration=1.0, plans=(),
-                                 requests=requests)
+        empty = simulate_serving("bert-large", "a100", workload, plans=())
         assert empty.num_requests == 3
 
     def test_trace_bad_record(self, tmp_path):
@@ -101,6 +100,97 @@ class TestWorkload:
         path.write_text('{"arrival_time": 0.1}\n')
         with pytest.raises(ServingError, match="bad trace record"):
             load_trace(str(path))
+
+
+#: A committed 40-request JSONL trace (unsorted, one arrival tie).
+TRACE_FILE = pathlib.Path(__file__).parent / "golden" / "trace_requests.jsonl"
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite stream input is a typed error up front, not an
+    untyped crash in arrival sampling or the engine."""
+
+    def serve(self, *flags):
+        from repro.cli import main
+
+        return main(["serve-sim", "--rate", "2", "--duration", "2",
+                     "--json", *flags])
+
+    def test_nan_rate(self):
+        with pytest.raises(ServingError, match="rate must be positive"):
+            self.serve("--rate", "nan")
+
+    def test_infinite_duration(self):
+        with pytest.raises(ServingError, match="finite"):
+            self.serve("--duration", "inf")
+
+    def test_nan_diurnal_period(self):
+        with pytest.raises(ConfigError, match="period must be positive"):
+            self.serve("--arrival", "diurnal", "--period", "nan")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_trace_arrival(self, tmp_path, value):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"arrival_time": 0.1, "prompt_len": 64, "output_len": 2}\n'
+            '{"arrival_time": %s, "prompt_len": 64, "output_len": 2}\n'
+            % value)
+        with pytest.raises(ServingError, match=r"trace.jsonl:2: bad trace"):
+            load_trace(str(path))
+        with pytest.raises(ServingError, match=r"trace.jsonl:2: bad trace"):
+            self.serve("--trace-file", str(path))
+
+
+class TestWorkloadBlockSize:
+    """A workload rounds prompts to its own block size, so a simulator
+    with another one refuses it instead of running silently."""
+
+    @pytest.mark.parametrize("simulator", ["serving", "cluster",
+                                           "controlplane"])
+    def test_mismatch_raises(self, simulator):
+        from repro.cluster import ClusterSimulator
+        from repro.controlplane import ControlPlaneSimulator
+
+        cls = {"serving": ServingSimulator, "cluster": ClusterSimulator,
+               "controlplane": ControlPlaneSimulator}[simulator]
+        workload = ServingWorkload(rate=1, duration=1)
+        with pytest.raises(ServingError, match="block size 64"):
+            cls("bert-large", "a100", workload=workload, block_tokens=128)
+
+
+class TestTraceReplayDifferential:
+    """A trace replayed as a workload's arrays reports byte-identically
+    to the same records replayed as a hand-built request list."""
+
+    @staticmethod
+    def doc(report) -> str:
+        to_doc = getattr(report, "to_dict", None) or report.to_json
+        return json.dumps(to_doc(), sort_keys=True)
+
+    @pytest.mark.parametrize("simulator, kwargs", [
+        ("serving", {}),
+        ("serving", {"engine": "event", "block_tokens": 128}),
+        ("cluster", {"replicas": 3, "jobs": 1}),
+        ("cluster", {"replicas": 3, "jobs": 2}),
+        ("cluster", {"replicas": 3, "policy": "least-outstanding"}),
+    ], ids=["serving", "serving-event-block128", "cluster-rr-jobs1",
+            "cluster-rr-jobs2", "cluster-least-outstanding"])
+    def test_arrays_equal_list(self, simulator, kwargs):
+        from repro.cluster import ClusterSimulator
+
+        cls = {"serving": ServingSimulator,
+               "cluster": ClusterSimulator}[simulator]
+        block = kwargs.get("block_tokens", 64)
+        trace = load_trace(str(TRACE_FILE), block_tokens=block)
+        workload = ServingWorkload(rate=10.0, duration=4.0,
+                                   block_tokens=block, trace=trace)
+        via_arrays = cls("bert-large", "a100", plan="sdf",
+                         workload=workload, **kwargs).run()
+        # Reversed: the list form sorts its own templates.
+        via_list = cls("bert-large", "a100", plan="sdf",
+                       requests=trace.requests()[::-1], **kwargs).run()
+        assert len(trace) == 40
+        assert self.doc(via_arrays) == self.doc(via_list)
 
 
 class TestKVBlockManager:
@@ -283,14 +373,16 @@ class TestStepCostModel:
 class TestSimulator:
     def test_deterministic_reports(self):
         def run():
-            report = simulate_serving("bert-large", "a100", rate=4.0,
-                                      duration=4.0, seed=3)
+            report = simulate_serving(
+                "bert-large", "a100",
+                ServingWorkload(rate=4.0, duration=4.0, seed=3))
             return json.dumps(report.to_json(), sort_keys=True)
         assert run() == run()
 
     def test_conservation_and_no_over_commit(self):
-        report = simulate_serving("bert-large", "a100", rate=6.0,
-                                  duration=6.0, seed=1)
+        report = simulate_serving(
+            "bert-large", "a100",
+            ServingWorkload(rate=6.0, duration=6.0, seed=1))
         for plan in report.plans.values():
             assert plan.finished + plan.rejected == plan.num_requests
             assert plan.rejected == 0
@@ -301,8 +393,9 @@ class TestSimulator:
             assert plan.tpot.p99 >= plan.tpot.p50 >= 0
 
     def test_fused_sustains_higher_throughput_at_saturation(self):
-        report = simulate_serving("bert-large", "a100", rate=8.0,
-                                  duration=30.0, seed=0)
+        report = simulate_serving(
+            "bert-large", "a100",
+            ServingWorkload(rate=8.0, duration=30.0, seed=0))
         base = report.plans["baseline"]
         sdf = report.plans["sdf"]
         # Saturated: the engine is still draining after arrivals stop.

@@ -52,14 +52,15 @@ def serving_doc(gpu="a100", engine="epoch", **kwargs):
     return json.dumps(sim.run().to_json(), sort_keys=True)
 
 
-def cluster_doc(engine="epoch", **kwargs):
+def cluster_doc(engine="epoch", *, prefix_groups=0, **kwargs):
     from repro.cluster import simulate_cluster
 
-    defaults = dict(rate=6.0, duration=6.0, seed=3, replicas=3,
-                    plans=("baseline", "sdf"))
+    defaults = dict(replicas=3, plans=("baseline", "sdf"))
     defaults.update(kwargs)
-    report = simulate_cluster("bert-large", "a100", engine=engine,
-                              **defaults)
+    workload = ServingWorkload(rate=6.0, duration=6.0, seed=3,
+                               prefix_groups=prefix_groups)
+    report = simulate_cluster("bert-large", "a100", workload,
+                              engine=engine, **defaults)
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
