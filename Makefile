@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
 	approx-smoke tune-smoke moe-smoke parallel-smoke scenario-smoke \
-	results-check
+	plans-smoke results-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -128,6 +128,30 @@ parallel-smoke:
 		--algorithm tree --json > /tmp/parallel_longformer_tree.json
 	$(PYTHON) tools/compare_golden.py /tmp/parallel_longformer_tree.json \
 		tests/golden/parallel_longformer_tree.json
+
+# The CLI's per-plan tables and generation runs compared against the
+# committed golden reports — pins the paper's plan set
+# (PAPER_CANDIDATES) behind `compare`/`footprint` and the serving-step
+# shape kinds behind `generate`: decode under a whole-block plan and
+# chunked prefill under SDF (see docs/serving.md).
+plans-smoke:
+	$(PYTHON) -m repro compare --seq-len 512 \
+		--json > /tmp/plans_compare_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/plans_compare_smoke.json \
+		tests/golden/plans_compare_smoke.json
+	$(PYTHON) -m repro footprint --seq-len 512 \
+		--json > /tmp/plans_footprint_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/plans_footprint_smoke.json \
+		tests/golden/plans_footprint_smoke.json
+	$(PYTHON) -m repro generate --tokens 4 --seq-len 512 --plan flash \
+		--json > /tmp/plans_generate_flash_smoke.json
+	$(PYTHON) tools/compare_golden.py /tmp/plans_generate_flash_smoke.json \
+		tests/golden/plans_generate_flash_smoke.json
+	$(PYTHON) -m repro generate --tokens 4 --seq-len 512 --plan sdf \
+		--prefill-chunk 256 --json > /tmp/plans_generate_sdf_chunked_smoke.json
+	$(PYTHON) tools/compare_golden.py \
+		/tmp/plans_generate_sdf_chunked_smoke.json \
+		tests/golden/plans_generate_sdf_chunked_smoke.json
 
 bench:
 	$(PYTHON) benchmarks/bench_selfperf.py

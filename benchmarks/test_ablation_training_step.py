@@ -10,12 +10,13 @@ unchanged (it reconstructs Y from X' and r' at 1/T-scale extra cost).
 import pytest
 
 from repro.analysis import render_table
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.models.training import TrainingSDAStep
 
 
 def run():
     out = {}
-    for plan in ("baseline", "sd", "sdf"):
+    for plan in (p.value for p in PAPER_CANDIDATES):
         step = TrainingSDAStep(batch=1, num_heads=16, seq_len=4096,
                                d_head=64, plan=plan)
         out[plan] = step.simulate("A100")

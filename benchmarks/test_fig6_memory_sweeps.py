@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import render_table
 from repro.core import AttentionPlan, attention_matrix_sweeps
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.gpu import Device
 from repro.models import AttentionKind, AttentionSpec, SDABlock
 
@@ -23,7 +24,7 @@ OUTPUT_BYTES = BH * L * D * 2
 def measure_sda_traffic():
     spec = AttentionSpec(kind=AttentionKind.DENSE)
     traffic = {}
-    for plan in ("baseline", "sd", "sdf"):
+    for plan in (p.value for p in PAPER_CANDIDATES):
         device = Device("A100")
         SDABlock(batch=1, num_heads=BH, seq_len=L, d_head=D,
                  spec=spec, plan=plan, t=T).simulate(device)

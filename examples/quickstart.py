@@ -13,13 +13,13 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import (
-    AttentionPlan,
     InferenceSession,
     SoftmaxDecomposition,
     attention_matrix_sweeps,
     decomposed_softmax,
 )
 from repro.analysis import render_table
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.kernels.softmax import safe_softmax
 
 
@@ -52,8 +52,7 @@ def demo_sweeps():
     print("=" * 64)
     print("2. Off-chip sweeps of the attention matrix (Fig. 6)")
     print("=" * 64)
-    for plan in (AttentionPlan.BASELINE, AttentionPlan.DECOMPOSED,
-                 AttentionPlan.RECOMPOSED):
+    for plan in PAPER_CANDIDATES:
         print(f"{plan.value:10s} -> {attention_matrix_sweeps(plan)} sweeps")
     print()
 
@@ -64,7 +63,7 @@ def demo_speedup():
     print("=" * 64)
     rows = []
     baseline = None
-    for plan in ("baseline", "sd", "sdf"):
+    for plan in (p.value for p in PAPER_CANDIDATES):
         result = InferenceSession("bert-large", gpu="A100", plan=plan,
                                   seq_len=4096).simulate()
         if baseline is None:

@@ -66,6 +66,7 @@ from repro.common.scenario import (
     add_sharding_args,
     add_workload_args,
 )
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.models import InferenceSession, all_models
 
 
@@ -142,7 +143,7 @@ def cmd_compare(args: argparse.Namespace) -> str:
     baseline = None
     results = {}
     model = _resolve_model(args)
-    for plan in ("baseline", "sd", "sdf"):
+    for plan in (p.value for p in PAPER_CANDIDATES):
         result = InferenceSession(
             model, gpu=args.gpu, plan=plan,
             seq_len=args.seq_len, batch=args.batch,
@@ -425,7 +426,7 @@ def cmd_footprint(args: argparse.Namespace) -> str:
     config = get_model(model) if isinstance(model, str) else model
     rows = []
     plans = {}
-    for plan in ("baseline", "sd", "sdf"):
+    for plan in (p.value for p in PAPER_CANDIDATES):
         fp = inference_footprint(config, seq_len=args.seq_len,
                                  batch=args.batch, plan=plan)
         plans[plan] = {

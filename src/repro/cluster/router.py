@@ -102,12 +102,9 @@ class ClusterSimulator:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
         )
         self.policy_name = (policy.name if isinstance(policy, RouterPolicy)
                             else policy)

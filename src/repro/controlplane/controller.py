@@ -214,12 +214,9 @@ class ControlPlaneSimulator:
             )
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
         self.plan = resolve_plan(
             AttentionPlan.RECOMPOSED if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
         )
         self.workload = workload
         #: The workload's arrays, replayed by every ``run``.

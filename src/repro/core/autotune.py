@@ -6,9 +6,11 @@ that cannot run at the configuration (TurboTransformers beyond
 L = 1024, the fully fused MHA kernel beyond its shared-memory limit,
 dense-only plans on sparse models) are skipped rather than failed.
 
-``InferenceSession(..., plan="auto")`` uses this with the paper's
-plans; pass ``candidates=ALL_CANDIDATES`` to also consider the
-related-work and forward-looking kernels.
+:data:`PAPER_CANDIDATES` (the ``plan="auto"`` candidates and the plans
+serving prices) and :data:`ALL_CANDIDATES` (the full comparison) are
+the only definitions of the two plan sets.  Pass
+``candidates=ALL_CANDIDATES`` to :func:`select_plan` to also consider
+the related-work and forward-looking kernels.
 """
 
 from __future__ import annotations
@@ -58,11 +60,8 @@ PAPER_CANDIDATES = (
     AttentionPlan.RECOMPOSED,
 )
 
-#: Everything the library implements.
-ALL_CANDIDATES = (
-    AttentionPlan.BASELINE,
-    AttentionPlan.DECOMPOSED,
-    AttentionPlan.RECOMPOSED,
+#: The paper's plans and the related-work/forward-looking ones.
+ALL_CANDIDATES = PAPER_CANDIDATES + (
     AttentionPlan.ONLINE,
     AttentionPlan.TURBO,
     AttentionPlan.FULLY_FUSED,

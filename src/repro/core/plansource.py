@@ -74,13 +74,12 @@ class PlanSource:
         seq_len: int = 4096,
         batch: int = 1,
         t: int = 64,
-        candidates=None,
     ) -> AttentionPlan:
         """The concrete :class:`~repro.core.plan.AttentionPlan`.
 
-        ``FIXED`` ignores the context.  ``AUTO`` simulates the
-        ``candidates`` (default: the paper's plans) at the given shape
-        and picks the fastest feasible one — it needs ``model``.
+        ``FIXED`` ignores the context.  ``AUTO`` simulates the paper's
+        plans at the given shape and picks the fastest feasible one —
+        it needs ``model``.
         """
         if self.kind is PlanSourceKind.FIXED:
             return self.plan
@@ -88,11 +87,10 @@ class PlanSource:
             raise PlanError(
                 "plan='auto' needs a model/shape context to resolve"
             )
-        from repro.core.autotune import PAPER_CANDIDATES, select_plan
+        from repro.core.autotune import select_plan
 
         return select_plan(
             model, gpu=gpu, seq_len=seq_len, batch=batch, t=t,
-            candidates=candidates or PAPER_CANDIDATES,
         ).plan
 
 
@@ -104,10 +102,8 @@ def resolve_plan(
     seq_len: int = 4096,
     batch: int = 1,
     t: int = 64,
-    candidates=None,
 ) -> AttentionPlan:
     """Resolve any plan spelling in one call — the single choke point."""
     return PlanSource.of(value).resolve(
         model=model, gpu=gpu, seq_len=seq_len, batch=batch, t=t,
-        candidates=candidates,
     )

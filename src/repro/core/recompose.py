@@ -13,10 +13,10 @@ Every plan is a rewrite of one baseline graph (:func:`sda_graph`,
 
 :func:`plan_graph` applies the passes a
 :class:`~repro.core.plan.PlanRecord` selects, once per process.  Each
-shape kind (dense block, block-sparse block, serving step) then maps
-roles to kernels with one table (:func:`build_kernels`); the graph is
-shared by all of them, so dense and block-sparse attention run the
-same rewrites.
+shape kind (dense block, block-sparse block, serving-step prefill,
+decode or windowed row) then maps roles to kernels with one table
+(:func:`build_kernels`); the graph is shared by all of them, so dense
+and block-sparse attention run the same rewrites.
 """
 
 from __future__ import annotations
@@ -170,11 +170,13 @@ def build_kernels(
     plan: AttentionPlan,
     table: Mapping[str, Callable[[], object]],
     shape: str = "this shape",
+    graph: "KernelGraph | None" = None,
 ) -> list:
-    """One kernel per node of ``plan_graph(plan)``, in launch order,
-    from a shape kind's role -> kernel-factory ``table``."""
+    """One kernel per node of ``graph`` (default ``plan_graph(plan)``),
+    in launch order, from a shape kind's role -> kernel-factory
+    ``table``."""
     kernels = []
-    for node in plan_graph(plan).nodes:
+    for node in (plan_graph(plan) if graph is None else graph).nodes:
         factory = table.get(node.role)
         if factory is None:
             raise PlanError(

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from repro.common.dtypes import DType
 from repro.common.errors import ConfigError
 from repro.common.validation import require_positive
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.core.plan import AttentionPlan
-from repro.core.recompose import build_kernels
+from repro.core.recompose import build_kernels, plan_graph
 from repro.gpu.device import Device
 from repro.gpu.profiler import Profile
 from repro.gpu.specs import GPUSpec, get_gpu
@@ -43,6 +44,7 @@ from repro.kernels.matmul import MatMulKernel
 from repro.kernels.softmax import RowSoftmaxKernel
 from repro.models.config import (
     AttentionKind,
+    AttentionSpec,
     ModelConfig,
     _check_tp_shards,
     get_model,
@@ -60,6 +62,24 @@ def kv_cache_bytes_for(
 ) -> int:
     """Bytes of K and V cached for ``tokens`` positions of every layer."""
     return 2 * batch * model.num_layers * tokens * model.d_model * dtype.nbytes
+
+
+def step_shape_kind(spec: AttentionSpec, m_tokens: int) -> str:
+    """``windowed`` on a local-causal layer, else ``prefill`` for
+    ``m_tokens > 1`` query rows and ``decode`` for one."""
+    if spec.kind is AttentionKind.LOCAL_CAUSAL:
+        return "windowed"
+    return "prefill" if m_tokens > 1 else "decode"
+
+
+#: Serving shape kind -> plan -> the role graph a step runs.  Decode
+#: rows and local-causal windows are too small for recomposition to
+#: matter, so they run the baseline graph under every plan.
+STEP_GRAPHS = {
+    "prefill": plan_graph,
+    "decode": lambda plan: plan_graph(AttentionPlan.BASELINE),
+    "windowed": lambda plan: plan_graph(AttentionPlan.BASELINE),
+}
 
 
 def attention_step_kernels(
@@ -83,35 +103,31 @@ def attention_step_kernels(
     pipeline over ``H / tp_shards`` heads (the collectives are charged
     separately by the caller).
 
-    Plan-aware for the rectangular chunked-prefill shapes
-    (``m_tokens > 1``): the decomposition plans replace the monolithic
-    softmax with LS/IR/GS (fused per the plan's graph), padding the row
-    length up to a whole number of ``t``-sized sub-vectors.  Every
-    other plan runs the baseline chain (this library has no
-    rectangular online, batched or whole-block kernels).  Decode steps
-    (``m_tokens = 1``) always use the monolithic row softmax — a
-    ``1 x kv_len`` row is far too small for recomposition to matter,
-    and that honesty is the point of the decode model.  Local-causal
-    layers attend to a fixed window, short enough that they also keep
-    the monolithic kernel under every plan.
+    The step's shape kind (:func:`step_shape_kind`) picks the role
+    graph it runs from :data:`STEP_GRAPHS`.  A ``prefill`` chunk runs
+    the plan's own graph: the decomposition plans replace the
+    monolithic softmax with LS/IR/GS (fused per the plan), padding the
+    row length up to a whole number of ``t``-sized sub-vectors.  This
+    library has no rectangular online, batched or whole-block kernels,
+    so the other plans raise :class:`~repro.common.errors.PlanError`
+    naming the missing role.  ``decode`` and ``windowed`` steps run
+    the baseline graph under every plan.
     """
     plan = AttentionPlan.from_name(plan)
     _check_tp_shards(model, tp_shards)
     heads, d_head = model.num_heads // tp_shards, model.d_head
     spec = model.layer_attention(layer)
-    windowed = spec.kind is AttentionKind.LOCAL_CAUSAL
-    attend_len = (min(kv_len, spec.window + m_tokens - 1) if windowed
-                  else kv_len)
+    kind = step_shape_kind(spec, m_tokens)
+    graph = STEP_GRAPHS[kind](plan)
+    attend_len = (min(kv_len, spec.window + m_tokens - 1)
+                  if kind == "windowed" else kv_len)
     m = m_tokens
     bh = batch * heads
     rows = bh * m
     tile_m = min(128, max(1, m))
-    # Decode rows, windowed layers and plans without rectangular
-    # kernels all run the baseline chain (see above).
-    if not (plan.record.decompose and m > 1 and not windowed):
-        plan = AttentionPlan.BASELINE
-    # A row decomposes into whole sub-vectors; ragged tails are padded.
-    n_attend = (ceil_div(attend_len, t) * t if plan.record.decompose
+    # A decomposed row (every such graph keeps a standalone IR) splits
+    # into whole sub-vectors; ragged tails are padded.
+    n_attend = (ceil_div(attend_len, t) * t if "ir" in graph.roles
                 else attend_len)
     n_sv = n_attend // t
     table = {
@@ -141,7 +157,7 @@ def attention_step_kernels(
             batch=bh, m=m, n=d_head, k=n_attend, t=t, dtype=dtype,
             name=f"{prefix}_gs_av_fused"),
     }
-    return build_kernels(plan, table, "serving steps")
+    return build_kernels(plan, table, f"{kind} serving steps", graph)
 
 
 def layer_step_kernels(
@@ -358,6 +374,7 @@ class GenerationSession:
         require_positive("prompt_len", prompt_len)
         require_positive("generated_tokens", generated_tokens)
         require_positive("batch", batch)
+        require_positive("t", t)
         if not any(spec.is_causal for spec in self.model.attention):
             raise ConfigError(
                 f"{self.model.name} is not an autoregressive model; "
@@ -375,12 +392,9 @@ class GenerationSession:
             )
         if prefill_chunk:
             # Chunks price through the serving step table, which has no
-            # rectangular kernels for the other plans' roles; refuse
-            # rather than label a baseline-chain result with them.
-            from repro.serving.costmodel import SUPPORTED_PLANS
-
-            if self.plan not in SUPPORTED_PLANS:
-                supported = ", ".join(p.value for p in SUPPORTED_PLANS)
+            # rectangular kernels for the other plans' roles.
+            if self.plan not in PAPER_CANDIDATES:
+                supported = ", ".join(p.value for p in PAPER_CANDIDATES)
                 raise ConfigError(
                     f"chunked prefill supports plans {supported}; got "
                     f"{self.plan.value!r} (use prefill_chunk=0)"

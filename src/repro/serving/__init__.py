@@ -34,7 +34,7 @@ from repro.serving.arrivals import (
     PoissonArrivals,
     make_arrival,
 )
-from repro.serving.costmodel import SUPPORTED_PLANS, StepCostModel
+from repro.serving.costmodel import StepCostModel
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager, MemoryStats
 from repro.serving.metrics import (
@@ -70,7 +70,6 @@ __all__ = [
     "load_trace",
     # engine
     "StepCostModel",
-    "SUPPORTED_PLANS",
     "KVBlockManager",
     "MemoryStats",
     "ContinuousBatchingScheduler",

@@ -23,20 +23,13 @@ import inspect
 
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
+from repro.common.validation import require_positive
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.core.plan import AttentionPlan
 from repro.gpu.device import Device
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, _check_tp_shards, get_model
 from repro.models.generation import attention_step_kernels, mlp_step_kernels
-
-#: Plans the serving simulator supports: the paper's headline
-#: comparison.  The related-work plans (online/turbo/flash/fused-mha)
-#: have no rectangular chunked-prefill kernels in this library.
-SUPPORTED_PLANS = (
-    AttentionPlan.BASELINE,
-    AttentionPlan.DECOMPOSED,
-    AttentionPlan.RECOMPOSED,
-)
 
 
 class StepCostModel:
@@ -62,12 +55,16 @@ class StepCostModel:
         self.model = get_model(model) if isinstance(model, str) else model
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         self.plan = AttentionPlan.from_name(plan)
-        if self.plan not in SUPPORTED_PLANS:
-            supported = ", ".join(p.value for p in SUPPORTED_PLANS)
+        # The paper's plans: the related-work plans (online, turbo,
+        # fused-mha, flash) have no rectangular prefill kernels.
+        if self.plan not in PAPER_CANDIDATES:
+            supported = ", ".join(p.value for p in PAPER_CANDIDATES)
             raise ServingError(
                 f"serving simulation supports plans {supported}; got "
                 f"{self.plan.value!r}"
             )
+        require_positive("t", t)
+        require_positive("kv_bucket", kv_bucket)
         self.dtype = dtype
         self.t = t
         self.kv_bucket = kv_bucket

@@ -109,12 +109,9 @@ class ServingSimulator:
         self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
         # Resolved exactly once, here, from anything PlanSource.of
         # accepts.
-        from repro.serving.costmodel import SUPPORTED_PLANS
-
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
-            candidates=SUPPORTED_PLANS,
         )
         self.t = t
         self.dtype = dtype

@@ -11,11 +11,11 @@ the same one a configuration is applied back through.
 
 Three builders cover the three evaluation backends:
 
-- :func:`inference_space` — single-inference latency: every execution
-  plan in the paper's comparison plus the decomposition tile width;
-- :func:`serving_space`   — single-node serving: the serving-supported
-  plans plus tile width and the engine knobs (prefill chunk size,
-  batch cap);
+- :func:`inference_space` — single-inference latency: every plan in
+  ``ALL_CANDIDATES`` plus the decomposition tile width;
+- :func:`serving_space`   — single-node serving: the plans serving
+  prices (``PAPER_CANDIDATES``) plus tile width and the engine knobs
+  (prefill chunk size, batch cap);
 - :func:`cluster_space`   — the serving axes plus fleet shape
   (TP x PP) and routing policy.
 
@@ -31,15 +31,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import TuneError
 from repro.common.scenario import read_config
-
-#: Plans the serving-path cost model supports (kept in sync with
-#: :data:`repro.serving.costmodel.SUPPORTED_PLANS` by a unit test).
-SERVING_PLAN_NAMES = ("baseline", "sd", "sdf")
-
-#: Every plan the single-inference comparison covers.
-INFERENCE_PLAN_NAMES = (
-    "baseline", "sd", "sdf", "online", "turbo", "fused-mha", "flash",
-)
+from repro.core.autotune import ALL_CANDIDATES, PAPER_CANDIDATES
 
 #: Softmax decomposition tile widths worth searching.
 TILE_WIDTHS = (32, 64, 128)
@@ -106,7 +98,7 @@ def _serving_axes(spec):
     — and tuned-plan artifacts — are unchanged.
     """
     axes = (
-        ("plan", SERVING_PLAN_NAMES),
+        ("plan", tuple(plan.value for plan in PAPER_CANDIDATES)),
         ("t", TILE_WIDTHS),
         ("chunk_tokens", (256, 512, 1024)),
         ("max_batch", (8, 16, 32, 64)),
@@ -125,8 +117,8 @@ def _serving_axes(spec):
 
 def inference_space(spec) -> SearchSpace:
     """Plan x tile width, scored by single-inference latency."""
-    return _space(spec, (("plan", INFERENCE_PLAN_NAMES),
-                         ("t", TILE_WIDTHS)))
+    plans = tuple(plan.value for plan in ALL_CANDIDATES)
+    return _space(spec, (("plan", plans), ("t", TILE_WIDTHS)))
 
 
 def serving_space(spec) -> SearchSpace:

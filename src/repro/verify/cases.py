@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.common.dtypes import DType
+from repro.core.autotune import PAPER_CANDIDATES
 
 FAMILIES = ("softmax", "attention", "block_sparse", "serving")
 
@@ -140,7 +141,7 @@ def draw_params(family: str, rng: np.random.Generator) -> "dict[str, Any]":
         "model": str(rng.choice(("tiny-dense", "tiny-causal",
                                  "tiny-mixed"))),
         "gpu": str(rng.choice(("A100", "T4"))),
-        "plan": str(rng.choice(("baseline", "sd", "sdf"))),
+        "plan": str(rng.choice([p.value for p in PAPER_CANDIDATES])),
         "t": int(rng.choice((32, 64))),
         "kv_bucket": int(rng.choice((32, 64))),
         "prefill": prefill,

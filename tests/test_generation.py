@@ -91,6 +91,11 @@ class TestChunkedPrefill:
             GenerationSession(GPT_NEO_1_3B, prompt_len=1000,
                               prefill_chunk=512)
 
+    def test_rejects_zero_tile_width(self):
+        with pytest.raises(ConfigError, match="t must be positive"):
+            GenerationSession(GPT_NEO_1_3B, prompt_len=2048, t=0,
+                              prefill_chunk=256)
+
     @pytest.mark.parametrize("plan", ["online", "turbo", "fused-mha",
                                       "flash"])
     def test_chunked_prefill_rejects_plans_it_cannot_price(self, plan):

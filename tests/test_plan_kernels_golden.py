@@ -16,12 +16,17 @@ import pathlib
 import pytest
 
 from repro.common.dtypes import DType
-from repro.common.errors import ReproError
+from repro.common.errors import PlanError, ReproError
 from repro.core import AttentionPlan
+from repro.core.autotune import PAPER_CANDIDATES
 from repro.gpu import Device
 from repro.models import AttentionKind, AttentionSpec, SDABlock
 from repro.models.config import get_model
-from repro.models.generation import attention_step_kernels
+from repro.models.generation import (
+    STEP_GRAPHS,
+    attention_step_kernels,
+    step_shape_kind,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "plan_kernels.json"
 T_VALUES = (32, 64)
@@ -107,6 +112,44 @@ def collect(shape: str) -> dict:
 def test_plan_kernels_match_golden(shape):
     golden = json.loads(GOLDEN.read_text())
     assert collect(shape) == golden[shape]
+
+
+#: Serving shape kind -> the golden shape that exercises it.
+STEP_SHAPES = {"prefill": "step-prefill", "decode": "step-decode",
+               "windowed": "step-windowed"}
+
+
+class TestServingShapeKinds:
+    """The ``(shape kind, plan) -> graph`` table behind every serving
+    step (:data:`repro.models.generation.STEP_GRAPHS`)."""
+
+    @pytest.mark.parametrize("m_tokens", [1, 100])
+    def test_local_causal_layer_is_windowed(self, m_tokens):
+        gpt_neo = get_model("gpt-neo-1.3b")
+        assert step_shape_kind(gpt_neo.layer_attention(1),
+                               m_tokens) == "windowed"
+        assert step_shape_kind(gpt_neo.layer_attention(0), m_tokens) \
+            == ("decode" if m_tokens == 1 else "prefill")
+
+    def test_table_covers_every_shape_kind(self):
+        assert set(STEP_GRAPHS) == set(STEP_SHAPES)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_SHAPES))
+    @pytest.mark.parametrize("plan", PAPER_CANDIDATES,
+                             ids=lambda plan: plan.value)
+    def test_paper_plans_build_for_every_shape_kind(self, plan, kind):
+        assert SHAPES[STEP_SHAPES[kind]](plan, 64)
+
+    # The ablation plans (sdf-ls-only, sdf-gs-only) decompose too, and
+    # build; the related-work plans have no rectangular kernels.
+    @pytest.mark.parametrize(
+        "plan", [p for p in AttentionPlan if p not in PAPER_CANDIDATES
+                 and not p.record.decompose],
+        ids=lambda plan: plan.value)
+    def test_other_plans_raise_on_prefill(self, plan):
+        with pytest.raises(PlanError, match=rf"'{plan.value}' plan .* "
+                                            r"prefill serving steps"):
+            SHAPES["step-prefill"](plan, 64)
 
 
 if __name__ == "__main__":

@@ -329,6 +329,14 @@ class TestStepCostModel:
         with pytest.raises(ServingError, match="supports plans"):
             StepCostModel("bert-large", "a100", plan="flash")
 
+    def test_rejects_negative_tile_width(self):
+        with pytest.raises(ConfigError, match="t must be positive"):
+            StepCostModel("bert-large", "a100", plan="sdf", t=-64)
+
+    def test_rejects_negative_kv_bucket(self):
+        with pytest.raises(ConfigError, match="kv_bucket must be positive"):
+            StepCostModel("bert-large", "a100", kv_bucket=-1)
+
     def test_empty_step_is_free(self):
         cost = StepCostModel("bert-large", "a100")
         assert cost.step_time() == 0.0

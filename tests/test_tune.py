@@ -22,10 +22,17 @@ Pins the tentpole guarantees of ``repro.tune``:
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
-from repro.common.errors import ArtifactError, PlanError, TuneError
+from repro.common.errors import (
+    ArtifactError,
+    ConfigError,
+    PlanError,
+    ServingError,
+    TuneError,
+)
 from repro.common.scenario import (
     TUNABLE_AXES,
     MoESpec,
@@ -59,11 +66,19 @@ def fast_spec(**overrides):
 
 class TestSearchSpace:
     def test_serving_plans_match_costmodel_support(self):
-        from repro.serving.costmodel import SUPPORTED_PLANS
-        from repro.tune.space import SERVING_PLAN_NAMES
+        """The serving plan axis is exactly the plans the step cost
+        model prices."""
+        from repro.core.plan import AttentionPlan
+        from repro.serving.costmodel import StepCostModel
 
-        assert tuple(p.value for p in SUPPORTED_PLANS) \
-            == SERVING_PLAN_NAMES
+        (plans,) = [values for name, values
+                    in build_space(FAST, "serving").axes if name == "plan"]
+        for plan in plans:
+            StepCostModel("bert-large", "a100", plan=plan)
+        for plan in AttentionPlan:
+            if plan.value not in plans:
+                with pytest.raises(ServingError, match="supports plans"):
+                    StepCostModel("bert-large", "a100", plan=plan)
 
     def test_grid_enumeration_is_deterministic(self):
         space = build_space(FAST, "serving")
@@ -263,6 +278,22 @@ class TestPlanSourceIntegration:
         assert resolved == apply_config(FAST, artifact.winner_config)
         assert read_config(resolved, artifact.winner_config) \
             == artifact.winner_config
+
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim",
+                                         "controlplane-sim"])
+    def test_plan_file_with_zero_tile_width_is_a_config_error(
+            self, command, tmp_path):
+        from repro.cli import main
+
+        golden = pathlib.Path(__file__).parent / "golden" / "tune_smoke.json"
+        artifact = load_tuned_plan(golden)
+        artifact = dataclasses.replace(
+            artifact, winner_config={**artifact.winner_config, "t": 0})
+        path = tmp_path / "tuned.json"
+        save_tuned_plan(artifact, path)
+        with pytest.raises(ConfigError, match="t must be positive"):
+            main([command, "--rate", "2", "--duration", "3",
+                  "--plan-file", str(path), "--json"])
 
     def test_tune_refuses_plan_file_scenarios(self, tmp_path):
         spec = dataclasses.replace(FAST, plan_file="whatever.json")
