@@ -60,17 +60,28 @@ tune-smoke:
 	$(PYTHON) tools/compare_golden.py /tmp/tune_moe_spec_smoke.json \
 		tests/golden/tune_moe_spec_smoke.json
 
-# Fixed-seed MoE + speculative-decoding serving run compared against
-# the committed golden report — pins the expert-parallel cost model
-# and the deterministic speculative schedule (see docs/models.md).
+# Fixed-seed MoE + speculative-decoding serving run and a TP=2
+# speculative cluster run, each under both engines, compared against
+# the committed golden reports — pins the expert-parallel cost model,
+# the deterministic speculative schedule (see docs/models.md) and its
+# epoch fast path.
 moe-smoke:
-	$(PYTHON) -m repro serve-sim --model bert-large \
-		--n-experts 8 --top-k 2 \
-		--draft-model gpt-neo-1.3b --draft-len 4 --accept-rate 0.75 \
-		--rate 4 --duration 3 --seed 0 --plans baseline,sdf \
-		--json > /tmp/moe_smoke.json
-	$(PYTHON) tools/compare_golden.py /tmp/moe_smoke.json \
-		tests/golden/moe_smoke.json
+	for engine in epoch event; do \
+		$(PYTHON) -m repro serve-sim --model bert-large \
+			--n-experts 8 --top-k 2 \
+			--draft-model gpt-neo-1.3b --draft-len 4 --accept-rate 0.75 \
+			--rate 4 --duration 3 --seed 0 --plans baseline,sdf \
+			--engine $$engine --json > /tmp/moe_smoke.json && \
+		$(PYTHON) tools/compare_golden.py /tmp/moe_smoke.json \
+			tests/golden/moe_smoke.json && \
+		$(PYTHON) -m repro cluster-sim --model bert-large \
+			--replicas 2 --tp 2 \
+			--draft-model gpt-neo-1.3b --draft-len 4 --accept-rate 0.75 \
+			--rate 4 --duration 3 --seed 0 --plans baseline,sdf \
+			--engine $$engine --json > /tmp/cluster_spec_smoke.json && \
+		$(PYTHON) tools/compare_golden.py /tmp/cluster_spec_smoke.json \
+			tests/golden/cluster_spec_smoke.json || exit 1; \
+	done
 
 # Fixed-seed runs through the scenario flags compared against the
 # committed golden reports — pins the flag -> ScenarioSpec -> simulator

@@ -120,9 +120,6 @@ class StepCostModel:
             self._attn_cache[key] = cached
         return cached
 
-    def _bucketed(self, kv_len: int) -> int:
-        return -(-kv_len // self.kv_bucket) * self.kv_bucket
-
     def step_time(
         self,
         *,
@@ -135,35 +132,49 @@ class StepCostModel:
         prefilling request; ``decode_kv`` lists the KV length *after*
         the step (cache including the token being generated) per
         decoding request.
+
+        The terms accumulate group-major, prefill entries before decode
+        entries, each read straight from the memo table (a miss prices
+        it through :meth:`attention_time`).  A speculative epoch calls
+        this once per round, because its verify entries carry exact KV
+        lengths.
         """
-        prefill = prefill or []
-        decode_kv = decode_kv or []
-        total_tokens = sum(m for m, _ in prefill) + len(decode_kv)
+        prefill = prefill or ()
+        total_tokens = len(decode_kv) if decode_kv else 0
+        for m_tokens, _ in prefill:
+            total_tokens += m_tokens
         if total_tokens == 0:
             return 0.0
+        bucket = self.kv_bucket
+        buckets = ([-(-kv // bucket) * bucket for kv in decode_kv]
+                   if decode_kv else ())
         time = self.model.num_layers * self.mlp_time(total_tokens)
+        cache_get = self._attn_cache.get
         for layer, count in self._groups:
             for m_tokens, kv_len in prefill:
-                time += count * self.attention_time(layer, m_tokens, kv_len)
-            for kv_len in decode_kv:
-                time += count * self.attention_time(
-                    layer, 1, self._bucketed(kv_len))
+                value = cache_get((layer, m_tokens, kv_len))
+                if value is None:
+                    value = self.attention_time(layer, m_tokens, kv_len)
+                time += count * value
+            for bucketed in buckets:
+                value = cache_get((layer, 1, bucketed))
+                if value is None:
+                    value = self.attention_time(layer, 1, bucketed)
+                time += count * value
         return time
 
     def decode_step_time(self, decode_kv: "list[int]") -> float:
         """:meth:`step_time` for a pure-decode step, as a hot path.
 
         Bit-identical to ``step_time(decode_kv=decode_kv)``: the same
-        memoized per-(layer, bucket) terms accumulate in the same
-        group-major, request-minor order.  The difference is purely
-        mechanical — KV lengths are bucketed once instead of once per
-        layer group, and the inner loop reads the memo table directly
-        instead of paying two function calls per term.  The epoch-
-        batched serving engine prices every decode segment through
-        here, so the per-term constant is what bounds simulation
-        throughput.  That is why this loop is not shared with
-        :meth:`step_time`: routing both through one loop gives the same
-        floats but measurably slows the decode-heavy serving benchmark.
+        memo walk over the same per-(layer, bucket) terms, in the same
+        group-major, request-minor order, minus the keyword and prefill
+        handling.  The epoch-batched serving engine prices every plain
+        decode segment through here, so the per-call constant is what
+        bounds simulation throughput.  That is why this loop is not
+        shared with :meth:`step_time`: routing both through one loop
+        gives the same floats but measurably slows the decode-heavy
+        serving benchmark.
         """
         m = len(decode_kv)
         if m == 0:

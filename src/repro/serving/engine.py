@@ -9,19 +9,25 @@ and adds an **epoch** fast path: whenever the batch is in pure decode
 (every running request fully prefilled), the next ``n`` steps are a
 closed-form function of the epoch-start state — remaining-token
 counters, KV lengths, block headroom — so the engine advances all
-``n`` at once.
+``n`` at once.  Under speculative decoding a step is one *round* and
+each request advances at stride ``tokens_per_round`` (its last round
+emits the remainder); plain decode is stride 1.
 
 The fast path is *bit-identical* to the event loop, not approximately
 equal.  Three properties make that possible:
 
-- A pure-decode step's cost is a function of its **batch signature**:
+- A plain decode step's cost is a function of its **batch signature**:
   the ordered (active set, KV bucket) vector.  The signature only
   changes when a request finishes or its KV length crosses a bucket
   boundary, so an epoch splits into a handful of constant-cost
   segments, each priced through one memoized
   ``StepCostModel.step_time``/``step_cost`` call — the *same* call the
   classic loop makes per step, so repeated compositions cost O(1) and
-  the floats are identical by construction, not by re-derivation.
+  the floats are identical by construction, not by re-derivation.  A
+  speculative round's verify entries carry exact KV lengths, so each
+  round makes the classic step's ``step_time``/``step_cost`` call
+  itself; its draft term depends only on bucketed KV lengths and is
+  reused over segments the same way.
 - ``np.cumsum`` accumulates strictly left to right, so clock/busy/comm
   advance via one cumsum seeded with the current value — matching the
   loop's repeated ``+=`` bit for bit.
@@ -42,6 +48,8 @@ decision (docs/performance.md spells out the invalidation rules):
   which handles preemption;
 - a step budget (``max_steps`` bookkeeping) and a hard per-epoch cap
   bounding the vectorized working set.
+
+Under speculation each of these counts rounds.
 
 Tracing disengages the fast path entirely: a traced run takes the
 classic per-step path so every span is emitted exactly as before.
@@ -72,6 +80,47 @@ def sequential_sum(base: float, terms) -> float:
     if len(terms) == 0:
         return base
     return float(np.cumsum([base] + list(terms))[-1])
+
+
+def _bucket_ends(first: int, stride: int, bucket: int, rounds: int):
+    """Rounds after which a bucketed KV length moves up a bucket.
+
+    The length is ``first + stride * (s - 1)`` in round ``s`` (1 to
+    ``rounds``) and prices as its multiple-of-``bucket`` ceiling; every
+    round ``e < rounds`` whose bucket differs from round ``e + 1``'s is
+    returned (a stride above ``bucket`` may skip buckets, so some may
+    repeat).
+    """
+    low = -(-first // bucket) * bucket
+    high = first + stride * (rounds - 1)
+    return [(m - first) // stride + 1 for m in range(low, high, bucket)]
+
+
+def _round_entries(kv0, rem, tau: int, s: int, finishing: bool):
+    """Round ``s`` of a speculative epoch as the classic step prices it.
+
+    Returns ``(prefill, decode_kv)`` in running order: a request
+    emitting more than one token is a verify entry ``(emitted,
+    kv_after)``; one emitting a single token (the last of its output)
+    stays on the decode price.  ``kv0``/``rem`` are the epoch-start KV
+    lengths and remaining tokens; ``finishing`` says whether some
+    request runs its last round at ``s``, the only case where a round
+    emits less than ``tau`` for anyone.
+    """
+    after = tau * s
+    if not finishing:
+        return [(tau, kv + after) for kv, r in zip(kv0, rem)
+                if r >= after], []
+    before = after - tau
+    prefill, decode = [], []
+    for kv, r in zip(kv0, rem):
+        if r >= after:
+            prefill.append((tau, kv + after))
+        elif r - before > 1:
+            prefill.append((r - before, kv + r))
+        elif r > before:
+            decode.append(kv + r)
+    return prefill, decode
 
 
 class EpochEngine:
@@ -109,8 +158,8 @@ class EpochEngine:
         prefill-shaped entry, and the draft model's γ decode steps are
         added on top.  ``None`` (the default) takes the historical
         single-token path untouched — reports stay byte-identical.
-        Speculation forces the classic per-step loop; the epoch fast
-        path assumes one token per step.
+        Pure-decode rounds take the epoch fast path at stride
+        ``tokens_per_round``.
     """
 
     def __init__(
@@ -221,7 +270,7 @@ class EpochEngine:
         event), and at most ``max_new_steps`` are taken on
         the fast path.
         """
-        if self.epoch and not self.tracer.enabled and self.spec_decode is None:
+        if self.epoch and not self.tracer.enabled:
             scheduler = self.scheduler
             scheduler.admit(self.clock)
             running = scheduler.running
@@ -288,21 +337,28 @@ class EpochEngine:
     def _advance_epoch(self, limit_time, max_new_steps) -> int:
         """Pure-decode fast path; 0 means "fall back to a classic step".
 
-        The epoch is priced by segments: between finishes and KV-bucket
-        crossings the batch signature is constant, so one memoized cost
-        call covers every step of a segment.
+        Each step is one round at stride ``tau`` (the speculative
+        ``tokens_per_round``; 1 on the plain decode path): a request
+        with ``rem`` tokens left emits ``tau`` a round for
+        ``ceil(rem / tau)`` rounds, the remainder in its last.  The
+        epoch is priced by segments: between the rounds where the
+        priced batch signature changes, one memoized cost call covers
+        every round of a segment.
         """
         scheduler = self.scheduler
         memory = self.memory
         cost = self.cost
+        spec = self.spec_decode
+        tau = self._spec_tokens
         running = scheduler.running
         b = len(running)
         kv0 = [r.kv_tokens for r in running]
         rem = [r.output_len - r.generated for r in running]
+        rounds = rem if tau == 1 else [-(-r // tau) for r in rem]
         # Finish barrier: with requests waiting, stop at the first
         # finish (it frees memory and a batch slot, so admission must
         # re-run); with an empty queue, run through finishes.
-        n_cap = min(rem) if scheduler.waiting else max(rem)
+        n_cap = min(rounds) if scheduler.waiting else max(rounds)
         if n_cap > self.max_epoch:
             n_cap = self.max_epoch
         if max_new_steps is not None and max_new_steps < n_cap:
@@ -319,19 +375,22 @@ class EpochEngine:
             return 0
 
         # Block-allocation events, conservatively ignoring mid-epoch
-        # releases: request idx needs a fresh block at local steps
-        # cross+1, cross+1+block_tokens, ...  If the sorted event list
-        # outruns the headroom at epoch start, the epoch ends on the
-        # last step that provably fits — so the fast path can never
-        # preempt (the classic fallback handles that).
+        # releases: the block holding tokens from h + 1 (h a multiple
+        # of block_tokens) is first needed in round (h - kv0) // tau + 1,
+        # so with tau > block_tokens one round may need several.  If
+        # the sorted event list outruns the headroom at epoch start,
+        # the epoch ends on the last round that provably fits — so the
+        # fast path can never preempt (the classic fallback handles
+        # that).
         block_tokens = memory.block_tokens
+        span = tau * n_cap
         grows = []
         for idx in range(b):
-            cross = (memory.held_blocks(running[idx].request_id)
-                     * block_tokens - kv0[idx])
-            last = rem[idx] if rem[idx] < n_cap else n_cap
-            for s in range(cross + 1, last + 1, block_tokens):
-                grows.append((s, idx))
+            kv = kv0[idx]
+            held = memory.held_blocks(running[idx].request_id) * block_tokens
+            top = kv + (rem[idx] if rem[idx] < span else span)
+            for h in range(held, top, block_tokens):
+                grows.append(((h - kv) // tau + 1, idx))
         n = n_cap
         if grows:
             grows.sort()
@@ -340,34 +399,66 @@ class EpochEngine:
                 n = grows[free][0] - 1
                 if n < 1:
                     return 0
+            if tau > block_tokens:
+                grows = list(dict.fromkeys(grows))  # one grow per round
 
-        # Segment boundaries: the batch signature — the ordered
-        # (active, KV bucket) vector the classic step prices — changes
-        # only where a request finishes or its KV length crosses a
-        # bucket boundary.  Each segment costs one memoized call, the
-        # *same* call the per-step loop makes, so floats match exactly.
-        bucket = cost.kv_bucket
-        bounds = {n}
-        for idx in range(b):
-            last = rem[idx] if rem[idx] < n else n
-            if rem[idx] <= n:
-                bounds.add(rem[idx])
-            for s in range(bucket - kv0[idx] % bucket + 1,
-                           last + 1, bucket):
-                bounds.add(s - 1)
-        bounds.discard(0)
+        # Segment ends: the batch signature the classic step prices
+        # changes only after a round where a request finishes or a
+        # bucketed KV length crosses a bucket.  A verify entry prices
+        # its exact KV, so with tau > 1 every round is its own segment.
+        # The draft term prices the bucketed pre-round KV (+ 1) of every
+        # active request, so it is re-priced only after its own ends.
+        finishes = {f for f in rounds if f <= n}
+        ends = None
+        if tau == 1:
+            # _bucket_ends(kv0 + 1, 1, bucket, rounds) as one range per
+            # request: this runs on every plain decode epoch.
+            bucket = cost.kv_bucket
+            ends = {n, *finishes}
+            ends.update(*[range(bucket - kv % bucket, r if r < n else n,
+                                bucket) for kv, r in zip(kv0, rem)])
+        draft_ends = None
+        if spec is not None:
+            draft_ends = set(finishes)
+            bucket = spec.draft_cost.kv_bucket
+            for idx in range(b):
+                draft_ends.update(_bucket_ends(
+                    kv0[idx] + 1, tau, bucket,
+                    rounds[idx] if rounds[idx] < n else n))
+            if ends is not None:
+                ends |= draft_ends
 
-        sharded = self._step_cost is not None
+        step_cost = self._step_cost
         totals = []
-        comm = [] if sharded else None
+        comm = [] if step_cost is not None else None
+        draft = 0.0
         start = 1
-        for end in sorted(bounds):
-            decode = [kv0[i] + start for i in range(b) if rem[i] >= start]
-            if sharded:
-                seg_total, seg_comm = cost.decode_step_cost(decode)
-                comm.extend([seg_comm] * (end - start + 1))
+        for end in range(1, n + 1) if ends is None else sorted(ends):
+            if tau == 1:
+                decode = [kv + start for kv, r in zip(kv0, rem)
+                          if r >= start]
+                if step_cost is not None:
+                    seg_total, seg_comm = cost.decode_step_cost(decode)
+                else:
+                    seg_total = cost.decode_step_time(decode)
             else:
-                seg_total = cost.decode_step_time(decode)
+                prefill, decode = _round_entries(kv0, rem, tau, start,
+                                                 start in finishes)
+                if step_cost is not None:
+                    seg_total, seg_comm = step_cost(prefill=prefill,
+                                                    decode_kv=decode)
+                else:
+                    seg_total = cost.step_time(prefill=prefill,
+                                               decode_kv=decode)
+            if spec is not None:
+                if start == 1 or start - 1 in draft_ends:
+                    before = tau * (start - 1)
+                    draft = spec.draft_time([kv + before + 1
+                                             for kv, r in zip(kv0, rem)
+                                             if r > before])
+                seg_total += draft
+            if comm is not None:
+                comm.extend([seg_comm] * (end - start + 1))
             totals.extend([seg_total] * (end - start + 1))
             start = end + 1
 
@@ -400,14 +491,17 @@ class EpochEngine:
         events = [(s, 0, idx) for s, idx in grows if s <= n]
         any_finished = False
         for idx in range(b):
-            if rem[idx] <= n:
-                events.append((rem[idx], 1, idx))
+            if rounds[idx] <= n:
+                events.append((rounds[idx], 1, idx))
                 any_finished = True
         events.sort()
         for s, phase, idx in events:
             request = running[idx]
             if phase == 0:
-                memory.grow(request.request_id, kv0[idx] + s)
+                grown = tau * s
+                memory.grow(request.request_id,
+                            kv0[idx] + (grown if grown < rem[idx]
+                                        else rem[idx]))
             else:
                 request.generated = request.output_len
                 request.kv_tokens = kv0[idx] + rem[idx]
@@ -415,15 +509,16 @@ class EpochEngine:
                 request.finish_time = float(times[s])
                 memory.release(request.request_id)
                 self._record_finish(request)
+        grown = tau * n
         for idx in range(b):
-            if rem[idx] > n:
+            if rounds[idx] > n:
                 request = running[idx]
-                request.generated += n
-                request.kv_tokens = kv0[idx] + n
+                request.generated += grown
+                request.kv_tokens = kv0[idx] + grown
         if any_finished:
             scheduler.running = [
                 request for idx, request in enumerate(running)
-                if rem[idx] > n
+                if rounds[idx] > n
             ]
         self.clock = float(times[n])
         return n

@@ -32,6 +32,15 @@ from repro.common.validation import require_positive
 __all__ = ["SpecDecodeConfig", "SpecDecodeRuntime", "spec_decode_runtime"]
 
 
+def _check_knobs(draft_len: int, accept_rate: float) -> None:
+    """Reject a speculation depth below 1 (``ConfigError``) or an
+    acceptance rate outside [0, 1], NaN included (``ServingError``)."""
+    require_positive("draft_len", draft_len)
+    if not 0.0 <= accept_rate <= 1.0:
+        raise ServingError(
+            f"accept_rate must be in [0, 1], got {accept_rate!r}")
+
+
 @dataclass(frozen=True)
 class SpecDecodeConfig:
     """Scenario-level speculative decoding knobs.
@@ -52,11 +61,7 @@ class SpecDecodeConfig:
                 "speculative decoding needs a draft_model; leave the "
                 "whole config unset to disable speculation"
             )
-        require_positive("draft_len", self.draft_len)
-        if not 0.0 <= self.accept_rate <= 1.0:
-            raise ServingError(
-                f"accept_rate must be in [0, 1], got {self.accept_rate!r}"
-            )
+        _check_knobs(self.draft_len, self.accept_rate)
 
     @property
     def tokens_per_round(self) -> int:
@@ -98,8 +103,11 @@ def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
     dtype and KV block size (``kv_bucket``), so its γ decode steps per
     round are priced through the identical kernel stack.  It is small
     and replicates across a sharded replica's group, so it is priced
-    unsharded on one GPU.
+    unsharded on one GPU.  ``draft_len`` and ``accept_rate`` are
+    checked even without a draft model, so a bad value never passes
+    silently.
     """
+    _check_knobs(draft_len, accept_rate)
     if draft_model is None:
         return None
     from repro.models.config import get_model
@@ -117,7 +125,8 @@ def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
 
 
 def verification_oracles():
-    """Oracle pinning schedule equivalence at ``accept_rate=1.0``.
+    """Oracle pinning schedule and engine equivalence at
+    ``accept_rate=1.0``.
 
     For every serving-family case a seeded synthetic request stream
     runs twice through the event-loop simulator: once plain, once
@@ -128,8 +137,12 @@ def verification_oracles():
     compress staggered requests' timelines unevenly, so relative
     finish order is a timing property, not a schedule one.)
     actual/expected compare the per-request generated counts in
-    request-id order under the EXACT contract.
+    request-id order under the EXACT contract.  The speculative stream
+    also runs under the epoch engine, whose report must equal the event
+    loop's byte for byte.
     """
+    import json
+
     import numpy as np
 
     from repro.common.dtypes import DType
@@ -171,24 +184,31 @@ def verification_oracles():
         ]
         draft_len = int(rng.integers(1, 9))
 
-        def outcome(**spec_kwargs):
+        def outcome(engine="event", **spec_kwargs):
             sim = ServingSimulator(
                 tiny, "A100", plan=PlanSource.of("baseline"),
                 requests=requests,
-                chunk_tokens=256, max_batch=4, engine="event",
+                chunk_tokens=256, max_batch=4, engine=engine,
                 **spec_kwargs,
             )
-            sim.run()
+            report = json.dumps(sim.run().to_dict(), sort_keys=True)
             finished = {r.request_id for r in sim.retained
                         if r.finish_time is not None}
             generated = {r.request_id: r.generated
                          for r in sim.retained}
-            return generated, finished
+            return generated, finished, report
 
-        plain_counts, plain_done = outcome()
-        spec_counts, spec_done = outcome(
-            draft_model=draft, draft_len=draft_len, accept_rate=1.0)
+        speculating = dict(draft_model=draft, draft_len=draft_len,
+                           accept_rate=1.0)
+        plain_counts, plain_done, _ = outcome()
+        spec_counts, spec_done, event_report = outcome(**speculating)
+        _, _, epoch_report = outcome(engine="epoch", **speculating)
         violations = []
+        if epoch_report != event_report:
+            violations.append(Violation(
+                "engine_equivalence",
+                "the epoch engine's speculative report differs from the "
+                "event loop's"))
         if plain_done != spec_done:
             violations.append(Violation(
                 "finished_set",
@@ -210,6 +230,7 @@ def verification_oracles():
             contracts={DType.FP32: EXACT, DType.FP16: EXACT},
             description="accept_rate=1.0 speculative runs reproduce the "
                         "non-speculative schedule: same finished set and "
-                        "per-request token counts",
+                        "per-request token counts, and the same report "
+                        "under both engines",
         ),
     ]

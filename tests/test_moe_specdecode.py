@@ -162,6 +162,43 @@ class TestSpecDecodeConfig:
             SpecDecodeConfig("x", draft_len=0)
 
 
+class TestSpecKnobsWithoutDraft:
+    """A bad speculation knob is a typed error even when no draft model
+    is given (the knobs would otherwise be ignored silently)."""
+
+    CLI = "--rate 1 --duration 1 --seed 0 --json".split()
+
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    def test_accept_rate_above_one(self, command):
+        from repro.cli import main
+
+        with pytest.raises(ServingError, match="accept_rate"):
+            main([command, *self.CLI, "--accept-rate", "1.5"])
+
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    def test_accept_rate_nan(self, command):
+        from repro.cli import main
+
+        with pytest.raises(ServingError, match="accept_rate"):
+            main([command, *self.CLI, "--accept-rate", "nan"])
+
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("draft_len", ["0", "-3"])
+    def test_draft_len_below_one(self, command, draft_len):
+        from repro.cli import main
+
+        with pytest.raises(ConfigError, match="draft_len"):
+            main([command, *self.CLI, "--draft-len", draft_len])
+
+    def test_simulator_accept_rate(self):
+        with pytest.raises(ServingError, match="accept_rate"):
+            ServingSimulator(tiny_causal(), "A100", accept_rate=1.5,
+                             requests=[Request(request_id=0,
+                                               arrival_time=0.0,
+                                               prompt_len=64,
+                                               output_len=2)])
+
+
 class TestSpecDecodeSchedule:
     def requests(self, n=4):
         return [Request(request_id=i, arrival_time=0.02 * i,
@@ -195,19 +232,6 @@ class TestSpecDecodeSchedule:
 
     def test_disabled_speculation_is_byte_identical(self):
         assert self.run().to_dict() == self.run(draft_model=None).to_dict()
-
-    def test_epoch_engine_agrees_with_event_engine(self):
-        kwargs = dict(draft_model=tiny_causal("tiny-draft"),
-                      draft_len=2, accept_rate=0.5)
-        event = ServingSimulator(
-            tiny_causal(), "A100", plan=PlanSource.of("baseline"),
-            requests=self.requests(), chunk_tokens=256, max_batch=4,
-            engine="event", **kwargs).run()
-        epoch = ServingSimulator(
-            tiny_causal(), "A100", plan=PlanSource.of("baseline"),
-            requests=self.requests(), chunk_tokens=256, max_batch=4,
-            engine="epoch", **kwargs).run()
-        assert event.to_dict() == epoch.to_dict()
 
 
 class TestOracleCoverage:

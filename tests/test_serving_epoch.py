@@ -19,6 +19,7 @@ from repro.common.errors import ServingError
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
 from repro.models.footprint import weight_bytes
+from repro.models.moe import MoEConfig
 from repro.serving import (
     Request,
     ServingSimulator,
@@ -209,3 +210,124 @@ class TestClusterEquivalence:
         with pytest.raises(ServingError):
             ClusterSimulator("bert-large", "a100", requests=requests,
                              workload=workload)
+
+
+def tiny_model(name, num_layers=2, d_model=128):
+    from repro.models.config import AttentionKind, AttentionSpec, ModelConfig
+
+    return ModelConfig(
+        name, num_layers=num_layers, d_model=d_model, num_heads=4,
+        d_ff=2 * d_model,
+        attention=(AttentionSpec(AttentionKind.DENSE_CAUSAL),),
+    )
+
+
+SPEC_TARGET = tiny_model("tiny-causal")
+SPEC_MOE = MoEConfig.from_dense(SPEC_TARGET, n_experts=4, top_k=2)
+SPEC_DRAFT = tiny_model("tiny-draft", num_layers=1, d_model=64)
+SPEC_BLOCK = 16
+#: Every speculative run below shares these priced models: prices are a
+#: pure function of the pricing key, so sharing only saves time.
+SPEC_COSTS = {}
+
+
+def tight_reserve(blocks):
+    """The A100 ``reserve_fraction`` that leaves the speculative target a
+    KV pool of about ``blocks`` blocks."""
+    model, hbm = SPEC_TARGET, get_gpu("a100").hbm_bytes
+    pool = blocks * SPEC_BLOCK * 2 * model.num_layers * model.d_model * 2
+    return 1 - (pool + weight_bytes(model, DType.FP16)) / hbm
+
+
+def spec_stream(seed=5, rate=20.0, duration=1.0, mean_output=48):
+    return ServingWorkload(rate=rate, duration=duration, seed=seed,
+                           max_prompt=96, mean_output=mean_output,
+                           block_tokens=SPEC_BLOCK)
+
+
+def spec_doc(engines, engine, *, model=SPEC_TARGET, gpu="a100",
+             workload=None, sim="serving", **kwargs):
+    """A speculative run's report JSON, and (epoch steps, steps) of the
+    engines it built."""
+    from repro.cluster import ClusterSimulator
+
+    built_before = len(engines)
+    kwargs = dict(dict(chunk_tokens=4 * SPEC_BLOCK, max_batch=4,
+                       draft_model=SPEC_DRAFT, draft_len=4,
+                       accept_rate=0.75), **kwargs)
+    cls = ServingSimulator if sim == "serving" else ClusterSimulator
+    report = cls(model, gpu, plan="sdf", engine=engine,
+                 workload=workload or spec_stream(),
+                 block_tokens=SPEC_BLOCK, costs=SPEC_COSTS, **kwargs).run()
+    ran = engines[built_before:]
+    return (json.dumps(report.to_dict(), sort_keys=True),
+            sum(e.epoch_steps for e in ran), sum(e.steps for e in ran))
+
+
+#: ``(id, spec_doc keyword arguments)``: accept rate x draft length
+#: (with 16-token blocks a 32-deep draft emits up to 33 tokens a round,
+#: so one round grows several blocks), a batch cap that keeps requests
+#: waiting, tight memory that preempts, degenerate epoch caps and a MoE
+#: target.
+SPEC_MATRIX = [
+    (f"a{accept}-g{gamma}", dict(accept_rate=accept, draft_len=gamma))
+    for accept in (0.0, 0.5, 0.75, 1.0) for gamma in (1, 4, 32)
+] + [
+    ("max-batch-2", dict(max_batch=2)),
+    ("preempt", dict(reserve_fraction=tight_reserve(24), draft_len=8,
+                     workload=spec_stream(rate=40.0, mean_output=96))),
+    ("preempt-wide", dict(reserve_fraction=tight_reserve(24),
+                          draft_len=32,
+                          workload=spec_stream(rate=40.0,
+                                               mean_output=96))),
+] + [
+    (f"max-epoch-{cap}", dict(max_epoch=cap)) for cap in (1, 2, 3)
+] + [
+    ("moe", dict(model=SPEC_MOE)),
+]
+
+
+#: ``(tokens per round, preemption events)`` of every matrix case that
+#: took epochs and matched the event loop, for the non-vacuity check.
+MATRIX_SEEN = []
+
+
+class TestSpeculativeEpoch:
+    """Speculative rounds on the epoch fast path, against the event loop."""
+
+    @pytest.mark.parametrize("kwargs", [kw for _, kw in SPEC_MATRIX],
+                             ids=[name for name, _ in SPEC_MATRIX])
+    def test_matrix_byte_identical(self, engines, kwargs):
+        event, event_epochs, steps = spec_doc(engines, "event", **kwargs)
+        epoch, epoch_steps, _ = spec_doc(engines, "epoch", **kwargs)
+        assert event == epoch
+        assert event_epochs == 0 and epoch_steps > 0
+        MATRIX_SEEN.append((engines[-1].spec_decode.tokens_per_round,
+                            json.loads(epoch)["preemption_events"]))
+
+    def test_matrix_is_not_vacuous(self):
+        # Runs after the matrix (file order); skipped if it was deselected.
+        if len(MATRIX_SEEN) < len(SPEC_MATRIX):
+            pytest.skip("needs the whole matrix")
+        assert any(preemptions > 0 for _, preemptions in MATRIX_SEEN)
+        assert any(tau > SPEC_BLOCK for tau, _ in MATRIX_SEEN)
+
+    def test_cluster_tp_ep_byte_identical(self, engines):
+        kwargs = dict(sim="cluster", model=SPEC_MOE, replicas=2, tp=2,
+                      ep=2, policy="least-outstanding",
+                      workload=spec_stream(rate=30.0))
+        event, _, _ = spec_doc(engines, "event", **kwargs)
+        epoch, epoch_steps, _ = spec_doc(engines, "epoch", **kwargs)
+        assert event == epoch
+        assert epoch_steps > 0
+        assert json.loads(epoch)["comm_time_s"] > 0
+
+    @pytest.mark.parametrize("engine", ["event", "epoch"])
+    def test_step_budget_is_exact(self, engines, engine):
+        budget = 40  # falls inside a speculative epoch
+        with pytest.raises(ServingError, match=f"exceeded {budget} steps"):
+            spec_doc(engines, engine, max_steps=budget)
+        assert sum(e.steps for e in engines) == budget + 1
+        assert (sum(e.epoch_steps for e in engines) > 0) is (
+            engine == "epoch")
+
