@@ -196,7 +196,8 @@ class ClusterSimulator:
 
         source = arrivals(self._stream)
         run_loop(replicas, arrival_events(source, route),
-                 max_steps=self.max_steps, what="cluster simulation")
+                 max_steps=self.max_steps, what="cluster simulation",
+                 lockstep=tracer.enabled)
 
         trace_summary = None
         if tracer.enabled:

@@ -340,9 +340,9 @@ class ScenarioSpec:
         if sim != "serving":
             kwargs.update(replicas=sharding.replicas, tp=sharding.tp,
                           pp=sharding.pp, policy=sharding.policy)
+        kwargs["engine"] = workload.engine
         if sim != "controlplane":
-            kwargs.update(engine=workload.engine,
-                          draft_model=workload.draft_model,
+            kwargs.update(draft_model=workload.draft_model,
                           draft_len=workload.draft_len,
                           accept_rate=workload.accept_rate)
         if sim == "cluster":
@@ -381,17 +381,18 @@ class ScenarioSpec:
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
         — it describes the controller, not the scenario.  The control
-        plane has no engine choice or speculative decoding: asking for
-        one raises ``ScenarioError`` naming the flag.
+        plane has no speculative decoding: asking for a draft model
+        raises ``ScenarioError``, and the speculation knobs are still
+        checked, with the typed errors ``serve-sim`` raises, so a bad
+        value never passes silently.
         """
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
+        from repro.serving.specdecode import check_spec_knobs
 
-        for flag, given in (
-                ("--engine", self.workload.engine != "epoch"),
-                ("--draft-model", self.workload.draft_model is not None)):
-            if given:
-                raise ScenarioError(
-                    f"the control plane does not support {flag}")
+        if self.workload.draft_model is not None:
+            raise ScenarioError(
+                "the control plane does not support --draft-model")
+        check_spec_knobs(self.workload.draft_len, self.workload.accept_rate)
         return self._run(
             "controlplane", simulate_controlplane,
             tiers=tiers if tiers is not None else DEFAULT_TIERS,

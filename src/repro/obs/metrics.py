@@ -48,9 +48,10 @@ class Gauge:
         value = float(value)
         if self.samples == 0:
             self.min = self.max = value
-        else:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         self.last = value
         self.samples += 1
 

@@ -45,8 +45,7 @@ in Perfetto / ``chrome://tracing``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.common.errors import TraceError
 from repro.obs.metrics import (
@@ -57,13 +56,14 @@ from repro.obs.metrics import (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace record, timestamped in simulated seconds.
 
     ``ph`` follows the Chrome trace-event phase vocabulary: ``"X"`` is
     a complete span (``ts`` + ``dur``), ``"i"`` an instant event and
     ``"C"`` a counter sample whose ``args`` carry the sampled values.
+    An immutable named tuple: a traced run records one or two per
+    engine step, so construction cost and size matter.
     """
 
     name: str

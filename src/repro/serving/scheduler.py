@@ -271,7 +271,7 @@ class ContinuousBatchingScheduler:
                                   "ttft_s": now - request.arrival_time},
                         )
                     if request.generated >= request.output_len:
-                        self._finish(request, now)
+                        self.finish(request, now)
                         finished.append(request)
         for request, kv_after in step.decode:
             # One token on the plain decode path; a speculative round
@@ -279,15 +279,25 @@ class ContinuousBatchingScheduler:
             request.generated += kv_after - request.kv_tokens
             request.kv_tokens = kv_after
             if request.generated >= request.output_len:
-                self._finish(request, now)
+                self.finish(request, now)
                 finished.append(request)
         return finished
 
-    def _finish(self, request: Request, now: float) -> None:
+    def finish(self, request: Request, now: float) -> None:
+        """Retire a running request that emitted its last token at
+        ``now``: free its KV blocks, drop it from the running set and
+        record its ``finish`` instant.  The epoch engine's replay calls
+        this too, so both paths trace a finish identically."""
         request.status = RequestStatus.FINISHED
         request.finish_time = now
         self.memory.release(request.request_id)
-        self.running.remove(request)
+        # By identity: ``list.remove`` would compare the dataclasses
+        # field by field.
+        running = self.running
+        for index, other in enumerate(running):
+            if other is request:
+                del running[index]
+                break
         if self.tracer.enabled:
             self._sched_event("finish", now, request)
 

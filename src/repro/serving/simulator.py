@@ -161,14 +161,11 @@ class ServingSimulator:
             tracer=tracer, trace_process=lane,
         )
 
-        def trace_step(step, *, ts, dur, comm):
-            self._trace_step(tracer, lane, step, scheduler, memory,
-                             ts=ts, dur=dur)
-
         engine = EpochEngine(
             cost=self.cost, memory=memory, scheduler=scheduler,
             tracer=tracer, epoch=self.engine == "epoch",
-            max_epoch=self.max_epoch, on_step=trace_step,
+            max_epoch=self.max_epoch,
+            on_step=_EngineLaneTrace(tracer, lane),
             spec_decode=self._spec_runtime,
         )
         # Below the cutover (or whenever tracing needs per-request
@@ -199,43 +196,59 @@ class ServingSimulator:
             engine.outcome(self.gpu.hbm_bytes, stream if retain else None),
             trace_summary=trace_summary)
 
-    def _trace_step(self, tracer, lane, step, scheduler, memory,
-                    *, ts, dur):
-        """Record one engine iteration: a step span plus occupancy
-        counters on the plan's engine lane."""
-        pid, tid = tracer.track(lane, "steps")
-        decode = len(step.decode)
-        chunk_tokens = sum(chunk for _, chunk, _ in step.prefill)
-        args = {"decode": decode,
-                "prefill_chunks": len(step.prefill),
-                "prefill_tokens": chunk_tokens,
-                "running": len(scheduler.running),
-                "waiting": len(scheduler.waiting)}
-        if self._spec_runtime is not None:
-            # Called before complete_step, so kv_tokens is still the
-            # pre-round length — the delta is this round's emission.
-            emitted = sum(kv - r.kv_tokens for r, kv in step.decode)
-            args["spec_emitted"] = emitted
-            args["spec_verify_rows"] = sum(
-                1 for r, kv in step.decode if kv - r.kv_tokens > 1)
-            tracer.metrics.counter(f"{lane}.spec_emitted").add(emitted)
-        tracer.complete(
-            "engine step", "engine-step", ts=ts, dur=dur, pid=pid, tid=tid,
-            args=args,
-        )
-        tracer.counter(
-            f"{lane} occupancy", ts=ts, pid=pid,
-            values={"running": len(scheduler.running),
-                    "waiting": len(scheduler.waiting),
-                    "kv_blocks": memory.used_blocks},
-        )
-        tracer.metrics.counter(f"{lane}.steps").inc()
-        tracer.metrics.counter(f"{lane}.decode_tokens").add(decode)
-        tracer.metrics.counter(f"{lane}.prefill_tokens").add(chunk_tokens)
-        tracer.metrics.gauge(f"{lane}.batch").set(
-            len(scheduler.running))
-        tracer.metrics.gauge(f"{lane}.kv_blocks").set(
-            memory.used_blocks)
+
+class _EngineLaneTrace:
+    """A run's ``on_step`` callback: each engine step's span, occupancy
+    sample and metrics on the plan's engine lane, read from its
+    :class:`~repro.serving.engine.StepRecord`.
+
+    The lane and instruments are looked up once, on the first step.
+    Looking them up earlier would number the lane's tracks ahead of the
+    scheduler's and add metrics to a run that never steps.
+    """
+
+    def __init__(self, tracer, lane: str) -> None:
+        self.tracer = tracer
+        self.lane = lane
+        self.occupancy = f"{lane} occupancy"
+        self.pid = None
+
+    def _bind(self, spec: bool) -> None:
+        lane, metrics = self.lane, self.tracer.metrics
+        self.pid, self.tid = self.tracer.track(lane, "steps")
+        self.steps = metrics.counter(f"{lane}.steps")
+        self.decode_tokens = metrics.counter(f"{lane}.decode_tokens")
+        self.prefill_tokens = metrics.counter(f"{lane}.prefill_tokens")
+        self.batch = metrics.gauge(f"{lane}.batch")
+        self.kv_blocks = metrics.gauge(f"{lane}.kv_blocks")
+        if spec:
+            self.spec_emitted = metrics.counter(f"{lane}.spec_emitted")
+
+    def __call__(self, record) -> None:
+        if self.pid is None:
+            self._bind(spec=record.spec_emitted is not None)
+        args = {"decode": record.decode,
+                "prefill_chunks": record.prefill_chunks,
+                "prefill_tokens": record.prefill_tokens,
+                "running": record.running,
+                "waiting": record.waiting}
+        if record.spec_emitted is not None:
+            args["spec_emitted"] = record.spec_emitted
+            args["spec_verify_rows"] = record.spec_verify_rows
+            self.spec_emitted.add(record.spec_emitted)
+        self.tracer.complete(
+            "engine step", "engine-step", ts=record.ts, dur=record.dur,
+            pid=self.pid, tid=self.tid, args=args)
+        self.tracer.counter(
+            self.occupancy, ts=record.ts, pid=self.pid,
+            values={"running": record.running,
+                    "waiting": record.waiting,
+                    "kv_blocks": record.kv_blocks})
+        self.steps.inc()
+        self.decode_tokens.add(record.decode)
+        self.prefill_tokens.add(record.prefill_tokens)
+        self.batch.set(record.running)
+        self.kv_blocks.set(record.kv_blocks)
 
 
 def simulate_serving(

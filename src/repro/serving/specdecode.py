@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from repro.common.errors import ServingError
 from repro.common.validation import require_positive
 
-__all__ = ["SpecDecodeConfig", "SpecDecodeRuntime", "spec_decode_runtime"]
+__all__ = ["SpecDecodeConfig", "SpecDecodeRuntime", "check_spec_knobs",
+           "spec_decode_runtime"]
 
 
-def _check_knobs(draft_len: int, accept_rate: float) -> None:
+def check_spec_knobs(draft_len: int, accept_rate: float) -> None:
     """Reject a speculation depth below 1 (``ConfigError``) or an
     acceptance rate outside [0, 1], NaN included (``ServingError``)."""
     require_positive("draft_len", draft_len)
@@ -61,7 +62,7 @@ class SpecDecodeConfig:
                 "speculative decoding needs a draft_model; leave the "
                 "whole config unset to disable speculation"
             )
-        _check_knobs(self.draft_len, self.accept_rate)
+        check_spec_knobs(self.draft_len, self.accept_rate)
 
     @property
     def tokens_per_round(self) -> int:
@@ -107,7 +108,7 @@ def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
     checked even without a draft model, so a bad value never passes
     silently.
     """
-    _check_knobs(draft_len, accept_rate)
+    check_spec_knobs(draft_len, accept_rate)
     if draft_model is None:
         return None
     from repro.models.config import get_model

@@ -168,21 +168,24 @@ class TestSpecKnobsWithoutDraft:
 
     CLI = "--rate 1 --duration 1 --seed 0 --json".split()
 
-    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim",
+                                         "controlplane-sim"])
     def test_accept_rate_above_one(self, command):
         from repro.cli import main
 
         with pytest.raises(ServingError, match="accept_rate"):
             main([command, *self.CLI, "--accept-rate", "1.5"])
 
-    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim",
+                                         "controlplane-sim"])
     def test_accept_rate_nan(self, command):
         from repro.cli import main
 
         with pytest.raises(ServingError, match="accept_rate"):
             main([command, *self.CLI, "--accept-rate", "nan"])
 
-    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim"])
+    @pytest.mark.parametrize("command", ["serve-sim", "cluster-sim",
+                                         "controlplane-sim"])
     @pytest.mark.parametrize("draft_len", ["0", "-3"])
     def test_draft_len_below_one(self, command, draft_len):
         from repro.cli import main

@@ -265,19 +265,28 @@ class TestTunedPlanApplication:
 
 
 class TestControlPlaneFlags:
-    """``controlplane-sim`` shares the workload flags but has no engine
-    choice or speculative decoding: asking for one is an error naming
-    the flag, not a run that silently ignores it.  Trace replay and
+    """``controlplane-sim`` shares the workload flags but has no
+    speculative decoding: asking for it is an error naming the flag,
+    not a run that silently ignores it.  ``--engine``, trace replay and
     shared-prefix groups reach it through the scenario's workload."""
 
-    @pytest.mark.parametrize("flag", ["--engine", "--draft-model"])
-    def test_unsupported_flag_raises(self, flag):
+    CLI = ["controlplane-sim", "--rate", "2", "--duration", "3",
+           "--seed", "0", "--json"]
+
+    def test_draft_model_raises(self):
         from repro.cli import main
 
-        value = {"--engine": "event", "--draft-model": "bert-large"}[flag]
-        with pytest.raises(ScenarioError, match=flag):
-            main(["controlplane-sim", "--rate", "2", "--duration", "3",
-                  "--seed", "0", "--json", flag, value])
+        with pytest.raises(ScenarioError, match="--draft-model"):
+            main([*self.CLI, "--draft-model", "bert-large"])
+
+    def test_event_engine_matches_epoch(self, capsys):
+        from repro.cli import main
+
+        outputs = []
+        for engine in ("event", "epoch"):
+            main([*self.CLI, "--engine", engine])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_trace_file_replays(self):
         """The committed 40-request trace runs through the control

@@ -455,10 +455,10 @@ class TestSimulator:
             else:
                 sim.run()
         # The run stops on the first step past the budget on every
-        # path; an epoch may not overshoot it.
+        # path; an epoch may not overshoot it.  Tracing keeps epochs.
         assert sum(e.steps for e in engines) == budget + 1
         epochs = sum(e.epoch_steps for e in engines) > 0
-        assert epochs is (engine == "epoch" and not traced)
+        assert epochs is (engine == "epoch")
 
 
 class TestHBMSpec:
