@@ -20,7 +20,8 @@ class FakeLane:
     def has_work(self):
         return self.work > 0
 
-    def advance(self, limit_time=None, max_new_steps=None):
+    def advance(self, limit_time=None, max_new_steps=None,
+                lockstep=False):
         self.log.append(("advance", self.name, self.clock, limit_time,
                          max_new_steps))
         if self.dt == 0.0:
