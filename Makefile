@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
 	approx-smoke tune-smoke moe-smoke parallel-smoke scenario-smoke \
-	plans-smoke results-check
+	plans-smoke results-check bench-counts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -26,6 +26,19 @@ lint:
 		$(PYTHON) -m compileall -q src tests benchmarks examples; \
 	fi
 	$(PYTHON) tools/lint_seeded_rng.py tests benchmarks
+
+# The end-to-end benchmark at 2% scale, traced, one repetition: each
+# workload's report digest, every count-unit per-layer metric and the
+# epoch step share, compared exactly against the committed golden.
+# These figures do not depend on the machine, so a change to them means
+# the simulator took different paths (see tools/bench_counts.py).
+bench-counts:
+	$(PYTHON) benchmarks/e2e/run.py --scale 0.02 --repetitions 1 \
+		--trace 1 --out /tmp/e2e_counts_run.json >/dev/null
+	$(PYTHON) tools/bench_counts.py /tmp/e2e_counts_run.json \
+		--output /tmp/e2e_counts.json
+	$(PYTHON) tools/compare_golden.py /tmp/e2e_counts.json \
+		tests/golden/e2e_counts.json
 
 # Tiny fixed-seed approx-sweep compared byte-for-byte (modulo float
 # ulp) against the committed golden report (see docs/approx.md).

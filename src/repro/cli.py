@@ -924,10 +924,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command; library errors propagate (see :func:`console`)."""
     args = build_parser().parse_args(argv)
     print(args.func(args))
     return getattr(args, "_exit_code", 0)
 
 
+def console(argv: "list[str] | None" = None) -> int:
+    """:func:`main` for a shell: a :class:`~repro.common.errors.ReproError`
+    prints ``repro <command>: error: <message>`` to stderr and exits 2,
+    like a bad flag, instead of a traceback."""
+    from repro.common.errors import ReproError
+
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        return main(argv)
+    except ReproError as error:
+        command = next((arg for arg in argv if not arg.startswith("-")),
+                       None)
+        prefix = "repro" if command is None else f"repro {command}"
+        print(f"{prefix}: error: {error}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

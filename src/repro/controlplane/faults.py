@@ -102,10 +102,11 @@ class FailureSchedule:
 class SlowdownCost:
     """A step-cost model scaled by a straggler slowdown factor.
 
-    Wraps a :class:`~repro.cluster.costmodel.ShardedStepCostModel`
-    (or another wrapper — stacking multiplies), exposing the same
-    pricing surface the engine consumes: ``step_cost``,
-    ``decode_step_cost``, and the ``kv_bucket`` memoization geometry.
+    Wraps any step-cost model — a
+    :class:`~repro.serving.costmodel.StepCostModel`, its sharded
+    variant or another wrapper (stacking multiplies) — and speaks the
+    engine's pricing protocol: ``step_cost`` and ``decode_step_cost``
+    return ``(total, comm)``, both scaled, plus ``kv_bucket``.
     """
 
     def __init__(self, inner, slowdown: float) -> None:

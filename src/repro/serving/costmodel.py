@@ -191,6 +191,23 @@ class StepCostModel:
                 time += count * value
         return time
 
+    def step_cost(
+        self,
+        *,
+        prefill: "list[tuple[int, int]] | None" = None,
+        decode_kv: "list[int] | None" = None,
+    ) -> "tuple[float, float]":
+        """One engine step's ``(total, comm)`` latency in seconds.
+
+        The pricing protocol the serving engine speaks, shared with the
+        sharded and straggler models; one GPU communicates nothing.
+        """
+        return self.step_time(prefill=prefill, decode_kv=decode_kv), 0.0
+
+    def decode_step_cost(self, decode_kv: "list[int]") -> "tuple[float, float]":
+        """:meth:`step_cost` for a pure-decode step, as a hot path."""
+        return self.decode_step_time(decode_kv), 0.0
+
     def cache_sizes(self) -> tuple[int, int]:
         """(mlp entries, attention entries) — for diagnostics."""
         return len(self._mlp_cache), len(self._attn_cache)

@@ -286,3 +286,42 @@ class TestCLIHelp:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "serve-sim" in capsys.readouterr().out
+
+
+class TestConsoleErrors:
+    """The shell entry points turn a library error into one line."""
+
+    ARGV = ["serve-sim", "--chunk-tokens", "7"]
+    LINE = ("repro serve-sim: error: chunk_tokens 7 not a multiple of the "
+            "KV block size 64\n")
+
+    def test_library_error_prints_one_line_and_exits_2(self, capsys):
+        from repro.cli import console
+
+        assert console(self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert captured.err == self.LINE
+        assert captured.out == ""
+
+    def test_main_still_raises(self):
+        from repro.common.errors import ServingError
+
+        with pytest.raises(ServingError):
+            main(self.ARGV)
+
+    def test_python_dash_m_uses_the_wrapper(self, capsys, monkeypatch):
+        import runpy
+        import sys
+
+        monkeypatch.setattr(sys, "argv", ["repro", *self.ARGV])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("repro", run_name="__main__")
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == self.LINE
+
+    def test_console_script_uses_the_wrapper(self):
+        import pathlib
+
+        pyproject = pathlib.Path(__file__).resolve().parents[1] \
+            / "pyproject.toml"
+        assert 'repro = "repro.cli:console"' in pyproject.read_text()

@@ -131,19 +131,26 @@ class TestSegmentPricing:
                 == cost.step_time(decode_kv=decode_kv)
         assert cost.decode_step_time([]) == 0.0
 
-    def test_sharded_decode_step_cost_matches_step_cost(self):
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["single-gpu", "tp2"])
+    def test_sharded_decode_step_cost_matches_step_cost(self, sharded):
+        # The engine prices through step_cost/decode_step_cost only; the
+        # single-GPU model speaks the same protocol with zero comm.
         import numpy as np
 
         from repro.cluster import ShardedStepCostModel
 
-        cost = ShardedStepCostModel(get_model("bert-large"), get_gpu("a100"),
-                                    plan="sdf", tp=2)
+        model, gpu = get_model("bert-large"), get_gpu("a100")
+        cost = (ShardedStepCostModel(model, gpu, plan="sdf", tp=2)
+                if sharded else StepCostModel(model, gpu, plan="sdf"))
         rng = np.random.default_rng(1)
         for _ in range(20):
             batch = int(rng.integers(1, 17))
             decode_kv = [int(v) for v in rng.integers(1, 2048, size=batch)]
-            assert cost.decode_step_cost(decode_kv) \
-                == cost.step_cost(decode_kv=decode_kv)
+            total, comm = cost.step_cost(decode_kv=decode_kv)
+            assert cost.decode_step_cost(decode_kv) == (total, comm)
+            assert total == cost.step_time(decode_kv=decode_kv)
+            assert (comm > 0.0) if sharded else (comm == 0.0)
 
     def test_sequential_sum_matches_running_addition(self):
         values = [0.1, 0.2, 0.30000000000000004, 1e-18, 5.5]
@@ -152,6 +159,78 @@ class TestSegmentPricing:
             total += v
         assert sequential_sum(3.7, values) == total
         assert sequential_sum(3.7, []) == 3.7
+
+
+class TestRoundSchedule:
+    """``RoundSchedule`` against a naive round-by-round walk."""
+
+    @staticmethod
+    def naive(kv0, rem, tau, n, step, held):
+        """Walk every request round by round: its finish round, the
+        rounds that allocate each new block, the rounds after which
+        its stride-1 target KV and its draft KV change bucket, and
+        every round's ``(prefill, decode_kv)``."""
+        def bucket(length):
+            return -(-length // step) * step
+
+        finish, grows, target, draft = [], [], [], []
+        entries = {}
+        for kv, r, h in zip(kv0, rem, held):
+            f = -(-r // tau)
+            finish.append(f)
+            rounds, blocks = [], h // step
+            for s in range(1, f + 1):
+                after = kv + min(tau * s, r)
+                entry = entries.setdefault(s, ([], []))
+                added = after - kv - tau * (s - 1)
+                if added > 1:
+                    entry[0].append((added, after))
+                else:
+                    entry[1].append(after)
+                while s <= n and blocks * step < after:
+                    blocks += 1
+                    rounds.append(s)
+            grows.append(rounds)
+            last = min(f, n)
+            target.append([e for e in range(1, last)
+                           if bucket(kv + e) != bucket(kv + e + 1)])
+            draft.append([e for e in range(1, last)
+                          for _ in range(bucket(kv + tau * e + 1) // step
+                                         - bucket(kv + tau * (e - 1) + 1)
+                                         // step)])
+        return finish, grows, target, draft, entries
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 17, 33])
+    def test_matches_round_by_round_walk(self, tau):
+        import random
+
+        from repro.serving.engine import RoundSchedule
+
+        rng = random.Random(tau)
+        for _ in range(25):
+            step = rng.choice([1, 4, 16, 64])
+            b = rng.randint(1, 5)
+            kv0 = [rng.randint(1, 300) for _ in range(b)]
+            rem = [rng.randint(1, 200) for _ in range(b)]
+            held = [(-(-kv // step) + rng.randint(0, 2)) * step
+                    for kv in kv0]
+            n = rng.randint(1, max(rem) // tau + 2)
+            finish, grows, target, draft, entries = self.naive(
+                kv0, rem, tau, n, step, held)
+            schedule = RoundSchedule(kv0, rem, tau)
+            assert schedule.finish == finish
+            assert [list(r) for r in schedule.crossings(step, n, held)] \
+                == grows
+            # The bucket crossings serve the stride-1 target and the
+            # draft, whose KV before the round plus one is the same
+            # length at stride 1.
+            ends = [list(r) for r in schedule.crossings(step, n)]
+            assert ends == draft
+            if tau == 1:
+                assert ends == target
+            for s, expected in entries.items():
+                live = [kv for kv, f in zip(kv0, finish) if f >= s]
+                assert schedule.entries(s, live, s in finish) == expected
 
 
 class TestClusterEquivalence:
