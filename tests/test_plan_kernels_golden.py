@@ -41,11 +41,12 @@ def _block(kind, **shape):
     return build
 
 
-def _step(layer, m_tokens, kv_len):
+def _step(layer, m_tokens, kv_len, model="gpt-neo-1.3b", tp_shards=2):
     def build(plan, t):
         return attention_step_kernels(
-            get_model("gpt-neo-1.3b"), layer, m_tokens=m_tokens,
-            kv_len=kv_len, plan=plan, t=t, prefix="step", tp_shards=2)
+            get_model(model), layer, m_tokens=m_tokens,
+            kv_len=kv_len, plan=plan, t=t, prefix="step",
+            tp_shards=tp_shards)
     return build
 
 
@@ -57,10 +58,18 @@ SHAPES = {
     # kv_seq_len 96 is not a multiple of T=64: the decomposed plans
     # must reject it.
     "cross": _block(AttentionKind.DENSE, seq_len=128, kv_seq_len=96),
+    # Fewer query rows than one 128-row MatMul tile.
+    "dense-short": _block(AttentionKind.DENSE, seq_len=64),
     # GPT-Neo layer 0 is global, layer 1 local (windowed).
     "step-prefill": _step(0, m_tokens=100, kv_len=300),
     "step-decode": _step(0, m_tokens=1, kv_len=300),
     "step-windowed": _step(1, m_tokens=100, kv_len=600),
+    # A square prefill step: the whole-block plans still have no
+    # serving-step kernels here.
+    "step-whole": _step(0, m_tokens=256, kv_len=256),
+    # A non-causal model at one GPU.
+    "step-prefill-dense": _step(0, m_tokens=100, kv_len=300,
+                                model="bert-large", tp_shards=1),
 }
 
 
@@ -146,10 +155,11 @@ class TestServingShapeKinds:
         "plan", [p for p in AttentionPlan if p not in PAPER_CANDIDATES
                  and not p.record.decompose],
         ids=lambda plan: plan.value)
-    def test_other_plans_raise_on_prefill(self, plan):
+    @pytest.mark.parametrize("shape", ["step-prefill", "step-whole"])
+    def test_other_plans_raise_on_prefill(self, plan, shape):
         with pytest.raises(PlanError, match=rf"'{plan.value}' plan .* "
                                             r"prefill serving steps"):
-            SHAPES["step-prefill"](plan, 64)
+            SHAPES[shape](plan, 64)
 
 
 if __name__ == "__main__":
