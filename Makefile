@@ -14,8 +14,9 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
 # Prefers ruff, falls back to pyflakes, and degrades to a syntax check
-# when neither is installed (offline environments).  Always ends with
-# the seed audit: no unseeded randomness in tests or benchmarks.
+# that writes no bytecode when neither is installed (offline
+# environments).  Always ends with the seed audit: no unseeded
+# randomness in tests or benchmarks.
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check --select E9,F src tests benchmarks examples; \
@@ -23,7 +24,7 @@ lint:
 		$(PYTHON) -m pyflakes src tests benchmarks examples; \
 	else \
 		echo "ruff/pyflakes unavailable; syntax check only"; \
-		$(PYTHON) -m compileall -q src tests benchmarks examples; \
+		$(PYTHON) tools/syntax_check.py src tests benchmarks examples; \
 	fi
 	$(PYTHON) tools/lint_seeded_rng.py tests benchmarks
 

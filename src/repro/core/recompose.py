@@ -179,9 +179,14 @@ def build_kernels(
     for node in (plan_graph(plan) if graph is None else graph).nodes:
         factory = table.get(node.role)
         if factory is None:
-            raise PlanError(
-                f"the {plan.value!r} plan is not implemented for {shape} "
-                f"(no {node.role!r} kernel)"
-            )
+            raise missing_kernel(plan, node.role, shape)
         kernels.append(factory())
     return kernels
+
+
+def missing_kernel(plan: AttentionPlan, role: str, shape: str) -> PlanError:
+    """The error for a ``plan`` whose ``role`` has no kernel at ``shape``."""
+    return PlanError(
+        f"the {plan.value!r} plan is not implemented for {shape} "
+        f"(no {role!r} kernel)"
+    )

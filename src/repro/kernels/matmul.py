@@ -16,7 +16,6 @@ fuse (Section 2.3).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -183,51 +182,3 @@ class MatMulKernel(Kernel):
             out = self.epilogue(out)
         return self.dtype.quantize(out)
 
-
-def attention_score_matmul(
-    batch_heads: int,
-    seq_len: int,
-    d_head: int,
-    *,
-    dtype: DType = DType.FP16,
-    epilogue: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    epilogue_flops_per_element: float = 0.0,
-    tile_n: int = 128,
-) -> MatMulKernel:
-    """The ``Q @ K^T`` MatMul producing the L x L attention matrix."""
-    return MatMulKernel(
-        batch=batch_heads,
-        m=seq_len,
-        n=seq_len,
-        k=d_head,
-        dtype=dtype,
-        tile_m=128,
-        tile_n=tile_n,
-        tile_k=min(32, d_head),
-        epilogue=epilogue,
-        epilogue_flops_per_element=epilogue_flops_per_element,
-        name="sda_qk_matmul",
-        category=CATEGORY.MATMUL,
-    )
-
-
-def attention_value_matmul(
-    batch_heads: int,
-    seq_len: int,
-    d_head: int,
-    *,
-    dtype: DType = DType.FP16,
-) -> MatMulKernel:
-    """The ``A @ V`` MatMul consuming the attention matrix."""
-    return MatMulKernel(
-        batch=batch_heads,
-        m=seq_len,
-        n=d_head,
-        k=seq_len,
-        dtype=dtype,
-        tile_m=128,
-        tile_n=min(128, math.ceil(d_head / 8) * 8),
-        tile_k=32,
-        name="sda_av_matmul",
-        category=CATEGORY.MATMUL,
-    )

@@ -3,8 +3,12 @@
 :class:`SDABlock` assembles the kernel pipeline for one attention
 layer — dense or block-sparse — from the role graph of the chosen
 :class:`~repro.core.plan.AttentionPlan`
-(:func:`~repro.core.recompose.plan_graph`) and one role -> kernel table
-per shape kind:
+(:func:`~repro.core.recompose.plan_graph`) and a role -> kernel table:
+:func:`dense_attention_table` for dense rows, the block-sparse table
+for a sparse layout.  The dense table is the only one: serving steps
+(:func:`~repro.models.generation.attention_step_kernels`) build from it
+too, over their ``m`` query rows, at :data:`STEP_TILES` instead of
+:data:`BLOCK_TILES` and without the numeric epilogue.
 
 ========================  ==================================================
 plan                      pipeline
@@ -26,6 +30,7 @@ the comparison isolates the softmax recomposition itself.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +41,7 @@ from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
 from repro.core.recompose import build_kernels, plan_graph
 from repro.gpu.device import Device
-from repro.kernels.base import Kernel
+from repro.kernels.base import CATEGORY, Kernel
 from repro.kernels.decomposed import (
     GlobalScaleKernel,
     InterReductionKernel,
@@ -90,6 +95,140 @@ def _causal_block_bias(layout, block_index: int) -> np.ndarray:
     rows = np.arange(bi * bs, (bi + 1) * bs)[:, None]
     cols = np.arange(bj * bs, (bj + 1) * bs)[None, :]
     return np.where(cols > rows, -np.inf, 0.0).astype(np.float32)
+
+
+@dataclass(frozen=True)
+class SDATiles:
+    """Tiles of the dense QK^T and A.V MatMuls over ``m`` query rows:
+    ``tile_m = min(128, max(m_floor, m))``; QK^T ``tile_k = min(qk_k,
+    d_head)``; A.V ``tile_n`` is ``d_head`` clamped into ``av_n``.  The
+    only tiles in which blocks and serving steps still differ."""
+
+    m_floor: int
+    qk_k: int
+    av_n: tuple[int, int]
+    av_k: int
+
+    def qk(self, m: int, d_head: int) -> dict:
+        """QK^T tile keywords of :class:`MatMulKernel`."""
+        return dict(tile_m=min(128, max(self.m_floor, m)), tile_n=128,
+                    tile_k=min(self.qk_k, d_head))
+
+    def av(self, m: int, d_head: int) -> dict:
+        """A.V tile keywords of :class:`MatMulKernel`."""
+        low, high = self.av_n
+        return dict(tile_m=min(128, max(self.m_floor, m)),
+                    tile_n=min(high, max(low, d_head)), tile_k=self.av_k)
+
+
+#: Whole SDA blocks: full 128-row tiles.
+BLOCK_TILES = SDATiles(m_floor=128, qk_k=32, av_n=(8, 128), av_k=32)
+#: Serving steps: the row tile shrinks to a short chunk (or one row).
+STEP_TILES = SDATiles(m_floor=1, qk_k=64, av_n=(64, 64), av_k=64)
+
+
+def dense_attention_table(
+    *,
+    batch_heads: int,
+    m: int,
+    kv_len: int,
+    d_head: int,
+    t: int,
+    dtype: DType,
+    tiles: SDATiles,
+    epilogue=None,
+    causal: bool = False,
+    prefix: "str | None" = None,
+) -> dict:
+    """Role -> kernel factory for ``m`` dense query rows of
+    ``batch_heads`` heads against ``kv_len`` keys: the one dense table,
+    behind both :class:`SDABlock` and serving steps.
+
+    ``epilogue`` is the first MatMul's numeric scale/mask closure; it
+    costs :data:`_SCALE_MASK_FLOPS` per element when given (serving
+    steps pass none).  With ``prefix`` each kernel is named
+    ``{prefix}_<role>``, without it by its class default (the MatMuls
+    ``sda_*``).  ``causal`` matters only to the whole-block roles,
+    which need ``m == kv_len``; the decomposed roles need ``kv_len``
+    to be a multiple of ``t``.
+    """
+    bh, d = batch_heads, d_head
+    rows = bh * m
+    flops = 0.0 if epilogue is None else _SCALE_MASK_FLOPS
+    matmul = "sda" if prefix is None else prefix
+
+    def named(role):
+        return {} if prefix is None else {"name": f"{prefix}_{role}"}
+
+    def n_sv():
+        if kv_len % t != 0:
+            raise ShapeError(
+                f"attention row length {kv_len} not divisible by T={t}"
+            )
+        return kv_len // t
+
+    def fully_fused():
+        if causal:
+            raise PlanError(
+                "the FULLY_FUSED plan does not support causal masks"
+            )
+        if kv_len != m:
+            raise PlanError(
+                "the FULLY_FUSED plan does not support cross-attention"
+            )
+        from repro.kernels.mha_fused import FullyFusedMHAKernel
+
+        return FullyFusedMHAKernel(bh, m, d, dtype=dtype,
+                                   scale=1.0 / math.sqrt(d),
+                                   **named("fused_mha"))
+
+    def flash():
+        if kv_len != m:
+            raise PlanError(
+                "the FLASH plan does not support cross-attention"
+            )
+        from repro.kernels.flash import FlashAttentionKernel
+
+        return FlashAttentionKernel(bh, m, d, dtype=dtype,
+                                    scale=1.0 / math.sqrt(d),
+                                    causal=causal, **named("flash"))
+
+    return {
+        "qk": lambda: MatMulKernel(
+            batch=bh, m=m, n=kv_len, k=d, dtype=dtype, **tiles.qk(m, d),
+            epilogue=epilogue, epilogue_flops_per_element=flops,
+            name=f"{matmul}_qk_matmul", category=CATEGORY.MATMUL,
+        ),
+        "softmax": lambda: RowSoftmaxKernel(rows=rows, length=kv_len,
+                                            dtype=dtype, **named("softmax")),
+        "online_softmax": lambda: OnlineRowSoftmaxKernel(
+            rows=rows, length=kv_len, dtype=dtype,
+            **named("online_softmax")),
+        "batched_softmax": lambda: BatchedRowSoftmaxKernel(
+            rows=rows, length=kv_len, dtype=dtype,
+            **named("batched_softmax")),
+        "av": lambda: MatMulKernel(
+            batch=bh, m=m, n=d, k=kv_len, dtype=dtype, **tiles.av(m, d),
+            name=f"{matmul}_av_matmul", category=CATEGORY.MATMUL,
+        ),
+        "ls": lambda: LocalSoftmaxKernel(num_subvectors=rows * n_sv(),
+                                         t=t, dtype=dtype, **named("ls")),
+        "ir": lambda: InterReductionKernel(rows=rows,
+                                           mean_subvectors=n_sv(),
+                                           **named("ir")),
+        "gs": lambda: GlobalScaleKernel(num_subvectors=rows * n_sv(),
+                                        t=t, dtype=dtype, **named("gs")),
+        "qk_ls": lambda: FusedMatMulLSKernel(
+            batch=bh, m=m, n=kv_len, k=d, t=t, dtype=dtype,
+            pre_softmax_epilogue=epilogue,
+            pre_softmax_flops_per_element=flops, **named("qk_ls_fused"),
+        ),
+        "gs_av": lambda: FusedGSMatMulKernel(
+            batch=bh, m=m, n=d, k=kv_len, t=t, dtype=dtype,
+            **named("gs_av_fused")),
+        "fused-mha": fully_fused,
+        "flash": flash,
+    }
 
 
 class SDABlock:
@@ -165,8 +304,12 @@ class SDABlock:
         self.layout = spec.layout(seq_len, seed=layout_seed)
         self._graph = plan_graph(self.plan)
         if self.layout is None:
-            self._kernels = build_kernels(self.plan, self._dense_table(),
-                                          "dense attention")
+            table = dense_attention_table(
+                batch_heads=self.batch_heads, m=seq_len,
+                kv_len=self.kv_seq_len, d_head=d_head, t=t, dtype=dtype,
+                tiles=BLOCK_TILES, epilogue=self._dense_epilogue(),
+                causal=spec.is_causal)
+            self._kernels = build_kernels(self.plan, table, "dense attention")
         else:
             self._kernels = build_kernels(self.plan, self._sparse_table(),
                                           "block-sparse attention")
@@ -219,81 +362,6 @@ class SDABlock:
 
             return epilogue
         return lambda blocks, layout: blocks * scale
-
-    def _dense_table(self) -> dict:
-        """Role -> kernel factory for a dense (or cross-attention) block."""
-        bh, length, d = self.batch_heads, self.seq_len, self.d_head
-        kv_len, t, dtype = self.kv_seq_len, self.t, self.dtype
-        rows = bh * length
-        epilogue = self._dense_epilogue()
-
-        def n_sv():
-            if kv_len % t != 0:
-                raise ShapeError(
-                    f"attention row length {kv_len} not divisible by T={t}"
-                )
-            return kv_len // t
-
-        def fully_fused():
-            if self.spec.is_causal:
-                raise PlanError(
-                    "the FULLY_FUSED plan does not support causal masks"
-                )
-            if kv_len != length:
-                raise PlanError(
-                    "the FULLY_FUSED plan does not support cross-attention"
-                )
-            from repro.kernels.mha_fused import FullyFusedMHAKernel
-
-            return FullyFusedMHAKernel(bh, length, d, dtype=dtype,
-                                       scale=self.scale)
-
-        def flash():
-            if kv_len != length:
-                raise PlanError(
-                    "the FLASH plan does not support cross-attention"
-                )
-            from repro.kernels.flash import FlashAttentionKernel
-
-            return FlashAttentionKernel(bh, length, d, dtype=dtype,
-                                        scale=self.scale,
-                                        causal=self.spec.is_causal)
-
-        return {
-            "qk": lambda: MatMulKernel(
-                batch=bh, m=length, n=kv_len, k=d, dtype=dtype,
-                tile_m=128, tile_n=128, tile_k=min(32, d),
-                epilogue=epilogue,
-                epilogue_flops_per_element=_SCALE_MASK_FLOPS,
-                name="sda_qk_matmul", category="matmul",
-            ),
-            "softmax": lambda: RowSoftmaxKernel(rows=rows, length=kv_len,
-                                                dtype=dtype),
-            "online_softmax": lambda: OnlineRowSoftmaxKernel(
-                rows=rows, length=kv_len, dtype=dtype),
-            "batched_softmax": lambda: BatchedRowSoftmaxKernel(
-                rows=rows, length=kv_len, dtype=dtype),
-            "av": lambda: MatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, dtype=dtype,
-                tile_m=128, tile_n=min(128, max(8, d)), tile_k=32,
-                name="sda_av_matmul", category="matmul",
-            ),
-            "ls": lambda: LocalSoftmaxKernel(num_subvectors=rows * n_sv(),
-                                             t=t, dtype=dtype),
-            "ir": lambda: InterReductionKernel(rows=rows,
-                                               mean_subvectors=n_sv()),
-            "gs": lambda: GlobalScaleKernel(num_subvectors=rows * n_sv(),
-                                            t=t, dtype=dtype),
-            "qk_ls": lambda: FusedMatMulLSKernel(
-                batch=bh, m=length, n=kv_len, k=d, t=t, dtype=dtype,
-                pre_softmax_epilogue=epilogue,
-                pre_softmax_flops_per_element=_SCALE_MASK_FLOPS,
-            ),
-            "gs_av": lambda: FusedGSMatMulKernel(
-                batch=bh, m=length, n=d, k=kv_len, t=t, dtype=dtype),
-            "fused-mha": fully_fused,
-            "flash": flash,
-        }
 
     def _sparse_table(self) -> dict:
         """Role -> kernel factory for a block-sparse block (the

@@ -13,9 +13,11 @@ full pipeline so users can see where softmax recomposition matters:
   Recomposition is honestly irrelevant there, and the simulation shows
   it.
 
-Decode kernels reuse the library's MatMul/softmax kernels at m = 1
-shapes; the KV cache contributes an append write and a full read per
-layer per step.
+A step's attention kernels (decode at m = 1, or an m-row prefill
+chunk) come from the same dense role -> kernel table as a whole
+:class:`~repro.models.attention.SDABlock`, at serving-step tiles; the
+KV cache contributes an append write and a full read per layer per
+step.
 """
 
 from __future__ import annotations
@@ -27,21 +29,20 @@ from repro.common.errors import ConfigError
 from repro.common.validation import require_positive
 from repro.core.autotune import PAPER_CANDIDATES
 from repro.core.plan import AttentionPlan
-from repro.core.recompose import build_kernels, plan_graph
+from repro.core.recompose import (
+    SOFTMAX_ROLES,
+    build_kernels,
+    missing_kernel,
+    plan_graph,
+)
 from repro.gpu.device import Device
 from repro.gpu.profiler import Profile
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.kernels.base import CATEGORY, ceil_div
-from repro.kernels.decomposed import (
-    GlobalScaleKernel,
-    InterReductionKernel,
-    LocalSoftmaxKernel,
-)
 from repro.kernels.elementwise import AddBiasGeluKernel, LayerNormKernel, \
     ResidualAddKernel
-from repro.kernels.fused import FusedGSMatMulKernel, FusedMatMulLSKernel
 from repro.kernels.matmul import MatMulKernel
-from repro.kernels.softmax import RowSoftmaxKernel
+from repro.models.attention import STEP_TILES, dense_attention_table
 from repro.models.config import (
     AttentionKind,
     AttentionSpec,
@@ -104,59 +105,39 @@ def attention_step_kernels(
     separately by the caller).
 
     The step's shape kind (:func:`step_shape_kind`) picks the role
-    graph it runs from :data:`STEP_GRAPHS`.  A ``prefill`` chunk runs
-    the plan's own graph: the decomposition plans replace the
-    monolithic softmax with LS/IR/GS (fused per the plan), padding the
-    row length up to a whole number of ``t``-sized sub-vectors.  This
-    library has no rectangular online, batched or whole-block kernels,
-    so the other plans raise :class:`~repro.common.errors.PlanError`
-    naming the missing role.  ``decode`` and ``windowed`` steps run
-    the baseline graph under every plan.
+    graph it runs from :data:`STEP_GRAPHS`, and the kernels come from
+    the one dense table, :func:`~repro.models.attention.dense_attention_table`,
+    at serving-step tiles and with no numeric epilogue.  A ``prefill``
+    chunk runs the plan's own graph: the decomposition plans replace
+    the monolithic softmax with LS/IR/GS (fused per the plan), padding
+    the row length up to a whole number of ``t``-sized sub-vectors.  A
+    prefill step builds only row-softmax plans without a whole-block
+    kernel; the others (``online``, ``turbo``, ``fused-mha``,
+    ``flash``) raise :class:`~repro.common.errors.PlanError` naming the
+    role it does not build.  ``decode`` and ``windowed`` steps run the
+    baseline graph under every plan.
     """
     plan = AttentionPlan.from_name(plan)
     _check_tp_shards(model, tp_shards)
     heads, d_head = model.num_heads // tp_shards, model.d_head
     spec = model.layer_attention(layer)
     kind = step_shape_kind(spec, m_tokens)
+    record = plan.record
+    if kind == "prefill" and (record.softmax != "row"
+                              or record.block is not None):
+        raise missing_kernel(plan,
+                             record.block or SOFTMAX_ROLES[record.softmax],
+                             "prefill serving steps")
     graph = STEP_GRAPHS[kind](plan)
     attend_len = (min(kv_len, spec.window + m_tokens - 1)
                   if kind == "windowed" else kv_len)
-    m = m_tokens
-    bh = batch * heads
-    rows = bh * m
-    tile_m = min(128, max(1, m))
     # A decomposed row (every such graph keeps a standalone IR) splits
     # into whole sub-vectors; ragged tails are padded.
-    n_attend = (ceil_div(attend_len, t) * t if "ir" in graph.roles
-                else attend_len)
-    n_sv = n_attend // t
-    table = {
-        "qk": lambda: MatMulKernel(
-            batch=bh, m=m, n=n_attend, k=d_head, dtype=dtype,
-            tile_m=tile_m, tile_n=128, tile_k=min(64, d_head),
-            name=f"{prefix}_qk_matmul", category=CATEGORY.MATMUL),
-        "softmax": lambda: RowSoftmaxKernel(
-            rows=rows, length=n_attend, dtype=dtype,
-            name=f"{prefix}_softmax"),
-        "av": lambda: MatMulKernel(
-            batch=bh, m=m, n=d_head, k=n_attend, dtype=dtype,
-            tile_m=tile_m, tile_n=64, tile_k=64,
-            name=f"{prefix}_av_matmul", category=CATEGORY.MATMUL),
-        "ls": lambda: LocalSoftmaxKernel(
-            num_subvectors=rows * n_sv, t=t, dtype=dtype,
-            name=f"{prefix}_ls"),
-        "ir": lambda: InterReductionKernel(
-            rows=rows, mean_subvectors=n_sv, name=f"{prefix}_ir"),
-        "gs": lambda: GlobalScaleKernel(
-            num_subvectors=rows * n_sv, t=t, dtype=dtype,
-            name=f"{prefix}_gs"),
-        "qk_ls": lambda: FusedMatMulLSKernel(
-            batch=bh, m=m, n=n_attend, k=d_head, t=t, dtype=dtype,
-            name=f"{prefix}_qk_ls_fused"),
-        "gs_av": lambda: FusedGSMatMulKernel(
-            batch=bh, m=m, n=d_head, k=n_attend, t=t, dtype=dtype,
-            name=f"{prefix}_gs_av_fused"),
-    }
+    if "ir" in graph.roles:
+        attend_len = ceil_div(attend_len, t) * t
+    table = dense_attention_table(
+        batch_heads=batch * heads, m=m_tokens, kv_len=attend_len,
+        d_head=d_head, t=t, dtype=dtype, tiles=STEP_TILES, prefix=prefix)
     return build_kernels(plan, table, f"{kind} serving steps", graph)
 
 
@@ -391,8 +372,8 @@ class GenerationSession:
                 f"{prefill_chunk}"
             )
         if prefill_chunk:
-            # Chunks price through the serving step table, which has no
-            # rectangular kernels for the other plans' roles.
+            # Chunks are prefill serving steps, priced over the serving
+            # plan set (the paper's plans), as the serving simulators do.
             if self.plan not in PAPER_CANDIDATES:
                 supported = ", ".join(p.value for p in PAPER_CANDIDATES)
                 raise ConfigError(
@@ -413,23 +394,6 @@ class GenerationSession:
                 f"device memory"
             )
 
-    # -- decode-step kernels ------------------------------------------------
-
-    def _layer_kernels(self, layer: int, m_tokens: int, kv_len: int,
-                       prefix: str):
-        """Kernel launches of one layer step (see
-        :func:`layer_step_kernels`); chunked prefill honours the
-        session's attention plan."""
-        return layer_step_kernels(
-            self.model, layer, m_tokens=m_tokens, kv_len=kv_len,
-            batch=self.batch, dtype=self.dtype, plan=self.plan, t=self.t,
-            prefix=prefix,
-        )
-
-    def _decode_layer_kernels(self, layer: int, kv_len: int):
-        """Kernel launches of one layer for one decode step."""
-        return self._layer_kernels(layer, 1, kv_len, "dec")
-
     # -- simulation ------------------------------------------------------------
 
     def _chunked_prefill(self) -> InferenceResult:
@@ -445,8 +409,10 @@ class GenerationSession:
         for start in range(0, self.prompt_len, chunk):
             kv_len = start + chunk
             for layer in range(self.model.num_layers):
-                for kernel in self._layer_kernels(layer, chunk, kv_len,
-                                                  "prefill"):
+                for kernel in layer_step_kernels(
+                        self.model, layer, m_tokens=chunk, kv_len=kv_len,
+                        batch=self.batch, dtype=self.dtype, plan=self.plan,
+                        t=self.t, prefix="prefill"):
                     kernel.simulate(device)
         return InferenceResult(
             model=self.model, gpu=self.gpu, plan=self.plan,
@@ -469,7 +435,10 @@ class GenerationSession:
         for step in range(self.generated_tokens):
             kv_len = self.prompt_len + step + 1
             for layer in range(self.model.num_layers):
-                for kernel in self._decode_layer_kernels(layer, kv_len):
+                for kernel in layer_step_kernels(
+                        self.model, layer, m_tokens=1, kv_len=kv_len,
+                        batch=self.batch, dtype=self.dtype, plan=self.plan,
+                        t=self.t):
                     kernel.simulate(device)
         return GenerationResult(
             model=self.model,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import ConfigError
 from repro.models import BERT_LARGE, GPT_NEO_1_3B
-from repro.models.generation import GenerationSession
+from repro.models.generation import GenerationSession, layer_step_kernels
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,10 @@ class TestGeneration:
     def test_local_attention_caps_decode_reads(self):
         """GPT-Neo's local layers attend to a fixed window, so their
         decode cost does not grow with the cache."""
-        session = GenerationSession(GPT_NEO_1_3B, prompt_len=4096,
-                                    generated_tokens=1)
-        local_kernels = session._decode_layer_kernels(layer=1, kv_len=4097)
-        dense_kernels = session._decode_layer_kernels(layer=0, kv_len=4097)
+        local_kernels = layer_step_kernels(GPT_NEO_1_3B, 1, m_tokens=1,
+                                           kv_len=4097)
+        dense_kernels = layer_step_kernels(GPT_NEO_1_3B, 0, m_tokens=1,
+                                           kv_len=4097)
         local_qk = next(k for k in local_kernels if k.name == "dec_qk_matmul")
         dense_qk = next(k for k in dense_kernels if k.name == "dec_qk_matmul")
         assert local_qk.n == 256   # the local window

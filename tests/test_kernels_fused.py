@@ -12,7 +12,9 @@ from repro.kernels import (
     MatMulKernel,
     RowSoftmaxKernel,
 )
-from repro.kernels.matmul import attention_score_matmul, attention_value_matmul
+from repro.core import AttentionPlan
+from repro.core.recompose import build_kernels
+from repro.models.attention import BLOCK_TILES, dense_attention_table
 
 
 def attention_reference(q, k, v, scale):
@@ -87,31 +89,19 @@ class TestFusedTraffic:
 
     BH, L, D, T = 16, 4096, 64, 64
 
-    def unfused_kernels(self):
-        from repro.kernels import (
-            GlobalScaleKernel,
-            LocalSoftmaxKernel,
-        )
+    def sda_kernels(self, plan):
+        """The SDA block's kernels under ``plan``, without the scale/mask
+        epilogue, from the dense attention table."""
+        table = dense_attention_table(
+            batch_heads=self.BH, m=self.L, kv_len=self.L, d_head=self.D,
+            t=self.T, dtype=DType.FP16, tiles=BLOCK_TILES)
+        return build_kernels(plan, table)
 
-        rows = self.BH * self.L
-        n_sv = self.L // self.T
-        return [
-            attention_score_matmul(self.BH, self.L, self.D),
-            LocalSoftmaxKernel(num_subvectors=rows * n_sv, t=self.T),
-            InterReductionKernel(rows=rows, mean_subvectors=n_sv),
-            GlobalScaleKernel(num_subvectors=rows * n_sv, t=self.T),
-            attention_value_matmul(self.BH, self.L, self.D),
-        ]
+    def unfused_kernels(self):
+        return self.sda_kernels(AttentionPlan.DECOMPOSED)
 
     def fused_kernels(self):
-        rows = self.BH * self.L
-        return [
-            FusedMatMulLSKernel(batch=self.BH, m=self.L, n=self.L,
-                                k=self.D, t=self.T),
-            InterReductionKernel(rows=rows, mean_subvectors=self.L // self.T),
-            FusedGSMatMulKernel(batch=self.BH, m=self.L, n=self.D,
-                                k=self.L, t=self.T),
-        ]
+        return self.sda_kernels(AttentionPlan.RECOMPOSED)
 
     def total_traffic(self, kernels):
         return sum(k.launch_spec(A100).dram_bytes for k in kernels)
@@ -133,8 +123,8 @@ class TestFusedTraffic:
         softmax_traffic = 2 * self.BH * self.L * self.L * 2
         fused_mm = FusedMatMulLSKernel(batch=self.BH, m=self.L, n=self.L,
                                        k=self.D, t=self.T)
-        plain_mm = attention_score_matmul(self.BH, self.L, self.D,
-                                          tile_n=self.T)
+        plain_mm = MatMulKernel(batch=self.BH, m=self.L, n=self.L,
+                                k=self.D, tile_n=self.T)
         extra = (fused_mm.launch_spec(A100).dram_bytes
                  - plain_mm.launch_spec(A100).dram_bytes)
         assert extra / softmax_traffic < 0.093
@@ -142,7 +132,7 @@ class TestFusedTraffic:
     def test_fused_adds_cuda_flops_to_matmul(self):
         fused = FusedMatMulLSKernel(batch=self.BH, m=self.L, n=self.L,
                                     k=self.D, t=self.T)
-        plain = attention_score_matmul(self.BH, self.L, self.D)
+        plain = MatMulKernel(batch=self.BH, m=self.L, n=self.L, k=self.D)
         assert fused.launch_spec(A100).cuda_flops > 0
         assert plain.launch_spec(A100).cuda_flops == 0
         assert fused.launch_spec(A100).tensor_flops == pytest.approx(

@@ -6,11 +6,19 @@ import pytest
 from repro.common import DType, ShapeError
 from repro.gpu import A100, T4
 from repro.kernels import MatMulKernel
-from repro.kernels.matmul import attention_score_matmul, attention_value_matmul
+from repro.models.attention import BLOCK_TILES, dense_attention_table
 
 
 def rng():
     return np.random.default_rng(7)
+
+
+def sda_matmul(role, batch_heads, seq_len, d_head):
+    """An SDA block's unfused ``qk`` or ``av`` MatMul, from the dense
+    attention table (no scale/mask epilogue)."""
+    return dense_attention_table(
+        batch_heads=batch_heads, m=seq_len, kv_len=seq_len, d_head=d_head,
+        t=64, dtype=DType.FP16, tiles=BLOCK_TILES)[role]()
 
 
 class TestNumerics:
@@ -102,7 +110,7 @@ class TestCost:
         """Q.K^T at L=4096 is memory bound on A100 (intensity ~62 < 108)."""
         from repro.gpu.costmodel import time_kernel
 
-        kernel = attention_score_matmul(batch_heads=16, seq_len=4096, d_head=64)
+        kernel = sda_matmul("qk", batch_heads=16, seq_len=4096, d_head=64)
         timing = time_kernel(A100, kernel.launch_spec(A100))
         assert timing.bound == "memory"
 
@@ -115,7 +123,7 @@ class TestCost:
         assert timing.bound == "compute"
 
     def test_av_matmul_writes_small_output(self):
-        kernel = attention_value_matmul(batch_heads=16, seq_len=4096, d_head=64)
+        kernel = sda_matmul("av", batch_heads=16, seq_len=4096, d_head=64)
         launch = kernel.launch_spec(A100)
         assert launch.dram_write_bytes == 16 * 4096 * 64 * 2
         # It must *read* the big attention matrix once.
