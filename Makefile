@@ -41,14 +41,20 @@ bench-counts:
 	$(PYTHON) tools/compare_golden.py /tmp/e2e_counts.json \
 		tests/golden/e2e_counts.json
 
-# Tiny fixed-seed approx-sweep compared byte-for-byte (modulo float
-# ulp) against the committed golden report (see docs/approx.md).
+# Tiny fixed-seed approx-sweeps compared byte-for-byte (modulo float
+# ulp) against the committed golden reports (see docs/approx.md); the
+# fp32 GPT-Neo run pins a FlashAttention launch that does not fit.
 approx-smoke:
 	$(PYTHON) -m repro approx-sweep --models bert-large \
 		--seq-lens 256,1024 --cases 2 --seed 0 \
 		--output /tmp/approx_sweep_smoke.json >/dev/null
 	$(PYTHON) tools/compare_golden.py /tmp/approx_sweep_smoke.json \
 		tests/golden/approx_sweep_smoke.json
+	$(PYTHON) -m repro approx-sweep --dtype fp32 --models gpt-neo-1.3b \
+		--seq-lens 256 --cases 1 --seed 0 \
+		--output /tmp/approx_sweep_fp32_smoke.json >/dev/null
+	$(PYTHON) tools/compare_golden.py /tmp/approx_sweep_fp32_smoke.json \
+		tests/golden/approx_sweep_fp32_smoke.json
 
 # Tiny fixed-seed tuning runs, serving and cluster mode plus a MoE +
 # speculative scenario that searches top_k and draft_len, compared

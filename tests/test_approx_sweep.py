@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.approx_sweep import (
     REGIMES,
     SOFTMAX_VARIANTS,
+    VARIANTS,
     measure_flashd_accuracy,
     measure_softmax_accuracy,
     render_sweep,
@@ -176,3 +177,59 @@ class TestSpeedModel:
             assert "div_ops" in counters
         assert (report["variants"]["lut"]["counters"]["div_ops"]
                 < report["variants"]["baseline"]["counters"]["div_ops"])
+
+
+class TestVariantRows:
+    def test_softmax_variants_are_the_softmax_rows(self):
+        assert SOFTMAX_VARIANTS == ("baseline", "sdf", "lut", "baps")
+        assert [v.name for v in VARIANTS] == [*SOFTMAX_VARIANTS, "flashd"]
+
+    def test_rows_build_their_plan_graph_from_the_dense_table(self):
+        """Every node but the two MatMuls, with the row's override."""
+        built = {
+            v.name: [(role, type(kernel).__name__) for role, kernel in
+                     v.kernels(DType.FP16, batch_heads=16, m=256,
+                               kv_len=256).items()]
+            for v in VARIANTS
+        }
+        assert built == {
+            "baseline": [("softmax", "RowSoftmaxKernel")],
+            "sdf": [("ls", "LocalSoftmaxKernel"),
+                    ("ir", "InterReductionKernel"),
+                    ("gs", "GlobalScaleKernel")],
+            "lut": [("softmax", "ApproxRowSoftmaxKernel")],
+            "baps": [("softmax", "BAPSSoftmaxKernel")],
+            "flashd": [("flash", "FlashDAttentionKernel")],
+        }
+
+
+class TestInfeasiblePoints:
+    def test_kernel_that_does_not_fit_is_recorded_not_raised(self):
+        """At fp32, GPT-Neo's FlashAttention launch (d_head 128) needs
+        327,680 B of shared memory, more than an A100 SM holds: the
+        point is recorded and left out of every aggregate."""
+        neo, bert = get_model("gpt-neo-1.3b"), get_model("bert-large")
+        report = small_sweep(models=[neo, bert], seq_lens=(256,),
+                             dtype=DType.FP32, cases=1)
+        flashd = report["variants"]["flashd"]
+        (point,) = flashd["infeasible"]
+        assert (point["model"], point["seq_len"]) == ("GPT-Neo-1.3B", 256)
+        assert "shared_mem=327680B" in point["error"]
+        assert [p["model"] for p in flashd["points"]] == ["BERT-large"]
+        assert "infeasible at GPT-Neo-1.3B L=256" in render_sweep(report)
+
+        bert_only = small_sweep(models=[bert], seq_lens=(256,),
+                                dtype=DType.FP32, cases=1)
+        assert "infeasible" not in bert_only["variants"]["flashd"]
+        assert (flashd["mean_speedup"]
+                == bert_only["variants"]["flashd"]["mean_speedup"])
+        for key in ("pareto_frontier", "dominates_baseline"):
+            assert report[key] == bert_only[key]
+
+    def test_row_length_sdf_cannot_split_is_infeasible_for_sdf_only(self):
+        report = small_sweep(seq_lens=(100,), cases=1)
+        (point,) = report["variants"]["sdf"]["infeasible"]
+        assert "not divisible by T=64" in point["error"]
+        assert report["variants"]["sdf"]["points"] == []
+        for name in ("baseline", "lut", "baps", "flashd"):
+            assert len(report["variants"][name]["points"]) == 1, name
