@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.common.errors import ShapeError
 from repro.gpu.costmodel import KernelLaunch
 from repro.gpu.device import Device
 from repro.gpu.specs import GPUSpec
@@ -72,6 +73,15 @@ class Kernel(abc.ABC):
     def simulate(self, device: Device) -> None:
         """Launch on ``device`` without running the numerics."""
         device.launch(self.launch_spec(device.spec))
+
+    def _stored(self, expected: tuple, **arrays: np.ndarray) -> tuple:
+        """``arrays`` at the kernel's storage ``dtype``, each checked to
+        have shape ``expected`` (the keywords label the operands)."""
+        for label, array in arrays.items():
+            if tuple(array.shape) != expected:
+                raise ShapeError(f"{self.name}: {label} shape "
+                                 f"{array.shape}, expected {expected}")
+        return tuple(self.dtype.quantize(a) for a in arrays.values())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.dtypes import DType
-from repro.common.errors import KernelError, ShapeError
+from repro.common.errors import KernelError
 from repro.common.validation import require_positive
 from repro.gpu.costmodel import KernelLaunch, MLP_MATMUL, WorkloadShape
 from repro.gpu.occupancy import TBResources, compute_occupancy
@@ -117,16 +117,8 @@ class FullyFusedMHAKernel(Kernel):
 
     def compute(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Numerics: the whole attention block at fp16 storage."""
-        expected = (self.batch_heads, self.seq_len, self.d_head)
-        for label, array in (("Q", q), ("K", k), ("V", v)):
-            if tuple(array.shape) != expected:
-                raise ShapeError(
-                    f"{self.name}: {label} shape {array.shape}, "
-                    f"expected {expected}"
-                )
-        q = self.dtype.quantize(q)
-        k = self.dtype.quantize(k)
-        v = self.dtype.quantize(v)
+        q, k, v = self._stored(
+            (self.batch_heads, self.seq_len, self.d_head), Q=q, K=k, V=v)
         scores = np.matmul(q, np.swapaxes(k, 1, 2), dtype=np.float32)
         probs = safe_softmax(scores * np.float32(self.scale))
         return self.dtype.quantize(np.matmul(probs, v, dtype=np.float32))

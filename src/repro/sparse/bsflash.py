@@ -18,13 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.dtypes import DType
-from repro.common.errors import ShapeError
 from repro.common.validation import require_positive
 from repro.gpu.costmodel import KernelLaunch, MLP_MATMUL, WorkloadShape
 from repro.gpu.occupancy import TBResources
 from repro.gpu.specs import GPUSpec
 from repro.kernels.base import CATEGORY, Kernel
-from repro.kernels.flash import _RESCALE_FLOPS_PER_ELEMENT, _SOFTMAX_FLOPS
+from repro.kernels.flash import (
+    _RESCALE_FLOPS_PER_ELEMENT,
+    _SOFTMAX_FLOPS,
+    normalise,
+    online_softmax_tile,
+)
 from repro.sparse.layout import BlockSparseLayout
 
 
@@ -84,18 +88,9 @@ class BlockSparseFlashAttentionKernel(Kernel):
         )
 
     def _check_qkv(self, q, k, v):
-        expected = (self.batch_heads, self.layout.seq_len, self.d_head)
-        for label, array in (("Q", q), ("K", k), ("V", v)):
-            if tuple(array.shape) != expected:
-                raise ShapeError(
-                    f"{self.name}: {label} shape {array.shape}, "
-                    f"expected {expected}"
-                )
-        return (
-            self.dtype.quantize(q),
-            self.dtype.quantize(k),
-            self.dtype.quantize(v),
-        )
+        return self._stored(
+            (self.batch_heads, self.layout.seq_len, self.d_head),
+            Q=q, K=k, V=v)
 
     def compute(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The block-row online-softmax recurrence, nonzero blocks only.
@@ -134,21 +129,9 @@ class BlockSparseFlashAttentionKernel(Kernel):
                     kj = (kv[:, None] * bs
                           + np.arange(bs)[None, :])[:, None, :]
                     s = np.where(kj > qi, -np.inf, s)
-                tile_max = s.max(axis=-1)
-                m_new = np.maximum(m, tile_max)
-                safe_m = np.where(np.isfinite(m_new), m_new, 0.0)
-                p = np.where(np.isfinite(s), np.exp(s - safe_m[..., None]),
-                             0.0)
-                correction = np.where(np.isfinite(m), np.exp(m - safe_m), 0.0)
-                l = l * correction + p.sum(axis=-1)
-                acc = acc * correction[..., None] + np.matmul(
-                    p, v_blocks[:, kv], dtype=np.float32
-                )
-                m = m_new
-            out[:, rows] = np.divide(
-                acc, l[..., None], out=np.zeros_like(acc),
-                where=l[..., None] > 0,
-            )
+                m, l, acc = online_softmax_tile(m, l, acc, s,
+                                                v_blocks[:, kv])
+            out[:, rows] = normalise(acc, l)
         return self.dtype.quantize(out.reshape(bh, layout.seq_len, d))
 
     def compute_reference(

@@ -84,12 +84,8 @@ class _BlockSparseMatMulBase(Kernel):
                            registers_per_thread=128)
 
     def _check_dense(self, array: np.ndarray, name: str) -> np.ndarray:
-        expected = (self.batch, self.layout.seq_len, self.d_head)
-        if tuple(array.shape) != expected:
-            raise ShapeError(
-                f"{self.name}: {name} shape {array.shape}, expected {expected}"
-            )
-        return self.dtype.quantize(array)
+        return self._stored((self.batch, self.layout.seq_len, self.d_head),
+                            **{name: array})[0]
 
 
 class BlockSparseMatMulSDD(_BlockSparseMatMulBase):

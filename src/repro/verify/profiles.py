@@ -127,9 +127,6 @@ class ErrorProfile:
                         contract.max_row_kl))
         return out
 
-    def satisfies(self, contract: ErrorProfileContract) -> bool:
-        return not self.exceedances(contract)
-
     def describe(self) -> str:
         parts = [
             f"ulp={self.max_ulp}",
