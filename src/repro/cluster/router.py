@@ -30,6 +30,7 @@ from repro.obs.tracer import current_tracer
 from repro.cluster.metrics import ClusterPlanReport, ClusterReport
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
+from repro.serving.costmodel import check_softmax_rows
 from repro.serving.engine import DEFAULT_MAX_EPOCH
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
 from repro.serving.loop import arrival_events, run_loop
@@ -131,6 +132,8 @@ class ClusterSimulator:
             t=t, draft_model=draft_model, draft_len=draft_len,
             accept_rate=accept_rate,
         )
+        check_softmax_rows(self._stream, self.model, self.gpu, self.plan,
+                           **self._replica_kwargs)
         self.num_replicas = replicas
         self._costs = costs
 

@@ -68,6 +68,7 @@ from repro.controlplane.report import (
     TierReport,
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
+from repro.serving.costmodel import check_softmax_rows
 from repro.serving.metrics import LatencyStats
 from repro.serving.loop import run_loop
 from repro.serving.simulator import ENGINE_MODES
@@ -149,19 +150,17 @@ class ControlledReplica(Replica):
 
         Resident means running or waiting: running requests lose their
         KV blocks and must recompute prompt plus generated tokens
-        (exactly the scheduler's preemption semantics); waiting ones
-        just re-queue.  Tokens already streamed stay streamed —
-        ``first_token_time`` and ``generated`` survive.
+        (:meth:`~repro.serving.requests.Request.evict`, the scheduler's
+        preemption reset); waiting ones just re-queue.  Tokens already
+        streamed stay streamed — ``first_token_time`` and ``generated``
+        survive.
         """
         residents = list(self.scheduler.running) + \
             list(self.scheduler.waiting)
         for request in self.scheduler.running:
             self.memory.release(request.request_id)
         for request in residents:
-            request.kv_tokens = 0
-            request.prefilled = 0
-            request.prefill_target = request.prompt_len + request.generated
-            request.status = RequestStatus.WAITING
+            request.evict()
         self.scheduler.running = []
         self.scheduler.waiting.clear()
         self.state = DEAD
@@ -253,6 +252,8 @@ class ControlPlaneSimulator:
             max_batch=max_batch, block_tokens=block_tokens,
             reserve_fraction=reserve_fraction, t=t,
         )
+        check_softmax_rows(self._arrays, self.model, self.gpu, self.plan,
+                           **self._replica_kwargs)
         if autoscaler is not None and autoscaler.cold_start_s is not None:
             cold_start_s = autoscaler.cold_start_s
         self.cold_start_s = (

@@ -23,6 +23,7 @@ Two properties of this kernel drive the paper's analysis:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -171,14 +172,18 @@ class RowSoftmaxKernel(Kernel):
             bytes_in_flight_per_warp=MLP_REDUCTION,
         )
 
-    def compute(self, x: np.ndarray) -> np.ndarray:
-        """Safe softmax along the last axis with fp16 storage semantics."""
+    def _stored_rows(self, x: np.ndarray) -> np.ndarray:
+        """``x`` at the storage dtype, checked to hold ``length``-long
+        rows."""
         if x.shape[-1] != self.length:
             raise ShapeError(
                 f"{self.name}: row length {x.shape[-1]}, expected {self.length}"
             )
-        x = self.dtype.quantize(x)
-        return self.dtype.quantize(safe_softmax(x, axis=-1))
+        return self.dtype.quantize(x)
+
+    def compute(self, x: np.ndarray) -> np.ndarray:
+        """Safe softmax along the last axis with fp16 storage semantics."""
+        return self.dtype.quantize(safe_softmax(self._stored_rows(x), axis=-1))
 
 
 class BatchedRowSoftmaxKernel(RowSoftmaxKernel):
@@ -262,11 +267,7 @@ class OnlineRowSoftmaxKernel(RowSoftmaxKernel):
         """Online softmax along the last axis (fp16 storage)."""
         from repro.core.online import online_softmax
 
-        if x.shape[-1] != self.length:
-            raise ShapeError(
-                f"{self.name}: row length {x.shape[-1]}, expected {self.length}"
-            )
-        return self.dtype.quantize(online_softmax(self.dtype.quantize(x)))
+        return self.dtype.quantize(online_softmax(self._stored_rows(x)))
 
 
 def verification_oracles():
@@ -318,3 +319,27 @@ def verification_oracles():
             {DType.FP32: EXACT, DType.FP16: EXACT},
         ),
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def longest_row(spec: GPUSpec, dtype: DType = DType.FP16) -> int:
+    """Longest row :class:`RowSoftmaxKernel` can launch on ``spec``: its
+    thread block stages the whole row in shared memory.  A bisection
+    over :func:`~repro.gpu.occupancy.compute_occupancy`; prices nothing.
+    """
+
+    def fits(length: int) -> bool:
+        try:
+            compute_occupancy(spec, RowSoftmaxKernel(
+                1, length, dtype=dtype).launch_spec(spec).tb)
+        except KernelError:
+            return False
+        return True
+
+    low, high = 1, 2
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low

@@ -93,6 +93,15 @@ class Request:
         if self.prefill_target == 0:
             self.prefill_target = self.prompt_len
 
+    def evict(self) -> None:
+        """Drop the KV cache and go back to waiting: evict-and-recompute
+        must rebuild the KV entries of the prompt and of every token
+        generated so far.  Tokens already streamed stay streamed."""
+        self.kv_tokens = 0
+        self.prefilled = 0
+        self.prefill_target = self.prompt_len + self.generated
+        self.status = RequestStatus.WAITING
+
     @property
     def total_tokens(self) -> int:
         """KV footprint when the request completes, in tokens."""

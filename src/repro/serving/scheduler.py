@@ -167,10 +167,7 @@ class ContinuousBatchingScheduler:
     def _preempt_tail(self, now: float) -> Request:
         victim = self.running.pop()
         self.memory.release(victim.request_id)
-        victim.kv_tokens = 0
-        victim.prefilled = 0
-        victim.prefill_target = victim.prompt_len + victim.generated
-        victim.status = RequestStatus.WAITING
+        victim.evict()
         victim.preemptions += 1
         self.preemption_events += 1
         self.waiting.appendleft(victim)

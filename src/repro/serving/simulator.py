@@ -35,7 +35,11 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import current_tracer
-from repro.serving.costmodel import StepCostModel, shared_cost_model
+from repro.serving.costmodel import (
+    StepCostModel,
+    check_softmax_rows,
+    shared_cost_model,
+)
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.loop import arrival_events, run_loop
 from repro.serving.memory import KVBlockManager
@@ -140,6 +144,11 @@ class ServingSimulator:
             draft_model, self.gpu, draft_len=draft_len,
             accept_rate=accept_rate, plan=self.plan, dtype=self.dtype,
             t=self.t, kv_bucket=block_tokens, costs=costs)
+        check_softmax_rows(
+            self._stream, self.model, self.gpu, self.plan, dtype=dtype,
+            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
+            draft_model=draft_model, draft_len=draft_len,
+            accept_rate=accept_rate)
 
     @property
     def num_requests(self) -> int:

@@ -493,3 +493,90 @@ class TestGenerationHBM:
         with pytest.raises(ConfigError, match="exceeding"):
             GenerationSession("gpt-neo-1.3b", gpu=gpu,
                               prompt_len=2048, generated_tokens=64)
+
+
+class TestSoftmaxRowLimit:
+    """Rows the monolithic row softmax cannot hold fail before the
+    first step, and only those."""
+
+    LONG = {"arrival_time": 0.0, "prompt_len": 45056, "output_len": 8}
+
+    @pytest.mark.parametrize("gpu, limit", [
+        ("A100", 41984), ("RTX 3090", 25600), ("T4", 16384),
+        ("H100", 58368),
+    ])
+    def test_longest_row(self, gpu, limit):
+        from repro.kernels.softmax import longest_row
+
+        for dtype in (DType.FP16, DType.FP32):
+            assert longest_row(get_gpu(gpu), dtype) == limit
+
+    def test_longest_row_prices_nothing(self):
+        from repro.kernels.softmax import longest_row
+        from repro.obs.tracer import Tracer, tracing
+
+        with tracing(Tracer()) as tracer:
+            longest_row.__wrapped__(get_gpu("A100"), DType.FP16)
+        assert tracer.event_count == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-sim"], ["cluster-sim"], ["cluster-sim", "--jobs", "2"],
+        ["controlplane-sim"],
+    ])
+    def test_long_trace_fails_before_the_first_step(self, argv, tmp_path,
+                                                    capsys, monkeypatch):
+        from repro.cli import console
+        from repro.serving.engine import EpochEngine
+
+        def stepped(*args, **kwargs):
+            raise AssertionError("an engine step ran")
+
+        monkeypatch.setattr(EpochEngine, "_classic_step", stepped)
+        monkeypatch.setattr(EpochEngine, "_advance_epoch", stepped)
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps(self.LONG) + "\n")
+        assert console([*argv, "--model", "bert-large",
+                        "--trace-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {argv[0]}: error: request 0 needs a "
+                              f"45120-key softmax row")
+        assert "at most 41984 keys on A100" in err
+        assert "decode runs it under every plan" in err
+
+    def run(self, prompt_len, output_len, plan="baseline", **kwargs):
+        return ServingSimulator(
+            "bert-large", "a100", plan=plan,
+            requests=[Request(request_id=0, arrival_time=0.0,
+                              prompt_len=prompt_len, output_len=output_len)],
+            **kwargs).run()
+
+    @pytest.mark.parametrize("last_kv", [41984 - 64, 41984])
+    def test_rows_up_to_the_limit_run(self, last_kv):
+        """The last decode step's KV is prompt + output - 1."""
+        assert self.run(last_kv - 64, 65).finished == 1
+
+    def test_one_token_past_the_limit_fails(self):
+        with pytest.raises(ServingError, match="42048-key softmax row"):
+            self.run(41920, 66, plan="sdf")
+
+    def test_long_prompt_without_decode_runs_under_sdf_only(self):
+        assert self.run(45056, 1, plan="sdf").finished == 1
+        with pytest.raises(ServingError, match="45056-key softmax row"):
+            self.run(45056, 1)
+
+    def test_speculative_verify_rows_decompose_under_sdf(self):
+        """With γ = 4 at acceptance 1 the last round verifies five
+        tokens (a decomposed prefill-shaped row under SDF) and its draft
+        decodes at KV 41,981: nothing reaches the limit."""
+        spec = dict(draft_model="bert-large", draft_len=4, accept_rate=1.0)
+        assert self.run(41920, 66, plan="sdf", **spec).finished == 1
+        with pytest.raises(ServingError, match="41985-key softmax row"):
+            self.run(41920, 66, **spec)
+
+    def test_requests_memory_rejects_are_not_checked(self):
+        report = ServingSimulator(
+            "bert-large", tiny_gpu(), requests=[Request(
+                request_id=0, arrival_time=0.0, prompt_len=45056,
+                output_len=8)]).run()
+        assert report.rejected == 1
