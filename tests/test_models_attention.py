@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.common import PlanError, ShapeError
+from repro.common.dtypes import DType
+from repro.core.plan import AttentionPlan
 from repro.gpu import Device
 from repro.kernels.softmax import safe_softmax
 from repro.models import AttentionKind, AttentionSpec, SDABlock
@@ -71,6 +73,39 @@ class TestDensePlans:
                          spec=spec, plan="baseline")
         out = block.forward(q, k, v)
         np.testing.assert_allclose(out[:, 0], np.float16(v[:, 0]), atol=1e-3)
+
+    @pytest.mark.parametrize("plan", [p.value for p in AttentionPlan])
+    def test_causal_queries_end_aligned_over_longer_kv(self, plan):
+        """32 causal queries over 128 keys are the last 32 positions:
+        query i sees keys 0 .. 96 + i.  Every plan that builds the shape
+        matches a float64 reference."""
+        m, kv, d = 32, 128, 64
+        rng = np.random.default_rng(7)
+        q = rng.standard_normal((4, m, d)).astype(np.float32)
+        k, v = (rng.standard_normal((4, kv, d)).astype(np.float32)
+                for _ in range(2))
+        try:
+            block = SDABlock(batch=1, num_heads=4, seq_len=m, kv_seq_len=kv,
+                             d_head=d, spec=AttentionSpec(
+                                 kind=AttentionKind.DENSE_CAUSAL),
+                             plan=plan, dtype=DType.FP32)
+        except PlanError:
+            assert plan in ("fused-mha", "flash")
+            return
+        scores = np.matmul(q.astype(np.float64),
+                           np.swapaxes(k, 1, 2).astype(np.float64)) / 8.0
+        future = np.arange(kv)[None, :] > (kv - m + np.arange(m))[:, None]
+        scores = np.where(future, -np.inf, scores)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(block.forward(q, k, v), probs @ v,
+                                   atol=2e-6)
+
+    def test_causal_kv_shorter_than_queries_rejected(self):
+        with pytest.raises(ShapeError, match="kv_seq_len >= seq_len"):
+            SDABlock(batch=1, num_heads=2, seq_len=128, kv_seq_len=64,
+                     d_head=8, spec=AttentionSpec(
+                         kind=AttentionKind.DENSE_CAUSAL))
 
     def test_shape_validation(self):
         block = SDABlock(batch=1, num_heads=2, seq_len=32, d_head=8,
