@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-serving bench-serving-smoke verify \
+.PHONY: test test-fast parity-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
 	approx-smoke tune-smoke moe-smoke parallel-smoke scenario-smoke \
 	plans-smoke results-check bench-counts
@@ -184,9 +184,6 @@ plans-smoke:
 		/tmp/plans_generate_sdf_chunked_smoke.json \
 		tests/golden/plans_generate_sdf_chunked_smoke.json
 
-bench:
-	$(PYTHON) benchmarks/bench_selfperf.py
-
 # Regenerate the paper tables and figures (benchmarks/results/*.txt)
 # and fail if any of them differs from the committed copy.
 results-check:
@@ -194,18 +191,23 @@ results-check:
 		--benchmark-disable -q -p no:cacheprovider
 	git diff --exit-code benchmarks/results
 
-# Full-scale serving benchmark: 100k-request event-vs-epoch timing
-# (byte-identical reports required) plus the million-request sharded
-# cluster smoke; writes BENCH_serving.json (see docs/performance.md).
-bench-serving:
-	$(PYTHON) benchmarks/bench_serving.py
-
-# Small-N CI smoke of the same harness; at this scale the equivalence
-# check runs in exact-percentile mode, the strictest comparison.
-bench-serving-smoke:
-	$(PYTHON) benchmarks/bench_serving.py --requests 2000 \
-		--cluster-requests 4000 --jobs 2 \
-		--output /tmp/bench_serving_smoke.json
+# The serving engines' parity checks.  serve-decode's first run replays
+# the leading 2,000 requests of its GPT-Neo / A100 / SDF decode-heavy
+# stream (seed 7) under the classic event loop and the epoch engine,
+# and exits non-zero unless the two reports are byte-identical; a
+# four-replica round-robin cluster run of ~4,000 requests must print
+# the same JSON with two worker processes as serially.
+parity-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workloads serve-decode \
+		--repetitions 1
+	for jobs in 1 2; do \
+		$(PYTHON) -m repro cluster-sim --model bert-large --replicas 4 \
+			--policy round-robin --rate 8 --duration 500 --seed 7 \
+			--plans sdf --jobs $$jobs --json \
+			> /tmp/parity_cluster_jobs$$jobs.json || exit 1; \
+	done
+	cmp /tmp/parity_cluster_jobs1.json /tmp/parity_cluster_jobs2.json
+	@echo "parity-smoke ok: cluster-sim --jobs 2 matches --jobs 1"
 
 verify:
 	$(PYTHON) -m repro verify

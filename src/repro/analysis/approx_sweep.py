@@ -47,7 +47,6 @@ from repro.kernels.approx import (
     BAPSSoftmaxKernel,
     FlashDAttentionKernel,
     baseline_softmax_counters,
-    flash_softmax_counters,
 )
 from repro.kernels.base import Kernel
 from repro.models.attention import BLOCK_TILES, dense_attention_table
@@ -78,6 +77,16 @@ _SDF_T = 64
 
 #: Rows and row length the instruction/traffic counters are taken at.
 _COUNTER_SHAPE = 4096
+
+#: ``Variant.kernels`` shape per variant kind for the counters: 4096
+#: rows of 4096 scores, or a 64-head self-attention block over 4096
+#: tokens (a whole-block kernel takes no cross-attention shape).
+_COUNTER_KERNELS = {
+    "softmax": {"batch_heads": _COUNTER_SHAPE, "m": 1,
+                "kv_len": _COUNTER_SHAPE},
+    "attention": {"batch_heads": _COUNTER_SHAPE // 64, "m": _COUNTER_SHAPE,
+                  "kv_len": _COUNTER_SHAPE},
+}
 
 
 def _sdf_counters(dtype: DType) -> "dict[str, float]":
@@ -166,9 +175,8 @@ class Variant:
                 f.name: accuracy[f.name] for f in fields(ErrorProfile)
             }).exceedances(contract)
         counters = (self.counters(dtype) if self.counters is not None
-                    else self.kernels(dtype, batch_heads=_COUNTER_SHAPE, m=1,
-                                      kv_len=_COUNTER_SHAPE)[self.role]
-                    .counters())
+                    else self.kernels(dtype, **_COUNTER_KERNELS[self.kind])
+                    [self.role].counters())
         return VariantReport(
             name=self.name, kind=self.kind, accuracy=accuracy,
             contract=None if contract is None else asdict(contract),
@@ -187,9 +195,7 @@ VARIANTS = (
     Variant("baps", AttentionPlan.BASELINE, "softmax.baps_kernel",
             "softmax", _row_softmax(BAPSSoftmaxKernel)),
     Variant("flashd", AttentionPlan.FLASH, "attention.flashd_vs_exact",
-            "flash", _flashd,
-            counters=lambda dtype: flash_softmax_counters(
-                _COUNTER_SHAPE // 64, _COUNTER_SHAPE, 64, dtype)),
+            "flash", _flashd),
 )
 _ROWS = {v.name: v for v in VARIANTS}
 
@@ -232,10 +238,11 @@ class VariantReport:
     infeasible: "list[dict[str, object]]" = field(default_factory=list)
 
     @property
-    def mean_speedup(self) -> float:
-        """Geometric-mean speedup over the grid (1.0 with no points)."""
+    def mean_speedup(self) -> "float | None":
+        """Geometric-mean speedup over the grid; ``None`` when no grid
+        point priced."""
         if not self.points:
-            return 1.0
+            return None
         logs = [np.log(p.speedup) for p in self.points if p.speedup > 0]
         return float(np.exp(np.mean(logs))) if logs else 0.0
 
@@ -354,16 +361,13 @@ def _price(variant: Variant, model: ModelConfig, seq_len: int, dtype: DType,
     return time_s, float(dram) if variant.kind == "softmax" else dram
 
 
-def _pareto_frontier(
-    variants: "dict[str, VariantReport]",
-) -> "list[str]":
-    """Names on the accuracy-speed frontier (softmax variants only).
+def _pareto_frontier(softmax: "list[VariantReport]") -> "list[str]":
+    """Names on the accuracy-speed frontier of ``softmax``.
 
     A variant is dominated when another is at least as good on both
     axes (p99 row error down, mean speedup up) and strictly better on
     one.
     """
-    softmax = [variants[n] for n in SOFTMAX_VARIANTS]
     return [v.name for v in softmax if not any(
         o.p99_row_err <= v.p99_row_err and o.mean_speedup >= v.mean_speedup
         and (o.p99_row_err < v.p99_row_err
@@ -412,13 +416,15 @@ def run_sweep(
                     baseline_time_s=base_time,
                 ))
 
+    # A variant with no priced point has no speedup to compare.
+    priced = [variants[n] for n in SOFTMAX_VARIANTS if variants[n].points]
     baseline = variants["baseline"]
     dominates = [
-        name for name in SOFTMAX_VARIANTS
-        if name != "baseline"
-        and variants[name].mean_speedup > 1.0
-        and all(p.speedup > 1.0 for p in variants[name].points)
-        and variants[name].p99_row_err <= baseline.p99_row_err
+        v.name for v in priced
+        if v.name != "baseline"
+        and v.mean_speedup > 1.0
+        and all(p.speedup > 1.0 for p in v.points)
+        and v.p99_row_err <= baseline.p99_row_err
     ]
     return {
         "schema": APPROX_SWEEP_SCHEMA,
@@ -432,7 +438,7 @@ def run_sweep(
         "seq_lens": list(seq_lens),
         "sdf_t": _SDF_T,
         "variants": {n: v.to_dict() for n, v in variants.items()},
-        "pareto_frontier": _pareto_frontier(variants),
+        "pareto_frontier": _pareto_frontier(priced),
         "dominates_baseline": dominates,
     }
 
@@ -452,10 +458,11 @@ def render_sweep(report: "dict[str, object]") -> str:
                    None: "exact (no budget)"}[v["contract_satisfied"]]
         kl = (f" row_kl={acc['max_row_kl']:.2e}"
               if acc.get("max_row_kl") is not None else "")
+        speed = ("no feasible points" if v["mean_speedup"] is None
+                 else f"x{v['mean_speedup']:.2f} mean speedup")
         lines.append(
-            f"  {name:<9} ({v['kind']}): x{v['mean_speedup']:.2f} "
-            f"mean speedup, p99_row_err={acc['p99_row_err']:.2e}"
-            f"{kl}, {verdict}"
+            f"  {name:<9} ({v['kind']}): {speed}, "
+            f"p99_row_err={acc['p99_row_err']:.2e}{kl}, {verdict}"
         )
         lines.extend(
             f"    infeasible at {p['model']} L={p['seq_len']}: {p['error']}"

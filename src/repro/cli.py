@@ -27,7 +27,6 @@ Commands
 ``approx-sweep`` accuracy-vs-speed Pareto report of the approximate
                  softmax kernels (LUT, BAPS, FLASH-D) against SDF and
                  the baseline
-``selfbench``    benchmark the simulator itself (fast path vs baseline)
 
 Output contract
 ---------------
@@ -620,27 +619,6 @@ def cmd_approx_sweep(args: argparse.Namespace) -> str:
     return emit(report, render_sweep(report), args)
 
 
-def cmd_selfbench(args: argparse.Namespace) -> str:
-    if args.suite == "serving":
-        from repro.analysis.servingbench import run_serving_selfbench
-
-        report = run_serving_selfbench(
-            requests=args.requests,
-            cluster_requests=args.cluster_requests,
-            jobs=args.jobs,
-            seed=args.seed,
-        )
-        if not report.ok:
-            args._exit_code = 1
-        return emit(report.to_dict(), report.render(), args)
-
-    from repro.analysis.selfperf import run_selfbench
-
-    report = run_selfbench(repetitions=args.repetitions, jobs=args.jobs,
-                           seed=args.seed)
-    return emit(report.to_dict(), report.render(), args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -834,32 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy-stage input seed")
     _add_output(p_apx)
     p_apx.set_defaults(func=cmd_approx_sweep)
-
-    p_sbn = sub.add_parser("selfbench",
-                           help="benchmark the simulator itself "
-                                "(cache + vectorization fast path, or the "
-                                "serving epoch engine)")
-    p_sbn.add_argument("--suite", choices=("selfperf", "serving"),
-                       default="selfperf",
-                       help="selfperf: sweep/driver fast path; serving: "
-                            "epoch engine vs event loop + sharded cluster "
-                            "smoke (writes BENCH_serving.json via --output)")
-    p_sbn.add_argument("--repetitions", type=int, default=5,
-                       help="workload repetitions (selfperf suite)")
-    p_sbn.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (selfperf sweeps / serving "
-                            "cluster shards)")
-    p_sbn.add_argument("--requests", type=int, default=100_000,
-                       help="stream size for the serving suite's "
-                            "event-vs-epoch workload")
-    p_sbn.add_argument("--cluster-requests", type=int, default=1_000_000,
-                       help="stream size for the serving suite's sharded "
-                            "cluster smoke")
-    p_sbn.add_argument("--seed", type=int, default=7,
-                       help="workload / dataset seed (recorded in the "
-                            "result envelope)")
-    _add_output(p_sbn)
-    p_sbn.set_defaults(func=cmd_selfbench)
 
     p_trc = sub.add_parser(
         "trace",

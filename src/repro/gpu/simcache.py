@@ -22,8 +22,8 @@ thesis (do the reduction once, reuse it everywhere):
 Both caches expose hit/miss counters (:func:`stats`), explicit
 invalidation (:func:`invalidate`), and an escape hatch: set the
 environment variable ``REPRO_SIMCACHE=0`` to disable all caching and
-fall back to the pre-cache behaviour (used by ``bench_selfperf`` to
-measure the baseline path).
+fall back to the pre-cache behaviour (``tests/test_simcache.py`` runs
+the same workloads both ways as the differential reference).
 """
 
 from __future__ import annotations

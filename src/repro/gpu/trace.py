@@ -1,64 +1,24 @@
-"""Profile export: Chrome-trace timelines and kernel tables.
+"""Profile export: kernel tables.
 
 The paper's methodology uses NVIDIA Nsight Compute to inspect
 per-kernel time and DRAM traffic; this module provides the equivalent
-artifacts for simulated profiles:
+text artifacts for simulated profiles:
 
-- :func:`to_chrome_trace` — a ``chrome://tracing`` / Perfetto JSON
-  timeline with one slice per kernel (category-coloured, traffic and
-  bandwidth in the args);
 - :func:`to_kernel_table` — a CSV-style text table of every launch;
 - :func:`summarize` — the per-category rollup as plain text.
+
+Kernel spans as a Chrome trace come from ``repro trace --sim
+inference`` (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.analysis.reporting import render_table
 from repro.gpu.profiler import Profile
 
 _MICRO = 1e6
-
-
-def to_chrome_trace(profile: Profile, *, process_name: str = "GPU") -> str:
-    """Serialise ``profile`` as a Chrome-trace JSON string.
-
-    Kernels are laid back to back on one timeline row (the simulated
-    device executes one kernel at a time, like a single CUDA stream).
-    """
-    events = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    cursor = 0.0
-    for index, record in enumerate(profile):
-        duration = record.time * _MICRO
-        events.append({
-            "name": record.name,
-            "cat": record.category,
-            "ph": "X",
-            "pid": 0,
-            "tid": 0,
-            "ts": cursor,
-            "dur": duration,
-            "args": {
-                "index": index,
-                "dram_read_bytes": record.dram_read_bytes,
-                "dram_write_bytes": record.dram_write_bytes,
-                "tensor_flops": record.tensor_flops,
-                "cuda_flops": record.cuda_flops,
-                "bandwidth_utilization": record.bandwidth_utilization,
-                "bound": record.bound,
-            },
-        })
-        cursor += duration
-    return json.dumps({"traceEvents": events}, indent=None)
 
 
 def to_kernel_table(profile: Profile, *, limit: Optional[int] = None) -> str:

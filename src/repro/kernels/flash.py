@@ -29,8 +29,6 @@ benchmark suite positions it against SDF.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.common.dtypes import DType
@@ -181,10 +179,12 @@ class FlashAttentionKernel(Kernel):
     ) -> np.ndarray:
         """Run the K/V recurrence for ``(bh, nt, rows, d)`` Q tiles.
 
-        For causal attention, K/V tiles entirely above a Q tile's
-        diagonal contribute fully ``-inf`` scores, which the recurrence
-        treats as exact no-ops — equivalent to the early ``break`` of
-        the tile-by-tile loop.
+        For causal attention, a K/V tile entirely above a Q tile's
+        diagonal skips that Q tile, as the early ``break`` of the
+        tile-by-tile loop does; the Q tiles still active form a suffix
+        of ``starts``.  (A fully ``-inf`` tile is an exact no-op for
+        the stock update, but FLASH-D's rescale by ``l * (1 / l)`` can
+        move its accumulator by an ulp.)
         """
         bh, nt, rows, d = q_tiles.shape
         length = self.seq_len
@@ -193,25 +193,30 @@ class FlashAttentionKernel(Kernel):
         l = np.zeros((bh, nt, rows), dtype=np.float32)
         acc = np.zeros((bh, nt, rows, d), dtype=np.float32)
         qi = (starts[:, None] + np.arange(rows)[None, :])[:, :, None]
-        last_active = int(starts[-1]) + rows - 1
+        last_rows = starts + rows - 1
         for k0 in range(0, length, TILE_KV):
             k1 = min(k0 + TILE_KV, length)
-            if self.causal and k0 > last_active:
+            lo = int(np.searchsorted(last_rows, k0)) if self.causal else 0
+            if lo == nt:
                 break  # above every tile's diagonal
-            s = np.matmul(q_tiles, np.swapaxes(k[:, None, k0:k1], 2, 3),
+            s = np.matmul(q_tiles[:, lo:],
+                          np.swapaxes(k[:, None, k0:k1], 2, 3),
                           dtype=np.float32) * scale
             if self.causal:
                 kj = np.arange(k0, k1)[None, None, :]
-                s = np.where(kj > qi, -np.inf, s)
-            m, l, acc = online_softmax_tile(m, l, acc, s, v[:, None, k0:k1],
-                                            self._accumulate)
+                s = np.where(kj > qi[lo:], -np.inf, s)
+            m[:, lo:], l[:, lo:], acc[:, lo:] = online_softmax_tile(
+                m[:, lo:], l[:, lo:], acc[:, lo:], s, v[:, None, k0:k1],
+                self._accumulate,
+            )
         return self._finish(acc, l)
 
     def compute_reference(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
         """Pre-vectorization tile-by-tile loop, kept as the golden
-        reference for the batched :meth:`compute`."""
+        reference for the batched :meth:`compute`: the same per-tile
+        update and epilogue, one Q tile at a time."""
         q, k, v = self._check_qkv(q, k, v)
         bh, length, d = self.batch_heads, self.seq_len, self.d_head
         scale = np.float32(self.scale)
@@ -234,23 +239,9 @@ class FlashAttentionKernel(Kernel):
                     qi = np.arange(q0, q1)[:, None]
                     kj = np.arange(k0, k1)[None, :]
                     s = np.where(kj > qi, -np.inf, s)
-                tile_max = s.max(axis=-1)
-                m_new = np.maximum(m, tile_max)
-                safe_m = np.where(np.isfinite(m_new), m_new, 0.0)
-                p = np.where(np.isfinite(s), np.exp(s - safe_m[..., None]),
-                             0.0)
-                correction = np.where(
-                    np.isfinite(m), np.exp(m - safe_m), 0.0
-                )
-                l = l * correction + p.sum(axis=-1)
-                acc = acc * correction[..., None] + np.matmul(
-                    p, v[:, k0:k1], dtype=np.float32
-                )
-                m = m_new
-            out[:, q0:q1] = np.divide(
-                acc, l[..., None], out=np.zeros_like(acc),
-                where=l[..., None] > 0,
-            )
+                m, l, acc = online_softmax_tile(m, l, acc, s, v[:, k0:k1],
+                                                self._accumulate)
+            out[:, q0:q1] = self._finish(acc, l)
         return self.dtype.quantize(out)
 
 

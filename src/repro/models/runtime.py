@@ -90,8 +90,8 @@ class InferenceResult:
         """Versioned JSON-ready document (``repro.result/v1``).
 
         Carries the headline numbers and the per-category breakdowns;
-        the kernel-level profile is exported separately by
-        :func:`repro.gpu.trace.to_chrome_trace`.
+        kernel-level spans are exported separately by
+        ``repro trace --sim inference``.
         """
         from repro.common.results import result_dict
 

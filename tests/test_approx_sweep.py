@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.approx_sweep import (
@@ -17,6 +16,8 @@ from repro.analysis.approx_sweep import (
 from repro.common.dtypes import DType
 from repro.common.results import APPROX_SWEEP_SCHEMA
 from repro.gpu.specs import get_gpu
+from repro.kernels.approx import FlashDAttentionKernel
+from repro.kernels.flash import TILE_KV
 from repro.models import get_model
 
 A100 = get_gpu("A100")
@@ -178,6 +179,14 @@ class TestSpeedModel:
         assert (report["variants"]["lut"]["counters"]["div_ops"]
                 < report["variants"]["baseline"]["counters"]["div_ops"])
 
+    def test_flashd_counters_are_its_kernels_own(self):
+        """One reciprocal per row per K/V tile, not the stock
+        epilogue's d_head divisions per row."""
+        counters = small_sweep(cases=1)["variants"]["flashd"]["counters"]
+        kernel = FlashDAttentionKernel(64, 4096, 64, dtype=DType.FP16)
+        assert counters == kernel.counters()
+        assert counters["div_ops"] == 64 * 4096 * (4096 // TILE_KV)
+
 
 class TestVariantRows:
     def test_softmax_variants_are_the_softmax_rows(self):
@@ -233,3 +242,21 @@ class TestInfeasiblePoints:
         assert report["variants"]["sdf"]["points"] == []
         for name in ("baseline", "lut", "baps", "flashd"):
             assert len(report["variants"][name]["points"]) == 1, name
+
+    def test_variant_with_no_priced_point_has_no_speedup(self):
+        """On a T4 no FlashAttention launch fits, and SD cannot split
+        a 100-token row: neither variant reports a speedup, and
+        neither is compared on the frontier."""
+        t4 = small_sweep(gpu=get_gpu("T4"), seq_lens=(256,), cases=1)
+        assert t4["variants"]["flashd"]["points"] == []
+        assert t4["variants"]["flashd"]["mean_speedup"] is None
+        assert '"mean_speedup": null' in json.dumps(t4["variants"]["flashd"])
+        assert ("flashd    (attention): no feasible points"
+                in render_sweep(t4))
+
+        ragged = small_sweep(seq_lens=(100,), cases=1)
+        assert ragged["variants"]["sdf"]["mean_speedup"] is None
+        assert "sdf" not in ragged["pareto_frontier"]
+        assert "sdf" not in ragged["dominates_baseline"]
+        assert "sdf       (softmax): no feasible points" in render_sweep(
+            ragged)

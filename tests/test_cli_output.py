@@ -41,7 +41,6 @@ FAST_ARGS = {
     "verify": ["--quick"],
     "approx-sweep": ["--models", "bert-large", "--seq-lens", "256",
                      "--cases", "1"],
-    "selfbench": ["--repetitions", "1"],
     "tune": ["--rate", "2", "--duration", "3", "--budget", "6"],
 }
 
@@ -63,7 +62,6 @@ EXPECTED_KIND = {
     "controlplane-sim": "controlplane-report",
     "verify": "reproduction",
     "approx-sweep": "approx-sweep",
-    "selfbench": "selfbench",
     "tune": "tuned-plan",
 }
 

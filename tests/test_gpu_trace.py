@@ -1,49 +1,14 @@
-"""Tests for profile export (Chrome trace, kernel tables, summaries)."""
-
-import json
+"""Tests for profile export (kernel tables, summaries)."""
 
 import pytest
 
-from repro.gpu.trace import summarize, to_chrome_trace, to_kernel_table
+from repro.gpu.trace import summarize, to_kernel_table
 from repro.models import BERT_LARGE, InferenceSession
 
 
 @pytest.fixture(scope="module")
 def profile():
     return InferenceSession(BERT_LARGE, seq_len=1024).simulate().profile
-
-
-class TestChromeTrace:
-    def test_valid_json_with_all_kernels(self, profile):
-        data = json.loads(to_chrome_trace(profile))
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        assert len(slices) == len(profile)
-
-    def test_slices_are_contiguous(self, profile):
-        data = json.loads(to_chrome_trace(profile))
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        cursor = 0.0
-        for event in slices:
-            assert event["ts"] == pytest.approx(cursor)
-            cursor += event["dur"]
-
-    def test_total_duration_matches_profile(self, profile):
-        data = json.loads(to_chrome_trace(profile))
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        total_us = sum(e["dur"] for e in slices)
-        assert total_us == pytest.approx(profile.total_time() * 1e6)
-
-    def test_args_carry_traffic(self, profile):
-        data = json.loads(to_chrome_trace(profile))
-        slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
-        total = sum(e["args"]["dram_read_bytes"]
-                    + e["args"]["dram_write_bytes"] for e in slices)
-        assert total == pytest.approx(profile.total_dram_bytes())
-
-    def test_process_name_metadata(self, profile):
-        data = json.loads(to_chrome_trace(profile, process_name="sim"))
-        meta = [e for e in data["traceEvents"] if e["ph"] == "M"]
-        assert meta[0]["args"]["name"] == "sim"
 
 
 class TestTables:

@@ -1,6 +1,7 @@
 """Simulation-cache correctness: hits, invalidation, the escape hatch."""
 
-import numpy as np
+import functools
+
 import pytest
 
 from repro.common.errors import DeviceError
@@ -8,7 +9,9 @@ from repro.gpu import simcache
 from repro.gpu.costmodel import time_kernel
 from repro.gpu.specs import get_gpu
 from repro.kernels.matmul import MatMulKernel
+from repro.models.config import all_models
 from repro.models.runtime import InferenceSession
+from repro.workloads import DatasetBenchmark, SyntheticTriviaQA
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +21,19 @@ def _fresh_caches(monkeypatch):
     simcache.invalidate()
     yield
     simcache.invalidate()
+
+
+def _fig9a_point(model, plan):
+    result = InferenceSession(model, seq_len=1024, plan=plan).simulate()
+    return (result.total_time, result.total_dram_bytes,
+            result.offchip_energy)
+
+
+def _triviaqa_driver():
+    dataset = SyntheticTriviaQA(num_documents=16, seed=7)
+    report = DatasetBenchmark(dataset, "bigbird-large", plan="sdf",
+                              max_seq_len=1024).run()
+    return report.bucket_latency
 
 
 def _launch():
@@ -97,14 +113,20 @@ class TestSimulateCache:
         assert fresh.total_time == cached.total_time
         assert fresh.total_dram_bytes == cached.total_dram_bytes
 
-    def test_disabled_values_match_enabled(self, monkeypatch):
+    @pytest.mark.parametrize("workload", [
+        *(pytest.param(functools.partial(_fig9a_point, model.name, plan),
+                       id=f"{model.name}-{plan}")
+          for model in all_models() for plan in ("baseline", "sdf")),
+        pytest.param(_triviaqa_driver, id="triviaqa-driver"),
+    ])
+    def test_disabled_values_match_enabled(self, monkeypatch, workload):
+        """Cache off, cold and warm give the same values to the last
+        ulp on the Fig. 9(a) grid and the dataset driver."""
         monkeypatch.setenv(simcache.ENV_VAR, "0")
-        off = InferenceSession("bigbird-large", seq_len=1024).simulate()
+        off = workload()
         monkeypatch.setenv(simcache.ENV_VAR, "1")
-        on = InferenceSession("bigbird-large", seq_len=1024).simulate()
-        assert on.total_time == off.total_time
-        assert on.total_dram_bytes == off.total_dram_bytes
-        assert np.isclose(on.offchip_energy, off.offchip_energy, rtol=0)
+        cold, warm = workload(), workload()
+        assert off == cold == warm
 
 
 class TestSentinel:
