@@ -255,8 +255,9 @@ controlplane-smoke:
 
 # Traced serving simulation: the exported Chrome trace must parse and
 # its spans must strictly nest (see docs/observability.md).  Traced
-# serving and two-replica cluster runs must also export the same
-# events and summary on the epoch fast path as on the classic loop.
+# serving, two-replica cluster, speculative serving and control-plane
+# runs must also export the same events and summary on the epoch fast
+# path as on the classic loop (tools/trace_parity.py).
 trace-smoke:
 	$(PYTHON) -m repro trace --sim serving --rate 2 --duration 2 \
 		--seed 0 --json \
@@ -268,19 +269,14 @@ trace-smoke:
 		problems = validate_nesting(doc['traceEvents']); \
 		assert not problems, problems; \
 		print('trace-smoke ok:', len(doc['traceEvents']), 'events')"
-	for sim in "serving" "cluster --replicas 2"; do \
+	for sim in "serving" "cluster --replicas 2" \
+			"serving --draft-model bert-large --draft-len 3" \
+			"controlplane"; do \
 		for engine in event epoch; do \
 			$(PYTHON) -m repro trace --sim $$sim --rate 2 --duration 2 \
 				--seed 0 --engine $$engine --json \
 				> /tmp/trace_smoke_$$engine.json || exit 1; \
 		done; \
-		$(PYTHON) -c "import json; \
-			event, epoch = (json.load(open(f'/tmp/trace_smoke_{e}.json')) \
-				for e in ('event', 'epoch')); \
-			assert event['traceEvents'] == epoch['traceEvents'], \
-				'traced engines emit different events'; \
-			assert event['summary'] == epoch['summary'], \
-				'traced engines summarize differently'; \
-			print('trace-smoke engines agree:', \
-				len(epoch['traceEvents']), 'events')" || exit 1; \
+		$(PYTHON) tools/trace_parity.py /tmp/trace_smoke_event.json \
+			/tmp/trace_smoke_epoch.json || exit 1; \
 	done

@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 
@@ -283,7 +284,13 @@ def cmd_trace(args: argparse.Namespace) -> str:
                 seq_len=spec.workload.seq_len, batch=spec.workload.batch,
             ).simulate()
         tracer.set_clock(result.total_time)
-        headline = (f"trace of {len(result.profile)} kernel slices\n\n"
+        # The profile lists every launch; the trace holds one span per
+        # kernel pricing, and a layer repeated across the model is
+        # priced once.
+        spans = tracer.summary(include_metrics=False)["span_categories"]
+        priced = spans.get("kernel", {"count": 0})["count"]
+        headline = (f"profile of {len(result.profile)} kernel launches; "
+                    f"trace of {priced} priced-kernel spans\n\n"
                     + summarize(result.profile))
     elif args.sim == "serving":
         from repro.analysis.serving import render_serving_comparison
@@ -885,18 +892,30 @@ def main(argv: "list[str] | None" = None) -> int:
 def console(argv: "list[str] | None" = None) -> int:
     """:func:`main` for a shell: a :class:`~repro.common.errors.ReproError`
     prints ``repro <command>: error: <message>`` to stderr and exits 2,
-    like a bad flag, instead of a traceback."""
+    like a bad flag, instead of a traceback; a closed output pipe exits
+    1 without a message."""
     from repro.common.errors import ReproError
 
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         command = next((arg for arg in argv if not arg.startswith("-")),
                        None)
         prefix = "repro" if command is None else f"repro {command}"
         print(f"{prefix}: error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again,
+        # and exit 1 as Python does on EPIPE (the ``signal`` docs'
+        # SIGPIPE recipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

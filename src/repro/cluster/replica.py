@@ -34,8 +34,12 @@ from repro.gpu.interconnect import InterconnectSpec, NVLINK3
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
-from repro.obs.tracer import NULL_TRACER
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
+from repro.obs.tracer import NULL_TRACER, TraceEvent
+from repro.serving.engine import (
+    DEFAULT_MAX_EPOCH,
+    STEP_CATEGORY,
+    EpochEngine,
+)
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import RunOutcome
 from repro.serving.requests import Request
@@ -192,12 +196,13 @@ class Replica:
                                    max_new_steps=max_new_steps,
                                    lockstep=lockstep)
 
-    def _trace_step(self, record) -> None:
-        """The engine's ``on_step``: one ``replica step`` span plus the
-        communication and KV metrics, read from the step's
-        :class:`~repro.serving.engine.StepRecord`.  The lane and
-        instruments are looked up on the first step (earlier would
-        renumber the replica's tracks)."""
+    def _trace_step(self, block) -> None:
+        """The engine's ``on_step``: records the advance's
+        :class:`~repro.serving.engine.StepBlock` (one ``replica step``
+        span per step, built by :meth:`_step_events` when the trace is
+        read) and adds its communication time and KV occupancy to the
+        metrics.  The lane and instruments are looked up on the first
+        step (earlier would renumber the replica's tracks)."""
         if self._steps_lane is None:
             metrics = self.tracer.metrics
             self._steps_lane = self.tracer.track(self.trace_process,
@@ -206,18 +211,21 @@ class Replica:
                 f"{self.trace_process}.comm_time_s")
             self._kv_gauge = metrics.gauge(
                 f"{self.trace_process}.kv_blocks")
+        block.record(self.tracer, self._step_events, per_step=1)
+        self._comm_counter.add_all(block.comm)
+        self._kv_gauge.merge(*block.gauge(block.kv_blocks))
+
+    def _step_events(self, record) -> "tuple[TraceEvent]":
+        """One step's ``replica step`` span."""
         pid, tid = self._steps_lane
-        self.tracer.complete(
-            "replica step", "engine-step", ts=record.ts, dur=record.dur,
-            pid=pid, tid=tid,
-            args={"decode": record.decode,
-                  "prefill_tokens": record.prefill_tokens,
-                  "compute_s": record.dur - record.comm,
-                  "comm_s": record.comm,
-                  "running": record.running},
-        )
-        self._comm_counter.add(record.comm)
-        self._kv_gauge.set(record.kv_blocks)
+        return (TraceEvent(
+            "replica step", STEP_CATEGORY, "X", float(record.ts),
+            float(record.dur), pid, tid,
+            {"decode": record.decode,
+             "prefill_tokens": record.prefill_tokens,
+             "compute_s": record.dur - record.comm,
+             "comm_s": record.comm,
+             "running": record.running}),)
 
     def outcome(self) -> ReplicaOutcome:
         """Snapshot this replica's contribution to the cluster report."""

@@ -15,6 +15,18 @@ so instrumentation is free when observability is off.
 
 from __future__ import annotations
 
+import functools
+import operator
+
+
+def sequential_sum(base: float, terms) -> float:
+    """``base`` after ``+=`` of every term, left to right.
+
+    ``functools.reduce`` runs exactly ``for t in terms: base += t``, in
+    C, so a bulk update matches one update per term bit for bit.
+    """
+    return functools.reduce(operator.add, terms, base)
+
 
 class Counter:
     """A monotonically accumulating value (events, tokens, seconds)."""
@@ -30,6 +42,10 @@ class Counter:
 
     #: ``add`` reads better for non-unit increments (seconds, bytes).
     add = inc
+
+    def add_all(self, terms) -> None:
+        """:meth:`add` every term, in order, in one call."""
+        self.value = sequential_sum(self.value, terms)
 
 
 class Gauge:
@@ -54,6 +70,21 @@ class Gauge:
             self.max = value
         self.last = value
         self.samples += 1
+
+    def merge(self, last: float, low: float, high: float,
+              samples: int) -> None:
+        """Record ``samples`` values at once from their ``last``, ``min``
+        and ``max``: the state ``samples`` calls to :meth:`set` leave."""
+        low, high = float(low), float(high)
+        if self.samples == 0:
+            self.min, self.max = low, high
+        else:
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        self.last = float(last)
+        self.samples += samples
 
     def to_json(self) -> "dict[str, float]":
         """JSON-ready summary of the samples seen so far."""

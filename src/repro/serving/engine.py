@@ -17,10 +17,12 @@ bit-identically to the loop, in three steps:
 - **price** — one ``step_cost``/``decode_step_cost`` call per segment,
   the call the classic step makes, in round order (the draft before
   the target), none starting at or after the next arrival.
-- **replay** — KV grows, :class:`StepRecord` s and finishes in the
-  classic (round, phase, running-index) order, so allocator state, the
-  peak watermark and the trace match the loop; each segment's cold
-  ``kernel`` spans move in front of its first round.
+- **replay** — KV grows and finishes in the classic (round, phase,
+  running-index) order, so allocator state and the peak watermark
+  match the loop.  Traced, the same walk notes where the batch and the
+  KV occupancy change and hands the tracer one :class:`StepBlock`,
+  which expands to the classic per-step trace only when read; each
+  segment's cold ``kernel`` spans stand in front of its first round.
 
 docs/performance.md spells out the rules.
 """
@@ -30,27 +32,30 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import operator
 from typing import NamedTuple, Optional
 
+from repro.obs.metrics import sequential_sum
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.metrics import LatencyAccumulator, RunOutcome
 
 __all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "RoundSchedule",
-           "StepRecord", "sequential_sum"]
+           "StepBlock", "StepRecord", "STEP_CATEGORY", "sequential_sum"]
 
 #: Hard cap on steps folded into one epoch; bounds the per-epoch
 #: working set (one float per step).
 DEFAULT_MAX_EPOCH = 4096
 
+#: Trace category of the span a trace consumer records for each step.
+STEP_CATEGORY = "engine-step"
+
 
 class StepRecord(NamedTuple):
-    """One engine step as a tracer sees it.
+    """One engine step as a tracer sees it, read out of a
+    :class:`StepBlock` when its trace is expanded.
 
-    The classic step and the epoch replay build the same record for the
-    same step.  ``running``, ``waiting`` and ``kv_blocks`` stand after
-    the step's KV growth and before its finishes; the ``spec_*`` fields
-    are ``None`` without speculative decoding.
+    ``running``, ``waiting`` and ``kv_blocks`` stand after the step's KV
+    growth and before its finishes; the ``spec_*`` fields are ``None``
+    without speculative decoding.
     """
 
     ts: float
@@ -66,13 +71,121 @@ class StepRecord(NamedTuple):
     spec_verify_rows: Optional[int]
 
 
-def sequential_sum(base: float, terms) -> float:
-    """``base`` after ``+=`` of every term, left to right.
+class StepBlock:
+    """The steps of one engine advance, as a tracer sees them.
 
-    ``functools.reduce`` runs exactly ``for t in terms: base += t``, in
-    C, so an epoch's accounting matches the classic steps bit for bit.
+    A classic step is a one-round block and an epoch is one block, so
+    ``on_step`` gets one per advance either way.  Round ``s`` starts at
+    ``times[s - 1]`` and costs ``totals[s - 1]``, ``comm[s - 1]`` of it
+    communication; ``waiting`` and the prefill shape hold for every
+    round.  ``decode``, ``running``, ``kv_blocks`` and the ``spec_*``
+    counts (``None`` without speculative decoding) are *series*: dicts
+    from each round where the value changes, round 1 first, to the new
+    value.  ``kernel`` and ``instants`` map a round to the events
+    recorded just before it (the cold ``kernel`` spans of the segment
+    it opens) and just after it (its ``finish`` instants); a classic
+    step leaves both in the trace where they were recorded.
     """
-    return functools.reduce(operator.add, terms, base)
+
+    __slots__ = ("times", "totals", "comm", "waiting", "prefill_chunks",
+                 "prefill_tokens", "decode", "running", "kv_blocks",
+                 "spec_emitted", "spec_verify_rows", "kernel", "instants")
+
+    def __init__(self, times, totals, comm, *, waiting: int, running: dict,
+                 kv_blocks: dict, decode: "dict | None" = None,
+                 prefill_chunks: int = 0, prefill_tokens: int = 0,
+                 spec_emitted: "dict | None" = None,
+                 spec_verify_rows: "dict | None" = None,
+                 kernel: "dict | None" = None,
+                 instants: "dict | None" = None) -> None:
+        self.times = times
+        self.totals = totals
+        self.comm = comm
+        self.waiting = waiting
+        self.running = running
+        self.kv_blocks = kv_blocks
+        self.decode = running if decode is None else decode
+        self.prefill_chunks = prefill_chunks
+        self.prefill_tokens = prefill_tokens
+        self.spec_emitted = spec_emitted
+        self.spec_verify_rows = spec_verify_rows
+        self.kernel = {} if kernel is None else kernel
+        self.instants = {} if instants is None else instants
+
+    @property
+    def steps(self) -> int:
+        return len(self.totals)
+
+    def _runs(self, series) -> "list[tuple[int, int]]":
+        """``(value, rounds it holds for)`` per change of ``series``."""
+        rounds = list(series)
+        return [(series[s], end - s)
+                for s, end in zip(rounds, rounds[1:] + [self.steps + 1])]
+
+    def per_round(self, series) -> list:
+        """The value of ``series`` in each round, in round order."""
+        values = []
+        for value, length in self._runs(series):
+            values.extend([value] * length)
+        return values
+
+    def total(self, series) -> int:
+        """The sum of ``series`` over the block's rounds."""
+        return sum(value * length for value, length in self._runs(series))
+
+    def gauge(self, series) -> "tuple[int, int, int, int]":
+        """``(last, min, max, samples)`` of ``series`` over the rounds,
+        as :meth:`~repro.obs.metrics.Gauge.merge` takes them."""
+        values = list(series.values())
+        return values[-1], min(values), max(values), self.steps
+
+    def records(self) -> "list[StepRecord]":
+        """One :class:`StepRecord` per round, in round order."""
+        n = self.steps
+        spec = ((None,) * n, (None,) * n)
+        if self.spec_emitted is not None:
+            spec = (self.per_round(self.spec_emitted),
+                    self.per_round(self.spec_verify_rows))
+        return [StepRecord(ts, dur, comm, decode, self.prefill_chunks,
+                           self.prefill_tokens, running, self.waiting, kv,
+                           emitted, verify)
+                for ts, dur, comm, decode, running, kv, emitted, verify
+                in zip(self.times, self.totals, self.comm,
+                       self.per_round(self.decode),
+                       self.per_round(self.running),
+                       self.per_round(self.kv_blocks), *spec)]
+
+    def events(self, step_events) -> list:
+        """The block's trace events in record order: per round, its
+        ``kernel`` events, ``step_events(record)``, its ``instants``."""
+        kernel, instants = self.kernel, self.instants
+        events = []
+        for s, record in enumerate(self.records(), 1):
+            if s in kernel:
+                events.extend(kernel[s])
+            events.extend(step_events(record))
+            if s in instants:
+                events.extend(instants[s])
+        return events
+
+    def record(self, tracer, step_events, per_step: int) -> None:
+        """Record the block on ``tracer`` without building its events.
+
+        ``step_events(record)`` returns a round's ``per_step`` events,
+        the first its :data:`STEP_CATEGORY` span of duration
+        ``record.dur``, the rest no spans.
+        """
+        inserted = 0
+        spans: "dict[str, list[float]]" = {}
+        for s in sorted({*self.kernel, *self.instants}):
+            for event in (*self.kernel.get(s, ()),
+                          *self.instants.get(s, ())):
+                inserted += 1
+                if event.ph == "X":
+                    spans.setdefault(event.cat, []).append(event.dur)
+        tracer.block(self.steps * per_step + inserted,
+                     [*spans.items(), (STEP_CATEGORY, self.totals)],
+                     functools.partial(self.events, step_events))
 
 
 class RoundSchedule:
@@ -168,9 +281,9 @@ class EpochEngine:
     epoch:
         ``False`` pins the engine to the classic per-step event loop.
     on_step:
-        Tracing callback, called with one :class:`StepRecord` per step
-        (classic or epoch alike, in step order) while the tracer is
-        enabled.
+        Tracing callback, called with one :class:`StepBlock` per
+        advance (a classic step or a whole epoch, in step order) while
+        the tracer is enabled.
     spec_decode:
         Optional :class:`~repro.serving.specdecode.SpecDecodeRuntime`:
         decode runs in rounds of ``tokens_per_round`` tokens, the
@@ -320,13 +433,20 @@ class EpochEngine:
         total, comm = self.cost.step_cost(prefill=prefill,
                                           decode_kv=decode_kv)
         total += draft
+        totals, comms = [total], [comm]
         if self.on_step is not None:
-            self.on_step(StepRecord(
-                self.clock, total, comm, len(step.decode),
-                len(step.prefill), chunk_tokens, len(scheduler.running),
-                len(scheduler.waiting), self.memory.used_blocks,
-                emitted, verify_rows))
-        self._commit(self.clock + total, [total], [comm], chunk_tokens)
+            self.on_step(StepBlock(
+                [self.clock], totals, comms,
+                waiting=len(scheduler.waiting),
+                running={1: len(scheduler.running)},
+                kv_blocks={1: self.memory.used_blocks},
+                decode={1: len(step.decode)},
+                prefill_chunks=len(step.prefill),
+                prefill_tokens=chunk_tokens,
+                spec_emitted=None if emitted is None else {1: emitted},
+                spec_verify_rows=(None if verify_rows is None
+                                  else {1: verify_rows})))
+        self._commit(self.clock + total, totals, comms, chunk_tokens)
         for request in scheduler.complete_step(step, self.clock):
             self._record_finish(request)
         return 1
@@ -414,10 +534,10 @@ class EpochEngine:
         cost = self.cost
         spec = self.spec_decode
         tau = schedule.tau
-        events = spans = None
+        spans = None
         if self.on_step is not None:
-            events = self.tracer.events
-            mark = len(events)
+            tracer = self.tracer
+            mark = tracer.event_count
             spans = {}
         horizon = (float("inf") if limit_time is None
                    else limit_time - 1e-9 * abs(limit_time))
@@ -449,9 +569,8 @@ class EpochEngine:
             totals.extend([seg_total] * length)
             comm.extend([seg_comm] * length)
             estimate += seg_total * length
-            if events is not None and len(events) > mark:
-                spans[start] = events[mark:]
-                del events[mark:]
+            if spans is not None and tracer.event_count > mark:
+                spans[start] = tracer.cut(mark)
             start = end + 1
         return totals, comm, spans
 
@@ -474,17 +593,21 @@ class EpochEngine:
         self._commit(times[n], totals, comm, 0)
 
         kv0, rem, finish = schedule.kv0, schedule.rem, schedule.finish
-        # (round, phase, running index): grows, the round's trace
-        # record, finishes.
+        # (round, phase, running index): grows, then finishes.
         events = [(s, 0, idx) for s, idx in grows if s <= n]
-        events.extend([(f, 2, idx) for idx, f in enumerate(finish)
+        events.extend([(f, 1, idx) for idx, f in enumerate(finish)
                        if f <= n])
-        if spans is not None:
-            events.extend([(s, 1, 0) for s in range(1, n + 1)])
-            trace = self.tracer.events
         events.sort()
         tau = schedule.tau
         memory = self.memory
+        scheduler = self.scheduler
+        traced = spans is not None
+        if traced:
+            # Series of the block: round -> value from that round on.
+            tracer = self.tracer
+            active = {1: len(running)}
+            kv_blocks = {1: memory.used_blocks}
+            instants: "dict[int, list]" = {}
         for s, phase, idx in events:
             request = running[idx]
             if phase == 0:
@@ -492,43 +615,62 @@ class EpochEngine:
                 memory.grow(request.request_id,
                             kv0[idx] + (grown if grown < rem[idx]
                                         else rem[idx]))
-            elif phase == 1:
-                if s in spans:  # a segment's spans precede its first round
-                    trace.extend(spans[s])
-                self._replay_record(schedule, s, times[s - 1],
-                                    totals[s - 1], comm[s - 1],
-                                    s in finishes)
+                if traced:
+                    kv_blocks[s] = memory.used_blocks
             else:
                 request.generated = request.output_len
                 request.kv_tokens = kv0[idx] + rem[idx]
-                self.scheduler.finish(request, times[s])
+                if traced:
+                    mark = tracer.event_count
+                scheduler.finish(request, times[s])
+                if traced:
+                    instants.setdefault(s, []).extend(tracer.cut(mark))
+                    active[s + 1] = len(scheduler.running)
+                    kv_blocks[s + 1] = memory.used_blocks
                 self._record_finish(request)
         grown = tau * n
         for request, kv, f in zip(running, kv0, finish):
             if f > n:
                 request.generated += grown
                 request.kv_tokens = kv + grown
+        if traced:
+            # A finish in the last round changes nothing the block shows.
+            active.pop(n + 1, None)
+            kv_blocks.pop(n + 1, None)
+            emitted = verify_rows = None
+            if self.spec_decode is not None:
+                emitted, verify_rows = self._spec_series(
+                    schedule, active, finishes, n)
+            self.on_step(StepBlock(
+                times, totals, comm, waiting=len(scheduler.waiting),
+                running=active, kv_blocks=kv_blocks, spec_emitted=emitted,
+                spec_verify_rows=verify_rows, instants=instants,
+                kernel={s: spans[s] for s in spans if s <= n}))
         return n
 
-    def _replay_record(self, schedule, s, ts, dur, comm, finishing):
-        """Hand ``on_step`` round ``s`` of an epoch as the classic step
-        records it, from the live scheduler and memory state."""
-        scheduler = self.scheduler
-        active = len(scheduler.running)
-        emitted = verify_rows = None
-        if self.spec_decode is not None:
-            tau = schedule.tau
-            if finishing and tau > 1:
+    @staticmethod
+    def _spec_series(schedule, active, finishes, n):
+        """The speculative ``(emitted, verify_rows)`` series of an epoch
+        whose batch size follows the series ``active``: every request
+        adds ``tau`` tokens a round, except in a round where one
+        finishes above stride 1, which the schedule prices entry by
+        entry."""
+        tau = schedule.tau
+        emitted, verify_rows = {}, {}
+        rounds = active
+        if tau > 1:
+            rounds = sorted({*active, *(f for f in finishes if f <= n)})
+        size = None
+        for s in rounds:
+            size = active.get(s, size)
+            if tau > 1 and s in finishes:
                 prefill, decode = schedule.entries(s, None, True)
-                verify_rows = len(prefill)
-                emitted = len(decode) + sum(t for t, _ in prefill)
+                verify_rows[s] = len(prefill)
+                emitted[s] = len(decode) + sum(t for t, _ in prefill)
             else:
-                emitted = tau * active
-                verify_rows = active if tau > 1 else 0
-        self.on_step(StepRecord(ts, dur, comm, active, 0, 0, active,
-                                len(scheduler.waiting),
-                                self.memory.used_blocks, emitted,
-                                verify_rows))
+                emitted[s] = tau * size
+                verify_rows[s] = size if tau > 1 else 0
+        return emitted, verify_rows
 
     # -- accounting -----------------------------------------------------
 

@@ -34,13 +34,17 @@ from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import TraceEvent, current_tracer
 from repro.serving.costmodel import (
     StepCostModel,
     check_softmax_rows,
     shared_cost_model,
 )
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
+from repro.serving.engine import (
+    DEFAULT_MAX_EPOCH,
+    STEP_CATEGORY,
+    EpochEngine,
+)
 from repro.serving.loop import arrival_events, run_loop
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import (
@@ -207,13 +211,16 @@ class ServingSimulator:
 
 
 class _EngineLaneTrace:
-    """A run's ``on_step`` callback: each engine step's span, occupancy
-    sample and metrics on the plan's engine lane, read from its
-    :class:`~repro.serving.engine.StepRecord`.
+    """A run's ``on_step`` callback: each engine step's span and
+    occupancy sample on the plan's engine lane, and the lane's metrics,
+    from each advance's :class:`~repro.serving.engine.StepBlock`.
 
-    The lane and instruments are looked up once, on the first step.
-    Looking them up earlier would number the lane's tracks ahead of the
-    scheduler's and add metrics to a run that never steps.
+    The block is recorded as it stands and expands through
+    :meth:`_step_events` only when the trace is read; the metrics take
+    the block's aggregates in one update per instrument.  The lane and
+    instruments are looked up once, on the first step.  Looking them up
+    earlier would number the lane's tracks ahead of the scheduler's and
+    add metrics to a run that never steps.
     """
 
     def __init__(self, tracer, lane: str) -> None:
@@ -233,9 +240,20 @@ class _EngineLaneTrace:
         if spec:
             self.spec_emitted = metrics.counter(f"{lane}.spec_emitted")
 
-    def __call__(self, record) -> None:
+    def __call__(self, block) -> None:
         if self.pid is None:
-            self._bind(spec=record.spec_emitted is not None)
+            self._bind(spec=block.spec_emitted is not None)
+        block.record(self.tracer, self._step_events, per_step=2)
+        self.steps.add(block.steps)
+        self.decode_tokens.add(block.total(block.decode))
+        self.prefill_tokens.add(block.prefill_tokens * block.steps)
+        self.batch.merge(*block.gauge(block.running))
+        self.kv_blocks.merge(*block.gauge(block.kv_blocks))
+        if block.spec_emitted is not None:
+            self.spec_emitted.add(block.total(block.spec_emitted))
+
+    def _step_events(self, record) -> "tuple[TraceEvent, TraceEvent]":
+        """One step's ``engine step`` span and occupancy sample."""
         args = {"decode": record.decode,
                 "prefill_chunks": record.prefill_chunks,
                 "prefill_tokens": record.prefill_tokens,
@@ -244,20 +262,15 @@ class _EngineLaneTrace:
         if record.spec_emitted is not None:
             args["spec_emitted"] = record.spec_emitted
             args["spec_verify_rows"] = record.spec_verify_rows
-            self.spec_emitted.add(record.spec_emitted)
-        self.tracer.complete(
-            "engine step", "engine-step", ts=record.ts, dur=record.dur,
-            pid=self.pid, tid=self.tid, args=args)
-        self.tracer.counter(
-            self.occupancy, ts=record.ts, pid=self.pid,
-            values={"running": record.running,
-                    "waiting": record.waiting,
-                    "kv_blocks": record.kv_blocks})
-        self.steps.inc()
-        self.decode_tokens.add(record.decode)
-        self.prefill_tokens.add(record.prefill_tokens)
-        self.batch.set(record.running)
-        self.kv_blocks.set(record.kv_blocks)
+        ts = float(record.ts)
+        return (
+            TraceEvent("engine step", STEP_CATEGORY, "X", ts,
+                       float(record.dur), self.pid, self.tid, args),
+            TraceEvent(self.occupancy, "counter", "C", ts, 0.0, self.pid, 0,
+                       {"running": record.running,
+                        "waiting": record.waiting,
+                        "kv_blocks": record.kv_blocks}),
+        )
 
 
 def simulate_serving(

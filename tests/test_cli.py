@@ -59,7 +59,7 @@ class TestCLI:
         path = tmp_path / "trace.json"
         out = run_cli(capsys, "trace", "--seq-len", "1024",
                       "--output", str(path))
-        assert "kernel slices" in out
+        assert "kernel launches; trace of" in out
         data = json.loads(path.read_text())
         assert data["schema"] == "repro.trace/v1"
         slices = [e for e in data["traceEvents"] if e["ph"] == "X"]
@@ -70,6 +70,21 @@ class TestCLI:
         assert kernel
         assert all("dram_bytes" in e["args"] for e in kernel)
         assert all("bound" in e["args"] for e in kernel)
+
+    def test_trace_headline_counts_kernel_spans(self, capsys):
+        import re
+
+        argv = ["trace", "--sim", "inference", "--model", "bert-large",
+                "--seq-len", "512"]
+        headline = run_cli(capsys, *argv).splitlines()[0]
+        match = re.fullmatch(r"profile of (\d+) kernel launches; "
+                             r"trace of (\d+) priced-kernel spans", headline)
+        assert match, headline
+        data = json.loads(run_cli(capsys, *argv, "--json"))
+        kernel = [e for e in data["traceEvents"] if e.get("cat") == "kernel"]
+        assert int(match.group(2)) == len(kernel)
+        # Identical layers are priced once, so the profile has more.
+        assert int(match.group(1)) > len(kernel)
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -318,6 +333,22 @@ class TestConsoleErrors:
             runpy.run_module("repro", run_name="__main__")
         assert excinfo.value.code == 2
         assert capsys.readouterr().err == self.LINE
+
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        import os
+        import sys
+
+        from repro.cli import console
+
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # the reader is gone, as after ``| head``
+        with open(write_fd, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert console(["trace", "--sim", "inference", "--model",
+                            "bert-large", "--seq-len", "512"]) == 1
+            print("after", file=stdout)
+            stdout.flush()  # the fd now points at devnull
+        assert capsys.readouterr().err == ""
 
     def test_console_script_uses_the_wrapper(self):
         import pathlib

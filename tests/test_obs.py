@@ -9,6 +9,7 @@ from repro.common.errors import TraceError
 from repro.gpu import simcache
 from repro.obs import (
     NULL_TRACER,
+    TraceEvent,
     Tracer,
     chrome_events,
     chrome_trace_dict,
@@ -85,6 +86,52 @@ class TestTracer:
         assert sliced["spans"] == 1
         assert list(sliced["span_categories"]) == ["y"]
 
+    def test_blocks_count_and_summarize_without_expanding(self):
+        expansions = []
+
+        def expand():
+            expansions.append(1)
+            return [TraceEvent("step", "y", "X", 1.0, 0.25),
+                    TraceEvent("load", "counter", "C", 1.0),
+                    TraceEvent("step", "y", "X", 1.25, 0.5)]
+
+        tracer = Tracer()
+        tracer.complete("a", "x", ts=0.0, dur=1.0)
+        tracer.block(3, [("y", [0.25, 0.5])], expand)
+        mark = tracer.event_count
+        tracer.block(3, [("y", [0.25, 0.5])], expand)
+        tracer.instant("i", "x", ts=2.0)
+        assert (mark, tracer.event_count) == (4, 8)
+        sliced = tracer.summary(since=mark, include_metrics=False)
+        full = tracer.summary(include_metrics=False)
+        assert sliced == {"events": 4, "spans": 2, "span_categories": {
+            "y": {"count": 2, "time_s": 0.75}}}
+        assert full["spans"] == 5
+        with pytest.raises(TraceError):
+            tracer.summary(since=2)  # inside the first block
+        assert not expansions
+        events = tracer.events
+        assert [e.name for e in events] == [
+            "a", "step", "load", "step", "step", "load", "step", "i"]
+        assert tracer.events is events and len(expansions) == 2
+        assert tracer.event_count == 8
+        assert tracer.summary(since=mark, include_metrics=False) == sliced
+        assert tracer.summary(include_metrics=False) == full
+
+    def test_cut_takes_what_followed_a_checkpoint(self):
+        tracer = Tracer()
+        tracer.block(2, [], lambda: [TraceEvent("b", "x", "i", 0.0)] * 2)
+        mark = tracer.event_count
+        tracer.complete("k1", "kernel", ts=0.0, dur=1.0)
+        tracer.complete("k2", "kernel", ts=1.0, dur=1.0)
+        taken = tracer.cut(mark)
+        assert [e.name for e in taken] == ["k1", "k2"]
+        assert tracer.event_count == mark == 2
+        assert tracer.cut(mark) == []
+        (block,) = tracer.cut(0)  # a block leaves whole, unexpanded
+        assert block.size == 2 and tracer.event_count == 0
+        assert tracer.events == []
+
     def test_null_tracer_is_inert(self):
         NULL_TRACER.complete("a", "x", ts=0.0, dur=1.0)
         NULL_TRACER.instant("b", "x")
@@ -108,6 +155,25 @@ class TestTracer:
 
 
 class TestMetricsRegistry:
+    def test_bulk_updates_match_one_update_each(self):
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
+        terms = [0.1, 0.7, 1e-17, 3.3, 2.2]
+        one, bulk = MetricsRegistry(), MetricsRegistry()
+        for value in values:
+            one.gauge("g").set(value)
+        bulk.gauge("g").merge(values[-1], min(values), max(values),
+                              len(values))
+        one.gauge("h").set(0)
+        bulk.gauge("h").set(0)
+        for value in values:
+            one.gauge("h").set(value)
+        bulk.gauge("h").merge(values[-1], min(values), max(values),
+                              len(values))
+        for term in terms:
+            one.counter("c").add(term)
+        bulk.counter("c").add_all(terms)
+        assert one.snapshot() == bulk.snapshot()
+
     def test_counter_and_gauge(self):
         registry = MetricsRegistry()
         registry.counter("n").inc()
@@ -252,6 +318,28 @@ class TestTracedServing:
             assert "engine-step" in summary["span_categories"]
             assert "metrics" not in summary  # per-plan slices skip them
         assert "metrics" in report.trace_summary
+
+    def test_per_plan_slices_match_the_expanded_events(self):
+        """Each plan's summary starts at a checkpoint taken between the
+        previous plan's step blocks and this plan's; it must equal one
+        summed event by event over the expanded slice."""
+        tracer, report = _traced_serving(rate=2.0, duration=4.0)
+        events = tracer.events
+        start = 0
+        for plan_report in report.plans.values():
+            summary = plan_report.trace_summary
+            end = start + summary["events"]
+            categories = {}
+            for event in events[start:end]:
+                if event.ph == "X":
+                    entry = categories.setdefault(
+                        event.cat, {"count": 0, "time_s": 0.0})
+                    entry["count"] += 1
+                    entry["time_s"] += event.dur
+            assert summary["span_categories"] == {
+                cat: categories[cat] for cat in sorted(categories)}
+            start = end
+        assert start == len(events)
 
     def test_untraced_results_are_bit_identical(self):
         """Tracing off => serialized reports match a traced run's

@@ -516,3 +516,49 @@ class TestTracedEngineEquivalence:
         assert runs["event"][0] == runs["epoch"][0]
         assert runs["event"][1] == runs["epoch"][1]
         assert runs["event"][2] == runs["epoch"][2]
+
+    @pytest.mark.parametrize("name, build", TRACED_CASES,
+                             ids=[name for name, _ in TRACED_CASES])
+    def test_aggregates_read_before_expansion(self, name, build):
+        """Event count, summary and metrics come from the step blocks'
+        aggregates, and equal what the expanded events give."""
+        from repro.gpu import simcache
+        from repro.obs import Tracer, tracing
+
+        simcache.invalidate()
+        with tracing(Tracer()) as tracer:
+            build("epoch").run()
+        simcache.invalidate()
+        before = (tracer.event_count,
+                  tracer.summary(include_metrics=False),
+                  tracer.metrics.snapshot())
+        events = tracer.events
+        after = (len(events), tracer.summary(include_metrics=False),
+                 tracer.metrics.snapshot())
+        assert before == after
+
+    def test_log_grows_with_advances_not_steps(self, engines):
+        """A traced epoch run records one entry per advance plus its
+        requests' and kernel pricings' events, not one per step."""
+        from repro.gpu import simcache
+        from repro.obs import Tracer, tracing
+
+        simcache.invalidate()
+        sim = ServingSimulator(
+            "gpt-neo", "a100", plan="sdf",
+            workload=ServingWorkload(rate=0.5, duration=20.0, seed=7,
+                                     max_prompt=256, mean_output=512))
+        with tracing(Tracer()) as tracer:
+            sim.run()
+        simcache.invalidate()
+        (engine,) = engines
+        advances = engine.epochs + engine.steps - engine.epoch_steps
+        kernel = tracer.summary(
+            include_metrics=False)["span_categories"]["kernel"]["count"]
+        # Per request: admit and first-token instants, finish instant,
+        # request span and three phase spans.
+        bound = advances + 7 * sim.num_requests + kernel
+        entries = len(tracer._log)
+        assert entries <= bound
+        assert engine.steps > 10 * entries
+        assert tracer.event_count > engine.steps  # the trace is per step
