@@ -883,39 +883,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """Run one command; library errors propagate (see :func:`console`)."""
+    """Run one command; library errors propagate (see :func:`console`).
+
+    A reader that goes away before the output is written (``repro ... |
+    head``) exits 1 without a message: stdout is pointed at devnull so
+    the interpreter's final flush cannot raise again (the ``signal``
+    docs' SIGPIPE recipe).
+    """
     args = build_parser().parse_args(argv)
-    print(args.func(args))
+    output = args.func(args)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return getattr(args, "_exit_code", 0)
 
 
 def console(argv: "list[str] | None" = None) -> int:
     """:func:`main` for a shell: a :class:`~repro.common.errors.ReproError`
     prints ``repro <command>: error: <message>`` to stderr and exits 2,
-    like a bad flag, instead of a traceback; a closed output pipe exits
-    1 without a message."""
+    like a bad flag, instead of a traceback."""
     from repro.common.errors import ReproError
 
     argv = sys.argv[1:] if argv is None else argv
     try:
-        code = main(argv)
-        sys.stdout.flush()
-        return code
+        return main(argv)
     except ReproError as error:
         command = next((arg for arg in argv if not arg.startswith("-")),
                        None)
         prefix = "repro" if command is None else f"repro {command}"
         print(f"{prefix}: error: {error}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader went away (``repro ... | head``).  Point stdout at
-        # devnull so the interpreter's final flush cannot raise again,
-        # and exit 1 as Python does on EPIPE (the ``signal`` docs'
-        # SIGPIPE recipe).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
 
 
 if __name__ == "__main__":

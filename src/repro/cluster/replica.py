@@ -35,11 +35,7 @@ from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER, TraceEvent
-from repro.serving.engine import (
-    DEFAULT_MAX_EPOCH,
-    STEP_CATEGORY,
-    EpochEngine,
-)
+from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import RunOutcome
 from repro.serving.requests import Request
@@ -197,12 +193,11 @@ class Replica:
                                    lockstep=lockstep)
 
     def _trace_step(self, block) -> None:
-        """The engine's ``on_step``: records the advance's
-        :class:`~repro.serving.engine.StepBlock` (one ``replica step``
-        span per step, built by :meth:`_step_events` when the trace is
-        read) and adds its communication time and KV occupancy to the
-        metrics.  The lane and instruments are looked up on the first
-        step (earlier would renumber the replica's tracks)."""
+        """The engine's ``on_step``: one ``replica step`` span per step
+        of the advance's :class:`~repro.serving.engine.StepBlock`, plus
+        its communication time and KV occupancy in the metrics.  The
+        lane and instruments are looked up on the first step (earlier
+        would renumber the replica's tracks)."""
         if self._steps_lane is None:
             metrics = self.tracer.metrics
             self._steps_lane = self.tracer.track(self.trace_process,
@@ -211,21 +206,25 @@ class Replica:
                 f"{self.trace_process}.comm_time_s")
             self._kv_gauge = metrics.gauge(
                 f"{self.trace_process}.kv_blocks")
-        block.record(self.tracer, self._step_events, per_step=1)
-        self._comm_counter.add_all(block.comm)
-        self._kv_gauge.merge(*block.gauge(block.kv_blocks))
-
-    def _step_events(self, record) -> "tuple[TraceEvent]":
-        """One step's ``replica step`` span."""
         pid, tid = self._steps_lane
-        return (TraceEvent(
-            "replica step", STEP_CATEGORY, "X", float(record.ts),
-            float(record.dur), pid, tid,
-            {"decode": record.decode,
-             "prefill_tokens": record.prefill_tokens,
-             "compute_s": record.dur - record.comm,
-             "comm_s": record.comm,
-             "running": record.running}),)
+        events = []
+        kv_blocks = []
+        for start, stop, decode, running, kv, _, _ in block.stretches:
+            events.extend(
+                TraceEvent("replica step", "engine-step", "X", float(ts),
+                           float(dur), pid, tid,
+                           {"decode": decode,
+                            "prefill_tokens": block.prefill_tokens,
+                            "compute_s": dur - comm, "comm_s": comm,
+                            "running": running})
+                for ts, dur, comm in zip(block.times[start:stop],
+                                         block.totals[start:stop],
+                                         block.comm[start:stop]))
+            kv_blocks.append(kv)
+        block.emit(self.tracer, "replica step", events, per_step=1)
+        self._comm_counter.add_all(block.comm)
+        self._kv_gauge.merge(kv, min(kv_blocks), max(kv_blocks),
+                             len(block.totals))
 
     def outcome(self) -> ReplicaOutcome:
         """Snapshot this replica's contribution to the cluster report."""

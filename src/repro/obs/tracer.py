@@ -26,13 +26,10 @@ Design points:
 - **Deterministic tracks.**  Chrome-trace ``pid``/``tid`` lanes are
   assigned by :meth:`Tracer.track` in first-use order, which is itself
   deterministic because the simulators are.
-- **Blocks, expanded on read.**  A serving engine's steps arrive as
-  one :class:`EventBlock` per advance (:meth:`Tracer.block`), however
-  many steps it covers.  The log holds events and blocks in record
-  order; :attr:`Tracer.events` expands the blocks on the first read,
-  while :attr:`Tracer.event_count` and :meth:`Tracer.summary` count
-  and sum straight from each block's aggregates, so a run that is only
-  summarized never builds its per-step events.
+- **Bulk writes.**  The serving engine hands its trace consumer one
+  block of steps per advance; the consumer appends the block's events
+  to :attr:`Tracer.events` in one pass, so the per-step cost is
+  building the events themselves.
 
 Install a tracer with the :func:`tracing` context manager::
 
@@ -51,8 +48,9 @@ in Perfetto / ``chrome://tracing``).
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.common.errors import TraceError
 from repro.obs.metrics import (
@@ -70,8 +68,10 @@ class TraceEvent(NamedTuple):
     ``ph`` follows the Chrome trace-event phase vocabulary: ``"X"`` is
     a complete span (``ts`` + ``dur``), ``"i"`` an instant event and
     ``"C"`` a counter sample whose ``args`` carry the sampled values.
-    An immutable named tuple: an expanded trace holds one or two per
-    engine step, so construction cost and size matter.
+    An immutable named tuple: a traced run records one or two per
+    engine step, so construction cost and size matter.  Treat ``args``
+    as read-only too: the serving engine's per-step events share one
+    ``args`` dict across the steps of a stretch whose counts agree.
     """
 
     name: str
@@ -84,20 +84,6 @@ class TraceEvent(NamedTuple):
     args: "dict[str, Any] | None" = None
 
 
-class EventBlock(NamedTuple):
-    """``size`` events recorded in compact form (:meth:`Tracer.block`).
-
-    ``expand()`` returns them as :class:`TraceEvent` s in record order;
-    ``spans`` lists ``(cat, durations)`` covering every span among
-    them, each category's durations in record order, so counts and
-    summaries never need the events themselves.
-    """
-
-    size: int
-    spans: "list[tuple[str, list[float]]]"
-    expand: "Callable[[], Iterable[TraceEvent]]"
-
-
 class Tracer:
     """Records spans, instants and counters against a simulated clock."""
 
@@ -106,12 +92,7 @@ class Tracer:
 
     def __init__(self, name: str = "repro") -> None:
         self.name = name
-        #: Events and :class:`EventBlock` s in record order.
-        self._log: "list[TraceEvent | EventBlock]" = []
-        #: Blocks in the log, and the events they hold beyond one log
-        #: entry each.
-        self._blocks = 0
-        self._hidden = 0
+        self.events: "list[TraceEvent]" = []
         #: The current simulated time, advanced by the instrumented
         #: simulators (:meth:`set_clock` / :meth:`advance`).
         self.clock = 0.0
@@ -170,59 +151,9 @@ class Tracer:
     # -- recording ------------------------------------------------------
 
     @property
-    def events(self) -> "list[TraceEvent]":
-        """Every event recorded so far, in record order.
-
-        Blocks recorded since the last read expand here, and only here.
-        """
-        if self._blocks:
-            log: "list[TraceEvent]" = []
-            for entry in self._log:
-                if type(entry) is EventBlock:
-                    log.extend(entry.expand())
-                else:
-                    log.append(entry)
-            self._log = log
-            self._blocks = self._hidden = 0
-        return self._log
-
-    @property
     def event_count(self) -> int:
-        """Events recorded so far (checkpoint for :meth:`summary` and
-        :meth:`cut`)."""
-        return len(self._log) + self._hidden
-
-    def _position(self, since: int) -> int:
-        """The log index where checkpoint ``since`` stands."""
-        log = self._log
-        index, count = len(log), self.event_count
-        while count > since:
-            index -= 1
-            entry = log[index]
-            count -= entry.size if type(entry) is EventBlock else 1
-        if count != since:
-            raise TraceError(f"checkpoint {since} falls inside a block")
-        return index
-
-    def cut(self, since: int) -> "list[TraceEvent | EventBlock]":
-        """Remove and return what was recorded after checkpoint
-        ``since`` (an :attr:`event_count` reading), without expanding."""
-        index = self._position(since)
-        taken = self._log[index:]
-        del self._log[index:]
-        for entry in taken:
-            if type(entry) is EventBlock:
-                self._blocks -= 1
-                self._hidden -= entry.size - 1
-        return taken
-
-    def block(self, size: int, spans, expand) -> None:
-        """Record ``size`` events as one :class:`EventBlock`: ``expand()``
-        builds them on the first read of :attr:`events`; ``spans`` is
-        ``(cat, durations)`` for every span among them."""
-        self._log.append(EventBlock(size, spans, expand))
-        self._blocks += 1
-        self._hidden += size - 1
+        """Events recorded so far (checkpoint for :meth:`summary`)."""
+        return len(self.events)
 
     def complete(
         self,
@@ -240,8 +171,8 @@ class Tracer:
             raise TraceError(
                 f"span {name!r} has negative duration {dur!r}"
             )
-        self._log.append(TraceEvent(name, cat, "X", float(ts),
-                                    float(dur), pid, tid, args))
+        self.events.append(TraceEvent(name, cat, "X", float(ts),
+                                      float(dur), pid, tid, args))
 
     def instant(
         self,
@@ -255,8 +186,8 @@ class Tracer:
     ) -> None:
         """Record an instant event (defaults to the current clock)."""
         when = self.clock if ts is None else float(ts)
-        self._log.append(TraceEvent(name, cat, "i", when, 0.0,
-                                    pid, tid, args))
+        self.events.append(TraceEvent(name, cat, "i", when, 0.0,
+                                      pid, tid, args))
 
     def counter(
         self,
@@ -268,8 +199,8 @@ class Tracer:
     ) -> None:
         """Record a counter sample; ``values`` maps series -> value."""
         when = self.clock if ts is None else float(ts)
-        self._log.append(TraceEvent(name, "counter", "C", when, 0.0,
-                                    pid, 0, dict(values)))
+        self.events.append(TraceEvent(name, "counter", "C", when, 0.0,
+                                      pid, 0, dict(values)))
 
     def push(
         self,
@@ -334,31 +265,18 @@ class Tracer:
         (which are not sliceable) are included for full summaries only,
         unless ``include_metrics`` says otherwise.
         """
-        events = spans = 0
+        events = self.events
+        spans = [e for e in itertools.islice(events, since, None)
+                 if e.ph == "X"]
         categories: "dict[str, dict[str, float]]" = {}
-        for entry in self._log[self._position(since):]:
-            if type(entry) is EventBlock:
-                events += entry.size
-                for cat, durations in entry.spans:
-                    totals = categories.setdefault(
-                        cat, {"count": 0, "time_s": 0.0})
-                    totals["count"] += len(durations)
-                    totals["time_s"] = sequential_sum(totals["time_s"],
-                                                      durations)
-                    spans += len(durations)
-                continue
-            events += 1
-            if entry.ph == "X":
-                totals = categories.setdefault(
-                    entry.cat, {"count": 0, "time_s": 0.0})
-                totals["count"] += 1
-                totals["time_s"] += entry.dur
-                spans += 1
+        for cat in sorted({e.cat for e in spans}):
+            durations = [e.dur for e in spans if e.cat == cat]
+            categories[cat] = {"count": len(durations),
+                               "time_s": sequential_sum(0.0, durations)}
         doc: "dict[str, object]" = {
-            "events": events,
-            "spans": spans,
-            "span_categories": {cat: categories[cat]
-                                for cat in sorted(categories)},
+            "events": max(len(events) - since, 0),
+            "spans": len(spans),
+            "span_categories": categories,
         }
         if include_metrics is None:
             include_metrics = since == 0

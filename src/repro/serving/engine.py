@@ -20,8 +20,8 @@ bit-identically to the loop, in three steps:
 - **replay** — KV grows and finishes in the classic (round, phase,
   running-index) order, so allocator state and the peak watermark
   match the loop.  Traced, the same walk notes where the batch and the
-  KV occupancy change and hands the tracer one :class:`StepBlock`,
-  which expands to the classic per-step trace only when read; each
+  KV occupancy change and hands ``on_step`` one :class:`StepBlock`,
+  from which it writes the classic per-step trace in one pass; each
   segment's cold ``kernel`` spans stand in front of its first round.
 
 docs/performance.md spells out the rules.
@@ -30,162 +30,95 @@ docs/performance.md spells out the rules.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
+from repro.common.errors import TraceError
 from repro.obs.metrics import sequential_sum
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.metrics import LatencyAccumulator, RunOutcome
 
 __all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "RoundSchedule",
-           "StepBlock", "StepRecord", "STEP_CATEGORY", "sequential_sum"]
+           "StepBlock"]
 
 #: Hard cap on steps folded into one epoch; bounds the per-epoch
 #: working set (one float per step).
 DEFAULT_MAX_EPOCH = 4096
 
-#: Trace category of the span a trace consumer records for each step.
-STEP_CATEGORY = "engine-step"
 
-
-class StepRecord(NamedTuple):
-    """One engine step as a tracer sees it, read out of a
-    :class:`StepBlock` when its trace is expanded.
-
-    ``running``, ``waiting`` and ``kv_blocks`` stand after the step's KV
-    growth and before its finishes; the ``spec_*`` fields are ``None``
-    without speculative decoding.
-    """
-
-    ts: float
-    dur: float
-    comm: float
-    decode: int
-    prefill_chunks: int
-    prefill_tokens: int
-    running: int
-    waiting: int
-    kv_blocks: int
-    spec_emitted: Optional[int]
-    spec_verify_rows: Optional[int]
-
-
-class StepBlock:
+class StepBlock(NamedTuple):
     """The steps of one engine advance, as a tracer sees them.
 
     A classic step is a one-round block and an epoch is one block, so
     ``on_step`` gets one per advance either way.  Round ``s`` starts at
     ``times[s - 1]`` and costs ``totals[s - 1]``, ``comm[s - 1]`` of it
     communication; ``waiting`` and the prefill shape hold for every
-    round.  ``decode``, ``running``, ``kv_blocks`` and the ``spec_*``
-    counts (``None`` without speculative decoding) are *series*: dicts
-    from each round where the value changes, round 1 first, to the new
-    value.  ``kernel`` and ``instants`` map a round to the events
-    recorded just before it (the cold ``kernel`` spans of the segment
-    it opens) and just after it (its ``finish`` instants); a classic
-    step leaves both in the trace where they were recorded.
+    round.  ``stretches`` cover the rounds in order, one per run of
+    rounds over which no count changes: ``(start, stop, decode,
+    running, kv_blocks, spec_emitted, spec_verify_rows)`` for rounds
+    ``start + 1`` to ``stop`` (the slice ``start:stop`` of ``times``),
+    the ``spec_*`` counts ``None`` without speculative decoding.
+    ``running``, ``waiting`` and ``kv_blocks`` stand after the round's
+    KV growth and before its finishes.  ``kernel`` and ``instants`` map
+    a round to the events recorded just before it (the cold ``kernel``
+    spans of the segment it opens) and just after it (its ``finish``
+    instants); a classic step leaves both in the trace where they were
+    recorded.
     """
 
-    __slots__ = ("times", "totals", "comm", "waiting", "prefill_chunks",
-                 "prefill_tokens", "decode", "running", "kv_blocks",
-                 "spec_emitted", "spec_verify_rows", "kernel", "instants")
+    times: list
+    totals: list
+    comm: list
+    waiting: int
+    prefill_chunks: int
+    prefill_tokens: int
+    stretches: list
+    kernel: dict
+    instants: dict
 
-    def __init__(self, times, totals, comm, *, waiting: int, running: dict,
-                 kv_blocks: dict, decode: "dict | None" = None,
-                 prefill_chunks: int = 0, prefill_tokens: int = 0,
-                 spec_emitted: "dict | None" = None,
-                 spec_verify_rows: "dict | None" = None,
-                 kernel: "dict | None" = None,
-                 instants: "dict | None" = None) -> None:
-        self.times = times
-        self.totals = totals
-        self.comm = comm
-        self.waiting = waiting
-        self.running = running
-        self.kv_blocks = kv_blocks
-        self.decode = running if decode is None else decode
-        self.prefill_chunks = prefill_chunks
-        self.prefill_tokens = prefill_tokens
-        self.spec_emitted = spec_emitted
-        self.spec_verify_rows = spec_verify_rows
-        self.kernel = {} if kernel is None else kernel
-        self.instants = {} if instants is None else instants
+    def emit(self, tracer, span: str, steps: list, per_step: int) -> None:
+        """Append the block's trace to ``tracer.events`` in record order:
+        per round, its ``kernel`` events, its ``per_step`` events out of
+        ``steps`` (every round's, in round order, the first a span named
+        ``span`` lasting the round's cost), its ``instants``.
 
-    @property
-    def steps(self) -> int:
-        return len(self.totals)
-
-    def _runs(self, series) -> "list[tuple[int, int]]":
-        """``(value, rounds it holds for)`` per change of ``series``."""
-        rounds = list(series)
-        return [(series[s], end - s)
-                for s, end in zip(rounds, rounds[1:] + [self.steps + 1])]
-
-    def per_round(self, series) -> list:
-        """The value of ``series`` in each round, in round order."""
-        values = []
-        for value, length in self._runs(series):
-            values.extend([value] * length)
-        return values
-
-    def total(self, series) -> int:
-        """The sum of ``series`` over the block's rounds."""
-        return sum(value * length for value, length in self._runs(series))
-
-    def gauge(self, series) -> "tuple[int, int, int, int]":
-        """``(last, min, max, samples)`` of ``series`` over the rounds,
-        as :meth:`~repro.obs.metrics.Gauge.merge` takes them."""
-        values = list(series.values())
-        return values[-1], min(values), max(values), self.steps
-
-    def records(self) -> "list[StepRecord]":
-        """One :class:`StepRecord` per round, in round order."""
-        n = self.steps
-        spec = ((None,) * n, (None,) * n)
-        if self.spec_emitted is not None:
-            spec = (self.per_round(self.spec_emitted),
-                    self.per_round(self.spec_verify_rows))
-        return [StepRecord(ts, dur, comm, decode, self.prefill_chunks,
-                           self.prefill_tokens, running, self.waiting, kv,
-                           emitted, verify)
-                for ts, dur, comm, decode, running, kv, emitted, verify
-                in zip(self.times, self.totals, self.comm,
-                       self.per_round(self.decode),
-                       self.per_round(self.running),
-                       self.per_round(self.kv_blocks), *spec)]
-
-    def events(self, step_events) -> list:
-        """The block's trace events in record order: per round, its
-        ``kernel`` events, ``step_events(record)``, its ``instants``."""
-        kernel, instants = self.kernel, self.instants
-        events = []
-        for s, record in enumerate(self.records(), 1):
-            if s in kernel:
-                events.extend(kernel[s])
-            events.extend(step_events(record))
-            if s in instants:
-                events.extend(instants[s])
-        return events
-
-    def record(self, tracer, step_events, per_step: int) -> None:
-        """Record the block on ``tracer`` without building its events.
-
-        ``step_events(record)`` returns a round's ``per_step`` events,
-        the first its :data:`STEP_CATEGORY` span of duration
-        ``record.dur``, the rest no spans.
+        Raises :class:`~repro.common.errors.TraceError` on a negative
+        round cost, as :meth:`~repro.obs.tracer.Tracer.complete` does.
         """
-        inserted = 0
-        spans: "dict[str, list[float]]" = {}
+        if min(self.totals) < 0:
+            dur = next(dur for dur in self.totals if dur < 0)
+            raise TraceError(f"span {span!r} has negative duration {dur!r}")
+        trace = tracer.events
+        done = 0
         for s in sorted({*self.kernel, *self.instants}):
-            for event in (*self.kernel.get(s, ()),
-                          *self.instants.get(s, ())):
-                inserted += 1
-                if event.ph == "X":
-                    spans.setdefault(event.cat, []).append(event.dur)
-        tracer.block(self.steps * per_step + inserted,
-                     [*spans.items(), (STEP_CATEGORY, self.totals)],
-                     functools.partial(self.events, step_events))
+            if s in self.kernel:
+                cut = (s - 1) * per_step
+                trace.extend(steps[done:cut])
+                trace.extend(self.kernel[s])
+                done = cut
+            if s in self.instants:
+                cut = s * per_step
+                trace.extend(steps[done:cut])
+                trace.extend(self.instants[s])
+                done = cut
+        trace.extend(steps[done:] if done else steps)
+
+
+def _stretches(n: int, *series) -> list:
+    """Merge change-point ``series`` (dicts from the round where a count
+    changes, round 1 first, to its new value; ``None`` for an absent
+    count) into ``(start, stop, *values)`` stretches over rounds 1 to
+    ``n``."""
+    rounds = sorted({s for values in series if values is not None
+                     for s in values})
+    current = [None] * len(series)
+    stretches = []
+    for first, end in zip(rounds, rounds[1:] + [n + 1]):
+        for i, values in enumerate(series):
+            if values is not None and first in values:
+                current[i] = values[first]
+        stretches.append((first - 1, end - 1, *current))
+    return stretches
 
 
 class RoundSchedule:
@@ -433,20 +366,13 @@ class EpochEngine:
         total, comm = self.cost.step_cost(prefill=prefill,
                                           decode_kv=decode_kv)
         total += draft
-        totals, comms = [total], [comm]
         if self.on_step is not None:
             self.on_step(StepBlock(
-                [self.clock], totals, comms,
-                waiting=len(scheduler.waiting),
-                running={1: len(scheduler.running)},
-                kv_blocks={1: self.memory.used_blocks},
-                decode={1: len(step.decode)},
-                prefill_chunks=len(step.prefill),
-                prefill_tokens=chunk_tokens,
-                spec_emitted=None if emitted is None else {1: emitted},
-                spec_verify_rows=(None if verify_rows is None
-                                  else {1: verify_rows})))
-        self._commit(self.clock + total, totals, comms, chunk_tokens)
+                [self.clock], [total], [comm], len(scheduler.waiting),
+                len(step.prefill), chunk_tokens,
+                [(0, 1, len(step.decode), len(scheduler.running),
+                  self.memory.used_blocks, emitted, verify_rows)], {}, {}))
+        self._commit(self.clock + total, [total], [comm], chunk_tokens)
         for request in scheduler.complete_step(step, self.clock):
             self._record_finish(request)
         return 1
@@ -534,10 +460,10 @@ class EpochEngine:
         cost = self.cost
         spec = self.spec_decode
         tau = schedule.tau
-        spans = None
+        trace = spans = None
         if self.on_step is not None:
-            tracer = self.tracer
-            mark = tracer.event_count
+            trace = self.tracer.events
+            mark = len(trace)
             spans = {}
         horizon = (float("inf") if limit_time is None
                    else limit_time - 1e-9 * abs(limit_time))
@@ -569,8 +495,9 @@ class EpochEngine:
             totals.extend([seg_total] * length)
             comm.extend([seg_comm] * length)
             estimate += seg_total * length
-            if spans is not None and tracer.event_count > mark:
-                spans[start] = tracer.cut(mark)
+            if trace is not None and len(trace) > mark:
+                spans[start] = trace[mark:]
+                del trace[mark:]
             start = end + 1
         return totals, comm, spans
 
@@ -604,7 +531,7 @@ class EpochEngine:
         traced = spans is not None
         if traced:
             # Series of the block: round -> value from that round on.
-            tracer = self.tracer
+            trace = self.tracer.events
             active = {1: len(running)}
             kv_blocks = {1: memory.used_blocks}
             instants: "dict[int, list]" = {}
@@ -621,10 +548,11 @@ class EpochEngine:
                 request.generated = request.output_len
                 request.kv_tokens = kv0[idx] + rem[idx]
                 if traced:
-                    mark = tracer.event_count
+                    mark = len(trace)
                 scheduler.finish(request, times[s])
                 if traced:
-                    instants.setdefault(s, []).extend(tracer.cut(mark))
+                    instants.setdefault(s, []).extend(trace[mark:])
+                    del trace[mark:]
                     active[s + 1] = len(scheduler.running)
                     kv_blocks[s + 1] = memory.used_blocks
                 self._record_finish(request)
@@ -642,10 +570,10 @@ class EpochEngine:
                 emitted, verify_rows = self._spec_series(
                     schedule, active, finishes, n)
             self.on_step(StepBlock(
-                times, totals, comm, waiting=len(scheduler.waiting),
-                running=active, kv_blocks=kv_blocks, spec_emitted=emitted,
-                spec_verify_rows=verify_rows, instants=instants,
-                kernel={s: spans[s] for s in spans if s <= n}))
+                times, totals, comm, len(scheduler.waiting), 0, 0,
+                _stretches(n, active, active, kv_blocks, emitted,
+                           verify_rows),
+                {s: spans[s] for s in spans if s <= n}, instants))
         return n
 
     @staticmethod

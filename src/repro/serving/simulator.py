@@ -27,6 +27,8 @@ plan, request stream) always yields a byte-identical report.
 
 from __future__ import annotations
 
+import functools
+
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
@@ -40,11 +42,7 @@ from repro.serving.costmodel import (
     check_softmax_rows,
     shared_cost_model,
 )
-from repro.serving.engine import (
-    DEFAULT_MAX_EPOCH,
-    STEP_CATEGORY,
-    EpochEngine,
-)
+from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.loop import arrival_events, run_loop
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import (
@@ -210,17 +208,20 @@ class ServingSimulator:
             trace_summary=trace_summary)
 
 
+#: A :class:`TraceEvent` from its full field tuple, without the named
+#: tuple's Python-level ``__new__``: the engine lane builds two events
+#: per step, the largest part of what tracing adds to a run.
+_event = functools.partial(tuple.__new__, TraceEvent)
+
+
 class _EngineLaneTrace:
     """A run's ``on_step`` callback: each engine step's span and
     occupancy sample on the plan's engine lane, and the lane's metrics,
     from each advance's :class:`~repro.serving.engine.StepBlock`.
 
-    The block is recorded as it stands and expands through
-    :meth:`_step_events` only when the trace is read; the metrics take
-    the block's aggregates in one update per instrument.  The lane and
-    instruments are looked up once, on the first step.  Looking them up
-    earlier would number the lane's tracks ahead of the scheduler's and
-    add metrics to a run that never steps.
+    The lane and instruments are looked up once, on the first step.
+    Looking them up earlier would number the lane's tracks ahead of the
+    scheduler's and add metrics to a run that never steps.
     """
 
     def __init__(self, tracer, lane: str) -> None:
@@ -241,36 +242,50 @@ class _EngineLaneTrace:
             self.spec_emitted = metrics.counter(f"{lane}.spec_emitted")
 
     def __call__(self, block) -> None:
+        """Write the block's ``engine step`` span and occupancy sample
+        per round, then update each instrument once.  The rounds of a
+        stretch share their ``args`` dicts."""
         if self.pid is None:
-            self._bind(spec=block.spec_emitted is not None)
-        block.record(self.tracer, self._step_events, per_step=2)
-        self.steps.add(block.steps)
-        self.decode_tokens.add(block.total(block.decode))
-        self.prefill_tokens.add(block.prefill_tokens * block.steps)
-        self.batch.merge(*block.gauge(block.running))
-        self.kv_blocks.merge(*block.gauge(block.kv_blocks))
-        if block.spec_emitted is not None:
-            self.spec_emitted.add(block.total(block.spec_emitted))
-
-    def _step_events(self, record) -> "tuple[TraceEvent, TraceEvent]":
-        """One step's ``engine step`` span and occupancy sample."""
-        args = {"decode": record.decode,
-                "prefill_chunks": record.prefill_chunks,
-                "prefill_tokens": record.prefill_tokens,
-                "running": record.running,
-                "waiting": record.waiting}
-        if record.spec_emitted is not None:
-            args["spec_emitted"] = record.spec_emitted
-            args["spec_verify_rows"] = record.spec_verify_rows
-        ts = float(record.ts)
-        return (
-            TraceEvent("engine step", STEP_CATEGORY, "X", ts,
-                       float(record.dur), self.pid, self.tid, args),
-            TraceEvent(self.occupancy, "counter", "C", ts, 0.0, self.pid, 0,
-                       {"running": record.running,
-                        "waiting": record.waiting,
-                        "kv_blocks": record.kv_blocks}),
-        )
+            spec_emitted = block.stretches[0][5]
+            self._bind(spec=spec_emitted is not None)
+        pid, tid, occupancy = self.pid, self.tid, self.occupancy
+        waiting = block.waiting
+        events = []
+        append = events.append
+        batch, kv_blocks = [], []
+        decode_tokens = spec_emitted = 0
+        for start, stop, decode, running, kv, emitted, rows in (
+                block.stretches):
+            args = {"decode": decode,
+                    "prefill_chunks": block.prefill_chunks,
+                    "prefill_tokens": block.prefill_tokens,
+                    "running": running,
+                    "waiting": waiting}
+            if emitted is not None:
+                args["spec_emitted"] = emitted
+                args["spec_verify_rows"] = rows
+                spec_emitted += emitted * (stop - start)
+            values = {"running": running, "waiting": waiting,
+                      "kv_blocks": kv}
+            for ts, dur in zip(block.times[start:stop],
+                               block.totals[start:stop]):
+                ts = float(ts)
+                append(_event(("engine step", "engine-step", "X", ts,
+                               float(dur), pid, tid, args)))
+                append(_event((occupancy, "counter", "C", ts, 0.0, pid, 0,
+                               values)))
+            decode_tokens += decode * (stop - start)
+            batch.append(running)
+            kv_blocks.append(kv)
+        block.emit(self.tracer, "engine step", events, per_step=2)
+        steps = len(block.totals)
+        self.steps.add(steps)
+        self.decode_tokens.add(decode_tokens)
+        self.prefill_tokens.add(block.prefill_tokens * steps)
+        self.batch.merge(running, min(batch), max(batch), steps)
+        self.kv_blocks.merge(kv, min(kv_blocks), max(kv_blocks), steps)
+        if emitted is not None:
+            self.spec_emitted.add(spec_emitted)
 
 
 def simulate_serving(

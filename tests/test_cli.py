@@ -350,6 +350,17 @@ class TestConsoleErrors:
             stdout.flush()  # the fd now points at devnull
         assert capsys.readouterr().err == ""
 
+    def test_broken_pipe_inside_a_command_still_raises(self, monkeypatch):
+        import repro.cli
+        from repro.cli import console
+
+        def broken(args):
+            raise BrokenPipeError("a worker's pipe, not stdout")
+
+        monkeypatch.setattr(repro.cli, "cmd_trace", broken)
+        with pytest.raises(BrokenPipeError):
+            console(["trace", "--sim", "inference"])
+
     def test_console_script_uses_the_wrapper(self):
         import pathlib
 

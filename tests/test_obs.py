@@ -9,7 +9,6 @@ from repro.common.errors import TraceError
 from repro.gpu import simcache
 from repro.obs import (
     NULL_TRACER,
-    TraceEvent,
     Tracer,
     chrome_events,
     chrome_trace_dict,
@@ -86,51 +85,24 @@ class TestTracer:
         assert sliced["spans"] == 1
         assert list(sliced["span_categories"]) == ["y"]
 
-    def test_blocks_count_and_summarize_without_expanding(self):
-        expansions = []
-
-        def expand():
-            expansions.append(1)
-            return [TraceEvent("step", "y", "X", 1.0, 0.25),
-                    TraceEvent("load", "counter", "C", 1.0),
-                    TraceEvent("step", "y", "X", 1.25, 0.5)]
-
+    def test_summary_sums_each_category_in_record_order(self):
         tracer = Tracer()
-        tracer.complete("a", "x", ts=0.0, dur=1.0)
-        tracer.block(3, [("y", [0.25, 0.5])], expand)
-        mark = tracer.event_count
-        tracer.block(3, [("y", [0.25, 0.5])], expand)
-        tracer.instant("i", "x", ts=2.0)
-        assert (mark, tracer.event_count) == (4, 8)
-        sliced = tracer.summary(since=mark, include_metrics=False)
-        full = tracer.summary(include_metrics=False)
-        assert sliced == {"events": 4, "spans": 2, "span_categories": {
-            "y": {"count": 2, "time_s": 0.75}}}
-        assert full["spans"] == 5
-        with pytest.raises(TraceError):
-            tracer.summary(since=2)  # inside the first block
-        assert not expansions
-        events = tracer.events
-        assert [e.name for e in events] == [
-            "a", "step", "load", "step", "step", "load", "step", "i"]
-        assert tracer.events is events and len(expansions) == 2
-        assert tracer.event_count == 8
-        assert tracer.summary(since=mark, include_metrics=False) == sliced
-        assert tracer.summary(include_metrics=False) == full
-
-    def test_cut_takes_what_followed_a_checkpoint(self):
-        tracer = Tracer()
-        tracer.block(2, [], lambda: [TraceEvent("b", "x", "i", 0.0)] * 2)
-        mark = tracer.event_count
-        tracer.complete("k1", "kernel", ts=0.0, dur=1.0)
-        tracer.complete("k2", "kernel", ts=1.0, dur=1.0)
-        taken = tracer.cut(mark)
-        assert [e.name for e in taken] == ["k1", "k2"]
-        assert tracer.event_count == mark == 2
-        assert tracer.cut(mark) == []
-        (block,) = tracer.cut(0)  # a block leaves whole, unexpanded
-        assert block.size == 2 and tracer.event_count == 0
-        assert tracer.events == []
+        durations = [1e16, 1.0, 1.0]  # reordered, the sum differs
+        for i, dur in enumerate(durations):
+            tracer.complete("y", "y", ts=float(i), dur=dur)
+            tracer.complete("x", "x", ts=float(i), dur=1.0)
+            tracer.counter("load", values={"n": i}, ts=float(i))
+        total = 0.0
+        for dur in durations:
+            total += dur
+        summary = tracer.summary(include_metrics=False)
+        assert total != 1.0 + 1.0 + 1e16
+        assert summary == {"events": 9, "spans": 6, "span_categories": {
+            "x": {"count": 3, "time_s": 3.0},
+            "y": {"count": 3, "time_s": total}}}
+        assert list(summary["span_categories"]) == ["x", "y"]
+        assert tracer.summary(since=9, include_metrics=False) == {
+            "events": 0, "spans": 0, "span_categories": {}}
 
     def test_null_tracer_is_inert(self):
         NULL_TRACER.complete("a", "x", ts=0.0, dur=1.0)
@@ -319,10 +291,10 @@ class TestTracedServing:
             assert "metrics" not in summary  # per-plan slices skip them
         assert "metrics" in report.trace_summary
 
-    def test_per_plan_slices_match_the_expanded_events(self):
-        """Each plan's summary starts at a checkpoint taken between the
-        previous plan's step blocks and this plan's; it must equal one
-        summed event by event over the expanded slice."""
+    def test_per_plan_slices_match_their_events(self):
+        """Each plan's summary, sliced from the shared tracer at the
+        plan's checkpoint, equals one summed event by event over its
+        slice."""
         tracer, report = _traced_serving(rate=2.0, duration=4.0)
         events = tracer.events
         start = 0

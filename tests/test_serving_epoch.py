@@ -26,7 +26,7 @@ from repro.serving import (
     ServingWorkload,
     StepCostModel,
 )
-from repro.serving.engine import sequential_sum
+from repro.obs.metrics import sequential_sum
 
 
 def tiny_gpu(model_name="bert-large", blocks=24, block_tokens=64,
@@ -519,27 +519,47 @@ class TestTracedEngineEquivalence:
 
     @pytest.mark.parametrize("name, build", TRACED_CASES,
                              ids=[name for name, _ in TRACED_CASES])
-    def test_aggregates_read_before_expansion(self, name, build):
-        """Event count, summary and metrics come from the step blocks'
-        aggregates, and equal what the expanded events give."""
+    def test_bulk_metrics_match_the_step_events(self, name, build):
+        """The lane metrics, updated once per step block, equal what one
+        update per traced step gives."""
         from repro.gpu import simcache
         from repro.obs import Tracer, tracing
+        from repro.obs.metrics import MetricsRegistry
 
         simcache.invalidate()
         with tracing(Tracer()) as tracer:
             build("epoch").run()
         simcache.invalidate()
-        before = (tracer.event_count,
-                  tracer.summary(include_metrics=False),
-                  tracer.metrics.snapshot())
-        events = tracer.events
-        after = (len(events), tracer.summary(include_metrics=False),
-                 tracer.metrics.snapshot())
-        assert before == after
+        lanes = {pid: name for name, pid in tracer.processes.items()}
+        expected = MetricsRegistry()
+        for event in tracer.events:
+            lane = lanes.get(event.pid)
+            if event.name == "engine step":
+                expected.counter(f"{lane}.steps").inc()
+                expected.counter(f"{lane}.decode_tokens").add(
+                    event.args["decode"])
+                expected.counter(f"{lane}.prefill_tokens").add(
+                    event.args["prefill_tokens"])
+                expected.gauge(f"{lane}.batch").set(event.args["running"])
+                if "spec_emitted" in event.args:
+                    expected.counter(f"{lane}.spec_emitted").add(
+                        event.args["spec_emitted"])
+            elif event.name == f"{lane} occupancy":
+                expected.gauge(f"{lane}.kv_blocks").set(
+                    event.args["kv_blocks"])
+            elif event.name == "replica step":
+                expected.counter(f"{lane}.comm_time_s").add(
+                    event.args["comm_s"])
+        snapshot = tracer.metrics.snapshot()
+        wanted = expected.snapshot()
+        assert wanted["counters"]
+        for kind in ("counters", "gauges"):
+            for key, value in wanted[kind].items():
+                assert snapshot[kind][key] == value, key
 
-    def test_log_grows_with_advances_not_steps(self, engines):
-        """A traced epoch run records one entry per advance plus its
-        requests' and kernel pricings' events, not one per step."""
+    def test_step_args_are_shared_within_a_stretch(self, engines):
+        """A traced epoch builds one ``args`` dict per stretch of steps
+        whose counts do not change, not one per step."""
         from repro.gpu import simcache
         from repro.obs import Tracer, tracing
 
@@ -552,13 +572,61 @@ class TestTracedEngineEquivalence:
             sim.run()
         simcache.invalidate()
         (engine,) = engines
-        advances = engine.epochs + engine.steps - engine.epoch_steps
-        kernel = tracer.summary(
-            include_metrics=False)["span_categories"]["kernel"]["count"]
-        # Per request: admit and first-token instants, finish instant,
-        # request span and three phase spans.
-        bound = advances + 7 * sim.num_requests + kernel
-        entries = len(tracer._log)
-        assert entries <= bound
-        assert engine.steps > 10 * entries
-        assert tracer.event_count > engine.steps  # the trace is per step
+        steps = [e for e in tracer.events if e.name == "engine step"]
+        samples = [e for e in tracer.events if e.ph == "C"]
+        assert len(steps) == len(samples) == engine.steps
+        assert engine.steps > 10 * len({id(e.args) for e in steps})
+        assert engine.steps > 10 * len({id(e.args) for e in samples})
+
+
+class TestStepBlock:
+    """The trace a :class:`StepBlock` writes, apart from any engine."""
+
+    @staticmethod
+    def block(totals, kernel=None, instants=None):
+        from repro.serving.engine import StepBlock
+
+        times = [float(sum(totals[:s])) for s in range(len(totals))]
+        return StepBlock(times, totals, [0.0] * len(totals), 0, 0, 0,
+                         [(0, len(totals), 1, 1, 1, None, None)],
+                         kernel or {}, instants or {})
+
+    @staticmethod
+    def steps(block):
+        from repro.obs.tracer import TraceEvent
+
+        return [TraceEvent(f"s{s}", "engine-step", "X", ts, dur)
+                for s, (ts, dur) in enumerate(zip(block.times,
+                                                  block.totals), 1)]
+
+    def test_kernel_spans_lead_and_instants_follow_their_round(self):
+        from repro.obs import Tracer
+        from repro.obs.tracer import TraceEvent
+
+        kernel = TraceEvent("k", "kernel", "X", 0.0, 0.0)
+        finish = TraceEvent("f", "request", "i", 0.0, 0.0)
+        block = self.block([1.0, 1.0, 1.0, 1.0],
+                           kernel={1: [kernel], 3: [kernel]},
+                           instants={2: [finish], 3: [finish]})
+        tracer = Tracer()
+        block.emit(tracer, "s", self.steps(block), per_step=1)
+        assert [e.name for e in tracer.events] == [
+            "k", "s1", "s2", "f", "k", "s3", "f", "s4"]
+
+    def test_stretches_merge_every_series(self):
+        from repro.serving.engine import _stretches
+
+        assert _stretches(5, {1: 3, 4: 2}, {1: 7, 2: 8, 4: 8}, None) == [
+            (0, 1, 3, 7, None), (1, 3, 3, 8, None), (3, 5, 2, 8, None)]
+        assert _stretches(1, {1: 3}, {1: 7}) == [(0, 1, 3, 7)]
+
+    def test_negative_step_cost_is_rejected(self):
+        from repro.common.errors import TraceError
+        from repro.obs import Tracer
+
+        block = self.block([1.0, -0.5, -1.0])
+        tracer = Tracer()
+        with pytest.raises(TraceError, match="'s' has negative duration "
+                                             "-0.5"):
+            block.emit(tracer, "s", self.steps(block), per_step=1)
+        assert tracer.events == []
