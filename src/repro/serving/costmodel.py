@@ -34,6 +34,7 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.kernels.softmax import longest_row
 from repro.models.config import ModelConfig, _check_tp_shards, get_model
 from repro.models.generation import (
+    STEP_GRAPHS,
     attention_step_kernels,
     mlp_step_kernels,
     step_shape_kind,
@@ -43,8 +44,26 @@ from repro.serving.requests import RequestArrays
 from repro.serving.specdecode import SpecDecodeConfig
 
 
+#: The ``costs`` pool entry holding the pool's sub-graph price memos;
+#: every other entry is a priced model (:func:`shared_cost_model`).
+SHAPES = "shapes"
+
+
 class StepCostModel:
     """Memoized engine-step latency for one (model, gpu, plan).
+
+    Each memo is keyed by the sub-graph it prices:
+
+    - MLP on (model, gpu, dtype, tp, ep), then ``m``;
+    - attention on (model, gpu, dtype, tp), the row's role graph
+      (``STEP_GRAPHS``) and ``t`` only where that graph holds the
+      ``ir`` role, then ``(layer, m, kv)``.
+
+    A pooled model shares these memos with its pool
+    (:func:`shared_cost_model`).  The step loops read the MLP memo and
+    the prefill attention memo, one dict ``.get`` per term; a decode or
+    windowed term missing there is read from the baseline graph's memo
+    before kernels are simulated.
 
     >>> cost = StepCostModel("gpt-neo-1.3b", "a100", plan="sdf")
     >>> cost.step_time(prefill=[(512, 512)], decode_kv=[700, 1400]) > 0
@@ -97,8 +116,34 @@ class StepCostModel:
         # One representative layer index per distinct attention spec.
         self._groups = [(layer, count)
                         for layer, _, count in self.model.layer_groups()]
+        self._mlp_priced = self._attn_priced = 0
+        # A private model keeps one memo per term type; every price in
+        # it is its own.  :meth:`_share` points a pooled model at its
+        # pool's memos.
         self._mlp_cache: dict[int, float] = {}
         self._attn_cache: dict[tuple[int, int, int], float] = {}
+        self._attn_tables = dict.fromkeys(STEP_GRAPHS, self._attn_cache)
+
+    def _share(self, tables: dict) -> None:
+        """Price through ``tables``, one ``{shape: price}`` memo per
+        sub-graph key, each found or added there: the MLP memo (keyed
+        by ``m``) and one attention memo per step shape kind (keyed by
+        ``(layer, m, kv)``)."""
+        fields = (self.model, self.gpu, self.dtype, self.tp_shards)
+        self._mlp_cache = tables.setdefault(
+            ("mlp", *fields, self.ep_shards), {})
+        self._attn_tables = {}
+        for kind, graph_of in STEP_GRAPHS.items():
+            graph = graph_of(self.plan)
+            # Only the decomposed roles read ``t``, and every graph
+            # holding them keeps a standalone IR.
+            self._attn_tables[kind] = tables.setdefault(
+                ("attention", *fields, graph,
+                 self.t if "ir" in graph.roles else None), {})
+        # The step loops read every attention term from the prefill
+        # memo: a decode or windowed price depends on its shape alone,
+        # so it is the same for every model sharing that memo.
+        self._attn_cache = self._attn_tables["prefill"]
 
     def _simulate(self, kernels) -> float:
         self._device.reset()
@@ -114,8 +159,8 @@ class StepCostModel:
                                          dtype=self.dtype, prefix="step",
                                          tp_shards=self.tp_shards,
                                          ep_shards=self.ep_shards)
-            cached = self._simulate(pre + post)
-            self._mlp_cache[m_tokens] = cached
+            cached = self._mlp_cache[m_tokens] = self._simulate(pre + post)
+            self._mlp_priced += 1
         return cached
 
     def attention_time(self, layer: int, m_tokens: int, kv_len: int) -> float:
@@ -123,11 +168,18 @@ class StepCostModel:
         key = (layer, m_tokens, kv_len)
         cached = self._attn_cache.get(key)
         if cached is None:
-            cached = self._simulate(attention_step_kernels(
-                self.model, layer, m_tokens=m_tokens, kv_len=kv_len,
-                dtype=self.dtype, plan=self.plan, t=self.t, prefix="step",
-                tp_shards=self.tp_shards,
-            ))
+            # A decode or windowed term may be in the baseline graph's
+            # memo already, priced by a model of another plan or ``t``.
+            table = self._attn_tables[step_shape_kind(
+                self.model.layer_attention(layer), m_tokens)]
+            cached = table.get(key)
+            if cached is None:
+                cached = table[key] = self._simulate(attention_step_kernels(
+                    self.model, layer, m_tokens=m_tokens, kv_len=kv_len,
+                    dtype=self.dtype, plan=self.plan, t=self.t,
+                    prefix="step", tp_shards=self.tp_shards,
+                ))
+                self._attn_priced += 1
             self._attn_cache[key] = cached
         return cached
 
@@ -220,8 +272,10 @@ class StepCostModel:
         return self.decode_step_time(decode_kv), 0.0
 
     def cache_sizes(self) -> tuple[int, int]:
-        """(mlp entries, attention entries) — for diagnostics."""
-        return len(self._mlp_cache), len(self._attn_cache)
+        """(mlp, attention) shapes this model priced itself — for
+        diagnostics.  A shape a pool-mate priced first is not counted,
+        so summed over a pool's models this counts each shape once."""
+        return self._mlp_priced, self._attn_priced
 
 
 def check_softmax_rows(stream, model: ModelConfig, gpu: GPUSpec,
@@ -289,6 +343,13 @@ def shared_cost_model(costs: "dict | None", cls, model, gpu, **fields):
     joins the key by itself.  Engine knobs (chunk size, batch cap,
     routing policy) are not constructor arguments and never split it.
 
+    Below the models, every model of a pool prices through the pool's
+    sub-graph memos (``costs[SHAPES]``; see :class:`StepCostModel`), so
+    models whose keys differ only in fields a term does not read —
+    ``plan`` and ``t`` for MLP and decode rows, ``t`` under the
+    baseline graph, ``pp``, ``kv_bucket``, interconnect and algorithm —
+    price that term once between them.
+
     ``costs`` is a plain dict owned by one run or one tuner call; a
     miss builds the model and adds it, and ``None`` builds a private
     one.  There is deliberately no process-global pool: a traced run
@@ -303,14 +364,16 @@ def shared_cost_model(costs: "dict | None", cls, model, gpu, **fields):
     cost = costs.get(key)
     if cost is None:
         cost = costs[key] = cls(model, gpu, **fields)
+        cost._share(costs.setdefault(SHAPES, {}))
     return cost
 
 
 def verification_oracles():
-    """Oracle checking the memoized step-cost composition against a
-    direct, cache-free recomposition from the layer kernels, plus the
-    serving-specific invariants (memo stability, empty-step zero,
-    request-order invariance, KV bucketing idempotence)."""
+    """Oracle checking the memoized step-cost composition of a pooled
+    model against a direct, cache-free recomposition from the layer
+    kernels, plus the serving-specific invariants (memo stability,
+    empty-step zero, request-order invariance, KV bucketing
+    idempotence)."""
     import numpy as np
 
     from repro.models.config import AttentionKind, AttentionSpec
@@ -370,9 +433,18 @@ def verification_oracles():
         p = case.params
         prefill = [tuple(entry) for entry in p["prefill"]]
         decode_kv = list(p["decode_kv"])
-        cost = StepCostModel(tiny[p["model"]], p["gpu"], plan=p["plan"],
-                             t=p["t"], kv_bucket=p["kv_bucket"])
-        first = cost.step_time(prefill=prefill, decode_kv=decode_kv)
+        # The model under test comes from a pool that already priced
+        # the same step under the next plan and under another ``t``, so
+        # every term it shares is read from a pool-mate's pricing.
+        costs, plans = {}, list(PAPER_CANDIDATES)
+        other = plans[(plans.index(AttentionPlan.from_name(p["plan"])) + 1)
+                      % len(plans)]
+        for plan, t in ((other, p["t"]), (p["plan"], 2 * p["t"]),
+                        (p["plan"], p["t"])):
+            cost = shared_cost_model(costs, StepCostModel, tiny[p["model"]],
+                                     p["gpu"], plan=plan, t=t,
+                                     kv_bucket=p["kv_bucket"])
+            first = cost.step_time(prefill=prefill, decode_kv=decode_kv)
         violations = []
         second = cost.step_time(prefill=prefill, decode_kv=decode_kv)
         if second != first:

@@ -29,8 +29,11 @@ against the budget.  One evaluator also owns a pool of priced step-cost
 models (:func:`repro.serving.costmodel.shared_cost_model`) that every
 serving and cluster evaluation looks its models up in, so candidates
 that differ only in engine knobs or routing policy never re-price a
-step shape; deeper down, :mod:`repro.gpu.simcache` memoizes the
-kernel-level simulations shared between the remaining models.
+step shape.  The pool's models also share one table of sub-graph
+prices, so candidates that differ in plan, ``t`` or pipeline depth
+price each MLP and decode shape once between them; deeper down,
+:mod:`repro.gpu.simcache` memoizes the kernel-level simulations shared
+between the remaining shapes.
 Infeasible candidates (any :class:`~repro.common.errors.ReproError`
 from construction or execution) score ``inf`` instead of aborting the
 search.
@@ -101,8 +104,8 @@ class ScenarioEvaluator:
         #: Fresh (non-memoized) evaluations performed so far.
         self.evaluations = 0
         self._memo: "dict[tuple, float]" = {}
-        #: Priced step-cost models, one per pricing key, shared by every
-        #: evaluation of this tuner call.
+        #: Priced step-cost models, one per pricing key, and their
+        #: shared sub-graph prices, for every evaluation of this call.
         self._costs: dict = {}
         self._workloads: "dict[float, object]" = {}
 

@@ -370,6 +370,13 @@ class TestSharedCostModels:
     def _doc(report):
         return json.dumps(report.to_dict(), sort_keys=True)
 
+    @staticmethod
+    def _models(costs):
+        """The priced models of a pool, without its sub-graph prices."""
+        from repro.serving.costmodel import SHAPES
+
+        return [model for key, model in costs.items() if key != SHAPES]
+
     @pytest.mark.parametrize("speculate", (False, True),
                              ids=("plain", "speculative"))
     @pytest.mark.parametrize("policy", POLICIES)
@@ -397,7 +404,7 @@ class TestSharedCostModels:
         models = built(StepCostModel)
         warm = self._doc(sim.run())
         assert models == []
-        assert len(costs) == 1
+        assert len(self._models(costs)) == 1
         assert cold == first == warm
 
     def test_one_model_per_run(self, built, engines):
@@ -420,14 +427,16 @@ class TestSharedCostModels:
                           {"policy": "least-outstanding"},
                           {"policy": "prefix-affinity"}):
             self._sim(costs=costs, **overrides).run()
-        assert len(costs) == 1
+        assert len(self._models(costs)) == 1
         self._sim(costs=costs, plan="sd").run()
-        assert len(costs) == 2
+        assert len(self._models(costs)) == 2
 
-    def test_pricing_key_covers_every_constructor_field(self):
+    def test_pricing_key_covers_every_constructor_field(self, monkeypatch):
         """Changing any one constructor argument prices through a
-        distinct model.  The field list comes from the signature, so a
-        new pricing field without an entry here fails the test."""
+        distinct model, which re-prices exactly the terms whose
+        sub-graph reads that argument and prices every step as a
+        private model does.  The field list comes from the signature,
+        so a new pricing field without an entry here fails the test."""
         import inspect
 
         from repro.common.dtypes import DType
@@ -436,18 +445,37 @@ class TestSharedCostModels:
         from repro.serving.costmodel import shared_cost_model
 
         moe = MoEConfig.from_dense(TINY, n_experts=4, top_k=2)
-        base = dict(model=moe, gpu=get_gpu("t4"),
+        base = dict(model=moe, gpu=get_gpu("a100"),
                     plan=AttentionPlan.DECOMPOSED, dtype=DType.FP16, t=64,
                     kv_bucket=64, tp=1, pp=1, ep=1, interconnect=NVLINK3,
                     algorithm="ring")
         changed = dict(model=MoEConfig.from_dense(TINY, n_experts=4,
                                                   top_k=1),
-                       gpu=get_gpu("a100"),
+                       gpu=get_gpu("t4"),
                        plan=AttentionPlan.RECOMPOSED, dtype=DType.FP32,
                        t=32, kv_bucket=128, tp=2, pp=2, ep=2,
                        interconnect=PCIE4, algorithm="tree")
+        #: Field -> whether changing it re-prices the (MLP, prefill
+        #: attention, decode attention) terms of the steps below.  The
+        #: decode KV of 100 buckets to 128 under both ``kv_bucket``s.
+        reprices = dict(
+            model=(True, True, True), gpu=(True, True, True),
+            plan=(False, True, False), dtype=(True, True, True),
+            t=(False, True, False), kv_bucket=(False, False, False),
+            tp=(True, True, True), pp=(False, False, False),
+            ep=(True, False, False), interconnect=(False, False, False),
+            algorithm=(False, False, False))
         fields = inspect.signature(ShardedStepCostModel).parameters
-        assert set(changed) == set(base) == set(fields)
+        assert set(changed) == set(base) == set(reprices) == set(fields)
+
+        calls = []
+        simulate = StepCostModel._simulate
+
+        def counted(self, kernels):
+            calls.append(self)
+            return simulate(self, kernels)
+
+        monkeypatch.setattr(StepCostModel, "_simulate", counted)
 
         def build(costs, **args):
             args = dict(args)
@@ -455,18 +483,81 @@ class TestSharedCostModels:
                                      args.pop("model"), args.pop("gpu"),
                                      **args)
 
+        def priced(costs, **args):
+            """A model drawn from ``costs`` and whether it simulates
+            the (MLP, prefill attention, decode attention) terms of a
+            prefill and a decode step itself; its prices must equal a
+            private model's."""
+            model = build(costs, **args)
+            start = len(calls)
+            prefill_cost = model.step_cost(prefill=[(64, 128)])
+            _, prefill = model.cache_sizes()
+            decode_cost = model.decode_step_cost([100])
+            mlp, attention = model.cache_sizes()
+            assert len(calls) - start == mlp + attention
+            private = build(None, **args)
+            assert prefill_cost == private.step_cost(prefill=[(64, 128)])
+            assert decode_cost == private.decode_step_cost([100])
+            return model, (mlp > 0, prefill > 0, attention > prefill)
+
         costs = {}
-        reference = build(costs, **base)
+        reference, _ = priced(costs, **base)
         assert build(costs, **base) is reference
         for name, value in changed.items():
-            model = build(costs, **{**base, name: value})
+            model, terms = priced(costs, **{**base, name: value})
             assert model is not reference, name
             assert getattr(model, name) == value, name
-        assert len(costs) == 1 + len(changed)
+            assert terms == reprices[name], name
+        assert len(self._models(costs)) == 1 + len(changed)
+        # The baseline graph reads no ``t``.
+        baseline = {**base, "plan": AttentionPlan.BASELINE}
+        assert priced(costs, **baseline)[1] == (False, True, False)
+        assert priced(costs, **{**baseline, "t": 32})[1] \
+            == (False, False, False)
         # Defaults are part of the key: spelling one out shares.
         assert shared_cost_model(costs, ShardedStepCostModel, moe,
-                                 get_gpu("t4"),
+                                 get_gpu("a100"),
                                  plan=AttentionPlan.DECOMPOSED) \
             is reference
         # Without a pool every call builds a private model.
         assert build(None, **base) is not build(None, **base)
+
+    @pytest.mark.parametrize("name", ("bert-large", "gpt-neo-1.3b"))
+    def test_pooled_prices_equal_private_ones(self, name):
+        """Every model of one pool — each paper plan, ``t``, TP and PP
+        degree — prices random prefill, decode and (GPT-Neo's local
+        layers) windowed steps exactly as a private model does, though
+        most of its terms were priced by a pool-mate."""
+        import itertools
+
+        import numpy as np
+
+        from repro.core.autotune import PAPER_CANDIDATES
+        from repro.serving.costmodel import shared_cost_model
+
+        rng = np.random.default_rng(0)
+
+        def shapes(n):
+            """``n`` random prefill chunks and decode KV lengths."""
+            return ([(int(m), int(m + rng.integers(0, 700)))
+                     for m in rng.integers(2, 300, size=n)],
+                    [int(kv) for kv in rng.integers(1, 2049, size=n)])
+
+        # Every model prices the common shapes plus a fresh one of each.
+        common = shapes(2)
+        costs, shared = {}, 0
+        for plan, t, tp, pp in itertools.product(
+                PAPER_CANDIDATES, (32, 64, 128), (1, 2), (1, 2)):
+            prefill, decode_kv = (a + b for a, b in zip(common, shapes(1)))
+            fields = dict(plan=plan, t=t, tp=tp, pp=pp)
+            pooled = shared_cost_model(costs, ShardedStepCostModel, name,
+                                       "a100", **fields)
+            private = ShardedStepCostModel(name, "a100", **fields)
+            for step in ({"prefill": prefill}, {"decode_kv": decode_kv},
+                         {"prefill": prefill, "decode_kv": decode_kv}):
+                assert pooled.step_cost(**step) \
+                    == private.step_cost(**step), (fields, step)
+            assert pooled.decode_step_cost(decode_kv) \
+                == private.decode_step_cost(decode_kv), fields
+            shared += sum(private.cache_sizes()) - sum(pooled.cache_sizes())
+        assert shared > 0

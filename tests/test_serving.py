@@ -345,7 +345,8 @@ class TestStepCostModel:
         cost = StepCostModel("bert-large", "a100")
         cost.step_time(prefill=[(512, 512)], decode_kv=[100, 130])
         sizes = cost.cache_sizes()
-        # 100 and 130 share the 128-bucket... no: 100→128, 130→192.
+        # At the default 64-token bucket, 100 and 101 price as 128
+        # and 130 and 140 as 192.
         cost.step_time(prefill=[(512, 512)], decode_kv=[101, 140])
         assert cost.cache_sizes() == sizes   # same buckets, no new entries
 

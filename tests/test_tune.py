@@ -116,7 +116,7 @@ class TestDeterminism:
 
 
 class TestSharedCostModels:
-    """One tuner call prices each step shape once per pricing key."""
+    """One tuner call prices each step shape once."""
 
     @pytest.mark.parametrize("sim", ("serving", "cluster"))
     def test_shared_pool_matches_fresh_models(self, monkeypatch, sim):
@@ -148,6 +148,26 @@ class TestSharedCostModels:
         assert len(models) == len(keys)
         # Engine knobs and routing policy vary without re-pricing.
         assert len(models) < result.spent
+
+    def test_shapes_priced_counts_each_simulation_once(self, built,
+                                                       monkeypatch):
+        """Summed over a tuner call's models, ``cache_sizes`` counts
+        each priced shape once: it equals the ``_simulate`` calls.
+        Models of different plans, ``t`` or PP share one MLP memo."""
+        from repro.serving.costmodel import StepCostModel
+
+        calls = []
+        simulate = StepCostModel._simulate
+
+        def counted(self, kernels):
+            calls.append(self)
+            return simulate(self, kernels)
+
+        monkeypatch.setattr(StepCostModel, "_simulate", counted)
+        models = built(StepCostModel)
+        tune(FAST, objective="ttft_p99", budget=12, seed=0, sim="cluster")
+        assert sum(sum(m.cache_sizes()) for m in models) == len(calls)
+        assert len({id(m._mlp_cache) for m in models}) < len(models)
 
 
 class TestNeverWorse:
