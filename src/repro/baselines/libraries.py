@@ -191,8 +191,8 @@ def simulate_library(
     """Simulate one full inference under a library's scheduling policy."""
     from repro.models.config import get_model
 
-    config = get_model(model) if isinstance(model, str) else model
-    spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    config = get_model(model)
+    spec = get_gpu(gpu)
     if config.is_sparse and not profile.supports_sparse:
         raise ConfigError(
             f"{profile.name} has no block-sparse kernels; cannot run "

@@ -429,7 +429,7 @@ def cmd_footprint(args: argparse.Namespace) -> str:
     from repro.models.config import get_model
 
     model = _resolve_model(args)
-    config = get_model(model) if isinstance(model, str) else model
+    config = get_model(model)
     rows = []
     plans = {}
     for plan in (p.value for p in PAPER_CANDIDATES):

@@ -26,6 +26,7 @@ through :meth:`Replica.outcome`: its engine's
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.common.dtypes import DType
@@ -34,7 +35,7 @@ from repro.gpu.interconnect import InterconnectSpec, NVLINK3
 from repro.gpu.specs import GPUSpec
 from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
-from repro.obs.tracer import NULL_TRACER, TraceEvent
+from repro.obs.tracer import NULL_TRACER, TraceEvent, check_span
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import RunOutcome
@@ -192,12 +193,13 @@ class Replica:
                                    max_new_steps=max_new_steps,
                                    lockstep=lockstep)
 
-    def _trace_step(self, block) -> None:
+    def _trace_step(self, stretch) -> None:
         """The engine's ``on_step``: one ``replica step`` span per step
-        of the advance's :class:`~repro.serving.engine.StepBlock`, plus
-        its communication time and KV occupancy in the metrics.  The
-        lane and instruments are looked up on the first step (earlier
-        would renumber the replica's tracks)."""
+        of the :class:`~repro.serving.engine.Stretch`, every step
+        sharing one ``args`` dict, plus its communication time and KV
+        occupancy in the metrics.  The lane and instruments are looked
+        up on the first step (earlier would renumber the replica's
+        tracks)."""
         if self._steps_lane is None:
             metrics = self.tracer.metrics
             self._steps_lane = self.tracer.track(self.trace_process,
@@ -207,24 +209,20 @@ class Replica:
             self._kv_gauge = metrics.gauge(
                 f"{self.trace_process}.kv_blocks")
         pid, tid = self._steps_lane
-        events = []
-        kv_blocks = []
-        for start, stop, decode, running, kv, _, _ in block.stretches:
-            events.extend(
-                TraceEvent("replica step", "engine-step", "X", float(ts),
-                           float(dur), pid, tid,
-                           {"decode": decode,
-                            "prefill_tokens": block.prefill_tokens,
-                            "compute_s": dur - comm, "comm_s": comm,
-                            "running": running})
-                for ts, dur, comm in zip(block.times[start:stop],
-                                         block.totals[start:stop],
-                                         block.comm[start:stop]))
-            kv_blocks.append(kv)
-        block.emit(self.tracer, "replica step", events, per_step=1)
-        self._comm_counter.add_all(block.comm)
-        self._kv_gauge.merge(kv, min(kv_blocks), max(kv_blocks),
-                             len(block.totals))
+        times, total, comm = stretch.times, stretch.total, stretch.comm
+        check_span("replica step", total)
+        args = {"decode": stretch.decode,
+                "prefill_tokens": stretch.prefill_tokens,
+                "compute_s": total - comm, "comm_s": comm,
+                "running": stretch.running}
+        dur = float(total)
+        self.tracer.events.extend(
+            TraceEvent("replica step", "engine-step", "X", float(ts), dur,
+                       pid, tid, args) for ts in times)
+        steps = len(times)
+        self._comm_counter.add_all(itertools.repeat(comm, steps))
+        kv = stretch.kv_blocks
+        self._kv_gauge.merge(kv, kv, kv, steps)
 
     def outcome(self) -> ReplicaOutcome:
         """Snapshot this replica's contribution to the cluster report."""

@@ -101,8 +101,8 @@ class ClusterSimulator:
             )
         if jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         self.plan = resolve_plan(
             AttentionPlan.BASELINE if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
@@ -242,8 +242,8 @@ def simulate_cluster(
     ``engine``, ``jobs``, ...).  The report header (rate, duration,
     seed, arrival, request count) comes from the workload.
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    model = get_model(model)
+    gpu = get_gpu(gpu)
     reports = {}
     for plan in plans:
         sim = ClusterSimulator(

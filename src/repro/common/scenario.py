@@ -248,7 +248,7 @@ class ScenarioSpec:
             from repro.models.moe import moe_overrides
 
             model = moe_overrides(
-                get_model(model) if isinstance(model, str) else model,
+                get_model(model),
                 n_experts=self.moe.n_experts,
                 top_k=self.moe.top_k,
                 capacity_factor=self.moe.capacity_factor,

@@ -225,8 +225,8 @@ class ControlPlaneSimulator:
                 f"shed_backlog_tokens must be >= 0, got "
                 f"{shed_backlog_tokens}"
             )
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         self.plan = resolve_plan(
             AttentionPlan.RECOMPOSED if plan is None else plan,
             model=self.model, gpu=self.gpu, t=t,
@@ -694,8 +694,8 @@ def simulate_controlplane(
     Extra keyword arguments reach :class:`ControlPlaneSimulator`
     (``shed_backlog_tokens``, ``cold_start_s``, ``tp``, ``pp``, ...).
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    model = get_model(model)
+    gpu = get_gpu(gpu)
     reports = {}
     for plan in plans:
         sim = ControlPlaneSimulator(

@@ -24,8 +24,7 @@ class Device:
     """
 
     def __init__(self, spec: "GPUSpec | str") -> None:
-        if isinstance(spec, str):
-            spec = get_gpu(spec)
+        spec = get_gpu(spec)
         self.spec = spec
         self.profile = Profile()
         self.energy_model = EnergyModel(spec)

@@ -224,12 +224,15 @@ _REGISTRY = {
 }
 
 
-def get_gpu(name: str) -> GPUSpec:
-    """Look up a GPU preset by (case/space-insensitive) name.
+def get_gpu(name: "str | GPUSpec") -> GPUSpec:
+    """Look up a GPU preset by (case/space-insensitive) name; a spec is
+    already resolved and comes back unchanged.
 
     >>> get_gpu("a100").name
     'A100'
     """
+    if isinstance(name, GPUSpec):
+        return name
     key = name.lower().replace(" ", "").replace("-", "")
     try:
         return _REGISTRY[key]

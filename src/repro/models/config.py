@@ -245,8 +245,11 @@ def _check_tp_shards(model: ModelConfig, tp_shards: int) -> None:
         )
 
 
-def get_model(name: str) -> ModelConfig:
-    """Look up a model preset by (case-insensitive) name."""
+def get_model(name: "str | ModelConfig") -> ModelConfig:
+    """Look up a model preset by (case-insensitive) name; a config is
+    already resolved and comes back unchanged."""
+    if isinstance(name, ModelConfig):
+        return name
     if name.lower() not in _REGISTRY:
         # MoE presets register on import; pull them in lazily so the
         # lookup works regardless of which module loaded first.

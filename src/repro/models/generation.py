@@ -349,8 +349,8 @@ class GenerationSession:
         t: int = 64,
         prefill_chunk: int = 0,
     ) -> None:
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         self.plan = AttentionPlan.from_name(plan)
         require_positive("prompt_len", prompt_len)
         require_positive("generated_tokens", generated_tokens)

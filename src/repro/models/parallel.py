@@ -242,7 +242,7 @@ class PipelineParallelSession:
     ) -> None:
         require_positive("n_stages", n_stages)
         require_positive("microbatches", microbatches)
-        self.model = get_model(model) if isinstance(model, str) else model
+        self.model = get_model(model)
         if self.model.num_layers % n_stages != 0:
             raise ConfigError(
                 f"{self.model.name}: {self.model.num_layers} layers do not "
@@ -254,7 +254,7 @@ class PipelineParallelSession:
             )
         self.n_stages = n_stages
         self.microbatches = microbatches
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.gpu = get_gpu(gpu)
         self.interconnect = interconnect
         self.plan = AttentionPlan.from_name(plan)
         self.seq_len = seq_len

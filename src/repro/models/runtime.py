@@ -75,17 +75,6 @@ class InferenceResult:
         """``baseline.total_time / self.total_time``."""
         return baseline.total_time / self.total_time
 
-    def hbm_fraction(self, dtype: DType = DType.FP16) -> float:
-        """Peak device-memory footprint as a fraction of the GPU's
-        ``hbm_bytes`` (weights + activations + attention state)."""
-        from repro.models.footprint import inference_footprint
-
-        footprint = inference_footprint(
-            self.model, seq_len=self.seq_len, batch=self.batch,
-            plan=self.plan, dtype=dtype,
-        )
-        return footprint.total / self.gpu.hbm_bytes
-
     def to_dict(self) -> "dict[str, object]":
         """Versioned JSON-ready document (``repro.result/v1``).
 
@@ -166,8 +155,8 @@ class InferenceSession:
         layout_seed: int = 0,
         weight_seed: int = 0,
     ) -> None:
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         _check_tp_shards(self.model, self.tp_shards)
         if getattr(self.model, "is_moe", False):
             raise ConfigError(

@@ -284,7 +284,7 @@ class Seq2SeqSession:
         require_positive("tgt_len", tgt_len)
         require_positive("batch", batch)
         self.config = config
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.gpu = get_gpu(gpu)
         self.plan = AttentionPlan.from_name(plan)
         self.src_len = src_len
         self.tgt_len = tgt_len

@@ -172,7 +172,7 @@ class TrainingSDAStep:
 
     def simulate(self, gpu: "GPUSpec | str" = "A100") -> TrainingProfiles:
         """Cost-only forward + backward on ``gpu``."""
-        spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        spec = get_gpu(gpu)
         device = Device(spec)
         self.forward_block.simulate(device)
         forward = device.take_profile()

@@ -26,10 +26,12 @@ Design points:
 - **Deterministic tracks.**  Chrome-trace ``pid``/``tid`` lanes are
   assigned by :meth:`Tracer.track` in first-use order, which is itself
   deterministic because the simulators are.
-- **Bulk writes.**  The serving engine hands its trace consumer one
-  block of steps per advance; the consumer appends the block's events
-  to :attr:`Tracer.events` in one pass, so the per-step cost is
-  building the events themselves.
+- **Bulk writes in record order.**  The serving engine hands its
+  trace consumer each stretch of steps whose counts do not change,
+  just before the next event the classic loop records after them; the
+  consumer appends the stretch's events to :attr:`Tracer.events` in
+  one pass, so nothing is cut out of the trace and spliced back, and
+  the per-step cost is building the events themselves.
 
 Install a tracer with the :func:`tracing` context manager::
 
@@ -82,6 +84,13 @@ class TraceEvent(NamedTuple):
     pid: int = 0
     tid: int = 0
     args: "dict[str, Any] | None" = None
+
+
+def check_span(name: str, dur: float) -> None:
+    """Raise :class:`TraceError` if a span called ``name`` would last
+    a negative ``dur``; every writer of spans checks through here."""
+    if dur < 0:
+        raise TraceError(f"span {name!r} has negative duration {dur!r}")
 
 
 class Tracer:
@@ -167,10 +176,7 @@ class Tracer:
         args: "dict[str, Any] | None" = None,
     ) -> None:
         """Record a complete span ``[ts, ts + dur]`` on lane (pid, tid)."""
-        if dur < 0:
-            raise TraceError(
-                f"span {name!r} has negative duration {dur!r}"
-            )
+        check_span(name, dur)
         self.events.append(TraceEvent(name, cat, "X", float(ts),
                                       float(dur), pid, tid, args))
 

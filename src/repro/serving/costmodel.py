@@ -82,8 +82,8 @@ class StepCostModel:
         tp_shards: int = 1,
         ep_shards: int = 1,
     ) -> None:
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         self.plan = AttentionPlan.from_name(plan)
         # The paper's plans: the related-work plans (online, turbo,
         # fused-mha, flash) have no rectangular prefill kernels.

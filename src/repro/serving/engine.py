@@ -7,118 +7,67 @@ scale that per-step Python overhead dominates wall clock.
 **epoch** fast path: while every running request is fully prefilled,
 the next ``n`` steps (speculative *rounds*) are a closed-form function
 of the epoch-start state, so the engine advances all ``n`` at once,
-bit-identically to the loop, in three steps:
+bit-identically to the loop, in two steps:
 
 - **plan** — a :class:`RoundSchedule` gives each request's tokens per
   round.  The epoch stops at the first finish while requests wait, at
   the step budget and a hard cap, and where the KV-block headroom
   (mid-epoch releases ignored) runs out, so it never preempts.
   Segment ends are the rounds after which the priced batch changes.
-- **price** — one ``step_cost``/``decode_step_cost`` call per segment,
-  the call the classic step makes, in round order (the draft before
-  the target), none starting at or after the next arrival.
-- **replay** — KV grows and finishes in the classic (round, phase,
-  running-index) order, so allocator state and the peak watermark
-  match the loop.  Traced, the same walk notes where the batch and the
-  KV occupancy change and hands ``on_step`` one :class:`StepBlock`,
-  from which it writes the classic per-step trace in one pass; each
-  segment's cold ``kernel`` spans stand in front of its first round.
+- **walk** — one pass over the segments in round order: price each
+  with the call the classic step makes (the draft before the target),
+  none starting at or after the next arrival, then apply its KV grows
+  and finishes in the classic (round, phase, running-index) order, so
+  allocator state and the peak watermark match the loop.  Traced,
+  ``on_step`` gets each :class:`Stretch` of rounds just before the
+  next event the classic loop records after them (a segment's cold
+  ``kernel`` spans, a ``finish`` instant) or where the KV occupancy
+  changes, so every trace event is written where the loop writes it.
 
 docs/performance.md spells out the rules.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
+from bisect import bisect_left
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from repro.common.errors import TraceError
 from repro.obs.metrics import sequential_sum
 from repro.obs.tracer import NULL_TRACER
 from repro.serving.metrics import LatencyAccumulator, RunOutcome
 
 __all__ = ["EpochEngine", "DEFAULT_MAX_EPOCH", "RoundSchedule",
-           "StepBlock"]
+           "Stretch"]
 
 #: Hard cap on steps folded into one epoch; bounds the per-epoch
 #: working set (one float per step).
 DEFAULT_MAX_EPOCH = 4096
 
 
-class StepBlock(NamedTuple):
-    """The steps of one engine advance, as a tracer sees them.
+class Stretch(NamedTuple):
+    """Consecutive steps of one engine advance over which nothing a
+    trace shows changes but the clock, as ``on_step`` gets them.
 
-    A classic step is a one-round block and an epoch is one block, so
-    ``on_step`` gets one per advance either way.  Round ``s`` starts at
-    ``times[s - 1]`` and costs ``totals[s - 1]``, ``comm[s - 1]`` of it
-    communication; ``waiting`` and the prefill shape hold for every
-    round.  ``stretches`` cover the rounds in order, one per run of
-    rounds over which no count changes: ``(start, stop, decode,
-    running, kv_blocks, spec_emitted, spec_verify_rows)`` for rounds
-    ``start + 1`` to ``stop`` (the slice ``start:stop`` of ``times``),
-    the ``spec_*`` counts ``None`` without speculative decoding.
-    ``running``, ``waiting`` and ``kv_blocks`` stand after the round's
-    KV growth and before its finishes.  ``kernel`` and ``instants`` map
-    a round to the events recorded just before it (the cold ``kernel``
-    spans of the segment it opens) and just after it (its ``finish``
-    instants); a classic step leaves both in the trace where they were
-    recorded.
+    A classic step is a one-round stretch; an epoch hands over its
+    rounds in order.  Each step starts at its entry of ``times`` and
+    costs ``total``, ``comm`` of it communication.  ``running``, ``waiting``
+    and ``kv_blocks`` stand after the rounds' KV growth and before
+    their finishes; the ``spec_*`` counts are per round and ``None``
+    without speculative decoding.
     """
 
     times: list
-    totals: list
-    comm: list
+    total: float
+    comm: float
+    decode: int
+    running: int
     waiting: int
+    kv_blocks: int
     prefill_chunks: int
     prefill_tokens: int
-    stretches: list
-    kernel: dict
-    instants: dict
-
-    def emit(self, tracer, span: str, steps: list, per_step: int) -> None:
-        """Append the block's trace to ``tracer.events`` in record order:
-        per round, its ``kernel`` events, its ``per_step`` events out of
-        ``steps`` (every round's, in round order, the first a span named
-        ``span`` lasting the round's cost), its ``instants``.
-
-        Raises :class:`~repro.common.errors.TraceError` on a negative
-        round cost, as :meth:`~repro.obs.tracer.Tracer.complete` does.
-        """
-        if min(self.totals) < 0:
-            dur = next(dur for dur in self.totals if dur < 0)
-            raise TraceError(f"span {span!r} has negative duration {dur!r}")
-        trace = tracer.events
-        done = 0
-        for s in sorted({*self.kernel, *self.instants}):
-            if s in self.kernel:
-                cut = (s - 1) * per_step
-                trace.extend(steps[done:cut])
-                trace.extend(self.kernel[s])
-                done = cut
-            if s in self.instants:
-                cut = s * per_step
-                trace.extend(steps[done:cut])
-                trace.extend(self.instants[s])
-                done = cut
-        trace.extend(steps[done:] if done else steps)
-
-
-def _stretches(n: int, *series) -> list:
-    """Merge change-point ``series`` (dicts from the round where a count
-    changes, round 1 first, to its new value; ``None`` for an absent
-    count) into ``(start, stop, *values)`` stretches over rounds 1 to
-    ``n``."""
-    rounds = sorted({s for values in series if values is not None
-                     for s in values})
-    current = [None] * len(series)
-    stretches = []
-    for first, end in zip(rounds, rounds[1:] + [n + 1]):
-        for i, values in enumerate(series):
-            if values is not None and first in values:
-                current[i] = values[first]
-        stretches.append((first - 1, end - 1, *current))
-    return stretches
+    spec_emitted: "int | None"
+    spec_verify_rows: "int | None"
 
 
 class RoundSchedule:
@@ -214,9 +163,8 @@ class EpochEngine:
     epoch:
         ``False`` pins the engine to the classic per-step event loop.
     on_step:
-        Tracing callback, called with one :class:`StepBlock` per
-        advance (a classic step or a whole epoch, in step order) while
-        the tracer is enabled.
+        Tracing callback, called with each :class:`Stretch` of steps,
+        in step order, while the tracer is enabled.
     spec_decode:
         Optional :class:`~repro.serving.specdecode.SpecDecodeRuntime`:
         decode runs in rounds of ``tokens_per_round`` tokens, the
@@ -367,11 +315,11 @@ class EpochEngine:
                                           decode_kv=decode_kv)
         total += draft
         if self.on_step is not None:
-            self.on_step(StepBlock(
-                [self.clock], [total], [comm], len(scheduler.waiting),
-                len(step.prefill), chunk_tokens,
-                [(0, 1, len(step.decode), len(scheduler.running),
-                  self.memory.used_blocks, emitted, verify_rows)], {}, {}))
+            self.on_step(Stretch(
+                [self.clock], total, comm, len(step.decode),
+                len(scheduler.running), len(scheduler.waiting),
+                self.memory.used_blocks, len(step.prefill), chunk_tokens,
+                emitted, verify_rows))
         self._commit(self.clock + total, [total], [comm], chunk_tokens)
         for request in scheduler.complete_step(step, self.clock):
             self._record_finish(request)
@@ -387,13 +335,7 @@ class EpochEngine:
         plan = self._plan(schedule, running, limit_time, max_new_steps)
         if plan is None:
             return 0
-        grows, finishes, ends, draft_ends = plan
-        totals, comm, spans = self._price(schedule, limit_time, finishes,
-                                          ends, draft_ends)
-        if not totals:
-            return 0
-        return self._replay(schedule, running, limit_time, grows, finishes,
-                            totals, comm, spans)
+        return self._walk(schedule, running, limit_time, *plan)
 
     def _plan(self, schedule, running, limit_time, max_new_steps):
         """``(grows, finishes, ends, draft_ends)`` of the next epoch, or
@@ -452,153 +394,143 @@ class EpochEngine:
             ends |= draft_ends
         return grows, finishes, sorted(ends), draft_ends
 
-    def _price(self, schedule, limit_time, finishes, ends, draft_ends):
-        """Per-round ``(totals, comm, spans)``; no segment whose estimated
-        start reaches ``limit_time`` is priced (ending early is always
-        correct).  Traced, ``spans`` maps a segment's first round to the
-        ``kernel`` spans its pricing emitted, cut from the trace."""
+    def _walk(self, schedule, running, limit_time, grows, finishes, ends,
+              draft_ends) -> int:
+        """Price and replay the planned rounds one segment at a time;
+        returns how many were taken.
+
+        No segment starting at or after ``limit_time`` (less a relative
+        1e-9) is priced and no round starting at or after it runs;
+        ending early is always correct.  Traced, each stretch of rounds
+        goes to ``on_step`` just before the next segment is priced, a
+        KV grow or a finish.
+        """
         cost = self.cost
         spec = self.spec_decode
-        tau = schedule.tau
-        trace = spans = None
-        if self.on_step is not None:
-            trace = self.tracer.events
-            mark = len(trace)
-            spans = {}
-        horizon = (float("inf") if limit_time is None
-                   else limit_time - 1e-9 * abs(limit_time))
-        estimate = self.clock
+        memory = self.memory
+        scheduler = self.scheduler
+        traced = self.on_step is not None
+        kv0, rem, finish, tau = (schedule.kv0, schedule.rem,
+                                 schedule.finish, schedule.tau)
+        limit = horizon = float("inf")
+        if limit_time is not None:
+            limit = limit_time
+            horizon = limit_time - 1e-9 * abs(limit_time)
+        # (round, phase, running index): grows, then finishes, then a
+        # sentinel past every round.
+        events = [(s, 0, idx) for s, idx in grows]
+        events.extend([(f, 1, idx) for idx, f in enumerate(finish)
+                       if f in finishes])
+        events.sort()
+        events.append((float("inf"), 0, 0))
+        pending = iter(events)
+        s, phase, idx = next(pending)
+        clock = self.clock
         totals = []
         comm = []
-        live = schedule.kv0
+        live = kv0
         draft = 0.0
-        start = 1
+        entries = segment = None
+        n = written = 0
         for end in ends:
-            if estimate >= horizon:
+            if clock >= horizon:
                 break
-            if start - 1 in finishes:
-                live = [kv for kv, f in zip(schedule.kv0, schedule.finish)
-                        if f >= start]
-            if spec is not None and (start == 1 or start - 1 in draft_ends):
-                before = tau * (start - 1) + 1
+            if traced:
+                written = self._trace(segment, written, n)
+            start = n + 1
+            if n in finishes:
+                live = [kv for kv, f in zip(kv0, finish) if f >= start]
+            if spec is not None and (n == 0 or n in draft_ends):
+                before = tau * n + 1
                 draft = spec.draft_time([kv + before for kv in live])
             if tau == 1:  # schedule.entries(start, live, ...), inlined
                 seg_total, seg_comm = cost.decode_step_cost(
                     [kv + start for kv in live])
             else:
-                prefill, decode = schedule.entries(start, live,
-                                                   start in finishes)
-                seg_total, seg_comm = cost.step_cost(prefill=prefill,
-                                                     decode_kv=decode)
+                entries = schedule.entries(start, live, start in finishes)
+                seg_total, seg_comm = cost.step_cost(prefill=entries[0],
+                                                     decode_kv=entries[1])
             seg_total += draft
-            length = end - start + 1
-            totals.extend([seg_total] * length)
-            comm.extend([seg_comm] * length)
-            estimate += seg_total * length
-            if trace is not None and len(trace) > mark:
-                spans[start] = trace[mark:]
-                del trace[mark:]
-            start = end + 1
-        return totals, comm, spans
-
-    def _replay(self, schedule, running, limit_time, grows, finishes,
-                totals, comm, spans) -> int:
-        """Commit the priced rounds and apply their events; returns how
-        many were taken."""
-        # times[s] is the clock after round s.  No round may start at or
-        # after the next arrival (the loop submits arrivals first); the
-        # first priced round starts before it.
-        n = len(totals)
-        times = list(itertools.accumulate(totals, initial=self.clock))
-        if limit_time is not None:
-            runnable = bisect.bisect_left(times, limit_time, 0, n)
-            if runnable < n:
-                n = runnable
-                del totals[n:], comm[n:]
+            length = end - n
+            totals += [seg_total] * length
+            comm += [seg_comm] * length
+            begin = clock
+            # Round by round, as the loop adds them; above stride 1
+            # every segment is one round.
+            clock = (clock + seg_total if length == 1 else
+                     sequential_sum(clock, repeat(seg_total, length)))
+            if traced or clock >= limit:
+                # Round n + 1 + i starts at starts[i].
+                starts = list(accumulate(repeat(seg_total, length - 1),
+                                         initial=begin))
+                if clock >= limit:
+                    # The loop submits arrivals first: no round may
+                    # start at or after the limit (the first does not).
+                    runnable = bisect_left(starts, limit)
+                    if runnable < length:
+                        end = n + runnable
+                        clock = starts[runnable]
+                        del totals[end:], comm[end:]
+                segment = (n, starts, seg_total, seg_comm, entries)
+            while s <= end:
+                request = running[idx]
+                if phase == 0:
+                    if traced:
+                        written = self._trace(segment, written, s - 1)
+                    grown = tau * s
+                    memory.grow(request.request_id,
+                                kv0[idx] + (grown if grown < rem[idx]
+                                            else rem[idx]))
+                else:  # a finish ends its segment, at ``clock``
+                    request.generated = request.output_len
+                    request.kv_tokens = kv0[idx] + rem[idx]
+                    if traced:
+                        written = self._trace(segment, written, s)
+                    scheduler.finish(request, clock)
+                    self._record_finish(request)
+                s, phase, idx = next(pending)
+            n = end
+        if not n:
+            return 0
+        if traced:
+            self._trace(segment, written, n)
         self.epochs += 1
         self.epoch_steps += n
-        self._commit(times[n], totals, comm, 0)
-
-        kv0, rem, finish = schedule.kv0, schedule.rem, schedule.finish
-        # (round, phase, running index): grows, then finishes.
-        events = [(s, 0, idx) for s, idx in grows if s <= n]
-        events.extend([(f, 1, idx) for idx, f in enumerate(finish)
-                       if f <= n])
-        events.sort()
-        tau = schedule.tau
-        memory = self.memory
-        scheduler = self.scheduler
-        traced = spans is not None
-        if traced:
-            # Series of the block: round -> value from that round on.
-            trace = self.tracer.events
-            active = {1: len(running)}
-            kv_blocks = {1: memory.used_blocks}
-            instants: "dict[int, list]" = {}
-        for s, phase, idx in events:
-            request = running[idx]
-            if phase == 0:
-                grown = tau * s
-                memory.grow(request.request_id,
-                            kv0[idx] + (grown if grown < rem[idx]
-                                        else rem[idx]))
-                if traced:
-                    kv_blocks[s] = memory.used_blocks
-            else:
-                request.generated = request.output_len
-                request.kv_tokens = kv0[idx] + rem[idx]
-                if traced:
-                    mark = len(trace)
-                scheduler.finish(request, times[s])
-                if traced:
-                    instants.setdefault(s, []).extend(trace[mark:])
-                    del trace[mark:]
-                    active[s + 1] = len(scheduler.running)
-                    kv_blocks[s + 1] = memory.used_blocks
-                self._record_finish(request)
+        self._commit(clock, totals, comm, 0)
         grown = tau * n
         for request, kv, f in zip(running, kv0, finish):
             if f > n:
                 request.generated += grown
                 request.kv_tokens = kv + grown
-        if traced:
-            # A finish in the last round changes nothing the block shows.
-            active.pop(n + 1, None)
-            kv_blocks.pop(n + 1, None)
-            emitted = verify_rows = None
-            if self.spec_decode is not None:
-                emitted, verify_rows = self._spec_series(
-                    schedule, active, finishes, n)
-            self.on_step(StepBlock(
-                times, totals, comm, len(scheduler.waiting), 0, 0,
-                _stretches(n, active, active, kv_blocks, emitted,
-                           verify_rows),
-                {s: spans[s] for s in spans if s <= n}, instants))
         return n
 
-    @staticmethod
-    def _spec_series(schedule, active, finishes, n):
-        """The speculative ``(emitted, verify_rows)`` series of an epoch
-        whose batch size follows the series ``active``: every request
-        adds ``tau`` tokens a round, except in a round where one
-        finishes above stride 1, which the schedule prices entry by
-        entry."""
-        tau = schedule.tau
-        emitted, verify_rows = {}, {}
-        rounds = active
-        if tau > 1:
-            rounds = sorted({*active, *(f for f in finishes if f <= n)})
-        size = None
-        for s in rounds:
-            size = active.get(s, size)
-            if tau > 1 and s in finishes:
-                prefill, decode = schedule.entries(s, None, True)
-                verify_rows[s] = len(prefill)
-                emitted[s] = len(decode) + sum(t for t, _ in prefill)
+    def _trace(self, segment, written, upto) -> int:
+        """Hand ``on_step`` rounds ``written + 1`` to ``upto`` of an
+        epoch as they stand now; returns how many rounds are written.
+
+        The rounds lie in ``segment``: ``(first, starts, total, comm,
+        entries)``, its rounds after round ``first``, the first starting
+        at ``starts[0]``, each costing ``total`` (``comm`` of it
+        communication), and their ``(prefill, decode_kv)`` above stride
+        1.
+        """
+        if upto <= written:
+            return written
+        first, starts, total, comm, entries = segment
+        running = len(self.scheduler.running)
+        emitted = verify_rows = None
+        if self.spec_decode is not None:
+            if self._spec_tokens == 1:
+                emitted, verify_rows = running, 0
             else:
-                emitted[s] = tau * size
-                verify_rows[s] = size if tau > 1 else 0
-        return emitted, verify_rows
+                prefill, decode = entries
+                emitted = len(decode) + sum(t for t, _ in prefill)
+                verify_rows = len(prefill)
+        self.on_step(Stretch(
+            starts[written - first:upto - first], total, comm, running,
+            running, len(self.scheduler.waiting), self.memory.used_blocks,
+            0, 0, emitted, verify_rows))
+        return upto
 
     # -- accounting -----------------------------------------------------
 

@@ -37,11 +37,6 @@ class MemoryStats:
     block_bytes: int
 
     @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated to KV blocks."""
-        return self.used_blocks * self.block_bytes
-
-    @property
     def peak_bytes(self) -> int:
         """Peak bytes ever allocated to KV blocks."""
         return self.peak_blocks * self.block_bytes

@@ -36,7 +36,7 @@ from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
-from repro.obs.tracer import TraceEvent, current_tracer
+from repro.obs.tracer import TraceEvent, check_span, current_tracer
 from repro.serving.costmodel import (
     StepCostModel,
     check_softmax_rows,
@@ -111,8 +111,8 @@ class ServingSimulator:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {engine!r}"
             )
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         # Resolved exactly once, here, from anything PlanSource.of
         # accepts.
         self.plan = resolve_plan(
@@ -217,7 +217,7 @@ _event = functools.partial(tuple.__new__, TraceEvent)
 class _EngineLaneTrace:
     """A run's ``on_step`` callback: each engine step's span and
     occupancy sample on the plan's engine lane, and the lane's metrics,
-    from each advance's :class:`~repro.serving.engine.StepBlock`.
+    from each :class:`~repro.serving.engine.Stretch` of steps.
 
     The lane and instruments are looked up once, on the first step.
     Looking them up earlier would number the lane's tracks ahead of the
@@ -241,51 +241,39 @@ class _EngineLaneTrace:
         if spec:
             self.spec_emitted = metrics.counter(f"{lane}.spec_emitted")
 
-    def __call__(self, block) -> None:
-        """Write the block's ``engine step`` span and occupancy sample
-        per round, then update each instrument once.  The rounds of a
-        stretch share their ``args`` dicts."""
+    def __call__(self, stretch) -> None:
+        """Write the stretch's ``engine step`` span and occupancy sample
+        per step, every step sharing both ``args`` dicts, then update
+        each instrument once."""
+        (times, total, _, decode, running, waiting, kv, prefill_chunks,
+         prefill_tokens, emitted, verify_rows) = stretch
         if self.pid is None:
-            spec_emitted = block.stretches[0][5]
-            self._bind(spec=spec_emitted is not None)
+            self._bind(spec=emitted is not None)
+        check_span("engine step", total)
         pid, tid, occupancy = self.pid, self.tid, self.occupancy
-        waiting = block.waiting
-        events = []
-        append = events.append
-        batch, kv_blocks = [], []
-        decode_tokens = spec_emitted = 0
-        for start, stop, decode, running, kv, emitted, rows in (
-                block.stretches):
-            args = {"decode": decode,
-                    "prefill_chunks": block.prefill_chunks,
-                    "prefill_tokens": block.prefill_tokens,
-                    "running": running,
-                    "waiting": waiting}
-            if emitted is not None:
-                args["spec_emitted"] = emitted
-                args["spec_verify_rows"] = rows
-                spec_emitted += emitted * (stop - start)
-            values = {"running": running, "waiting": waiting,
-                      "kv_blocks": kv}
-            for ts, dur in zip(block.times[start:stop],
-                               block.totals[start:stop]):
-                ts = float(ts)
-                append(_event(("engine step", "engine-step", "X", ts,
-                               float(dur), pid, tid, args)))
-                append(_event((occupancy, "counter", "C", ts, 0.0, pid, 0,
-                               values)))
-            decode_tokens += decode * (stop - start)
-            batch.append(running)
-            kv_blocks.append(kv)
-        block.emit(self.tracer, "engine step", events, per_step=2)
-        steps = len(block.totals)
-        self.steps.add(steps)
-        self.decode_tokens.add(decode_tokens)
-        self.prefill_tokens.add(block.prefill_tokens * steps)
-        self.batch.merge(running, min(batch), max(batch), steps)
-        self.kv_blocks.merge(kv, min(kv_blocks), max(kv_blocks), steps)
+        args = {"decode": decode, "prefill_chunks": prefill_chunks,
+                "prefill_tokens": prefill_tokens, "running": running,
+                "waiting": waiting}
         if emitted is not None:
-            self.spec_emitted.add(spec_emitted)
+            args["spec_emitted"] = emitted
+            args["spec_verify_rows"] = verify_rows
+        values = {"running": running, "waiting": waiting, "kv_blocks": kv}
+        dur = float(total)
+        append = self.tracer.events.append
+        for ts in times:
+            ts = float(ts)
+            append(_event(("engine step", "engine-step", "X", ts, dur, pid,
+                           tid, args)))
+            append(_event((occupancy, "counter", "C", ts, 0.0, pid, 0,
+                           values)))
+        steps = len(times)
+        self.steps.add(steps)
+        self.decode_tokens.add(decode * steps)
+        self.prefill_tokens.add(prefill_tokens * steps)
+        self.batch.merge(running, running, running, steps)
+        self.kv_blocks.merge(kv, kv, kv, steps)
+        if emitted is not None:
+            self.spec_emitted.add(emitted * steps)
 
 
 def simulate_serving(
@@ -307,8 +295,8 @@ def simulate_serving(
     the workload's shared arrays, and the report header (rate,
     duration, seed, arrival, request count) comes from the workload.
     """
-    model = get_model(model) if isinstance(model, str) else model
-    gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    model = get_model(model)
+    gpu = get_gpu(gpu)
     reports = {}
     for plan in plans:
         sim = ServingSimulator(model, gpu, plan=PlanSource.of(plan),

@@ -115,8 +115,7 @@ def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
     from repro.serving.costmodel import StepCostModel, shared_cost_model
 
     config = SpecDecodeConfig(
-        draft_model=(get_model(draft_model) if isinstance(draft_model, str)
-                     else draft_model),
+        draft_model=get_model(draft_model),
         draft_len=draft_len,
         accept_rate=accept_rate,
     )

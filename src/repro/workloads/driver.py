@@ -111,8 +111,8 @@ class DatasetBenchmark:
         require_divisible("bucket", bucket, 64)
         require_divisible("max_seq_len", max_seq_len, bucket)
         self.dataset = dataset
-        self.model = get_model(model) if isinstance(model, str) else model
-        self.gpu = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        self.model = get_model(model)
+        self.gpu = get_gpu(gpu)
         # One resolution point for every plan spelling — fixed names
         # or "auto".
         self.plan = resolve_plan(

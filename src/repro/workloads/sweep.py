@@ -92,8 +92,8 @@ class SweepPoint:
     ) -> "SweepPoint":
         """Resolve names to configs/specs and build a point."""
         return cls(
-            model=get_model(model) if isinstance(model, str) else model,
-            gpu=get_gpu(gpu) if isinstance(gpu, str) else gpu,
+            model=get_model(model),
+            gpu=get_gpu(gpu),
             plan=AttentionPlan.from_name(plan),
             seq_len=seq_len,
             batch=batch,

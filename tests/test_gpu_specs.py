@@ -78,6 +78,13 @@ class TestLookup:
         with pytest.raises(ConfigError, match="unknown GPU"):
             get_gpu("mi300")
 
+    def test_get_gpu_returns_a_spec_unchanged(self):
+        custom = dataclasses.replace(A100, name="custom-a100")
+        assert get_gpu(custom) is custom
+        assert get_gpu(T4) is T4
+        with pytest.raises(ConfigError, match="unknown GPU"):
+            get_gpu("custom-a100")
+
     def test_h100_future_gpu_available(self):
         """H100 is provided for the Section 2.3 future-GPU projection
         (not part of Table 1, so absent from all_gpus())."""

@@ -1,5 +1,7 @@
 """Tests for model configurations and weights."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestPresets:
         assert get_model("BigBird-Large") is BIGBIRD_LARGE
         with pytest.raises(ConfigError):
             get_model("t5")
+
+    def test_get_model_returns_a_config_unchanged(self):
+        custom = dataclasses.replace(BERT_LARGE, name="custom-bert")
+        assert get_model(custom) is custom
+        assert get_model(BERT_LARGE) is BERT_LARGE
+        with pytest.raises(ConfigError, match="unknown model"):
+            get_model("custom-bert")
 
     def test_all_models_order(self):
         names = [m.name for m in all_models()]

@@ -520,7 +520,7 @@ class TestTracedEngineEquivalence:
     @pytest.mark.parametrize("name, build", TRACED_CASES,
                              ids=[name for name, _ in TRACED_CASES])
     def test_bulk_metrics_match_the_step_events(self, name, build):
-        """The lane metrics, updated once per step block, equal what one
+        """The lane metrics, updated once per stretch, equal what one
         update per traced step gives."""
         from repro.gpu import simcache
         from repro.obs import Tracer, tracing
@@ -579,54 +579,102 @@ class TestTracedEngineEquivalence:
         assert engine.steps > 10 * len({id(e.args) for e in samples})
 
 
-class TestStepBlock:
-    """The trace a :class:`StepBlock` writes, apart from any engine."""
+class NegativeDecode:
+    """A step-cost model pricing every pure-decode step at -0.5 s; steps
+    with prefill entries keep the wrapped model's price.  Counts the
+    epoch path's ``decode_step_cost`` calls."""
 
-    @staticmethod
-    def block(totals, kernel=None, instants=None):
-        from repro.serving.engine import StepBlock
+    def __init__(self, cost):
+        self.cost = cost
+        self.kv_bucket = cost.kv_bucket
+        self.decode_calls = 0
 
-        times = [float(sum(totals[:s])) for s in range(len(totals))]
-        return StepBlock(times, totals, [0.0] * len(totals), 0, 0, 0,
-                         [(0, len(totals), 1, 1, 1, None, None)],
-                         kernel or {}, instants or {})
+    def step_cost(self, prefill, decode_kv):
+        if prefill:
+            return self.cost.step_cost(prefill=prefill, decode_kv=decode_kv)
+        return -0.5, 0.0
 
-    @staticmethod
-    def steps(block):
-        from repro.obs.tracer import TraceEvent
+    def decode_step_cost(self, decode_kv):
+        self.decode_calls += 1
+        return -0.5, 0.0
 
-        return [TraceEvent(f"s{s}", "engine-step", "X", ts, dur)
-                for s, (ts, dur) in enumerate(zip(block.times,
-                                                  block.totals), 1)]
 
-    def test_kernel_spans_lead_and_instants_follow_their_round(self):
-        from repro.obs import Tracer
-        from repro.obs.tracer import TraceEvent
+class TestTraceOrder:
+    """A traced epoch writes every event where the classic loop writes
+    it: a later segment's cold ``kernel`` spans after the rounds before
+    it, each ``finish`` instant after its round."""
 
-        kernel = TraceEvent("k", "kernel", "X", 0.0, 0.0)
-        finish = TraceEvent("f", "request", "i", 0.0, 0.0)
-        block = self.block([1.0, 1.0, 1.0, 1.0],
-                           kernel={1: [kernel], 3: [kernel]},
-                           instants={2: [finish], 3: [finish]})
-        tracer = Tracer()
-        block.emit(tracer, "s", self.steps(block), per_step=1)
-        assert [e.name for e in tracer.events] == [
-            "k", "s1", "s2", "f", "k", "s3", "f", "s4"]
+    #: Three requests admitted together that finish at different rounds
+    #: of one epoch and cross several KV buckets on the way.
+    REQUESTS = [Request(request_id=i, arrival_time=0.0, prompt_len=prompt,
+                        output_len=output)
+                for i, (prompt, output) in enumerate(((100, 70), (140, 150),
+                                                      (180, 300)))]
 
-    def test_stretches_merge_every_series(self):
-        from repro.serving.engine import _stretches
+    @pytest.mark.parametrize("draft_len", [None, 3],
+                             ids=["tau-1", "tau-4"])
+    def test_epoch_writes_the_classic_trace(self, engines, draft_len):
+        from repro.gpu import simcache
+        from repro.obs import Tracer, chrome_events, tracing
 
-        assert _stretches(5, {1: 3, 4: 2}, {1: 7, 2: 8, 4: 8}, None) == [
-            (0, 1, 3, 7, None), (1, 3, 3, 8, None), (3, 5, 2, 8, None)]
-        assert _stretches(1, {1: 3}, {1: 7}) == [(0, 1, 3, 7)]
+        spec = ({} if draft_len is None
+                else dict(draft_model="bert-large", draft_len=draft_len))
+        runs = {}
+        for engine in ("event", "epoch"):
+            engines.clear()
+            simcache.invalidate()
+            with tracing(Tracer()) as tracer:
+                ServingSimulator("bert-large", "a100", plan="sdf",
+                                 engine=engine, requests=self.REQUESTS,
+                                 **spec).run()
+            runs[engine] = chrome_events(tracer)
+        simcache.invalidate()
+        assert runs["event"] == runs["epoch"]
 
-    def test_negative_step_cost_is_rejected(self):
+        # The decode phase is one epoch, which really prices a segment
+        # cold after its first round and finishes a request before its
+        # last round.
+        (engine,) = engines
+        assert engine.epochs == 1
+        assert engine._spec_tokens == (1 if draft_len is None else 4)
+        steps = [i for i, event in enumerate(tracer.events)
+                 if event.name == "engine step"]
+        first, last = steps[-engine.epoch_steps], steps[-1]
+        between = tracer.events[first:last]
+        assert any(event.cat == "kernel" for event in between)
+        assert any(event.name == "finish" for event in between)
+
+    @pytest.mark.parametrize("engine", ["event", "epoch"])
+    @pytest.mark.parametrize("lane", ["serving", "replica"])
+    def test_negative_step_cost_is_rejected(self, engine, lane):
+        from repro.cluster.replica import Replica
         from repro.common.errors import TraceError
-        from repro.obs import Tracer
+        from repro.obs import Tracer, tracing
 
-        block = self.block([1.0, -0.5, -1.0])
-        tracer = Tracer()
-        with pytest.raises(TraceError, match="'s' has negative duration "
-                                             "-0.5"):
-            block.emit(tracer, "s", self.steps(block), per_step=1)
-        assert tracer.events == []
+        request = Request(request_id=0, arrival_time=0.0, prompt_len=64,
+                          output_len=8)
+        with tracing(Tracer()) as tracer:
+            if lane == "serving":
+                sim = ServingSimulator("bert-large", "a100", engine=engine,
+                                       requests=[request])
+                sim.cost = cost = NegativeDecode(sim.cost)
+                name, run = "engine step", sim.run
+            else:
+                replica = Replica(0, get_model("bert-large"),
+                                  get_gpu("a100"), engine=engine,
+                                  tracer=tracer)
+                cost = NegativeDecode(replica.cost)
+                replica.engine.set_cost(cost)
+                replica.submit(request, 0.0)
+                name = "replica step"
+
+                def run():
+                    while replica.advance():
+                        pass
+            with pytest.raises(TraceError, match=f"span '{name}' has "
+                                                 "negative duration -0.5"):
+                run()
+        # Only the prefill step's span went out.
+        assert [event.dur > 0 for event in tracer.events
+                if event.name == name] == [True]
+        assert (cost.decode_calls > 0) is (engine == "epoch")
