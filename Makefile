@@ -4,10 +4,16 @@ export PYTHONPATH := src
 .PHONY: test test-fast parity-smoke verify \
 	verify-fuzz lint cluster-smoke controlplane-smoke trace-smoke \
 	approx-smoke tune-smoke moe-smoke parallel-smoke scenario-smoke \
-	plans-smoke results-check bench-counts
+	plans-smoke results-check bench-counts equivalence
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Every row of tests/test_equivalence.py in every engine x tracing x
+# jobs cell that applies to it; tier-1 runs each row in a covering
+# subset of its cells.
+equivalence:
+	$(PYTHON) -m pytest -q tests/test_equivalence.py --all-cells
 
 # Everything except tests marked `slow` — the edit-run loop subset.
 test-fast:

@@ -67,7 +67,9 @@ from repro.common.scenario import (
     add_workload_args,
 )
 from repro.core.autotune import PAPER_CANDIDATES
+from repro.gpu.specs import preset_names as gpu_presets
 from repro.models import InferenceSession, all_models
+from repro.models.config import preset_names as model_presets
 
 
 def emit(payload: dict, text: str, args: argparse.Namespace) -> str:
@@ -99,13 +101,12 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="bert-large",
-                        help="bert-large | gpt-neo-1.3b | bigbird-large | "
-                             "longformer-large")
+                        help=" | ".join(model_presets()))
     parser.add_argument("--model-json", default=None,
                         help="path to a custom ModelConfig JSON file "
                              "(overrides --model)")
     parser.add_argument("--gpu", default="A100",
-                        help="A100 | RTX 3090 | T4 | H100")
+                        help=" | ".join(gpu_presets()))
     parser.add_argument("--seq-len", type=int, default=4096)
     parser.add_argument("--batch", type=int, default=1)
 
@@ -702,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s2s.add_argument("--config", choices=("base", "big"), default="base",
                        help="Vaswani et al. transformer variant")
     p_s2s.add_argument("--gpu", default="A100",
-                       help="A100 | RTX 3090 | T4 | H100")
+                       help=" | ".join(gpu_presets()))
     p_s2s.add_argument("--plan", default="baseline")
     p_s2s.add_argument("--src-len", type=int, default=4096,
                        help="encoder (source) sequence length")
@@ -801,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
              "softmax family (LUT, BAPS, FLASH-D vs SDF and baseline)",
     )
     p_apx.add_argument("--gpu", default="A100",
-                       help="A100 | RTX 3090 | T4 | H100")
+                       help=" | ".join(gpu_presets()))
     p_apx.add_argument("--models",
                        default="bert-large,gpt-neo-1.3b,bigbird-large,"
                                "longformer-large",

@@ -469,14 +469,14 @@ def add_workload_args(parser) -> None:
     an omitted flag keeps its field's dataclass default
     (:meth:`ScenarioSpec.from_args`).
     """
-    parser.add_argument("--model",
-                        help="bert-large | gpt-neo-1.3b | bigbird-large | "
-                             "longformer-large")
+    from repro.gpu.specs import preset_names as gpu_presets
+    from repro.models.config import preset_names as model_presets
+
+    parser.add_argument("--model", help=" | ".join(model_presets()))
     parser.add_argument("--model-json",
                         help="path to a custom ModelConfig JSON file "
                              "(overrides --model)")
-    parser.add_argument("--gpu",
-                        help="A100 | RTX 3090 | T4 | V100 | H100")
+    parser.add_argument("--gpu", help=" | ".join(gpu_presets()))
     parser.add_argument("--rate", type=float,
                         help="Poisson arrival rate, requests/second")
     parser.add_argument("--duration", type=float,

@@ -730,26 +730,19 @@ def verification_oracles():
     deaths and checks the identity the control plane reports.  It
     also replays the scenario traced, once on the classic per-step
     loop and once on the epoch fast path: both must emit the same
-    events and report what the untraced run did.
+    events and report what the untraced run did
+    (:func:`repro.verify.equivalence.check_equivalence`).
 
     Each run simulates a full (small) control-plane scenario, so the
     oracle gates itself to a deterministic slice of the serving
     family's cases rather than slowing every fuzz invocation down.
     """
-    import json
-
     from repro.common.dtypes import DType as _DType
-    from repro.obs.export import chrome_events
-    from repro.obs.tracer import Tracer, tracing
     from repro.serving.arrivals import MMPPArrivals
     from repro.verify.contracts import SERVING_COST
+    from repro.verify.equivalence import Cell, check_equivalence
     from repro.verify.invariants import Violation
     from repro.verify.registry import OracleSpec
-
-    def _untraced_json(report) -> str:
-        doc = report.to_dict()
-        doc.pop("trace_summary", None)
-        return json.dumps(doc, sort_keys=True)
 
     def run_conservation(case):
         rng = np.random.default_rng(case.params["case_seed"])
@@ -769,30 +762,17 @@ def verification_oracles():
             shed_backlog_tokens=float(rng.uniform(2000.0, 20000.0)),
             cold_start_s=float(rng.uniform(0.01, 0.5)),
         )
-        report = ControlPlaneSimulator("bert-large", "a100",
-                                       **kwargs).run()
-        # The untraced run warmed the kernel cache, so both traced runs
-        # flag every kernel span ``cached`` alike.
-        traced = {}
-        for engine in ("event", "epoch"):
-            with tracing(Tracer()) as tracer:
-                result = ControlPlaneSimulator(
-                    "bert-large", "a100", engine=engine, **kwargs).run()
-            traced[engine] = (_untraced_json(result),
-                              chrome_events(tracer))
-        violations = []
-        if traced["event"][1] != traced["epoch"][1]:
-            violations.append(Violation(
-                "traced_engines_agree",
-                "traced classic and traced epoch runs emitted different "
-                "events",
-            ))
-        if any(doc != _untraced_json(report)
-               for doc, _ in traced.values()):
-            violations.append(Violation(
-                "traced_equals_untraced",
-                "a traced run reported differently from the untraced run",
-            ))
+        reports = []
+
+        def simulate(cell):
+            reports.append(ControlPlaneSimulator(
+                "bert-large", "a100", engine=cell.engine, **kwargs).run())
+            return reports[-1]
+
+        violations = check_equivalence(simulate, (
+            Cell("epoch"), Cell("event", traced=True),
+            Cell("epoch", traced=True)))
+        report = reports[0]
         accounted = (report.finished + report.shed + report.rejected
                      + report.in_flight)
         if report.in_flight != 0:

@@ -242,5 +242,11 @@ def get_gpu(name: "str | GPUSpec") -> GPUSpec:
 
 
 def all_gpus() -> tuple[GPUSpec, ...]:
-    """All built-in device presets, in Table 1 order."""
+    """The three Table 1 devices, in Table 1 order (V100 and H100 are
+    presets too, but not Table 1 devices)."""
     return (A100, RTX3090, T4)
+
+
+def preset_names() -> tuple[str, ...]:
+    """Every registered device preset's name, in registry order."""
+    return tuple(spec.name for spec in _REGISTRY.values())

@@ -262,6 +262,15 @@ def get_model(name: "str | ModelConfig") -> ModelConfig:
         raise ConfigError(f"unknown model {name!r}; known models: {known}") from None
 
 
+def preset_names() -> tuple[str, ...]:
+    """Every registered model preset's lookup name, MoE presets
+    included, in registry order."""
+    import repro.models.moe  # noqa: F401  (registers the MoE presets)
+
+    return tuple(dict.fromkeys(config.name.lower()
+                               for config in _REGISTRY.values()))
+
+
 def all_models() -> tuple[ModelConfig, ...]:
     """The four evaluated models, in the paper's order."""
     return (BERT_LARGE, GPT_NEO_1_3B, BIGBIRD_LARGE, LONGFORMER_LARGE)

@@ -29,6 +29,7 @@ from repro.common.validation import require_positive
 from repro.core.autotune import PAPER_CANDIDATES
 from repro.core.plan import AttentionPlan
 from repro.core.recompose import plan_graph
+from repro.gpu.costmodel import time_kernel
 from repro.gpu.device import Device
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.kernels.softmax import longest_row
@@ -112,7 +113,6 @@ class StepCostModel:
 
         check_ep_shards(self.model, ep_shards)
         self.ep_shards = ep_shards
-        self._device = Device(self.gpu)
         # One representative layer index per distinct attention spec.
         self._groups = [(layer, count)
                         for layer, _, count in self.model.layer_groups()]
@@ -146,10 +146,10 @@ class StepCostModel:
         self._attn_cache = self._attn_tables["prefill"]
 
     def _simulate(self, kernels) -> float:
-        self._device.reset()
-        for kernel in kernels:
-            kernel.simulate(self._device)
-        return self._device.profile.total_time()
+        # ``Profile.total_time`` of the kernels run on a device: the
+        # same sum in the same order, without the device.
+        return sum(time_kernel(self.gpu, kernel.launch_spec(self.gpu)).time
+                   for kernel in kernels)
 
     def mlp_time(self, m_tokens: int) -> float:
         """One layer's non-attention time for ``m_tokens`` batched tokens."""

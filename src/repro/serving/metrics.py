@@ -14,15 +14,19 @@ simulation into the standard numbers:
 
 Latency metrics report p50/p95/p99 and the mean; percentiles use the
 linear-interpolation definition (:func:`numpy.percentile` default) so
-reports are reproducible across runs and machines.  Below
-:data:`EXACT_PERCENTILE_CUTOVER` finished requests a report's
-percentiles are exact (computed from the retained per-request values,
-byte-identical to every earlier release); above it the simulator stops
-retaining per-request latencies and the same summaries come from the
-streaming :class:`~repro.serving.sketch.QuantileSketch`, flagged
-``approx_percentiles`` in the serialized envelope.  That choice is
-made in one place, :func:`latency_summaries`, for a single run's
-:class:`RunOutcome` and for the union of a cluster's runs alike.
+reports are reproducible across runs and machines.  For a stream of
+at most :data:`EXACT_PERCENTILE_CUTOVER` requests (rejected ones
+included) a report's percentiles are exact (computed from the retained
+per-request values, byte-identical to every earlier release); above it
+the simulator stops retaining per-request latencies and the same
+summaries come from the streaming
+:class:`~repro.serving.sketch.QuantileSketch`, flagged
+``approx_percentiles`` in the serialized envelope.  Whether to retain
+is decided by each front-end, the serving and the cluster simulator,
+which also retain whenever tracing is on; how the retained or streamed
+outcomes become summaries is decided in one place,
+:func:`latency_summaries`, for a single run's :class:`RunOutcome` and
+for the union of a cluster's runs alike.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from repro.serving.memory import MemoryStats
 from repro.serving.requests import Request
 from repro.serving.sketch import QuantileSketch
 
-#: Finished-request count up to which reports compute percentiles
-#: exactly from retained values.  Above it, per-request latency lists
+#: Stream length (every request in the stream, rejected ones included)
+#: up to which reports compute percentiles exactly from retained
+#: values.  Above it, per-request latency lists
 #: are not retained and percentiles come from the streaming sketch
 #: (see docs/performance.md for the accuracy contract).
 EXACT_PERCENTILE_CUTOVER = 8192

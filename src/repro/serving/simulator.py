@@ -15,7 +15,8 @@ stretches advance in vectorized epochs that are bit-identical to the
 classic per-step loop, and ``engine="event"`` pins the run to the
 classic loop (equivalence tests and benchmarking diff the two).
 Above :data:`~repro.serving.metrics.EXACT_PERCENTILE_CUTOVER`
-finished requests the simulator stops retaining per-request state
+requests in the stream (rejected ones included), and unless the run is
+traced, the simulator stops retaining per-request state
 and reports stream through O(1)-memory accumulators instead
 (``approx_percentiles`` in the output); below it reports stay
 byte-identical to earlier releases.

@@ -138,15 +138,14 @@ def verification_oracles():
     finish order is a timing property, not a schedule one.)
     actual/expected compare the per-request generated counts in
     request-id order under the EXACT contract.  The speculative stream
-    also runs under the epoch engine, whose report must equal the event
-    loop's byte for byte.
+    also runs under the epoch engine, which must report what the event
+    loop does (:func:`repro.verify.equivalence.check_equivalence`).
     """
-    import json
-
     import numpy as np
 
     from repro.common.dtypes import DType
     from repro.verify.contracts import EXACT
+    from repro.verify.equivalence import Cell, check_equivalence
     from repro.verify.invariants import Violation
     from repro.verify.registry import OracleSpec
 
@@ -184,31 +183,31 @@ def verification_oracles():
         ]
         draft_len = int(rng.integers(1, 9))
 
-        def outcome(engine="event", **spec_kwargs):
-            sim = ServingSimulator(
+        sims = []
+
+        def simulate(cell, **spec_kwargs):
+            sims.append(ServingSimulator(
                 tiny, "A100", plan=PlanSource.of("baseline"),
                 requests=requests,
-                chunk_tokens=256, max_batch=4, engine=engine,
+                chunk_tokens=256, max_batch=4, engine=cell.engine,
                 **spec_kwargs,
-            )
-            report = json.dumps(sim.run().to_dict(), sort_keys=True)
+            ))
+            return sims[-1].run()
+
+        def outcome(sim):
             finished = {r.request_id for r in sim.retained
                         if r.finish_time is not None}
             generated = {r.request_id: r.generated
                          for r in sim.retained}
-            return generated, finished, report
+            return generated, finished
 
-        speculating = dict(draft_model=draft, draft_len=draft_len,
-                           accept_rate=1.0)
-        plain_counts, plain_done, _ = outcome()
-        spec_counts, spec_done, event_report = outcome(**speculating)
-        _, _, epoch_report = outcome(engine="epoch", **speculating)
-        violations = []
-        if epoch_report != event_report:
-            violations.append(Violation(
-                "engine_equivalence",
-                "the epoch engine's speculative report differs from the "
-                "event loop's"))
+        simulate(Cell("event"))
+        violations = check_equivalence(
+            lambda cell: simulate(cell, draft_model=draft,
+                                  draft_len=draft_len, accept_rate=1.0),
+            (Cell("event"), Cell("epoch")))
+        (plain_counts, plain_done), (spec_counts, spec_done) = (
+            outcome(sim) for sim in sims[:2])
         if plain_done != spec_done:
             violations.append(Violation(
                 "finished_set",

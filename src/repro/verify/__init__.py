@@ -9,6 +9,8 @@ fuzz driver:
 - :mod:`repro.verify.invariants` — the metamorphic softmax identities;
 - :mod:`repro.verify.cases` — seeded, shrinkable case generation;
 - :mod:`repro.verify.fuzz` — the fuzz/shrink/artifact driver;
+- :mod:`repro.verify.equivalence` — the engine x tracing x jobs
+  equivalence check the simulators' fast paths answer to;
 - :mod:`repro.verify.oracles` — registry assembly from the
   ``verification_oracles()`` hooks in the implementation modules.
 

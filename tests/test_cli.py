@@ -281,7 +281,7 @@ class TestCLIHelp:
         parser = build_parser()
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
-        return list(subparsers.choices)
+        return subparsers.choices
 
     def test_every_subcommand_has_help(self, capsys):
         for command in self.commands():
@@ -295,6 +295,22 @@ class TestCLIHelp:
 
         for command in self.commands():
             assert f"``{command}``" in repro.cli.__doc__
+
+    def test_preset_flags_name_every_preset(self):
+        import repro.models.moe  # noqa: F401  (registers the MoE presets)
+        from repro.gpu.specs import _REGISTRY as gpus
+        from repro.models.config import _REGISTRY as models
+
+        presets = {"--gpu": {spec.name for spec in gpus.values()},
+                   "--model": {c.name.lower() for c in models.values()}}
+        assert {"V100", "mixtral-moe"} <= presets["--gpu"] | presets["--model"]
+        flags = [(command, flag, action.help)
+                 for command, sub in self.commands().items()
+                 for action in sub._actions
+                 for flag in presets.keys() & set(action.option_strings)]
+        assert len(flags) > 20
+        for command, flag, help_text in flags:
+            assert set(help_text.split(" | ")) == presets[flag], command
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -269,42 +269,6 @@ class TestClusterSimulator:
         assert replica.makespan == pytest.approx(single.makespan)
         assert replica.ttft.p99 == pytest.approx(single.ttft.p99)
 
-    @pytest.mark.parametrize("traced", (False, True),
-                             ids=("untraced", "traced"))
-    def test_step_budget_is_exact(self, engines, traced):
-        from repro.gpu import simcache
-        from repro.obs import Tracer, chrome_events, tracing
-
-        budget = 100  # falls inside a pure-decode epoch
-        traces = {}
-        for engine in ("event", "epoch") if traced else ("epoch",):
-            engines.clear()
-            # Cold kernel caches, so both traced runs price alike.
-            simcache.invalidate()
-            sim = ClusterSimulator(
-                TINY, "t4", plan="sdf", replicas=2, max_steps=budget,
-                workload=ServingWorkload(rate=4, duration=5, seed=0),
-                engine=engine,
-            )
-            tracer = Tracer() if traced else None
-            with pytest.raises(ServingError,
-                               match=f"exceeded {budget} steps"):
-                if traced:
-                    with tracing(tracer):
-                        sim.run()
-                else:
-                    sim.run()
-            # The run stops on the first step past the budget on both
-            # paths; an epoch may not overshoot it.
-            assert sum(e.steps for e in engines) == budget + 1
-            assert (sum(e.epoch_steps for e in engines) > 0) is (
-                engine == "epoch")
-            if traced:
-                traces[engine] = chrome_events(tracer)
-        simcache.invalidate()
-        if traced:
-            assert traces["event"] == traces["epoch"]
-
     def test_sharded_step_budget_is_per_replica(self, engines):
         from repro.cluster.sharded import ReplicaShard, simulate_shard
 

@@ -6,10 +6,10 @@ cold-start model, fault schedules and the straggler cost wrapper, the
 autoscaler policy in isolation, and the full control loop: determinism,
 request conservation under failures, attainment monotone in the
 replica budget, shedding behavior, the autoscaler-vs-static headline
-scenario, the epoch fast path against the classic per-step path (both
-traced, they must emit the same events and report the same, and an
-untraced run must report exactly what a traced one does), the exact
-step budget, and the report/CLI schema contract.
+scenario, what the epoch fast path feeds the autoscaler and prices
+with, and the report/CLI schema contract.  Whether the epoch fast path
+and tracing change what a control plane reports is checked in
+``tests/test_equivalence.py``.
 """
 
 import json
@@ -17,7 +17,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import POLICIES
 from repro.common.errors import ServingError
 from repro.controlplane import (
     Autoscaler,
@@ -32,11 +31,10 @@ from repro.controlplane import (
     parse_tiers,
     simulate_controlplane,
 )
-from repro.gpu import simcache
 from repro.gpu.interconnect import NVLINK3, PCIE4
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
-from repro.obs import Tracer, chrome_events, tracing
+from repro.obs import Tracer, tracing
 from repro.serving import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -44,6 +42,7 @@ from repro.serving import (
     ServingWorkload,
     make_arrival,
 )
+from tests.test_equivalence import small_controlplane
 
 
 # --------------------------------------------------------------------
@@ -516,72 +515,16 @@ class TestControlLoop:
 
 
 # --------------------------------------------------------------------
-# Epoch fast path against the classic per-step path
+# What the epoch fast path feeds the autoscaler and prices with
 # --------------------------------------------------------------------
 
-_FAULT_KINDS = {
-    "death": FailureSchedule(deaths=(1.5,)),
-    "straggler": FailureSchedule(stragglers=((1.0, 2.5),)),
-    "both": FailureSchedule(deaths=(2.0,), stragglers=((1.0, 2.5),)),
-}
-
-
-def _small_sim(*, autoscale=True, faults="both", shed=False,
-               policy="least-outstanding", max_steps=2_000_000,
-               engine="epoch"):
+def _small_sim():
     """A 4 s MMPP burst that scales, sheds and fails over."""
-    workload = ServingWorkload(
-        rate=2.0, duration=4.0, seed=11, prefix_groups=3,
-        arrival=MMPPArrivals(rate=2.0, burst_rate=12.0, base_dwell=2.0,
-                             burst_dwell=1.0))
-    config = (AutoscalerConfig(min_replicas=2, max_replicas=4,
-                               cold_start_s=0.1) if autoscale else None)
-    return ControlPlaneSimulator(
-        "bert-large", "a100", workload=workload, plan="sdf", replicas=2,
-        policy=policy, autoscaler=config, faults=_FAULT_KINDS[faults],
-        shed_backlog_tokens=1500.0 if shed else 0.0, cold_start_s=0.1,
-        max_steps=max_steps, engine=engine)
-
-
-def _report_bytes(report) -> str:
-    doc = report.to_dict()
-    doc.pop("trace_summary", None)
-    return json.dumps(doc, sort_keys=True)
+    return ControlPlaneSimulator("bert-large", "a100", plan="sdf",
+                                 replicas=2, **small_controlplane())
 
 
 class TestFastPathEquivalence:
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    @pytest.mark.parametrize("shed", (False, True),
-                             ids=("no-shed", "shed"))
-    @pytest.mark.parametrize("faults", sorted(_FAULT_KINDS))
-    @pytest.mark.parametrize("autoscale", (False, True),
-                             ids=("static", "autoscale"))
-    def test_untraced_epoch_run_matches_traced_classic_run(
-            self, engines, autoscale, faults, shed, policy):
-        kwargs = dict(autoscale=autoscale, faults=faults, shed=shed,
-                      policy=policy)
-        untraced = _small_sim(**kwargs).run()
-        untraced_steps = sum(e.epoch_steps for e in engines)
-        runs = {}
-        for engine in ("event", "epoch"):
-            engines.clear()
-            simcache.invalidate()
-            with tracing(Tracer()) as tracer:
-                report = _small_sim(engine=engine, **kwargs).run()
-            assert report.trace_summary is not None
-            runs[engine] = (_report_bytes(report), chrome_events(tracer),
-                            sum(e.epoch_steps for e in engines))
-        simcache.invalidate()
-        # The untraced run (no lockstep, so its own epoch boundaries)
-        # reports exactly what the traced classic run does.
-        assert untraced.trace_summary is None
-        assert untraced_steps > 0
-        assert _report_bytes(untraced) == runs["event"][0]
-        # Both traced runs agree event for event, and only the epoch
-        # one takes epochs, so the comparison really spans both paths.
-        assert runs["event"][2] == 0 and runs["epoch"][2] > 0
-        assert runs["event"][:2] == runs["epoch"][:2]
-
     def test_first_token_feed_follows_instant_order(self, monkeypatch):
         """The autoscaler sees an untraced run's first tokens in the
         order a traced run emits its ``first-token`` instants (its
@@ -629,36 +572,6 @@ class TestFastPathEquivalence:
         assert len({id(m) for m in models}) == 1
         # The straggler still slows only its own replica.
         assert sum(isinstance(e.cost, SlowdownCost) for e in engines) == 1
-
-    @pytest.mark.parametrize("traced", (False, True),
-                             ids=("untraced", "traced"))
-    def test_step_budget_is_exact(self, engines, traced):
-        budget = 100  # falls inside a pure-decode epoch
-        traces = {}
-        for engine in ("event", "epoch") if traced else ("epoch",):
-            engines.clear()
-            # Cold kernel caches, so both traced runs price alike.
-            simcache.invalidate()
-            sim = _small_sim(autoscale=False, faults="death",
-                             max_steps=budget, engine=engine)
-            tracer = Tracer() if traced else None
-            with pytest.raises(ServingError,
-                               match=f"exceeded {budget} steps"):
-                if traced:
-                    with tracing(tracer):
-                        sim.run()
-                else:
-                    sim.run()
-            # The run stops on the first step past the budget on both
-            # paths; an epoch may not overshoot it.
-            assert sum(e.steps for e in engines) == budget + 1
-            assert (sum(e.epoch_steps for e in engines) > 0) is (
-                engine == "epoch")
-            if traced:
-                traces[engine] = chrome_events(tracer)
-        simcache.invalidate()
-        if traced:
-            assert traces["event"] == traces["epoch"]
 
 
 # --------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """The observability layer: tracer semantics, exporters, and the
 determinism/overhead guarantees the serving simulators rely on."""
 
-import json
-
 import pytest
 
 from repro.common.errors import TraceError
@@ -312,30 +310,6 @@ class TestTracedServing:
                 cat: categories[cat] for cat in sorted(categories)}
             start = end
         assert start == len(events)
-
-    def test_untraced_results_are_bit_identical(self):
-        """Tracing off => serialized reports match a traced run's
-        numbers and carry no trace fields."""
-        simcache.invalidate()
-        untraced = simulate_serving(
-            "bert-large", "a100",
-            ServingWorkload(rate=3.0, duration=2.0, seed=0))
-        _, traced = _traced_serving()
-        assert untraced.trace_summary is None
-        untraced_doc = untraced.to_dict()
-        assert "trace_summary" not in untraced_doc
-        for plan_doc in untraced_doc["plans"].values():
-            assert "trace_summary" not in plan_doc
-
-        def strip(doc):
-            return {
-                key: (strip(value) if isinstance(value, dict) else value)
-                for key, value in doc.items()
-                if key != "trace_summary"
-            }
-
-        assert json.dumps(untraced_doc, sort_keys=True) == json.dumps(
-            strip(traced.to_dict()), sort_keys=True)
 
     def test_untraced_run_records_nothing(self):
         simulate_serving("bert-large", "a100",

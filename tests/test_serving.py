@@ -29,18 +29,7 @@ from repro.serving import (
     load_trace,
     simulate_serving,
 )
-
-
-def tiny_gpu(model_name="bert-large", blocks=24, block_tokens=64,
-             reserve_fraction=0.1):
-    """An A100 variant whose HBM holds the weights plus ~``blocks``
-    KV blocks — small enough to force admission queuing/preemption."""
-    model = get_model(model_name)
-    bytes_per_token = 2 * model.num_layers * model.d_model * 2
-    pool = blocks * block_tokens * bytes_per_token
-    weights = weight_bytes(model, DType.FP16)
-    hbm = int((pool + weights) / (1 - reserve_fraction)) + 1
-    return dataclasses.replace(get_gpu("a100"), hbm_bytes=hbm)
+from tests.conftest import tiny_gpu
 
 
 class TestWorkload:
@@ -436,30 +425,6 @@ class TestSimulator:
     def test_requires_exactly_one_source(self):
         with pytest.raises(ServingError, match="exactly one"):
             ServingSimulator("bert-large", "a100")
-
-    @pytest.mark.parametrize("engine", ("epoch", "event"))
-    @pytest.mark.parametrize("traced", (False, True),
-                             ids=("untraced", "traced"))
-    def test_step_budget_is_exact(self, engines, engine, traced):
-        from repro.obs import Tracer, tracing
-
-        budget = 100  # falls inside a pure-decode epoch
-        sim = ServingSimulator(
-            "bert-large", "a100", plan="sdf", max_steps=budget,
-            engine=engine,
-            workload=ServingWorkload(rate=4, duration=5, seed=0),
-        )
-        with pytest.raises(ServingError, match=f"exceeded {budget} steps"):
-            if traced:
-                with tracing(Tracer()):
-                    sim.run()
-            else:
-                sim.run()
-        # The run stops on the first step past the budget on every
-        # path; an epoch may not overshoot it.  Tracing keeps epochs.
-        assert sum(e.steps for e in engines) == budget + 1
-        epochs = sum(e.epoch_steps for e in engines) > 0
-        assert epochs is (engine == "epoch")
 
 
 class TestHBMSpec:
