@@ -10,21 +10,25 @@ happens.  A row's step ``budget`` falls inside an epoch and must stop
 every cell at exactly ``budget + 1`` steps.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import POLICIES, ClusterSimulator, simulate_cluster
 from repro.common.dtypes import DType
+from repro.common.errors import ServingError
 from repro.controlplane import (
     AutoscalerConfig,
     ControlPlaneSimulator,
     FailureSchedule,
 )
+from repro.gpu import simcache
 from repro.gpu.specs import get_gpu
 from repro.models.config import AttentionKind, AttentionSpec, ModelConfig
 from repro.models.footprint import weight_bytes
 from repro.models.moe import MoEConfig
+from repro.obs import current_tracer
 from repro.serving import (
     MMPPArrivals,
     ServingSimulator,
@@ -33,6 +37,7 @@ from repro.serving import (
 )
 from repro.verify.equivalence import (
     Cell,
+    CellRun,
     all_cells,
     compare_runs,
     run_cells,
@@ -336,3 +341,114 @@ def test_row(request, engines, row):
             assert run.error is None, run.cell
             assert row.feature is None or row.feature(run, cell_engines), \
                 run.cell
+
+
+# The check itself: each clause fires on the difference it names, and
+# only on that one.
+
+DOC = {"finished": 3, "plans": {"sdf": {"finished": 3}}}
+TRACED_DOC = {"finished": 3, "trace_summary": {"spans": 9},
+              "plans": {"sdf": {"finished": 3,
+                                "trace_summary": {"spans": 4}}}}
+EVENTS = [{"name": "step", "ts": 0}]
+METRICS = {"counters": {"serving.steps": 1.0}, "gauges": {}}
+
+
+def agreeing_runs():
+    return [CellRun(cell, TRACED_DOC if cell.traced else DOC, None,
+                    *((EVENTS, METRICS) if cell.traced else ()))
+            for cell in EVERY]
+
+
+def fake_run(doc=DOC, gauges=None):
+    """A ``simulate`` that sets each ``gauges[name]`` value in turn on
+    the current tracer and reports ``doc``."""
+
+    def simulate(cell):
+        for name, values in (gauges or {}).items():
+            for value in values[cell.engine]:
+                current_tracer().metrics.gauge(name).set(value)
+        return SimpleNamespace(to_dict=lambda: doc)
+
+    return simulate
+
+
+class TestCheck:
+    def test_strip_trace_summary_at_every_level(self):
+        assert strip_trace_summary(TRACED_DOC) == DOC
+        assert strip_trace_summary(DOC) == DOC
+
+    def test_agreeing_cells_break_nothing(self):
+        assert compare_runs(agreeing_runs()) == []
+
+    #: (which run of ``EVERY``, what it has instead, the clauses broken)
+    @pytest.mark.parametrize("index, change, broken", [
+        (1, dict(doc={**DOC, "finished": 2}),
+         {"untraced_cells_agree", "traced_equals_untraced"}),
+        (1, dict(doc=None, error="exceeded 100 steps"),
+         {"untraced_cells_agree", "traced_equals_untraced"}),
+        (3, dict(doc={**TRACED_DOC, "plans": {"sdf": {
+            "finished": 3, "trace_summary": {"spans": 5}}}}),
+         {"traced_report_agree"}),
+        (3, dict(doc={**TRACED_DOC, "finished": 2}),
+         {"traced_equals_untraced", "traced_report_agree"}),
+        (3, dict(events=EVENTS + EVENTS), {"traced_events_agree"}),
+        (3, dict(metrics={**METRICS, "counters": {"serving.steps": 2.0}}),
+         {"traced_metrics_agree"}),
+    ], ids=["untraced-report", "untraced-stop", "nested-trace-summary",
+            "traced-report", "events", "metrics"])
+    def test_each_clause_fires(self, index, change, broken):
+        runs = agreeing_runs()
+        runs[index] = dataclasses.replace(runs[index], **change)
+        assert {v.invariant for v in compare_runs(runs)} == broken
+
+    def test_stopped_cells_agree_whatever_their_clock(self):
+        runs = [dataclasses.replace(run, doc=None,
+                                    error=f"exceeded 100 steps (clock {i})")
+                for i, run in enumerate(agreeing_runs())]
+        assert compare_runs(runs) == []
+
+    def test_only_a_serving_error_stops_a_cell(self):
+        def simulate(cell):
+            raise (ServingError if cell.engine == "event" else ValueError)(
+                "exceeded 100 steps")
+
+        [run] = run_cells(simulate, (Cell("event"),))
+        assert (run.doc, run.error) == (None, "exceeded 100 steps")
+        with pytest.raises(ValueError):
+            run_cells(simulate, (Cell("epoch"),))
+
+    def test_traced_cells_start_from_cold_caches(self, monkeypatch):
+        monkeypatch.delenv(simcache.ENV_VAR, raising=False)
+        seen = []
+
+        def simulate(cell):
+            seen.append(len(simcache.kernel_cache))
+            simcache.kernel_cache.put(("test_equivalence", cell), 0.0)
+            return SimpleNamespace(to_dict=lambda: DOC)
+
+        simcache.invalidate()
+        simcache.kernel_cache.put(("test_equivalence", "warm"), 0.0)
+        try:
+            run_cells(simulate, EVERY)
+        finally:
+            simcache.invalidate()
+        assert seen == [1, 2, 0, 0]
+
+    def test_only_outstanding_token_sample_counts_may_differ(self):
+        # The epoch path publishes the gauge once per advance.
+        outstanding = {"event": (5, 3, 0), "epoch": (5, 0)}
+        runs = run_cells(fake_run(gauges={
+            "cp.outstanding_tokens": outstanding}), TRACED)
+        assert compare_runs(runs) == []
+        assert runs[0].metrics["gauges"]["cp.outstanding_tokens"] == {
+            "last": 0.0, "min": 0.0, "max": 5.0}
+        runs = run_cells(fake_run(gauges={"engine.batch": outstanding}),
+                         TRACED)
+        assert [v.invariant for v in compare_runs(runs)] == [
+            "traced_metrics_agree"]
+
+    def test_jobs_apply_to_untraced_cells_only(self):
+        assert all_cells() == EVERY
+        assert all_cells((1, 2), (False,)) == UNTRACED + (
+            Cell("event", jobs=2), Cell("epoch", jobs=2))
