@@ -93,12 +93,14 @@ class ClusterPlanReport:
 
     @classmethod
     def from_replicas(cls, plan: str, policy: str, replicas, *,
+                      exact: bool = True,
                       trace_summary: "dict | None" = None,
                       ) -> "ClusterPlanReport":
         """Aggregate finished :class:`~repro.cluster.replica.Replica`
-        states (after the event loop drained) into a report."""
+        states (after the event loop drained) into a report; ``exact``
+        as in :meth:`~repro.cluster.replica.Replica.outcome`."""
         return cls.from_outcomes(
-            plan, policy, [replica.outcome() for replica in replicas],
+            plan, policy, [replica.outcome(exact) for replica in replicas],
             trace_summary=trace_summary)
 
     @classmethod

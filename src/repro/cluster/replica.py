@@ -4,9 +4,10 @@ A replica owns its engine state — a paged
 :class:`~repro.serving.memory.KVBlockManager` sized for the whole GPU
 group (weights shard, per-GPU reserve replicates) and a
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, driven
-by one :class:`~repro.serving.engine.EpochEngine` — but not its
-prices.  Its :class:`~repro.cluster.costmodel.ShardedStepCostModel`
-(and a speculative run's draft model) come from the run's pool of
+by one :class:`~repro.serving.engine.EpochEngine`, all assembled by its
+:class:`~repro.serving.config.EngineConfig` — but not its prices.
+Its :class:`~repro.cluster.costmodel.ShardedStepCostModel` (and a
+speculative run's draft model) come from the run's pool of
 priced models (:func:`~repro.serving.costmodel.shared_cost_model`),
 so every replica of one configuration reads the same memo.  The event
 loop (:mod:`repro.serving.loop`) interleaves replica advances in
@@ -29,18 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.common.dtypes import DType
-from repro.core.plan import AttentionPlan
-from repro.gpu.interconnect import InterconnectSpec, NVLINK3
-from repro.gpu.specs import GPUSpec
-from repro.models.config import ModelConfig
+from repro.cluster.costmodel import ShardedStepCostModel
 from repro.models.footprint import weight_bytes
 from repro.obs.tracer import NULL_TRACER, TraceEvent, check_span
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
-from repro.serving.memory import KVBlockManager
+from repro.serving.config import EngineConfig
 from repro.serving.metrics import RunOutcome
 from repro.serving.requests import Request
-from repro.serving.scheduler import ContinuousBatchingScheduler
 
 
 @dataclass
@@ -64,70 +59,24 @@ class ReplicaOutcome:
 class Replica:
     """One model replica inside a cluster simulation."""
 
-    def __init__(
-        self,
-        replica_id: int,
-        model: ModelConfig,
-        gpu: GPUSpec,
-        *,
-        plan: "AttentionPlan | str" = AttentionPlan.BASELINE,
-        dtype: DType = DType.FP16,
-        tp: int = 1,
-        pp: int = 1,
-        ep: int = 1,
-        interconnect: InterconnectSpec = NVLINK3,
-        algorithm: str = "ring",
-        chunk_tokens: int = 512,
-        max_batch: int = 32,
-        block_tokens: int = 64,
-        reserve_fraction: float = 0.1,
-        t: int = 64,
-        tracer=None,
-        engine: str = "epoch",
-        max_epoch: int = DEFAULT_MAX_EPOCH,
-        retain_requests: bool = True,
-        draft_model: "ModelConfig | str | None" = None,
-        draft_len: int = 4,
-        accept_rate: float = 1.0,
-        costs: "dict | None" = None,
-    ) -> None:
-        from repro.cluster.costmodel import ShardedStepCostModel
-        from repro.serving.costmodel import shared_cost_model
-        from repro.serving.specdecode import spec_decode_runtime
-
+    def __init__(self, replica_id: int, config: EngineConfig, *,
+                 tracer=None, retain_requests: bool = True,
+                 costs: "dict | None" = None) -> None:
         self.replica_id = replica_id
         # ``costs`` is the owning run's pool; without one the replica
-        # prices through a private model.  Decode KV lengths are priced
-        # at the KV block granularity.
-        self.cost = shared_cost_model(
-            costs, ShardedStepCostModel, model, gpu,
-            plan=AttentionPlan.from_name(plan), dtype=dtype, t=t,
-            kv_bucket=block_tokens, tp=tp, pp=pp, ep=ep,
-            interconnect=interconnect, algorithm=algorithm,
-        )
+        # prices through private models.
+        self.cost, spec_decode = config.priced(
+            ShardedStepCostModel, costs, **config.sharding)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Trace process name; plan-prefixed so several plans can share
         #: one tracer without lane collisions.
-        self.trace_process = f"{self.cost.plan.value}:replica{replica_id}"
-        self.memory = KVBlockManager.for_model(
-            model, gpu, block_tokens=block_tokens, dtype=dtype,
-            reserve_fraction=reserve_fraction, n_gpus=tp * pp * ep,
-        )
-        self.scheduler = ContinuousBatchingScheduler(
-            self.memory, chunk_tokens=chunk_tokens, max_batch=max_batch,
-            tracer=self.tracer, trace_process=self.trace_process,
-        )
+        self.trace_process = f"{config.plan.value}:replica{replica_id}"
         #: ``(pid, tid)`` of the step lane, bound by the first traced step.
         self._steps_lane = None
-        self.engine = EpochEngine(
-            cost=self.cost, memory=self.memory, scheduler=self.scheduler,
-            tracer=self.tracer, epoch=engine == "epoch",
-            max_epoch=max_epoch, on_step=self._trace_step,
-            spec_decode=spec_decode_runtime(
-                draft_model, gpu, draft_len=draft_len,
-                accept_rate=accept_rate, plan=self.cost.plan, dtype=dtype,
-                t=t, kv_bucket=block_tokens, costs=costs),
-        )
+        self.engine = config.build_engine(
+            self.cost, spec_decode, tracer=self.tracer,
+            lane=self.trace_process, on_step=self._trace_step)
+        self.memory, self.scheduler = self.engine.memory, self.engine.scheduler
         self.retain_requests = retain_requests
         #: Every request ever routed here, in submission order; empty
         #: in streaming mode (``retain_requests=False``).
@@ -224,13 +173,15 @@ class Replica:
         kv = stretch.kv_blocks
         self._kv_gauge.merge(kv, kv, kv, steps)
 
-    def outcome(self) -> ReplicaOutcome:
-        """Snapshot this replica's contribution to the cluster report."""
+    def outcome(self, exact: bool = True) -> ReplicaOutcome:
+        """Snapshot this replica's contribution to the cluster report,
+        exact from its retained requests unless ``exact`` is false (a
+        traced run above the cutover retains them for its spans only)."""
         return ReplicaOutcome(
             replica_id=self.replica_id,
             n_gpus=self.n_gpus,
             weight_bytes_per_gpu=self.weight_bytes_per_gpu,
             run=self.engine.outcome(
                 self.n_gpus * self.cost.gpu.hbm_bytes,
-                self.requests if self.retain_requests else None),
+                self.requests if exact and self.retain_requests else None),
         )

@@ -5,7 +5,9 @@ arrival stream.  Global ordering is the only subtlety: a routing
 policy must see each replica's state *as of the request's arrival
 time*.  The shared event loop (:mod:`repro.serving.loop`) guarantees
 that — the replicas are its lanes and each arrival an event — so this
-module keeps only the policy choice and the route instants.
+module keeps only the policy choice and the route instants.  Every
+replica is assembled from the simulator's one
+:class:`~repro.serving.config.EngineConfig`.
 
 Under round-robin routing with ``jobs > 1`` the stream shards per
 replica instead and each shard runs the loop with one lane in its own
@@ -13,7 +15,8 @@ worker process (:mod:`repro.cluster.sharded`), producing the same
 report.  Above the exact-percentile cutover the replicas stream
 their aggregates instead of retaining per-request state, so a
 million-request cluster run holds O(batch) requests per replica and
-O(1) memory per metric.
+O(1) memory per metric; a traced run retains its requests for their
+phase spans but reports the same streamed aggregates.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
-from repro.core.plansource import PlanSource, resolve_plan
+from repro.core.plansource import PlanSource
 from repro.gpu.interconnect import InterconnectSpec, NVLINK3
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
@@ -30,6 +33,7 @@ from repro.obs.tracer import current_tracer
 from repro.cluster.metrics import ClusterPlanReport, ClusterReport
 from repro.cluster.policies import RouterPolicy, make_policy
 from repro.cluster.replica import Replica
+from repro.serving.config import EngineConfig
 from repro.serving.costmodel import check_softmax_rows
 from repro.serving.engine import DEFAULT_MAX_EPOCH
 from repro.serving.metrics import EXACT_PERCENTILE_CUTOVER
@@ -40,7 +44,6 @@ from repro.serving.requests import (
     arrivals,
     replay_stream,
 )
-from repro.serving.simulator import ENGINE_MODES
 
 
 class ClusterSimulator:
@@ -95,24 +98,21 @@ class ClusterSimulator:
     ) -> None:
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
         if jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {jobs}")
-        self.model = get_model(model)
-        self.gpu = get_gpu(gpu)
-        self.plan = resolve_plan(
-            AttentionPlan.BASELINE if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-        )
+        self.config = config = EngineConfig(
+            model, gpu, AttentionPlan.BASELINE if plan is None else plan,
+            t=t, dtype=dtype, chunk_tokens=chunk_tokens,
+            max_batch=max_batch, block_tokens=block_tokens,
+            reserve_fraction=reserve_fraction, tp=tp, pp=pp, ep=ep,
+            interconnect=interconnect, algorithm=algorithm,
+            draft_model=draft_model, draft_len=draft_len,
+            accept_rate=accept_rate, engine=engine, max_epoch=max_epoch)
+        self.model, self.gpu, self.plan = config.model, config.gpu, config.plan
         self.policy_name = (policy.name if isinstance(policy, RouterPolicy)
                             else policy)
         self._policy_arg = policy
         self.max_steps = max_steps
-        self.engine = engine
-        self.max_epoch = max_epoch
         self.latency_cutover = latency_cutover
         self.jobs = jobs
         if jobs > 1 and self.policy_name != "round-robin":
@@ -124,16 +124,7 @@ class ClusterSimulator:
         #: the workload's arrays (materialized one arrival at a time).
         self._stream = replay_stream(requests, workload,
                                      block_tokens=block_tokens)
-        self._replica_kwargs = dict(
-            dtype=dtype, tp=tp, pp=pp, ep=ep,
-            interconnect=interconnect, algorithm=algorithm,
-            chunk_tokens=chunk_tokens, max_batch=max_batch,
-            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
-            t=t, draft_model=draft_model, draft_len=draft_len,
-            accept_rate=accept_rate,
-        )
-        check_softmax_rows(self._stream, self.model, self.gpu, self.plan,
-                           **self._replica_kwargs)
+        check_softmax_rows(self._stream, config)
         self.num_replicas = replicas
         self._costs = costs
 
@@ -145,7 +136,9 @@ class ClusterSimulator:
     def run(self) -> ClusterPlanReport:
         """Simulate the stream to completion and aggregate metrics."""
         tracer = current_tracer()
-        retain = tracer.enabled or self.num_requests <= self.latency_cutover
+        # The stream's length alone decides whether the report is
+        # exact; a traced run also retains for its request spans.
+        exact = self.num_requests <= self.latency_cutover
         if self.jobs > 1:
             if tracer.enabled:
                 raise ServingError(
@@ -155,11 +148,8 @@ class ClusterSimulator:
             from repro.cluster.sharded import run_sharded
 
             outcomes = run_sharded(
-                model=self.model, gpu=self.gpu, plan=self.plan,
-                replica_kwargs=self._replica_kwargs,
-                num_replicas=self.num_replicas,
-                engine=self.engine, max_epoch=self.max_epoch,
-                retain=retain, max_steps=self.max_steps, jobs=self.jobs,
+                self.config, num_replicas=self.num_replicas, retain=exact,
+                max_steps=self.max_steps, jobs=self.jobs,
                 stream=self._stream,
             )
             return ClusterPlanReport.from_outcomes(
@@ -171,10 +161,8 @@ class ClusterSimulator:
         policy = make_policy(self._policy_arg)
         costs = {} if self._costs is None else self._costs
         replicas = [
-            Replica(i, self.model, self.gpu, plan=self.plan, tracer=tracer,
-                    engine=self.engine, max_epoch=self.max_epoch,
-                    retain_requests=retain, costs=costs,
-                    **self._replica_kwargs)
+            Replica(i, self.config, tracer=tracer,
+                    retain_requests=exact or tracer.enabled, costs=costs)
             for i in range(self.num_replicas)
         ]
 
@@ -214,7 +202,7 @@ class ClusterSimulator:
             trace_summary = tracer.summary(since=trace_start,
                                            include_metrics=False)
         return ClusterPlanReport.from_replicas(
-            self.plan.value, self.policy_name, replicas,
+            self.plan.value, self.policy_name, replicas, exact=exact,
             trace_summary=trace_summary)
 
 

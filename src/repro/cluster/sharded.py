@@ -30,10 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.plan import AttentionPlan
-from repro.gpu.specs import GPUSpec
-from repro.models.config import ModelConfig
-from repro.serving.engine import DEFAULT_MAX_EPOCH
+from repro.serving.config import EngineConfig
 from repro.serving.loop import arrival_events, run_loop
 from repro.serving.requests import Request, RequestArrays, arrivals
 from repro.workloads.sweep import fanout
@@ -54,12 +51,7 @@ class ReplicaShard:
 
     replica_id: int
     num_replicas: int
-    model: ModelConfig
-    gpu: GPUSpec
-    plan: AttentionPlan
-    replica_kwargs: "dict[str, object]"
-    engine: str
-    max_epoch: int
+    config: EngineConfig
     retain: bool
     max_steps: int
     stream: "tuple[Request, ...] | RequestArrays"
@@ -76,11 +68,8 @@ def simulate_shard(shard: ReplicaShard):
     """
     from repro.cluster.replica import Replica
 
-    replica = Replica(
-        shard.replica_id, shard.model, shard.gpu, plan=shard.plan,
-        engine=shard.engine, max_epoch=shard.max_epoch,
-        retain_requests=shard.retain, **shard.replica_kwargs,
-    )
+    replica = Replica(shard.replica_id, shard.config,
+                      retain_requests=shard.retain)
     if isinstance(shard.stream, RequestArrays):
         source = arrivals(shard.stream, start=shard.replica_id,
                           step=shard.num_replicas)
@@ -94,14 +83,9 @@ def simulate_shard(shard: ReplicaShard):
 
 
 def run_sharded(
+    config: EngineConfig,
     *,
-    model: ModelConfig,
-    gpu: GPUSpec,
-    plan: AttentionPlan,
-    replica_kwargs: "dict[str, object]",
     num_replicas: int,
-    engine: str = "epoch",
-    max_epoch: int = DEFAULT_MAX_EPOCH,
     retain: bool = True,
     max_steps: int = 2_000_000,
     jobs: int = 1,
@@ -112,20 +96,13 @@ def run_sharded(
     ``stream`` is the time-sorted request list or the stream's arrays.
     Returns the per-replica outcomes in replica-id order.
     """
-    shards = []
-    for replica_id in range(num_replicas):
-        shards.append(ReplicaShard(
-            replica_id=replica_id,
-            num_replicas=num_replicas,
-            model=model,
-            gpu=gpu,
-            plan=plan,
-            replica_kwargs=dict(replica_kwargs),
-            engine=engine,
-            max_epoch=max_epoch,
-            retain=retain,
-            max_steps=max_steps,
+    shards = [
+        ReplicaShard(
+            replica_id=replica_id, num_replicas=num_replicas,
+            config=config, retain=retain, max_steps=max_steps,
             stream=(stream if isinstance(stream, RequestArrays)
                     else tuple(stream[replica_id::num_replicas])),
-        ))
+        )
+        for replica_id in range(num_replicas)
+    ]
     return fanout(simulate_shard, shards, jobs=jobs)

@@ -339,16 +339,16 @@ class ScenarioSpec:
         }
         if sim != "serving":
             kwargs.update(replicas=sharding.replicas, tp=sharding.tp,
-                          pp=sharding.pp, policy=sharding.policy)
+                          pp=sharding.pp, policy=sharding.policy,
+                          algorithm=sharding.algorithm,
+                          interconnect=self.interconnect_spec())
         kwargs["engine"] = workload.engine
         if sim != "controlplane":
             kwargs.update(draft_model=workload.draft_model,
                           draft_len=workload.draft_len,
                           accept_rate=workload.accept_rate)
         if sim == "cluster":
-            kwargs.update(ep=sharding.ep, algorithm=sharding.algorithm,
-                          interconnect=self.interconnect_spec(),
-                          jobs=sharding.jobs)
+            kwargs.update(ep=sharding.ep, jobs=sharding.jobs)
         return kwargs
 
     # -- simulator entry points -----------------------------------------
@@ -381,10 +381,11 @@ class ScenarioSpec:
         """Control-plane run (SLO tiers, autoscaling, faults) over this
         scenario.  Control-loop configuration stays a call-site choice
         — it describes the controller, not the scenario.  The control
-        plane has no speculative decoding: asking for a draft model
-        raises ``ScenarioError``, and the speculation knobs are still
-        checked, with the typed errors ``serve-sim`` raises, so a bad
-        value never passes silently.
+        plane has no speculative decoding and no expert parallelism:
+        asking for a draft model or ``sharding.ep > 1`` raises
+        ``ScenarioError``, and the speculation knobs are still checked,
+        with the typed errors ``serve-sim`` raises, so a bad value
+        never passes silently.
         """
         from repro.controlplane import DEFAULT_TIERS, simulate_controlplane
         from repro.serving.specdecode import check_spec_knobs
@@ -392,6 +393,10 @@ class ScenarioSpec:
         if self.workload.draft_model is not None:
             raise ScenarioError(
                 "the control plane does not support --draft-model")
+        if self.sharding.ep > 1:
+            raise ScenarioError(
+                "the control plane does not support expert parallelism "
+                f"(sharding.ep={self.sharding.ep})")
         check_spec_knobs(self.workload.draft_len, self.workload.accept_rate)
         return self._run(
             "controlplane", simulate_controlplane,

@@ -32,7 +32,8 @@ steps its replicas in lockstep, so it emits the classic loop's events
 in the classic order; only the ``outstanding_tokens`` gauges, published
 once per advance, count fewer samples on the fast path.
 
-Every replica a run creates — initial, autoscaled and failover — shares
+Every replica a run creates — initial, autoscaled and failover — is
+built from one :class:`~repro.serving.config.EngineConfig` and shares
 one :class:`~repro.cluster.costmodel.ShardedStepCostModel` from the
 run's pool of priced models
 (:func:`~repro.serving.costmodel.shared_cost_model`), so a shape is
@@ -47,7 +48,7 @@ import numpy as np
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
-from repro.core.plansource import PlanSource, resolve_plan
+from repro.core.plansource import PlanSource
 from repro.gpu.interconnect import NVLINK3, InterconnectSpec
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
@@ -68,10 +69,10 @@ from repro.controlplane.report import (
     TierReport,
 )
 from repro.controlplane.slo import DEFAULT_TIERS, SLOTier, assign_tiers
+from repro.serving.config import EngineConfig
 from repro.serving.costmodel import check_softmax_rows
 from repro.serving.metrics import LatencyStats
 from repro.serving.loop import run_loop
-from repro.serving.simulator import ENGINE_MODES
 from repro.serving.requests import (
     RequestStatus,
     ServingWorkload,
@@ -212,10 +213,6 @@ class ControlPlaneSimulator:
         max_steps: int = 2_000_000,
         engine: str = "epoch",
     ) -> None:
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
         if replicas < 1:
             raise ServingError(f"need at least one replica, got {replicas}")
         if not tiers:
@@ -225,12 +222,13 @@ class ControlPlaneSimulator:
                 f"shed_backlog_tokens must be >= 0, got "
                 f"{shed_backlog_tokens}"
             )
-        self.model = get_model(model)
-        self.gpu = get_gpu(gpu)
-        self.plan = resolve_plan(
-            AttentionPlan.RECOMPOSED if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-        )
+        self.config = config = EngineConfig(
+            model, gpu, AttentionPlan.RECOMPOSED if plan is None else plan,
+            t=t, dtype=dtype, chunk_tokens=chunk_tokens,
+            max_batch=max_batch, block_tokens=block_tokens,
+            reserve_fraction=reserve_fraction, tp=tp, pp=pp,
+            interconnect=interconnect, algorithm=algorithm, engine=engine)
+        self.model, self.gpu, self.plan = config.model, config.gpu, config.plan
         self.workload = workload
         #: The workload's arrays, replayed by every ``run``.
         self._arrays = replay_stream(None, workload,
@@ -245,15 +243,7 @@ class ControlPlaneSimulator:
         self.shed_backlog_tokens = shed_backlog_tokens
         self.seed = workload.seed
         self.max_steps = max_steps
-        self.engine = engine
-        self._replica_kwargs = dict(
-            dtype=dtype, tp=tp, pp=pp, interconnect=interconnect,
-            algorithm=algorithm, chunk_tokens=chunk_tokens,
-            max_batch=max_batch, block_tokens=block_tokens,
-            reserve_fraction=reserve_fraction, t=t,
-        )
-        check_softmax_rows(self._arrays, self.model, self.gpu, self.plan,
-                           **self._replica_kwargs)
+        check_softmax_rows(self._arrays, config)
         if autoscaler is not None and autoscaler.cold_start_s is not None:
             cold_start_s = autoscaler.cold_start_s
         self.cold_start_s = (
@@ -550,10 +540,9 @@ class ControlPlaneSimulator:
     def _new_replica(self, replica_id: int, tracer,
                      created_at: float) -> ControlledReplica:
         return ControlledReplica(
-            replica_id, self.model, self.gpu, plan=self.plan,
-            tracer=tracer, engine=self.engine, retain_requests=False,
+            replica_id, self.config, tracer=tracer, retain_requests=False,
             created_at=created_at, costs=self._costs,
-            first_tokens=self._first_tokens, **self._replica_kwargs,
+            first_tokens=self._first_tokens,
         )
 
     def _consume_first_tokens(self, scaler: Autoscaler) -> None:

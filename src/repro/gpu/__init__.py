@@ -27,7 +27,6 @@ from repro.gpu.profiler import KernelRecord, Profile
 from repro.gpu.simcache import (
     CacheStats,
     SimCache,
-    caching_enabled,
     invalidate,
     kernel_cache,
     simulate_cache,
@@ -59,7 +58,6 @@ __all__ = [
     "Profile",
     "CacheStats",
     "SimCache",
-    "caching_enabled",
     "invalidate",
     "kernel_cache",
     "simulate_cache",

@@ -203,7 +203,7 @@ def time_kernel(spec: GPUSpec, launch: KernelLaunch) -> KernelTiming:
     Memoized: ``spec`` and ``launch`` are frozen dataclasses whose
     fields fully determine the timing, so the pair is a content
     address.  The returned :class:`KernelTiming` is immutable and may
-    be shared between callers.  Set ``REPRO_SIMCACHE=0`` to disable.
+    be shared between callers.
     """
     key = (spec, launch)
     cached = kernel_cache.get(key, MISSING)

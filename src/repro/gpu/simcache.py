@@ -19,38 +19,23 @@ thesis (do the reduction once, reuse it everywhere):
   returning deep-frozen :class:`~repro.models.runtime.InferenceResult`
   objects (their profiles reject further mutation).
 
-Both caches expose hit/miss counters (:func:`stats`), explicit
-invalidation (:func:`invalidate`), and an escape hatch: set the
-environment variable ``REPRO_SIMCACHE=0`` to disable all caching and
-fall back to the pre-cache behaviour (``tests/test_simcache.py`` runs
-the same workloads both ways as the differential reference).
+Both caches expose hit/miss counters (:func:`stats`) and explicit
+invalidation (:func:`invalidate`).  ``tests/test_simcache.py`` checks
+cached results against the uncached computations
+(``_time_kernel_uncached``, ``InferenceSession._simulate_uncached``)
+and against runs after an invalidation, as the differential reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
-
-#: Environment variable gating the caches; "0"/"off"/"false" disables.
-ENV_VAR = "REPRO_SIMCACHE"
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
 
 #: Sentinel distinguishing "not cached" from a cached falsy value.
 #: Callers pass it as ``default``: ``cache.get(key, MISSING) is MISSING``
 #: is the only reliable absence test (``None`` and other falsy values
 #: are legitimate cache entries).
 MISSING = object()
-
-
-def caching_enabled() -> bool:
-    """Whether the simulation caches are active.
-
-    Read dynamically on every lookup so tests and benchmarks can flip
-    ``REPRO_SIMCACHE`` without re-importing the library.
-    """
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in _DISABLED_VALUES
 
 
 @dataclass
@@ -72,13 +57,7 @@ class CacheStats:
 
 
 class SimCache:
-    """A dict-backed memo table with hit/miss accounting.
-
-    Lookups are disabled (always miss, nothing stored) while
-    :func:`caching_enabled` is false, so the escape hatch also
-    guarantees no stale entry can be served after re-enabling with
-    different global state.
-    """
+    """A dict-backed memo table with hit/miss accounting."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -94,9 +73,6 @@ class SimCache:
         may cache falsy values pass :data:`MISSING` as ``default`` and
         test ``result is MISSING``.
         """
-        if not caching_enabled():
-            self.stats.misses += 1
-            return default
         value = self._entries.get(key, MISSING)
         if value is MISSING:
             self.stats.misses += 1
@@ -105,9 +81,8 @@ class SimCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Store ``value`` under ``key`` (no-op while disabled)."""
-        if caching_enabled():
-            self._entries[key] = value
+        """Store ``value`` under ``key``."""
+        self._entries[key] = value
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""

@@ -22,7 +22,7 @@ from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.device import Device
 from repro.gpu.energy import EnergyModel
 from repro.gpu.profiler import Profile
-from repro.gpu.simcache import MISSING, caching_enabled, simulate_cache
+from repro.gpu.simcache import MISSING, simulate_cache
 from repro.obs.tracer import current_tracer
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, _check_tp_shards, get_model
@@ -213,8 +213,7 @@ class InferenceSession:
         Memoized across sessions: the result is a pure function of
         ``(model, gpu, plan, seq_len, batch, dtype, t, layout_seed)``,
         so repeated sweep points return the *same* deep-frozen
-        :class:`InferenceResult` (its profiles reject mutation).  Set
-        ``REPRO_SIMCACHE=0`` to disable, or call
+        :class:`InferenceResult` (its profiles reject mutation).  Call
         :func:`repro.gpu.simcache.invalidate` to flush.
         """
         key = self._simulate_key()
@@ -223,8 +222,7 @@ class InferenceSession:
             self._trace_simulate(cached, hit=True)
             return cached
         result = self._simulate_uncached()
-        if caching_enabled():
-            simulate_cache.put(key, freeze_result(result))
+        simulate_cache.put(key, freeze_result(result))
         self._trace_simulate(result, hit=False)
         return result
 

@@ -34,6 +34,7 @@ from repro.serving.arrivals import (
     PoissonArrivals,
     make_arrival,
 )
+from repro.serving.config import EngineConfig
 from repro.serving.costmodel import StepCostModel
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager, MemoryStats
@@ -69,6 +70,7 @@ __all__ = [
     "ServingWorkload",
     "load_trace",
     # engine
+    "EngineConfig",
     "StepCostModel",
     "KVBlockManager",
     "MemoryStats",

@@ -40,7 +40,6 @@ from repro.models.generation import (
     mlp_step_kernels,
     step_shape_kind,
 )
-from repro.serving.memory import KVBlockManager
 from repro.serving.requests import RequestArrays
 from repro.serving.specdecode import SpecDecodeConfig
 
@@ -278,16 +277,11 @@ class StepCostModel:
         return self._mlp_priced, self._attn_priced
 
 
-def check_softmax_rows(stream, model: ModelConfig, gpu: GPUSpec,
-                       plan: AttentionPlan, *, dtype: DType = DType.FP16,
-                       block_tokens: int = 64, reserve_fraction: float = 0.1,
-                       tp: int = 1, pp: int = 1, ep: int = 1,
-                       draft_model=None, draft_len: int = 4,
-                       accept_rate: float = 1.0, **engine_knobs) -> None:
+def check_softmax_rows(stream, config) -> None:
     """Raise :class:`ServingError` when a request of ``stream`` needs a
-    softmax row longer than the monolithic row softmax holds on ``gpu``
-    (:func:`~repro.kernels.softmax.longest_row`); takes a replica's
-    keyword arguments, of which the engine knobs play no part.
+    softmax row longer than the monolithic row softmax holds on the
+    :class:`~repro.serving.config.EngineConfig`'s GPU
+    (:func:`~repro.kernels.softmax.longest_row`).
 
     Decode runs that kernel under every plan, over the bucketed KV at
     the start of the last round (a plain decode step is a one-token
@@ -302,31 +296,29 @@ def check_softmax_rows(stream, model: ModelConfig, gpu: GPUSpec,
     else:
         prompt = np.array([r.prompt_len for r in stream], dtype=np.int64)
         output = np.array([r.output_len for r in stream], dtype=np.int64)
-    limit, bucket = longest_row(gpu, dtype), block_tokens
+    limit, bucket = longest_row(config.gpu, config.dtype), config.block_tokens
     if not len(prompt) or -(-(prompt.max() + output.max() - 1)
                             // bucket) * bucket <= limit or all(
             step_shape_kind(spec, 1) == "windowed"
-            for _, spec, _ in model.layer_groups()):
+            for _, spec, _ in config.model.layer_groups()):
         return
-    tau = 1 if draft_model is None else SpecDecodeConfig(
-        draft_model, draft_len, accept_rate).tokens_per_round
+    tau = 1 if config.draft_model is None else SpecDecodeConfig(
+        config.draft_model, config.draft_len,
+        config.accept_rate).tokens_per_round
     # Tokens generated when the last decode round starts.
     start = 1 + tau * ((output - 2) // tau)
     rows = np.where(output > 1, -(-(prompt + start) // bucket) * bucket, 0)
-    if "softmax" in plan_graph(plan).roles:
+    if "softmax" in plan_graph(config.plan).roles:
         rows = np.maximum(rows, prompt + output - 1)
-    pool = KVBlockManager.for_model(
-        model, gpu, block_tokens=block_tokens, dtype=dtype,
-        reserve_fraction=reserve_fraction, n_gpus=tp * pp * ep)
-    over = (rows > limit) & (-(-(prompt + output) // block_tokens)
-                             <= pool.total_blocks)
+    over = (rows > limit) & (-(-(prompt + output) // bucket)
+                             <= config.kv_pool().total_blocks)
     if over.any():
         index = int(np.argmax(over))
         raise ServingError(
             f"request {index if arrays else stream[index].request_id} "
             f"needs a {int(rows[index])}-key softmax row, but the "
             f"monolithic row softmax holds at most {limit} keys on "
-            f"{gpu.name}: "
+            f"{config.gpu.name}: "
             f"decode runs it under every plan, and plans without the "
             f"decomposition run it for prefill and verify rows too"
         )

@@ -95,8 +95,8 @@ def run_loop(lanes, next_event, *, max_steps: int, what: str,
         steps += advanced
         if steps > max_steps:
             raise ServingError(
-                f"{what} exceeded {max_steps} steps (clock "
-                f"{lane.clock:.1f}s); lower the rate or duration"
+                f"{what} exceeded {max_steps} steps; lower the rate or "
+                f"duration"
             )
 
 

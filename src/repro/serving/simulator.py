@@ -13,13 +13,14 @@ The simulator is a one-lane caller of the shared event loop
 :class:`~repro.serving.engine.EpochEngine`: by default pure-decode
 stretches advance in vectorized epochs that are bit-identical to the
 classic per-step loop, and ``engine="event"`` pins the run to the
-classic loop (equivalence tests and benchmarking diff the two).
-Above :data:`~repro.serving.metrics.EXACT_PERCENTILE_CUTOVER`
-requests in the stream (rejected ones included), and unless the run is
-traced, the simulator stops retaining per-request state
-and reports stream through O(1)-memory accumulators instead
-(``approx_percentiles`` in the output); below it reports stay
-byte-identical to earlier releases.
+classic loop (equivalence tests and benchmarking diff the two).  One
+:class:`~repro.serving.config.EngineConfig` holds the engine's knobs
+and assembles the engine each ``run`` steps.  Above
+:data:`~repro.serving.metrics.EXACT_PERCENTILE_CUTOVER` requests in the
+stream (rejected ones included) reports stream through O(1)-memory
+accumulators (``approx_percentiles`` in the output), traced or not;
+only a traced run keeps its requests, for their phase spans.  Below it
+reports stay byte-identical to earlier releases.
 
 Determinism: the only randomness is in the workload generator, which
 is seeded; the event loop itself is pure, so a fixed (model, gpu,
@@ -31,21 +32,16 @@ from __future__ import annotations
 import functools
 
 from repro.common.dtypes import DType
-from repro.common.errors import ServingError
 from repro.core.plan import AttentionPlan
-from repro.core.plansource import PlanSource, resolve_plan
+from repro.core.plansource import PlanSource
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.obs.instrument import emit_request_phase_spans
 from repro.obs.tracer import TraceEvent, check_span, current_tracer
-from repro.serving.costmodel import (
-    StepCostModel,
-    check_softmax_rows,
-    shared_cost_model,
-)
-from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
+from repro.serving.config import EngineConfig
+from repro.serving.costmodel import StepCostModel, check_softmax_rows
+from repro.serving.engine import DEFAULT_MAX_EPOCH
 from repro.serving.loop import arrival_events, run_loop
-from repro.serving.memory import KVBlockManager
 from repro.serving.metrics import (
     EXACT_PERCENTILE_CUTOVER,
     PlanReport,
@@ -57,12 +53,6 @@ from repro.serving.requests import (
     arrivals,
     replay_stream,
 )
-from repro.serving.scheduler import ContinuousBatchingScheduler
-from repro.serving.specdecode import spec_decode_runtime
-
-#: Execution modes: ``epoch`` (vectorized fast path, the default) and
-#: ``event`` (the classic one-step-per-iteration loop).
-ENGINE_MODES = ("epoch", "event")
 
 
 class ServingSimulator:
@@ -108,50 +98,28 @@ class ServingSimulator:
         accept_rate: float = 1.0,
         costs: "dict | None" = None,
     ) -> None:
-        if engine not in ENGINE_MODES:
-            raise ServingError(
-                f"engine must be one of {ENGINE_MODES}, got {engine!r}"
-            )
-        self.model = get_model(model)
-        self.gpu = get_gpu(gpu)
-        # Resolved exactly once, here, from anything PlanSource.of
-        # accepts.
-        self.plan = resolve_plan(
-            AttentionPlan.BASELINE if plan is None else plan,
-            model=self.model, gpu=self.gpu, t=t,
-        )
-        self.t = t
-        self.dtype = dtype
-        self.chunk_tokens = chunk_tokens
-        self.max_batch = max_batch
-        self.block_tokens = block_tokens
-        self.reserve_fraction = reserve_fraction
+        self.config = config = EngineConfig(
+            model, gpu, AttentionPlan.BASELINE if plan is None else plan,
+            t=t, dtype=dtype, chunk_tokens=chunk_tokens,
+            max_batch=max_batch, block_tokens=block_tokens,
+            reserve_fraction=reserve_fraction, draft_model=draft_model,
+            draft_len=draft_len, accept_rate=accept_rate, engine=engine,
+            max_epoch=max_epoch)
+        self.model, self.gpu, self.plan = config.model, config.gpu, config.plan
         self.max_steps = max_steps
-        self.engine = engine
-        self.max_epoch = max_epoch
         self.latency_cutover = latency_cutover
         #: The last ``run``'s own request copies with their final
-        #: state, in arrival order; empty when that run streamed.
+        #: state, in arrival order; empty when that run streamed
+        #: untraced.
         self.retained: "list[Request]" = []
         #: What ``run`` replays: the time-sorted request templates, or
         #: the workload's arrays (materialized one arrival at a time).
         self._stream = replay_stream(requests, workload,
                                      block_tokens=block_tokens)
-        # ``costs`` lets a caller (the tuner) share priced models across
-        # simulators; see :func:`~repro.serving.costmodel.shared_cost_model`.
-        self.cost = shared_cost_model(costs, StepCostModel, self.model,
-                                      self.gpu, plan=self.plan,
-                                      dtype=self.dtype, t=self.t,
-                                      kv_bucket=block_tokens)
-        self._spec_runtime = spec_decode_runtime(
-            draft_model, self.gpu, draft_len=draft_len,
-            accept_rate=accept_rate, plan=self.plan, dtype=self.dtype,
-            t=self.t, kv_bucket=block_tokens, costs=costs)
-        check_softmax_rows(
-            self._stream, self.model, self.gpu, self.plan, dtype=dtype,
-            block_tokens=block_tokens, reserve_fraction=reserve_fraction,
-            draft_model=draft_model, draft_len=draft_len,
-            accept_rate=accept_rate)
+        # Priced once per simulator, so a second ``run`` starts warm;
+        # ``costs`` shares priced models across simulators (the tuner).
+        self.cost, self._spec_runtime = config.priced(StepCostModel, costs)
+        check_softmax_rows(self._stream, config)
 
     @property
     def num_requests(self) -> int:
@@ -163,28 +131,14 @@ class ServingSimulator:
         tracer = current_tracer()
         trace_start = tracer.event_count
         lane = f"{self.plan.value}:engine"
-        memory = KVBlockManager.for_model(
-            self.model, self.gpu, block_tokens=self.block_tokens,
-            dtype=self.dtype, reserve_fraction=self.reserve_fraction,
-        )
-        scheduler = ContinuousBatchingScheduler(
-            memory, chunk_tokens=self.chunk_tokens,
-            max_batch=self.max_batch,
-            tracer=tracer, trace_process=lane,
-        )
-
-        engine = EpochEngine(
-            cost=self.cost, memory=memory, scheduler=scheduler,
-            tracer=tracer, epoch=self.engine == "epoch",
-            max_epoch=self.max_epoch,
-            on_step=_EngineLaneTrace(tracer, lane),
-            spec_decode=self._spec_runtime,
-        )
-        # Below the cutover (or whenever tracing needs per-request
-        # spans) requests are retained and the report is exact; above
-        # it, finished requests are dropped and the engine's streaming
-        # accumulators carry the metrics in O(1) memory.
-        retain = tracer.enabled or self.num_requests <= self.latency_cutover
+        engine = self.config.build_engine(
+            self.cost, self._spec_runtime, tracer=tracer, lane=lane,
+            on_step=_EngineLaneTrace(tracer, lane))
+        # The stream's length alone decides the report: exact below the
+        # cutover, else from the engine's O(1)-memory accumulators, with
+        # requests dropped unless tracing keeps them for phase spans.
+        exact = self.num_requests <= self.latency_cutover
+        retain = exact or tracer.enabled
         stream = self.retained = []
 
         def submit(request: Request) -> None:
@@ -205,7 +159,7 @@ class ServingSimulator:
                                            include_metrics=False)
         return PlanReport.from_run(
             self.plan.value,
-            engine.outcome(self.gpu.hbm_bytes, stream if retain else None),
+            engine.outcome(self.gpu.hbm_bytes, stream if exact else None),
             trace_summary=trace_summary)
 
 

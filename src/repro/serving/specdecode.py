@@ -94,34 +94,34 @@ class SpecDecodeRuntime:
         return self.draft_len * self.draft_cost.decode_step_time(draft_kv)
 
 
-def spec_decode_runtime(draft_model, gpu, *, draft_len: int,
-                        accept_rate: float, plan, dtype, t: int,
-                        kv_bucket: int, costs: "dict | None" = None):
-    """The :class:`SpecDecodeRuntime` a simulator's engine runs, or
-    ``None`` without a ``draft_model``.
+def spec_decode_runtime(config, costs: "dict | None" = None):
+    """The :class:`SpecDecodeRuntime` an engine of ``config`` (a
+    :class:`~repro.serving.config.EngineConfig`) runs, or ``None``
+    without a draft model.
 
     The draft gets its own step-cost model on the target's GPU, plan,
-    dtype and KV block size (``kv_bucket``), so its γ decode steps per
-    round are priced through the identical kernel stack.  It is small
-    and replicates across a sharded replica's group, so it is priced
-    unsharded on one GPU.  ``draft_len`` and ``accept_rate`` are
-    checked even without a draft model, so a bad value never passes
-    silently.
+    dtype, ``t`` and KV block size, found in or added to the pool
+    ``costs``, so its γ decode steps per round are priced through the
+    identical kernel stack.  It is small and replicates across a
+    sharded replica's group, so it is priced unsharded on one GPU.
+    ``draft_len`` and ``accept_rate`` are checked even without a draft
+    model, so a bad value never passes silently.
     """
-    check_spec_knobs(draft_len, accept_rate)
-    if draft_model is None:
+    check_spec_knobs(config.draft_len, config.accept_rate)
+    if config.draft_model is None:
         return None
     from repro.models.config import get_model
     from repro.serving.costmodel import StepCostModel, shared_cost_model
 
-    config = SpecDecodeConfig(
-        draft_model=get_model(draft_model),
-        draft_len=draft_len,
-        accept_rate=accept_rate,
+    spec = SpecDecodeConfig(
+        draft_model=get_model(config.draft_model),
+        draft_len=config.draft_len,
+        accept_rate=config.accept_rate,
     )
-    return SpecDecodeRuntime(config, shared_cost_model(
-        costs, StepCostModel, config.draft_model, gpu, plan=plan,
-        dtype=dtype, t=t, kv_bucket=kv_bucket))
+    return SpecDecodeRuntime(spec, shared_cost_model(
+        costs, StepCostModel, spec.draft_model, config.gpu,
+        plan=config.plan, dtype=config.dtype, t=config.t,
+        kv_bucket=config.block_tokens))
 
 
 def verification_oracles():

@@ -18,10 +18,8 @@ a :class:`~repro.verify.invariants.Violation` per broken clause:
 Every traced cell starts from cold kernel caches, since a kernel
 span's ``cached`` flag and the simcache gauges read cache state.  A
 run that stops on a :class:`~repro.common.errors.ServingError` (a step
-budget, say) has no report: all cells must stop, and traced ones must
-emit the same events up to the stop.  Their messages may differ: an
-untraced multi-lane run, not held in lockstep, crosses a budget at
-another clock.
+budget, say) has no report: all cells must stop with the same message,
+and traced ones must emit the same events up to the stop.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ def run_cells(simulate: Callable, cells) -> "list[CellRun]":
 
 def _outcome(run: CellRun, *, strip: bool) -> str:
     if run.error is not None:
-        return "stopped"
+        return f"stopped: {run.error}"
     doc = strip_trace_summary(run.doc) if strip else run.doc
     return json.dumps(doc, sort_keys=True)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.common.dtypes import DType
 from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
-from repro.gpu.simcache import caching_enabled, simulate_cache
+from repro.gpu.simcache import simulate_cache
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.models.runtime import (
@@ -155,8 +155,7 @@ class SweepRunner:
         fresh = fanout(simulate_point, [points[i] for i in todo],
                        jobs=self.jobs)
         for i, result in zip(todo, fresh):
-            if caching_enabled():
-                simulate_cache.put(points[i].cache_key(), freeze_result(result))
+            simulate_cache.put(points[i].cache_key(), freeze_result(result))
             results[i] = result
         return results
 

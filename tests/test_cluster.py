@@ -34,6 +34,7 @@ from repro.gpu.interconnect import (
 from repro.gpu.specs import get_gpu
 from repro.models.config import AttentionKind, AttentionSpec, ModelConfig
 from repro.models.footprint import weight_bytes
+from repro.serving.config import EngineConfig
 from repro.serving.costmodel import StepCostModel
 from repro.serving.memory import KVBlockManager
 from repro.serving.requests import Request, ServingWorkload
@@ -137,8 +138,8 @@ class TestGroupMemory:
 
     def test_per_gpu_weights_shard(self):
         gpu = get_gpu("t4")
-        tp1 = Replica(0, TINY, gpu)
-        tp2 = Replica(0, TINY, gpu, tp=2)
+        tp1 = Replica(0, EngineConfig(TINY, gpu))
+        tp2 = Replica(0, EngineConfig(TINY, gpu, tp=2))
         assert tp2.n_gpus == 2
         assert tp2.weight_bytes_per_gpu == pytest.approx(
             tp1.weight_bytes_per_gpu / 2)
@@ -281,10 +282,8 @@ class TestClusterSimulator:
             sim.run()
         # In-process, one shard stops on its first step past the budget.
         shard = ReplicaShard(
-            replica_id=1, num_replicas=2, model=TINY,
-            gpu=get_gpu("t4"), plan=sim.plan, replica_kwargs={},
-            engine="epoch", max_epoch=4096, retain=True, max_steps=budget,
-            stream=workload.request_arrays())
+            replica_id=1, num_replicas=2, config=sim.config, retain=True,
+            max_steps=budget, stream=workload.request_arrays())
         with pytest.raises(ServingError,
                            match=rf"replica 1 exceeded {budget} steps"):
             simulate_shard(shard)

@@ -123,9 +123,9 @@ SERVING_ROWS = [
     *[row(f"serving-max-epoch-{cap}", serving, UNTRACED, workload=stream(),
           max_epoch=cap) for cap in (1, 2, 3, 4096)],
     # A zero cutover streams the latency aggregates.  A traced run
-    # retains every request for its spans, which turns streaming off,
-    # so traced cells do not apply.
-    row("serving-streaming", serving, UNTRACED, tracing=(False,),
+    # retains every request for its spans, yet reports from the sketch
+    # too.
+    row("serving-streaming", serving, UNTRACED + (TRACED[1],),
         workload=stream(), latency_cutover=0, feature=streams),
     row("serving-plans", serving_plans, (Cell("epoch"),
                                          Cell("epoch", traced=True)),
@@ -142,8 +142,8 @@ CLUSTER_ROWS = [
           prefix_groups=4)
       for policy in ("least-outstanding", "prefix-affinity")],
     row("cluster-streaming", cluster_plans,
-        (Cell("epoch"), Cell("epoch", jobs=2)), jobs=(1, 2),
-        tracing=(False,), latency_cutover=0, feature=streams),
+        (Cell("epoch"), Cell("epoch", jobs=2), TRACED[1]), jobs=(1, 2),
+        latency_cutover=0, feature=streams),
 ]
 
 
@@ -402,11 +402,14 @@ class TestCheck:
         runs[index] = dataclasses.replace(runs[index], **change)
         assert {v.invariant for v in compare_runs(runs)} == broken
 
-    def test_stopped_cells_agree_whatever_their_clock(self):
+    def test_stopped_cells_must_agree_on_their_message(self):
         runs = [dataclasses.replace(run, doc=None,
-                                    error=f"exceeded 100 steps (clock {i})")
-                for i, run in enumerate(agreeing_runs())]
+                                    error="exceeded 100 steps")
+                for run in agreeing_runs()]
         assert compare_runs(runs) == []
+        runs[1] = dataclasses.replace(runs[1], error="exceeded 101 steps")
+        assert {v.invariant for v in compare_runs(runs)} == {
+            "untraced_cells_agree", "traced_equals_untraced"}
 
     def test_only_a_serving_error_stops_a_cell(self):
         def simulate(cell):
@@ -418,8 +421,7 @@ class TestCheck:
         with pytest.raises(ValueError):
             run_cells(simulate, (Cell("epoch"),))
 
-    def test_traced_cells_start_from_cold_caches(self, monkeypatch):
-        monkeypatch.delenv(simcache.ENV_VAR, raising=False)
+    def test_traced_cells_start_from_cold_caches(self):
         seen = []
 
         def simulate(cell):

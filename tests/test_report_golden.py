@@ -35,6 +35,7 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import get_model
 from repro.models.footprint import weight_bytes
 from repro.obs import Tracer, tracing
+from repro.serving.config import EngineConfig
 from repro.serving.metrics import LatencyAccumulator
 from repro.serving.requests import ServingWorkload
 from repro.serving.simulator import ServingSimulator
@@ -200,8 +201,8 @@ class TestBuilderInvariants:
         workload = ServingWorkload(rate=4.0, duration=1.0, seed=0)
         outcomes = []
         for replica_id, retain in enumerate((True, False)):
-            replica = Replica(replica_id, get_model("bert-large"),
-                              get_gpu("a100"), plan="sdf",
+            replica = Replica(replica_id,
+                              EngineConfig("bert-large", "a100", "sdf"),
                               retain_requests=retain)
             for request in workload.requests()[replica_id::2]:
                 replica.submit(request, request.arrival_time)

@@ -266,9 +266,11 @@ class TestTunedPlanApplication:
 
 class TestControlPlaneFlags:
     """``controlplane-sim`` shares the workload flags but has no
-    speculative decoding: asking for it is an error naming the flag,
-    not a run that silently ignores it.  ``--engine``, trace replay and
-    shared-prefix groups reach it through the scenario's workload."""
+    speculative decoding or expert parallelism: asking for either is an
+    error, not a run that silently ignores it.  ``--engine``, trace
+    replay and shared-prefix groups reach it through the scenario's
+    workload, and the sharding section's interconnect and algorithm
+    through its fleet."""
 
     CLI = ["controlplane-sim", "--rate", "2", "--duration", "3",
            "--seed", "0", "--json"]
@@ -278,6 +280,28 @@ class TestControlPlaneFlags:
 
         with pytest.raises(ScenarioError, match="--draft-model"):
             main([*self.CLI, "--draft-model", "bert-large"])
+
+    def test_expert_parallelism_raises(self):
+        spec = ScenarioSpec(sharding=ShardingSpec(ep=2), plans=("sdf",))
+        with pytest.raises(ScenarioError, match="expert parallelism"):
+            spec.run_controlplane()
+
+    def test_fleet_fields_reach_the_control_plane(self):
+        """A TP group's interconnect prices its all-reduces and its cold
+        start, and the algorithm its all-reduces, so each changes the
+        report."""
+        def run(**sharding):
+            spec = ScenarioSpec(
+                workload=WorkloadSpec(rate=2.0, duration=3.0),
+                sharding=ShardingSpec(tp=2, **sharding), plans=("sdf",))
+            return spec.run_controlplane().plans["sdf"].to_dict()
+
+        ring = run()
+        pcie = run(interconnect="pcie4")
+        assert pcie["controlplane"]["cold_start_s"] > \
+            ring["controlplane"]["cold_start_s"]
+        assert pcie != ring
+        assert run(algorithm="tree") != ring
 
     def test_event_engine_matches_epoch(self, capsys):
         from repro.cli import main

@@ -20,6 +20,7 @@ from repro.models.config import get_model
 from repro.models.footprint import weight_bytes
 from repro.serving import (
     ContinuousBatchingScheduler,
+    EngineConfig,
     KVBlockManager,
     Request,
     RequestStatus,
@@ -354,8 +355,7 @@ class TestStepCostModel:
         draft = dict(draft_model="gpt-neo-1.3b",
                      block_tokens=block_tokens)
         sim = ServingSimulator("bert-large", "a100", requests=[], **draft)
-        replica = Replica(0, get_model("bert-large"), get_gpu("a100"),
-                          **draft)
+        replica = Replica(0, EngineConfig("bert-large", "a100", **draft))
         models = [sim.cost, sim._spec_runtime.draft_cost, replica.cost,
                   replica.engine.spec_decode.draft_cost]
         assert [m.kv_bucket for m in models] == [block_tokens] * 4

@@ -23,6 +23,7 @@ from repro.models.config import get_model
 from repro.obs import Tracer, chrome_events, tracing
 from repro.obs.metrics import MetricsRegistry, sequential_sum
 from repro.serving import (
+    EngineConfig,
     Request,
     ServingSimulator,
     ServingWorkload,
@@ -298,9 +299,9 @@ class TestTraceOrder:
                 sim.cost = cost = NegativeDecode(sim.cost)
                 name, run = "engine step", sim.run
             else:
-                replica = Replica(0, get_model("bert-large"),
-                                  get_gpu("a100"), engine=engine,
-                                  tracer=tracer)
+                replica = Replica(
+                    0, EngineConfig("bert-large", "a100", engine=engine),
+                    tracer=tracer)
                 cost = NegativeDecode(replica.cost)
                 replica.engine.set_cost(cost)
                 replica.submit(request, 0.0)

@@ -1,4 +1,5 @@
-"""Simulation-cache correctness: hits, invalidation, the escape hatch."""
+"""Simulation-cache correctness: hits, invalidation, and cached values
+against the uncached computations."""
 
 import functools
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.common.errors import DeviceError
 from repro.gpu import simcache
-from repro.gpu.costmodel import time_kernel
+from repro.gpu.costmodel import _time_kernel_uncached, time_kernel
 from repro.gpu.specs import get_gpu
 from repro.kernels.matmul import MatMulKernel
 from repro.models.config import all_models
@@ -15,12 +16,19 @@ from repro.workloads import DatasetBenchmark, SyntheticTriviaQA
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
-    """Each test starts with empty, enabled caches."""
-    monkeypatch.delenv(simcache.ENV_VAR, raising=False)
+def _fresh_caches():
+    """Each test starts with empty caches."""
     simcache.invalidate()
     yield
     simcache.invalidate()
+
+
+def _disable(monkeypatch):
+    """Make both caches miss every lookup and store nothing, so every
+    value is computed uncached: the differential reference."""
+    for cache in (simcache.kernel_cache, simcache.simulate_cache):
+        monkeypatch.setattr(cache, "get", lambda key, default=None: default)
+        monkeypatch.setattr(cache, "put", lambda key, value: None)
 
 
 def _fig9a_point(model, plan):
@@ -59,20 +67,10 @@ class TestKernelCache:
         time_kernel(get_gpu("T4"), launch)
         assert simcache.stats()["kernel"].misses == before + 1
 
-    def test_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
+    def test_disabled_matches_enabled(self):
         spec, launch = get_gpu("A100"), _launch()
-        time_kernel(spec, launch)
-        time_kernel(spec, launch)
-        stats = simcache.stats()["kernel"]
-        assert stats.hits == 0
-        assert len(simcache.kernel_cache) == 0
-
-    def test_disabled_matches_enabled(self, monkeypatch):
-        spec, launch = get_gpu("A100"), _launch()
-        cached = time_kernel(spec, launch)
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        assert time_kernel(spec, launch) == cached
+        cold, warm = time_kernel(spec, launch), time_kernel(spec, launch)
+        assert cold == warm == _time_kernel_uncached(spec, launch)
 
 
 class TestSimulateCache:
@@ -104,10 +102,10 @@ class TestSimulateCache:
         assert len(simcache.simulate_cache) == 0
         assert simcache.stats()["simulate"].lookups == 0
 
-    def test_disabled_returns_fresh_unfrozen(self, monkeypatch):
+    def test_disabled_returns_fresh_unfrozen(self):
         cached = InferenceSession("bert-large", seq_len=512).simulate()
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        fresh = InferenceSession("bert-large", seq_len=512).simulate()
+        fresh = InferenceSession("bert-large",
+                                 seq_len=512)._simulate_uncached()
         assert fresh is not cached
         assert not fresh.profile.frozen
         assert fresh.total_time == cached.total_time
@@ -120,11 +118,12 @@ class TestSimulateCache:
         pytest.param(_triviaqa_driver, id="triviaqa-driver"),
     ])
     def test_disabled_values_match_enabled(self, monkeypatch, workload):
-        """Cache off, cold and warm give the same values to the last
+        """Caches off, cold and warm give the same values to the last
         ulp on the Fig. 9(a) grid and the dataset driver."""
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        off = workload()
-        monkeypatch.setenv(simcache.ENV_VAR, "1")
+        with monkeypatch.context() as patch:
+            _disable(patch)
+            off = workload()
+        assert len(simcache.kernel_cache) == len(simcache.simulate_cache) == 0
         cold, warm = workload(), workload()
         assert off == cold == warm
 
@@ -154,23 +153,6 @@ class TestSentinel:
         assert cache.get("k", simcache.MISSING) is simcache.MISSING
         assert cache.get("k", 42) == 42
         assert cache.stats.misses == 3 and cache.stats.hits == 0
-
-    def test_accounting_across_env_flip(self, monkeypatch):
-        """Hit/miss counters stay consistent when REPRO_SIMCACHE is
-        flipped mid-run: disabled lookups are misses and never expose
-        stored entries."""
-        cache = simcache.SimCache("flip")
-        cache.put("k", 7)
-        assert cache.get("k", simcache.MISSING) == 7
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        assert cache.get("k", simcache.MISSING) is simcache.MISSING
-        cache.put("other", 1)  # no-op while disabled
-        monkeypatch.delenv(simcache.ENV_VAR)
-        assert cache.get("k", simcache.MISSING) == 7
-        assert cache.get("other", simcache.MISSING) is simcache.MISSING
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 2
-        assert cache.stats.lookups == 4
 
 
 class TestStats:
