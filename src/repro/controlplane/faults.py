@@ -106,7 +106,8 @@ class SlowdownCost:
     :class:`~repro.serving.costmodel.StepCostModel`, its sharded
     variant or another wrapper (stacking multiplies) — and speaks the
     engine's pricing protocol: ``step_cost`` and ``decode_step_cost``
-    return ``(total, comm)``, both scaled, plus ``kv_bucket``.
+    return ``(total, comm)``, both scaled, plus ``kv_bucket`` and
+    ``verify_grain``, which scaling leaves as they are.
     """
 
     def __init__(self, inner, slowdown: float) -> None:
@@ -117,6 +118,7 @@ class SlowdownCost:
         self.inner = inner
         self.slowdown = slowdown
         self.kv_bucket = inner.kv_bucket
+        self.verify_grain = inner.verify_grain
 
     def step_cost(self, *, prefill, decode_kv):
         total, comm = self.inner.step_cost(prefill=prefill,

@@ -83,6 +83,25 @@ STEP_GRAPHS = {
 }
 
 
+def attended_length(spec: AttentionSpec, graph, *, m_tokens: int,
+                    kv_len: int, t: int) -> int:
+    """The keys an ``m_tokens``-row step over ``kv_len`` cached keys
+    runs its attention kernels over, under role graph ``graph``.
+
+    A local-causal row attends at most ``window + m_tokens - 1`` keys,
+    and a decomposed row (every such graph keeps a standalone IR)
+    splits into whole ``t``-sized sub-vectors, its ragged tail padded.
+    Two steps of one layer and width with equal attended lengths launch
+    identical kernels, so this is the length a step's price is keyed
+    by; it is its own fixed point.
+    """
+    if spec.kind is AttentionKind.LOCAL_CAUSAL:
+        kv_len = min(kv_len, spec.window + m_tokens - 1)
+    if "ir" in graph.roles:
+        kv_len = ceil_div(kv_len, t) * t
+    return kv_len
+
+
 def attention_step_kernels(
     model: ModelConfig,
     layer: int,
@@ -109,10 +128,10 @@ def attention_step_kernels(
     the one dense table, :func:`~repro.models.attention.dense_attention_table`,
     at serving-step tiles and with no numeric epilogue.  A ``prefill``
     chunk runs the plan's own graph: the decomposition plans replace
-    the monolithic softmax with LS/IR/GS (fused per the plan), padding
-    the row length up to a whole number of ``t``-sized sub-vectors.  A
-    prefill step builds only row-softmax plans without a whole-block
-    kernel; the others (``online``, ``turbo``, ``fused-mha``,
+    the monolithic softmax with LS/IR/GS (fused per the plan).  Every
+    kind runs over the row's :func:`attended_length`.  A prefill step
+    builds only row-softmax plans without a whole-block kernel; the
+    others (``online``, ``turbo``, ``fused-mha``,
     ``flash``) raise :class:`~repro.common.errors.PlanError` naming the
     role it does not build.  ``decode`` and ``windowed`` steps run the
     baseline graph under every plan.
@@ -129,14 +148,10 @@ def attention_step_kernels(
                              record.block or SOFTMAX_ROLES[record.softmax],
                              "prefill serving steps")
     graph = STEP_GRAPHS[kind](plan)
-    attend_len = (min(kv_len, spec.window + m_tokens - 1)
-                  if kind == "windowed" else kv_len)
-    # A decomposed row (every such graph keeps a standalone IR) splits
-    # into whole sub-vectors; ragged tails are padded.
-    if "ir" in graph.roles:
-        attend_len = ceil_div(attend_len, t) * t
     table = dense_attention_table(
-        batch_heads=batch * heads, m=m_tokens, kv_len=attend_len,
+        batch_heads=batch * heads, m=m_tokens,
+        kv_len=attended_length(spec, graph, m_tokens=m_tokens,
+                               kv_len=kv_len, t=t),
         d_head=d_head, t=t, dtype=dtype, tiles=STEP_TILES, prefix=prefix)
     return build_kernels(plan, table, f"{kind} serving steps", graph)
 

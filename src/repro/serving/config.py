@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 from repro.common.dtypes import DType
 from repro.common.errors import ServingError
+from repro.common.validation import require_positive
 from repro.core.plan import AttentionPlan
 from repro.core.plansource import PlanSource, resolve_plan
 from repro.gpu.interconnect import NVLINK3, InterconnectSpec
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
-from repro.serving.costmodel import shared_cost_model
+from repro.serving.costmodel import check_serving_plan, shared_cost_model
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
 from repro.serving.memory import KVBlockManager
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -34,7 +35,8 @@ ENGINE_MODES = ("epoch", "event")
 class EngineConfig:
     """Every knob that shapes one serving engine; frozen and picklable
     (a sharded cluster run ships one per worker).  The model, GPU and
-    plan are resolved on construction.
+    plan are resolved, and the plan and the step sizes checked, on
+    construction, so a bad knob fails where the front-end is built.
 
     >>> EngineConfig("bert-large", "a100", "sdf", tp=2).plan.value
     'sdf'
@@ -71,11 +73,14 @@ class EngineConfig:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
             )
+        for name in ("t", "chunk_tokens", "max_batch"):
+            require_positive(name, getattr(self, name))
         model, gpu = get_model(self.model), get_gpu(self.gpu)
+        plan = resolve_plan(self.plan, model=model, gpu=gpu, t=self.t)
+        check_serving_plan(plan)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "gpu", gpu)
-        object.__setattr__(self, "plan", resolve_plan(
-            self.plan, model=model, gpu=gpu, t=self.t))
+        object.__setattr__(self, "plan", plan)
 
     @property
     def sharding(self) -> "dict[str, object]":

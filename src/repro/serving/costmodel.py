@@ -36,6 +36,7 @@ from repro.kernels.softmax import longest_row
 from repro.models.config import ModelConfig, _check_tp_shards, get_model
 from repro.models.generation import (
     STEP_GRAPHS,
+    attended_length,
     attention_step_kernels,
     mlp_step_kernels,
     step_shape_kind,
@@ -49,6 +50,18 @@ from repro.serving.specdecode import SpecDecodeConfig
 SHAPES = "shapes"
 
 
+def check_serving_plan(plan: AttentionPlan) -> None:
+    """Raise :class:`ServingError` unless ``plan`` is one of the paper's
+    plans: the related-work plans (online, turbo, fused-mha, flash)
+    have no rectangular prefill kernels."""
+    if plan not in PAPER_CANDIDATES:
+        supported = ", ".join(p.value for p in PAPER_CANDIDATES)
+        raise ServingError(
+            f"serving simulation supports plans {supported}; got "
+            f"{plan.value!r}"
+        )
+
+
 class StepCostModel:
     """Memoized engine-step latency for one (model, gpu, plan).
 
@@ -57,13 +70,15 @@ class StepCostModel:
     - MLP on (model, gpu, dtype, tp, ep), then ``m``;
     - attention on (model, gpu, dtype, tp), the row's role graph
       (``STEP_GRAPHS``) and ``t`` only where that graph holds the
-      ``ir`` role, then ``(layer, m, kv)``.
+      ``ir`` role, then ``(layer, m, attended)``: the row's
+      :func:`~repro.models.generation.attended_length`, the keys its
+      kernels see.
 
     A pooled model shares these memos with its pool
     (:func:`shared_cost_model`).  The step loops read the MLP memo and
-    the prefill attention memo, one dict ``.get`` per term; a decode or
-    windowed term missing there is read from the baseline graph's memo
-    before kernels are simulated.
+    a front memo keyed by the raw ``(layer, m, kv)``, one dict ``.get``
+    per term; a term missing there is read from its graph's shape memo
+    at the attended length before kernels are simulated.
 
     >>> cost = StepCostModel("gpt-neo-1.3b", "a100", plan="sdf")
     >>> cost.step_time(prefill=[(512, 512)], decode_kv=[700, 1400]) > 0
@@ -85,14 +100,7 @@ class StepCostModel:
         self.model = get_model(model)
         self.gpu = get_gpu(gpu)
         self.plan = AttentionPlan.from_name(plan)
-        # The paper's plans: the related-work plans (online, turbo,
-        # fused-mha, flash) have no rectangular prefill kernels.
-        if self.plan not in PAPER_CANDIDATES:
-            supported = ", ".join(p.value for p in PAPER_CANDIDATES)
-            raise ServingError(
-                f"serving simulation supports plans {supported}; got "
-                f"{self.plan.value!r}"
-            )
+        check_serving_plan(self.plan)
         require_positive("t", t)
         require_positive("kv_bucket", kv_bucket)
         self.dtype = dtype
@@ -115,10 +123,15 @@ class StepCostModel:
         # One representative layer index per distinct attention spec.
         self._groups = [(layer, count)
                         for layer, _, count in self.model.layer_groups()]
+        self._graphs = {kind: graph_of(self.plan)
+                        for kind, graph_of in STEP_GRAPHS.items()}
+        self._grains: dict[int, tuple[int, int]] = {}
         self._mlp_priced = self._attn_priced = 0
         # A private model keeps one memo per term type; every price in
         # it is its own.  :meth:`_share` points a pooled model at its
-        # pool's memos.
+        # pool's memos.  A key ``(layer, m, kv)`` prices the attended
+        # length of ``kv``, which is its own attended length, so raw
+        # and attended keys share a memo without clashing.
         self._mlp_cache: dict[int, float] = {}
         self._attn_cache: dict[tuple[int, int, int], float] = {}
         self._attn_tables = dict.fromkeys(STEP_GRAPHS, self._attn_cache)
@@ -127,21 +140,21 @@ class StepCostModel:
         """Price through ``tables``, one ``{shape: price}`` memo per
         sub-graph key, each found or added there: the MLP memo (keyed
         by ``m``) and one attention memo per step shape kind (keyed by
-        ``(layer, m, kv)``)."""
+        ``(layer, m, attended)``)."""
         fields = (self.model, self.gpu, self.dtype, self.tp_shards)
         self._mlp_cache = tables.setdefault(
             ("mlp", *fields, self.ep_shards), {})
         self._attn_tables = {}
-        for kind, graph_of in STEP_GRAPHS.items():
-            graph = graph_of(self.plan)
+        for kind, graph in self._graphs.items():
             # Only the decomposed roles read ``t``, and every graph
             # holding them keeps a standalone IR.
             self._attn_tables[kind] = tables.setdefault(
                 ("attention", *fields, graph,
                  self.t if "ir" in graph.roles else None), {})
-        # The step loops read every attention term from the prefill
-        # memo: a decode or windowed price depends on its shape alone,
-        # so it is the same for every model sharing that memo.
+        # The step loops read every attention term, at its raw KV, from
+        # the prefill memo: a decode or windowed price depends on its
+        # shape alone, so it is the same for every model sharing that
+        # memo.
         self._attn_cache = self._attn_tables["prefill"]
 
     def _simulate(self, kernels) -> float:
@@ -167,13 +180,18 @@ class StepCostModel:
         key = (layer, m_tokens, kv_len)
         cached = self._attn_cache.get(key)
         if cached is None:
-            # A decode or windowed term may be in the baseline graph's
-            # memo already, priced by a model of another plan or ``t``.
-            table = self._attn_tables[step_shape_kind(
-                self.model.layer_attention(layer), m_tokens)]
-            cached = table.get(key)
+            # The shape may be priced already: at another raw KV with
+            # the same attended length, or (a decode or windowed term)
+            # by a model of another plan or ``t``.
+            spec = self.model.layer_attention(layer)
+            kind = step_shape_kind(spec, m_tokens)
+            shape = (layer, m_tokens, attended_length(
+                spec, self._graphs[kind], m_tokens=m_tokens, kv_len=kv_len,
+                t=self.t))
+            table = self._attn_tables[kind]
+            cached = table.get(shape)
             if cached is None:
-                cached = table[key] = self._simulate(attention_step_kernels(
+                cached = table[shape] = self._simulate(attention_step_kernels(
                     self.model, layer, m_tokens=m_tokens, kv_len=kv_len,
                     dtype=self.dtype, plan=self.plan, t=self.t,
                     prefix="step", tp_shards=self.tp_shards,
@@ -181,6 +199,26 @@ class StepCostModel:
                 self._attn_priced += 1
             self._attn_cache[key] = cached
         return cached
+
+    def verify_grain(self, m_tokens: int) -> "tuple[int, int]":
+        """``(step, below)``: where the price of an ``m_tokens``-row
+        prefill-shaped entry (a verify row) can change with its KV.
+
+        Every layer's attended length is constant between two KV
+        lengths at or above ``below`` (the widest local window plus
+        ``m_tokens - 1``; 0 without one) that round up to the same
+        multiple of ``step`` (``t`` under a decomposed prefill graph,
+        else 1).  Worked out once per width.
+        """
+        grain = self._grains.get(m_tokens)
+        if grain is None:
+            step = self.t if "ir" in self._graphs["prefill"].roles else 1
+            below = max((spec.window + m_tokens - 1
+                         for _, spec, _ in self.model.layer_groups()
+                         if step_shape_kind(spec, m_tokens) == "windowed"),
+                        default=0)
+            grain = self._grains[m_tokens] = (step, below)
+        return grain
 
     def step_time(
         self,
@@ -198,8 +236,8 @@ class StepCostModel:
         The terms accumulate group-major, prefill entries before decode
         entries, each read straight from the memo table (a miss prices
         it through :meth:`attention_time`).  A speculative epoch calls
-        this once per round, because its verify entries carry exact KV
-        lengths.
+        this once per run of rounds whose verify entries price alike
+        (:meth:`verify_grain`).
         """
         prefill = prefill or ()
         total_tokens = len(decode_kv) if decode_kv else 0
@@ -381,6 +419,11 @@ def verification_oracles():
             ("tiny-causal", (AttentionSpec(AttentionKind.DENSE_CAUSAL),)),
             ("tiny-mixed", (AttentionSpec(AttentionKind.DENSE),
                             AttentionSpec(AttentionKind.DENSE_CAUSAL))),
+            # A window shorter than almost every drawn chunk and KV
+            # length, so most rows are clipped to it.
+            ("tiny-local", (AttentionSpec(AttentionKind.DENSE_CAUSAL),
+                            AttentionSpec(AttentionKind.LOCAL_CAUSAL,
+                                          window=24))),
         )
     }
 

@@ -13,7 +13,9 @@ bit-identically to the loop, in two steps:
   round.  The epoch stops at the first finish while requests wait, at
   the step budget and a hard cap, and where the KV-block headroom
   (mid-epoch releases ignored) runs out, so it never preempts.
-  Segment ends are the rounds after which the priced batch changes.
+  Segment ends are the rounds after which the priced batch changes: a
+  finish, a bucketed decode or draft KV moving up, or a verify row's
+  attended length moving (the cost model's ``verify_grain``).
 - **walk** — one pass over the segments in round order: price each
   with the call the classic step makes (the draft before the target),
   none starting at or after the next arrival, then apply its KV grows
@@ -117,6 +119,31 @@ class RoundSchedule:
                           for m in range(low, high, step)])
         return found
 
+    def verify_ends(self, grain, n: int) -> list:
+        """Per request, rounds among the first ``n``, short of the
+        request's last, after which its verify row's price can change
+        under ``grain``, a cost model's ``verify_grain(tau)``: those
+        whose KV after the round is below ``below``, and those whose KV
+        after the round and after the next one round up to different
+        multiples of ``step``.  A round may appear more than once.
+        """
+        step, below = grain
+        tau = self.tau
+        found = []
+        for kv, f in zip(self.kv0, self.finish):
+            last = f if f < n else n
+            if step == 1:
+                found.append(range(1, last))
+                continue
+            # Rounds 1 to ``window - 1`` end below ``below``.
+            window = min((below - kv - 1) // tau + 1, last)
+            start = kv + tau * (window if window > 1 else 1)
+            found.append([*range(1, window),
+                          *[(m - kv) // tau for m in range(
+                              start + (-start) % step, kv + tau * last,
+                              step)]])
+        return found
+
     def entries(self, s: int, live: "list[int]", finishing: bool):
         """Round ``s`` as the classic step prices it.
 
@@ -191,9 +218,11 @@ class EpochEngine:
         self.comm_time = 0.0
         self.steps = 0
         self.prefill_tokens = 0
-        #: Fast-path stats: epochs taken and steps they covered (the
-        #: remaining ``steps - epoch_steps`` ran the classic loop).
+        #: Fast-path stats: epochs taken, the segments they priced and
+        #: the steps they covered (the remaining ``steps -
+        #: epoch_steps`` ran the classic loop).
         self.epochs = 0
+        self.epoch_segments = 0
         self.epoch_steps = 0
 
         # -- streamed aggregates (O(1) memory per metric) --------------
@@ -378,20 +407,24 @@ class EpochEngine:
             if schedule.tau > block:  # one grow call per round
                 grows = list(dict.fromkeys(grows))
 
-        # A verify entry prices its exact KV, so above stride 1 every
-        # round is its own segment.
+        # A segment is a run of rounds priced alike: it ends where the
+        # running set, a bucketed decode KV or the attended length of a
+        # verify row moves.  Above stride 1 a finishing round, whose
+        # finisher adds fewer tokens, is a segment of its own.
         finishes = {f for f in finish if f <= n}
+        ends = {n, *finishes}
         draft_ends = None
         if self.spec_decode is not None:
             draft_ends = set(finishes)
             draft_ends.update(*schedule.crossings(
                 self.spec_decode.draft_cost.kv_bucket, n))
-        if schedule.tau > 1:
-            return grows, finishes, range(1, n + 1), draft_ends
-        ends = {n, *finishes}
-        ends.update(*schedule.crossings(self.cost.kv_bucket, n))
-        if draft_ends is not None:
             ends |= draft_ends
+        if schedule.tau == 1:
+            ends.update(*schedule.crossings(self.cost.kv_bucket, n))
+        else:
+            ends.update(f - 1 for f in finishes if f > 1)
+            ends.update(*schedule.verify_ends(
+                self.cost.verify_grain(schedule.tau), n))
         return grows, finishes, sorted(ends), draft_ends
 
     def _walk(self, schedule, running, limit_time, grows, finishes, ends,
@@ -431,10 +464,11 @@ class EpochEngine:
         live = kv0
         draft = 0.0
         entries = segment = None
-        n = written = 0
+        n = written = priced = 0
         for end in ends:
             if clock >= horizon:
                 break
+            priced += 1
             if traced:
                 written = self._trace(segment, written, n)
             start = n + 1
@@ -455,8 +489,7 @@ class EpochEngine:
             totals += [seg_total] * length
             comm += [seg_comm] * length
             begin = clock
-            # Round by round, as the loop adds them; above stride 1
-            # every segment is one round.
+            # Round by round, as the loop adds them.
             clock = (clock + seg_total if length == 1 else
                      sequential_sum(clock, repeat(seg_total, length)))
             if traced or clock >= limit:
@@ -495,6 +528,7 @@ class EpochEngine:
         if traced:
             self._trace(segment, written, n)
         self.epochs += 1
+        self.epoch_segments += priced
         self.epoch_steps += n
         self._commit(clock, totals, comm, 0)
         grown = tau * n

@@ -139,7 +139,7 @@ def draw_params(family: str, rng: np.random.Generator) -> "dict[str, Any]":
     return {
         "case_seed": case_seed,
         "model": str(rng.choice(("tiny-dense", "tiny-causal",
-                                 "tiny-mixed"))),
+                                 "tiny-mixed", "tiny-local"))),
         "gpu": str(rng.choice(("A100", "T4"))),
         "plan": str(rng.choice([p.value for p in PAPER_CANDIDATES])),
         "t": int(rng.choice((32, 64))),

@@ -17,7 +17,7 @@ import pytest
 from repro.cluster import ClusterSimulator
 from repro.cluster import sharded
 from repro.common.dtypes import DType
-from repro.common.errors import ServingError
+from repro.common.errors import ConfigError, ServingError
 from repro.controlplane import (
     AutoscalerConfig,
     ControlPlaneSimulator,
@@ -176,3 +176,28 @@ def test_engine_mode_is_checked():
     for make in (EngineConfig, ServingSimulator, ClusterSimulator):
         with pytest.raises(ServingError, match="engine must be one of"):
             make(MODEL, GPU, engine="bogus")
+
+
+#: A bad value per checked knob, the error it raises and its message.
+BAD_KNOBS = [
+    (dict(plan="flash"), ServingError, "supports plans baseline, sd, sdf"),
+    (dict(t=0), ConfigError, "t must be positive, got 0"),
+    (dict(chunk_tokens=0), ConfigError,
+     "chunk_tokens must be positive, got 0"),
+    (dict(max_batch=0), ConfigError, "max_batch must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("front_end", (ServingSimulator, ClusterSimulator,
+                                       ControlPlaneSimulator),
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("bad, error, message", BAD_KNOBS,
+                         ids=[next(iter(bad)) for bad, _, _ in BAD_KNOBS])
+def test_bad_knob_fails_at_construction(front_end, bad, error, message):
+    """Each front-end rejects a bad knob when it is built, with the
+    error the cost model or the scheduler raises for it, not at
+    ``run()`` (or in a worker process)."""
+    with pytest.raises(error, match=message):
+        front_end(MODEL, GPU, workload=ServingWorkload(
+            seed=0, rate=1.0, duration=1.0, max_prompt=128, mean_output=24),
+            **bad)

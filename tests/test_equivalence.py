@@ -57,8 +57,9 @@ def row(name, simulate, cells, *, jobs=(1,), tracing=(False, True),
     return SimpleNamespace(**locals())
 
 
-def serving(cell, *, model="bert-large", gpu="a100", workload, **kwargs):
-    return ServingSimulator(model, gpu, plan="sdf", engine=cell.engine,
+def serving(cell, *, model="bert-large", gpu="a100", plan="sdf", workload,
+            **kwargs):
+    return ServingSimulator(model, gpu, plan=plan, engine=cell.engine,
                             workload=workload, **kwargs).run()
 
 
@@ -185,6 +186,18 @@ def wide(_, engines):
     return engines[-1].spec_decode.tokens_per_round > SPEC_BLOCK
 
 
+def merges(expected):
+    """Whether an epoch cell prices some run of speculative rounds with
+    one call must be ``expected``: what the verify rows' grain allows."""
+    def feature(run, engines):
+        if run.cell.engine == "event":
+            return True
+        segments = sum(e.epoch_segments for e in engines)
+        return (segments < sum(e.epoch_steps for e in engines)) is expected
+
+    return feature
+
+
 #: Untraced speculative runs share one price pool (prices are a pure
 #: function of their key); a traced run prices, and traces, its own.
 SPEC_COSTS = {}
@@ -221,6 +234,16 @@ SPEC_ROWS = [
     *[speculative(f"spec-max-epoch-{cap}", max_epoch=cap)
       for cap in (1, 2, 3)],
     speculative("spec-moe", model=SPEC_MOE),
+    # Under SDF a verify row's price moves every round below GPT-Neo's
+    # 256-token window and every ``t`` tokens above it; under the
+    # baseline plan, every round.
+    speculative("spec-gpt-neo-window", model="gpt-neo-1.3b",
+                workload=spec_stream(mean_output=256),
+                feature=merges(True)),
+    speculative("spec-baseline", plan="baseline", feature=merges(False)),
+    speculative("spec-t32", t=32, feature=merges(True)),
+    speculative("spec-cluster-tp2", simulate=cluster, replicas=2, tp=2,
+                workload=spec_stream(rate=30.0), feature=merges(True)),
     speculative("spec-cluster-tp2-ep2", simulate=cluster, model=SPEC_MOE,
                 replicas=2, tp=2, ep=2, policy="least-outstanding",
                 workload=spec_stream(rate=30.0),

@@ -3,8 +3,18 @@
 import pytest
 
 from repro.common import ConfigError
+from repro.core.autotune import PAPER_CANDIDATES
+from repro.gpu.specs import get_gpu
 from repro.models import BERT_LARGE, GPT_NEO_1_3B
-from repro.models.generation import GenerationSession, layer_step_kernels
+from repro.models.config import get_model
+from repro.models.generation import (
+    STEP_GRAPHS,
+    GenerationSession,
+    attended_length,
+    attention_step_kernels,
+    layer_step_kernels,
+    step_shape_kind,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +161,40 @@ class TestChunkedPrefill:
         peak_chunked = heads * chunk * prompt * 2     # C x L fp16
         peak_whole = heads * prompt * prompt * 2      # L x L fp16
         assert peak_chunked == peak_whole // (prompt // chunk)
+
+
+class TestAttendedLength:
+    """A step launches the same kernels at its raw KV length as at its
+    attended length, which is what the serving cost model keys its
+    prices by."""
+
+    @pytest.mark.parametrize("name", ["bert-large", "gpt-neo-1.3b",
+                                      "bigbird-large", "longformer-large"])
+    def test_kernels_match_at_the_attended_length(self, name):
+        model, gpu = get_model(name), get_gpu("a100")
+        clipped = 0
+        for layer, spec, _ in model.layer_groups():
+            for plan in PAPER_CANDIDATES:
+                for t in (32, 64):
+                    for m in (1, 4, 17):
+                        graph = STEP_GRAPHS[step_shape_kind(spec, m)](plan)
+                        edge = spec.window + m - 1
+                        lengths = {t - 1, t, t + 1, 3 * t, 3 * t + 1,
+                                   edge - 1, edge, edge + 1, edge + t}
+                        for kv in sorted(k for k in lengths if k >= m):
+                            attended = attended_length(
+                                spec, graph, m_tokens=m, kv_len=kv, t=t)
+                            assert attended_length(
+                                spec, graph, m_tokens=m, kv_len=attended,
+                                t=t) == attended
+                            clipped += attended != kv
+                            specs = [
+                                [k.launch_spec(gpu)
+                                 for k in attention_step_kernels(
+                                     model, layer, m_tokens=m, kv_len=length,
+                                     plan=plan, t=t, prefix="step")]
+                                for length in (kv, attended)]
+                            assert specs[0] == specs[1], (layer, plan, t, m,
+                                                          kv)
+        # Every preset pads under the decomposed plans.
+        assert clipped

@@ -20,6 +20,11 @@ from repro.common.errors import ServingError, TraceError
 from repro.gpu import simcache
 from repro.gpu.specs import get_gpu
 from repro.models.config import get_model
+from repro.models.generation import (
+    STEP_GRAPHS,
+    attended_length,
+    step_shape_kind,
+)
 from repro.obs import Tracer, chrome_events, tracing
 from repro.obs.metrics import MetricsRegistry, sequential_sum
 from repro.serving import (
@@ -138,6 +143,43 @@ class TestRoundSchedule:
             for s, expected in entries.items():
                 live = [kv for kv, f in zip(kv0, finish) if f >= s]
                 assert schedule.entries(s, live, s in finish) == expected
+
+    @pytest.mark.parametrize("plan", ["baseline", "sdf"],
+                             ids=["stride-1", "stride-t"])
+    @pytest.mark.parametrize("tau", [2, 3, 4, 17, 33])
+    def test_verify_ends_match_attended_shapes(self, plan, tau):
+        """The rounds after which a verify row's price can change are
+        those, short of the request's last, after which some layer's
+        attended length moves; KVs start below GPT-Neo's window."""
+        rng = random.Random(100 + tau)
+        model = get_model("gpt-neo-1.3b")
+        specs = [spec for _, spec, _ in model.layer_groups()]
+        window = max(spec.window for spec in specs)
+        for t in (32, 64):
+            cost = StepCostModel(model, "a100", plan=plan, t=t)
+            merged = False
+
+            def shapes(kv):
+                return [attended_length(
+                    spec, STEP_GRAPHS[step_shape_kind(spec, tau)](cost.plan),
+                    m_tokens=tau, kv_len=kv, t=t) for spec in specs]
+
+            for _ in range(10):
+                b = rng.randint(1, 4)
+                kv0 = [rng.randint(1, window + tau) for _ in range(b)]
+                rem = [rng.randint(1, 40 * tau) for _ in range(b)]
+                n = rng.randint(1, max(rem) // tau + 2)
+                schedule = RoundSchedule(kv0, rem, tau)
+                found = schedule.verify_ends(cost.verify_grain(tau), n)
+                for kv, f, ends in zip(kv0, schedule.finish, found):
+                    naive = [s for s in range(1, min(f, n))
+                             if shapes(kv + tau * s)
+                             != shapes(kv + tau * (s + 1))]
+                    assert sorted(set(ends)) == naive, (kv, f, n, t)
+                    merged |= len(naive) < min(f, n) - 1
+            # Beyond the window, stride t merges rounds adding fewer
+            # than t tokens.
+            assert merged is (plan == "sdf" and tau < t)
 
 
 class TestClusterEquivalence:
