@@ -160,9 +160,9 @@ class Autoscaler:
                             ok: bool) -> None:
         """Fold one first-token observation into the sliding window.
 
-        The controller feeds these in the order the schedulers produce
-        them (a traced run's ``first-token`` instant order); the window
-        pops from the left, so that order is part of the signal.
+        The controller feeds these in a traced run's ``first-token``
+        instant order; the window pops from the left, so that order is
+        part of the signal.
         """
         self._window.append((ts, tier_index, ok))
 

@@ -20,7 +20,7 @@ from repro.gpu.specs import GPUSpec, get_gpu
 from repro.models.config import ModelConfig, get_model
 from repro.serving.costmodel import check_serving_plan, shared_cost_model
 from repro.serving.engine import DEFAULT_MAX_EPOCH, EpochEngine
-from repro.serving.memory import KVBlockManager
+from repro.serving.memory import KVBlockManager, check_reserve_fraction
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.specdecode import spec_decode_runtime
 
@@ -73,8 +73,9 @@ class EngineConfig:
             raise ServingError(
                 f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
             )
-        for name in ("t", "chunk_tokens", "max_batch"):
+        for name in ("t", "chunk_tokens", "max_batch", "max_epoch"):
             require_positive(name, getattr(self, name))
+        check_reserve_fraction(self.reserve_fraction)
         model, gpu = get_model(self.model), get_gpu(self.gpu)
         plan = resolve_plan(self.plan, model=model, gpu=gpu, t=self.t)
         check_serving_plan(plan)

@@ -27,6 +27,15 @@ from repro.models.config import ModelConfig
 from repro.models.footprint import weight_bytes
 
 
+def check_reserve_fraction(reserve_fraction: float) -> None:
+    """Raise :class:`ServingError` unless the activation reserve is a
+    fraction of HBM in [0, 1)."""
+    if not 0 <= reserve_fraction < 1:
+        raise ServingError(
+            f"reserve_fraction must be in [0, 1), got {reserve_fraction}"
+        )
+
+
 @dataclass(frozen=True)
 class MemoryStats:
     """Occupancy snapshot/summary of a :class:`KVBlockManager`."""
@@ -108,10 +117,7 @@ class KVBlockManager:
         n_gpus * reserve``.
         """
         require_positive("n_gpus", n_gpus)
-        if not 0 <= reserve_fraction < 1:
-            raise ServingError(
-                f"reserve_fraction must be in [0, 1), got {reserve_fraction}"
-            )
+        check_reserve_fraction(reserve_fraction)
         reserved = weight_bytes(model, dtype) + int(
             n_gpus * gpu.hbm_bytes * reserve_fraction)
         capacity = n_gpus * gpu.hbm_bytes - reserved

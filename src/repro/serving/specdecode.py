@@ -138,8 +138,10 @@ def verification_oracles():
     finish order is a timing property, not a schedule one.)
     actual/expected compare the per-request generated counts in
     request-id order under the EXACT contract.  The speculative stream
-    also runs under the epoch engine, which must report what the event
-    loop does (:func:`repro.verify.equivalence.check_equivalence`).
+    and the plain one also run under the epoch engine, which must
+    report what the event loop does
+    (:func:`repro.verify.equivalence.check_equivalence`); the chunk
+    size is drawn, so multi-chunk prompts take prefill epochs.
     """
     import numpy as np
 
@@ -182,6 +184,9 @@ def verification_oracles():
             for i in range(n)
         ]
         draft_len = int(rng.integers(1, 9))
+        # Prompts over several chunks take prefill rounds on the epoch
+        # path.
+        chunk_tokens = int(rng.choice((64, 128, 256)))
 
         sims = []
 
@@ -189,7 +194,7 @@ def verification_oracles():
             sims.append(ServingSimulator(
                 tiny, "A100", plan=PlanSource.of("baseline"),
                 requests=requests,
-                chunk_tokens=256, max_batch=4, engine=cell.engine,
+                chunk_tokens=chunk_tokens, max_batch=4, engine=cell.engine,
                 **spec_kwargs,
             ))
             return sims[-1].run()
@@ -201,13 +206,14 @@ def verification_oracles():
                          for r in sim.retained}
             return generated, finished
 
-        simulate(Cell("event"))
-        violations = check_equivalence(
+        cells = (Cell("event"), Cell("epoch"))
+        violations = check_equivalence(simulate, cells)
+        violations += check_equivalence(
             lambda cell: simulate(cell, draft_model=draft,
                                   draft_len=draft_len, accept_rate=1.0),
-            (Cell("event"), Cell("epoch")))
+            cells)
         (plain_counts, plain_done), (spec_counts, spec_done) = (
-            outcome(sim) for sim in sims[:2])
+            outcome(sim) for sim in sims[::2])
         if plain_done != spec_done:
             violations.append(Violation(
                 "finished_set",

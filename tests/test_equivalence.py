@@ -98,9 +98,34 @@ def streams(run, _):
         "approx_percentiles") is True
 
 
+def scales(run, _):
+    """The autoscaler booted a replica."""
+    return any(event["action"] == "boot-complete"
+               and event["reason"] != "failover"
+               for event in run.doc["controlplane"]["timeline"])
+
+
 def requeues(run, _):
     return any(fault["kind"] == "death" and fault["requeued"] > 0
                for fault in run.doc["controlplane"]["faults"])
+
+
+def prefills(run, engines):
+    """An epoch cell took rounds carrying prefill chunks on the epoch
+    path (a sharded cell builds its engines in its workers)."""
+    return (run.cell.engine == "event" or run.cell.jobs > 1
+            or sum(e.epoch_prefill_steps for e in engines) > 0)
+
+
+def resumes(run, engines):
+    """An epoch cell resumed a paused epoch: another lane's event cut
+    it short and the plan outlived the cut."""
+    return (run.cell.engine == "event" or run.cell.jobs > 1
+            or sum(e.epoch_resumes for e in engines) > 0)
+
+
+def both(*features):
+    return lambda run, engines: all(f(run, engines) for f in features)
 
 
 def stream(rate=4.0, duration=8.0, seed=7, **kwargs):
@@ -316,8 +341,40 @@ CONTROLPLANE_ROWS = [
     for shed in (False, True) for policy in sorted(POLICIES)
 ]
 
-#: Each budget falls inside an epoch (a pure-decode one, or a
-#: speculative one at stride 4).  A sharded run counts the budget per
+#: Chunked prefill on the epoch path: chunk sizes with prompts over
+#: several chunks (several prefilling requests share one round's
+#: budget), a batch cap that keeps requests waiting, evict-and-recompute
+#: under tight memory, clusters, whose lanes resume epochs other lanes'
+#: events cut short, and an autoscaling control plane, whose autoscaler
+#: reads the first-token feed.
+PREFILL_ROWS = [
+    *[row(f"prefill-chunk-{chunk}", serving, EVERY, feature=prefills,
+          chunk_tokens=chunk,
+          workload=stream(rate=6.0, duration=4.0, seed=5,
+                          max_prompt=8 * chunk, mean_output=32))
+      for chunk in (64, 512)],
+    row("prefill-max-batch-2", serving, EVERY, feature=prefills,
+        max_batch=2, chunk_tokens=128,
+        workload=stream(duration=4.0, seed=5, max_prompt=1024)),
+    row("prefill-preempt", serving, EVERY,
+        feature=both(prefills, preempts), chunk_tokens=128,
+        workload=stream(rate=8.0, duration=6.0, seed=3, mean_output=128),
+        **PREEMPT),
+    row("prefill-cluster-least-outstanding", cluster, EVERY,
+        feature=both(prefills, resumes), replicas=3,
+        policy="least-outstanding",
+        chunk_tokens=128, workload=stream(rate=8.0, duration=4.0, seed=3)),
+    row("prefill-cluster-round-robin", cluster,
+        UNTRACED + (Cell("epoch", jobs=2),), jobs=(1, 2), feature=prefills,
+        replicas=3, chunk_tokens=128,
+        workload=stream(rate=8.0, duration=4.0, seed=3)),
+    row("prefill-controlplane-autoscale", controlplane, EPOCH_AND_TRACED,
+        feature=both(prefills, scales, resumes), chunk_tokens=128,
+        **small_controlplane(faults="both")),
+]
+
+#: Each budget falls inside an epoch (a plain one, or a speculative
+#: one at stride 4).  A sharded run counts the budget per
 #: replica, so these rows run at one worker.
 BUDGET_ROWS = [
     row("budget-serving", serving, EVERY, budget=100,
@@ -330,8 +387,8 @@ BUDGET_ROWS = [
     speculative("budget-speculative", budget=40),
 ]
 
-ROWS = (SERVING_ROWS + CLUSTER_ROWS + SPEC_ROWS + TRACED_ROWS
-        + CONTROLPLANE_ROWS + BUDGET_ROWS)
+ROWS = (SERVING_ROWS + PREFILL_ROWS + CLUSTER_ROWS + SPEC_ROWS
+        + TRACED_ROWS + CONTROLPLANE_ROWS + BUDGET_ROWS)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[r.name for r in ROWS])

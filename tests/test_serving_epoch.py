@@ -9,6 +9,7 @@ input checks, the traced epoch's bulk metric updates and shared step
 arguments, and the order in which a traced epoch writes its events.
 """
 
+import json
 import random
 
 import numpy as np
@@ -28,8 +29,11 @@ from repro.models.generation import (
 from repro.obs import Tracer, chrome_events, tracing
 from repro.obs.metrics import MetricsRegistry, sequential_sum
 from repro.serving import (
+    ContinuousBatchingScheduler,
     EngineConfig,
+    KVBlockManager,
     Request,
+    RequestStatus,
     ServingSimulator,
     ServingWorkload,
     StepCostModel,
@@ -144,6 +148,115 @@ class TestRoundSchedule:
                 live = [kv for kv, f in zip(kv0, finish) if f >= s]
                 assert schedule.entries(s, live, s in finish) == expected
 
+    @staticmethod
+    def batch(rng, block):
+        """A running batch in every state a round can meet: decoding,
+        prefilling from scratch or part way through, recomputing after
+        an eviction (``generated > 0``), and one-token requests.  Each
+        holds its admission blocks, a decoder sometimes a few spare."""
+        running = []
+        for i in range(rng.randint(1, 6)):
+            prompt = rng.randint(1, 700)
+            request = Request(request_id=i, arrival_time=0.0,
+                              prompt_len=prompt,
+                              output_len=rng.choice([1, rng.randint(1, 90)]))
+            kind = rng.choice(["decode", "fresh", "partial", "recompute"])
+            if kind == "recompute" and request.output_len > 1:
+                request.generated = rng.randint(1, request.output_len - 1)
+                request.prefill_target = prompt + request.generated
+            elif kind == "decode" and request.output_len > 1:
+                request.generated = rng.randint(1, request.output_len - 1)
+                request.prefilled = prompt
+                request.kv_tokens = prompt + request.generated - 1
+                request.status = RequestStatus.DECODE
+            if request.status is not RequestStatus.DECODE:
+                if kind != "fresh":
+                    request.prefilled = request.kv_tokens = rng.randint(
+                        0, request.prefill_target - 1)
+                request.status = RequestStatus.PREFILL
+            running.append((request, rng.randint(0, 2) * block))
+        return running
+
+    @pytest.mark.parametrize("chunk", [64, 512])
+    def test_prefill_stride_matches_schedule(self, chunk):
+        """Rounds carrying prefill chunks: the closed form's entries,
+        first decode rounds, grow rounds, bucket crossings and finish
+        rounds against ``schedule()``/``complete_step()`` run round by
+        round."""
+        rng = random.Random(chunk)
+        shared = recomputes = one_token = 0
+        for _ in range(60):
+            block = rng.choice([16, 64])
+            memory = KVBlockManager(capacity_bytes=1 << 30,
+                                    block_tokens=block, bytes_per_token=1)
+            scheduler = ContinuousBatchingScheduler(
+                memory, chunk_tokens=chunk, max_batch=8)
+            for request, spare in self.batch(rng, block):
+                memory.grow(request.request_id,
+                            max(request.prefill_target, request.kv_tokens)
+                            + spare)
+                scheduler.running.append(request)
+            running = list(scheduler.running)
+            held = [memory.held_blocks(r.request_id) * block
+                    for r in running]
+            schedule = RoundSchedule.of(running, 1, chunk)
+            prefilling = [r for r in running if r.prefilled < r.prefill_target]
+            recomputes += sum(r.generated > 0 for r in prefilling)
+            one_token += sum(r.output_len == 1 for r in prefilling)
+
+            # The naive walk, round by round.
+            index = {id(r): i for i, r in enumerate(running)}
+            first_decode = [1 if r.status is RequestStatus.DECODE else None
+                            for r in running]
+            finish = [None] * len(running)
+            grows = [[] for _ in running]
+            decode_kv = [{} for _ in running]
+            entries, s = {}, 0
+            while scheduler.running:
+                s += 1
+                before = [memory.held_blocks(r.request_id) for r in running]
+                step = scheduler.schedule(float(s))
+                for i, r in enumerate(running):
+                    grows[i] += [s] * (memory.held_blocks(r.request_id)
+                                       - before[i])
+                entries[s] = ([(c, kv) for _, c, kv in step.prefill],
+                              [kv for _, kv in step.decode])
+                for r, kv in step.decode:
+                    decode_kv[index[id(r)]][s] = kv
+                shared += len(step.prefill) > 1
+                for r in scheduler.complete_step(step, float(s)):
+                    finish[index[id(r)]] = s
+                for r, _, _ in step.prefill:
+                    if r.prefilled >= r.prefill_target:
+                        first_decode[index[id(r)]] = s + 1
+            n = rng.randint(1, s)
+
+            assert [o + 1 for o in schedule.start] == first_decode
+            assert schedule.finish == finish
+            assert schedule.prefill_rounds == max(
+                [r for r, (p, _) in entries.items() if p], default=0)
+            for r, expected in entries.items():
+                if r <= schedule.prefill_rounds:
+                    assert schedule.prefill_entries(r) == expected, r
+                else:
+                    live = [kv - o for kv, o, f in zip(
+                        schedule.kv0, schedule.start, schedule.finish)
+                        if o < r <= f]
+                    assert schedule.entries(r, live, r in finish) \
+                        == expected, r
+            assert [list(r) for r in schedule.crossings(block, n, held)] \
+                == [[r for r in rounds if r <= n] for rounds in grows]
+
+            def bucket(kv):
+                return -(-kv // block)
+
+            assert [list(r) for r in schedule.crossings(block, n)] == [
+                [r for r in range(1, min(f, n))
+                 if r in kvs and bucket(kvs[r]) != bucket(kvs[r + 1])]
+                for kvs, f in zip(decode_kv, schedule.finish)]
+        # Some rounds split their budget between several requests.
+        assert shared > 10 and recomputes > 10 and one_token > 10
+
     @pytest.mark.parametrize("plan", ["baseline", "sdf"],
                              ids=["stride-1", "stride-t"])
     @pytest.mark.parametrize("tau", [2, 3, 4, 17, 33])
@@ -180,6 +293,23 @@ class TestRoundSchedule:
             # Beyond the window, stride t merges rounds adding fewer
             # than t tokens.
             assert merged is (plan == "sdf" and tau < t)
+
+
+class TestPrefillEpochs:
+    def test_prefill_heavy_stream_stays_on_the_epoch_path(self, engines):
+        """A scaled-down prefill-heavy BERT-large stream: prefill rounds
+        take the epoch path, so nearly every step is an epoch step, and
+        the report is the classic loop's byte for byte."""
+        docs = {}
+        for engine in ("event", "epoch"):
+            docs[engine] = ServingSimulator(
+                "bert-large", "a100", plan="sdf", engine=engine,
+                workload=ServingWorkload(rate=2.0, duration=400.0, seed=0),
+            ).run().to_dict()
+        assert json.dumps(docs["epoch"]) == json.dumps(docs["event"])
+        epoch = engines[-1]
+        assert epoch.epoch_steps >= 0.97 * epoch.steps
+        assert epoch.epoch_prefill_steps > 0.1 * epoch.steps
 
 
 class TestClusterEquivalence:
