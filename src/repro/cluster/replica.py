@@ -131,16 +131,18 @@ class Replica:
 
     def advance(self, limit_time: "float | None" = None,
                 max_new_steps: "int | None" = None,
-                lockstep: bool = False) -> int:
+                lockstep: bool = False, other_lanes: bool = False) -> int:
         """Advance this replica's engine; returns steps taken (0 =
         nothing runnable).  No step starts at or after ``limit_time``
         — the event loop passes its next event, so replica state is
         final when a handler reads it — and at most ``max_new_steps``
-        are taken (the loop's remaining step budget); ``lockstep`` as
-        in :meth:`~repro.serving.engine.EpochEngine.advance`."""
+        are taken (the loop's remaining step budget); ``lockstep`` and
+        ``other_lanes`` as in
+        :meth:`~repro.serving.engine.EpochEngine.advance`."""
         return self.engine.advance(limit_time=limit_time,
                                    max_new_steps=max_new_steps,
-                                   lockstep=lockstep)
+                                   lockstep=lockstep,
+                                   other_lanes=other_lanes)
 
     def _trace_step(self, stretch) -> None:
         """The engine's ``on_step``: one ``replica step`` span per step

@@ -21,7 +21,8 @@ class FakeLane:
         return self.work > 0
 
     def advance(self, limit_time=None, max_new_steps=None,
-                lockstep=False):
+                lockstep=False, other_lanes=False):
+        self.other_lanes = other_lanes
         self.log.append(("advance", self.name, self.clock, limit_time,
                          max_new_steps))
         if self.dt == 0.0:
@@ -86,6 +87,17 @@ def test_idle_lanes_are_skipped():
              FakeLane("busy", log, clock=5.0, work=1)]
     run_loop(lanes, events(log), max_steps=10, what="test")
     assert [entry[1] for entry in log] == ["busy"]
+
+
+def test_each_advance_is_told_whether_other_lanes_run():
+    """A lane alone in the loop is told so: every event there touches
+    it, so an epoch engine plans no further than the next event."""
+    alone = FakeLane("alone", [], work=1)
+    run_loop([alone], events([]), max_steps=10, what="test")
+    pair = [FakeLane("a", [], work=1), FakeLane("b", [], work=1)]
+    run_loop(pair, events([]), max_steps=10, what="test")
+    assert alone.other_lanes is False
+    assert [lane.other_lanes for lane in pair] == [True, True]
 
 
 def test_a_lane_that_takes_no_step_raises():
